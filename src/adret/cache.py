@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .tensor import Array, as_matrix
 
 MAGIC = b"ADRET1\n"
@@ -98,7 +98,11 @@ def decode_blob(data: bytes, offset: int = 0) -> tuple[Array, list[str], int]:
         length = _U32.unpack_from(data, offset)[0]
         offset = end
         end = need(length, "id bytes")
-        ids.append(data[offset:end].decode("utf-8"))
+        try:
+            ids.append(data[offset:end].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"id at byte {offset} is not valid UTF-8: "
+                              f"{exc.reason} at byte {offset + exc.start}")
         offset = end
     return matrix, ids, offset
 
@@ -107,9 +111,16 @@ def cache_write(path: str, matrix: Array, ids: Sequence[str]) -> None:
     atomic_write_bytes(path, encode_blob(matrix, ids))
 
 
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}")
+
+
 def cache_read(path: str) -> tuple[Array, list[str]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     matrix, ids, end = decode_blob(data)
     if end != len(data):
         raise FormatError(f"trailing data after blob: file is {len(data)} "
@@ -124,8 +135,7 @@ def save_tensors(path: str, tensors: dict[str, Array]) -> None:
 
 
 def load_tensors(path: str) -> dict[str, Array]:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     tensors: dict[str, Array] = {}
     offset = 0
     while offset < len(data):

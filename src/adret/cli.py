@@ -109,10 +109,7 @@ def _encode_test_split(cfg: ExperimentConfig, params_path: str, corpus,
     if cache_embeddings and os.path.exists(cache_t) and os.path.exists(cache_v):
         log.info("cache hit: reusing embeddings %s / %s", cache_t, cache_v)
         return cache_read(cache_t)[0], cache_read(cache_v)[0]
-    try:
-        tensors = load_tensors(params_path)
-    except FileNotFoundError:
-        raise DataError(f"parameter file not found: {params_path}")
+    tensors = load_tensors(params_path)
     model = BiEncoder.from_tensors(tensors, cfg.visual_pooling, cfg.text_pooling)
     t_emb = encode_all(corpus.texts, model.text)
     v_emb = encode_all(corpus.images, model.visual)

@@ -146,10 +146,7 @@ def load_corpus(directory: str, split: str) -> Corpus:
 
     def read(name: str) -> tuple:
         path = os.path.join(directory, f"{split}_{name}.bin")
-        try:
-            matrix, ids = cache_read(path)
-        except FileNotFoundError:
-            raise DataError(f"missing corpus file {path}; run generate first")
+        matrix, ids = cache_read(path)
         instances = []
         start = 0
         for stop in range(1, len(ids) + 1):

@@ -1,9 +1,12 @@
 """Retrieval metrics: Recall@K both ways, RSUM, and similarity ensembling.
 
 Direction naming: caption retrieval takes captions as queries and ranks
-images; image retrieval takes images as queries and ranks captions. A query
-scores a hit at K when at least one of its relevant candidates appears in
-the top K, with ranking ties broken toward the smaller candidate index.
+images; image retrieval takes images as queries and ranks captions.
+
+Candidates rank by descending score, ties toward the smaller index. A
+query hits at K when its best relevant candidate has 0-based rank < K, where
+rank = #(score > best) + #(score == best at a smaller index), counted with
+no sort, so every K comes from one pass.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .errors import DataError, DimensionError
 from .tensor import Array, as_matrix, cosine_sim_matrix
 
 RECALL_KS = (1, 5, 10)
+_BLOCK_ROWS = 256  # query rows per counting block
 
 
 @dataclass(frozen=True)
@@ -56,32 +60,49 @@ class RetrievalResult:
         return f"{header}\n{row}\n"
 
 
-def recall_at_k(scores: Array, query_ids: Sequence[str],
-                candidate_ids: Sequence[str],
-                truth: Mapping[str, Set[str]], k: int) -> float:
-    """Percent of queries with a relevant candidate in their top-K.
-
-    ``scores[q, c]`` ranks candidate c for query q, higher is better; ties
-    resolve toward the smaller candidate index.
-    """
-    scores = as_matrix(scores, "score matrix")
-    if k < 1:
-        raise ValueError(f"recall_at_k: k must be >= 1, got {k}")
+def _best_relevant_ranks(scores: Array, query_ids: Sequence[str],
+                         candidate_ids: Sequence[str],
+                         truth: Mapping[str, Set[str]]) -> np.ndarray:
+    """0-based rank of each query's best relevant candidate. ``scores`` may
+    be a transposed view; blocks of rows keep the temporaries a few MB."""
     if scores.shape != (len(query_ids), len(candidate_ids)):
         raise DimensionError(f"score matrix {scores.shape} does not match "
                              f"{len(query_ids)} queries x {len(candidate_ids)} candidates")
     column_of = {cid: j for j, cid in enumerate(candidate_ids)}
-    hits = 0
+    best = np.empty(len(query_ids), dtype=np.intp)
     for q, qid in enumerate(query_ids):
         if qid not in truth:
             raise DataError(f"query {qid!r} missing from ground truth")
-        relevant = {column_of[cid] for cid in truth[qid] if cid in column_of}
+        relevant = [column_of[cid] for cid in truth[qid] if cid in column_of]
         if not relevant:
             raise DataError(f"query {qid!r} has no relevant candidate in the index")
-        top = np.argsort(-scores[q], kind="stable")[:k]
-        if any(int(j) in relevant for j in top):
-            hits += 1
-    return 100.0 * hits / len(query_ids)
+        row = scores[q]
+        best[q] = max(relevant, key=lambda j: (row[j], -j))
+    ranks = np.empty(len(query_ids), dtype=np.intp)
+    columns = np.arange(len(candidate_ids))
+    for lo in range(0, len(query_ids), _BLOCK_ROWS):
+        block = scores[lo:lo + _BLOCK_ROWS]
+        b = best[lo:lo + _BLOCK_ROWS]
+        top = block[np.arange(len(b)), b][:, None]
+        ranks[lo:lo + len(b)] = (
+            np.count_nonzero(block > top, axis=1)
+            + np.count_nonzero((block == top) & (columns < b[:, None]), axis=1))
+    return ranks
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
+    return 100.0 * np.count_nonzero(ranks < k) / len(ranks)
+
+
+def recall_at_k(scores: Array, query_ids: Sequence[str],
+                candidate_ids: Sequence[str],
+                truth: Mapping[str, Set[str]], k: int) -> float:
+    """Percent of queries with a relevant candidate in their top-K;
+    ``scores[q, c]`` ranks candidate c for query q, higher is better."""
+    if k < 1:
+        raise ValueError(f"recall_at_k: k must be >= 1, got {k}")
+    scores = as_matrix(scores, "score matrix")
+    return _recall(_best_relevant_ranks(scores, query_ids, candidate_ids, truth), k)
 
 
 def evaluate_scores(scores: Array, text_ids: Sequence[str],
@@ -89,8 +110,10 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
                     truth: Mapping[str, Set[str]]) -> RetrievalResult:
     """Both directions' R@{1,5,10} from a text-by-image score matrix."""
     scores = as_matrix(scores, "score matrix")
-    cr = [recall_at_k(scores, text_ids, image_ids, truth, k) for k in RECALL_KS]
-    ir = [recall_at_k(scores.T, image_ids, text_ids, truth, k) for k in RECALL_KS]
+    cr_ranks = _best_relevant_ranks(scores, text_ids, image_ids, truth)
+    ir_ranks = _best_relevant_ranks(scores.T, image_ids, text_ids, truth)
+    cr = [_recall(cr_ranks, k) for k in RECALL_KS]
+    ir = [_recall(ir_ranks, k) for k in RECALL_KS]
     return RetrievalResult(ir_r1=ir[0], ir_r5=ir[1], ir_r10=ir[2],
                            cr_r1=cr[0], cr_r5=cr[1], cr_r10=cr[2],
                            rsum=float(sum(ir) + sum(cr)))
@@ -128,12 +151,6 @@ def evaluate_scores_folds(scores: Array, text_ids: Sequence[str],
     mean = {name: float(np.mean([getattr(p, name) for p in parts]))
             for name in ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10")}
     return RetrievalResult(rsum=float(sum(mean.values())), **mean)
-
-
-def evaluate_folds(texts: EmbeddingSet, images: EmbeddingSet,
-                   truth: Mapping[str, Set[str]], folds: int) -> RetrievalResult:
-    scores = cosine_sim_matrix(texts.vectors, images.vectors)
-    return evaluate_scores_folds(scores, texts.ids, images.ids, truth, folds)
 
 
 def ensemble_similarity(matrices: Sequence[Array]) -> Array:

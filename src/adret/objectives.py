@@ -62,15 +62,15 @@ class BatchMaturity:
 
 @dataclass(frozen=True)
 class NegativeSelection:
-    """Per-anchor negative indices, one list per anchor, each of length K.
+    """Per-anchor negative indices as two ``(B, K)`` integer arrays.
 
-    ``text_to_image[i]`` holds column (image) indices for text anchor i;
-    ``image_to_text[j]`` holds row (text) indices for image anchor j. Lists
-    never contain the anchor's own index.
+    Row i of ``text_to_image`` holds column (image) indices for text anchor
+    i; row j of ``image_to_text`` holds row (text) indices for image anchor
+    j. A row never contains the anchor's own index or a repeat.
     """
 
-    text_to_image: tuple[tuple[int, ...], ...]
-    image_to_text: tuple[tuple[int, ...], ...]
+    text_to_image: np.ndarray
+    image_to_text: np.ndarray
 
 
 def _square(s: Array, name: str) -> Array:
@@ -145,20 +145,52 @@ def select_negatives(s: Array, k: int) -> NegativeSelection:
     """Hardest-K in-batch negatives per anchor, both directions.
 
     Candidates are ranked by similarity descending with ties broken by the
-    smaller index; the anchor's own positive is excluded.
+    smaller index; the anchor's own positive, masked to -inf, sorts last.
     """
     s = _square(s, "similarity matrix")
     b = s.shape[0]
     if not 1 <= k <= b - 1:
         raise ValueError(f"select_negatives: k={k} outside [1, {b - 1}]")
-    t2i = []
-    i2t = []
-    for i in range(b):
-        order = np.argsort(-s[i], kind="stable")
-        t2i.append(tuple(int(j) for j in order if j != i)[:k])
-        order = np.argsort(-s[:, i], kind="stable")
-        i2t.append(tuple(int(j) for j in order if j != i)[:k])
-    return NegativeSelection(tuple(t2i), tuple(i2t))
+    flipped = -np.where(np.eye(b, dtype=bool), -np.inf, s)
+    return NegativeSelection(np.argsort(flipped, axis=1, kind="stable")[:, :k],
+                             np.argsort(flipped.T, axis=1, kind="stable")[:, :k])
+
+
+def _contrastive(s: Array, sel: NegativeSelection, temperature: float,
+                 positive_in_denominator: bool) -> tuple[float, Array]:
+    """Per anchor logsumexp(z) - pos/tau, z = selected negatives / tau with
+    pos/tau in front for the saturating form. Image anchors use ``s.T`` and
+    ``grad.T``; a row of indices has no repeats, so put_along_axis is exact."""
+    if temperature <= 0:
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    s = _square(s, "similarity matrix")
+    b = s.shape[0]
+    if len(sel.text_to_image) != b or len(sel.image_to_text) != b:
+        raise DimensionError(
+            f"selection covers {len(sel.text_to_image)} anchors, batch is {b}")
+    idx = np.arange(b)
+    scale = b * temperature
+    pos = s[idx, idx] / temperature
+    grad = np.zeros_like(s)
+    loss = 0.0
+    for sims, g, negs in ((s, grad, sel.text_to_image),
+                          (s.T, grad.T, sel.image_to_text)):
+        z = np.take_along_axis(sims, negs, axis=1) / temperature
+        if positive_in_denominator:
+            z = np.concatenate((pos[:, None], z), axis=1)
+        zmax = z.max(axis=1, keepdims=True)
+        e = np.exp(z - zmax)
+        total = e.sum(axis=1, keepdims=True)
+        loss += float(np.sum(zmax[:, 0] + np.log(total[:, 0]) - pos))
+        p = e / total
+        if positive_in_denominator:
+            grad[idx, idx] += (p[:, 0] - 1.0) / scale
+            p = p[:, 1:]
+        else:
+            grad[idx, idx] -= 1.0 / scale
+        np.put_along_axis(g, negs, np.take_along_axis(g, negs, axis=1) + p / scale,
+                          axis=1)
+    return loss / b, grad
 
 
 def info_nce_loss(s: Array, sel: NegativeSelection,
@@ -169,38 +201,7 @@ def info_nce_loss(s: Array, sel: NegativeSelection,
     computed via logsumexp. Each direction is averaged over the batch and the
     two directions are summed.
     """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-    s = _square(s, "similarity matrix")
-    b = s.shape[0]
-    if len(sel.text_to_image) != b or len(sel.image_to_text) != b:
-        raise DimensionError(
-            f"selection covers {len(sel.text_to_image)} anchors, batch is {b}")
-    grad = np.zeros_like(s)
-    loss_t2v = 0.0
-    loss_v2t = 0.0
-    for i in range(b):
-        negs = list(sel.text_to_image[i])
-        z = np.concatenate(([s[i, i]], s[i, negs])) / temperature
-        zmax = z.max()
-        e = np.exp(z - zmax)
-        total = e.sum()
-        loss_t2v += (zmax + math.log(total)) - z[0]
-        p = e / total
-        grad[i, i] += (p[0] - 1.0) / (b * temperature)
-        np.add.at(grad, (i, negs), p[1:] / (b * temperature))
-
-        negs = list(sel.image_to_text[i])
-        z = np.concatenate(([s[i, i]], s[negs, i])) / temperature
-        zmax = z.max()
-        e = np.exp(z - zmax)
-        total = e.sum()
-        loss_v2t += (zmax + math.log(total)) - z[0]
-        p = e / total
-        grad[i, i] += (p[0] - 1.0) / (b * temperature)
-        np.add.at(grad, (negs, i), p[1:] / (b * temperature))
-    loss = loss_v2t / b + loss_t2v / b
-    return float(loss), grad
+    return _contrastive(s, sel, temperature, positive_in_denominator=True)
 
 
 def negatives_only_info_nce(s: Array, sel: NegativeSelection,
@@ -213,34 +214,7 @@ def negatives_only_info_nce(s: Array, sel: NegativeSelection,
     sustained pull is what makes the adaptive objective keep tightening
     positive pairs after the hinge-style losses have gone quiet.
     """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-    s = _square(s, "similarity matrix")
-    b = s.shape[0]
-    if len(sel.text_to_image) != b or len(sel.image_to_text) != b:
-        raise DimensionError(
-            f"selection covers {len(sel.text_to_image)} anchors, batch is {b}")
-    grad = np.zeros_like(s)
-    loss = 0.0
-    for i in range(b):
-        negs = list(sel.text_to_image[i])
-        z = s[i, negs] / temperature
-        zmax = z.max()
-        e = np.exp(z - zmax)
-        total = e.sum()
-        loss += (zmax + math.log(total)) - s[i, i] / temperature
-        grad[i, i] -= 1.0 / (b * temperature)
-        np.add.at(grad, (i, negs), (e / total) / (b * temperature))
-
-        negs = list(sel.image_to_text[i])
-        z = s[negs, i] / temperature
-        zmax = z.max()
-        e = np.exp(z - zmax)
-        total = e.sum()
-        loss += (zmax + math.log(total)) - s[i, i] / temperature
-        grad[i, i] -= 1.0 / (b * temperature)
-        np.add.at(grad, (negs, i), (e / total) / (b * temperature))
-    return float(loss / b), grad
+    return _contrastive(s, sel, temperature, positive_in_denominator=False)
 
 
 def adopt_loss(s: Array, temperature: float) -> tuple[float, BatchMaturity, Array]:

@@ -227,6 +227,23 @@ class TestInspectPool:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         assert main(["inspect-pool", str(path)]) == 2
 
+    def test_missing_files_are_data_errors(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.bin")
+        assert main(["inspect-pool", missing]) == 2
+        assert missing in capsys.readouterr().err
+        path = str(tmp_path / "m.bin")
+        cache_write(path, np.ones((2, 3)), [])
+        assert main(["inspect-pool", path, "--method", "adpool",
+                     "--params", missing]) == 2
+        assert missing in capsys.readouterr().err
+
+    def test_invalid_utf8_id_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "badid.bin"
+        cache_write(str(path), np.ones((2, 3)), ["ab"])
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff")
+        assert main(["inspect-pool", str(path)]) == 2
+        assert "byte" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_is_config_error(self, capsys):

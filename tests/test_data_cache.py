@@ -109,6 +109,16 @@ class TestCacheFormat:
         cache_write(path, np.ones((2, 1)), ["café", "überrow"])
         assert cache_read(path)[1] == ["café", "überrow"]
 
+    def test_invalid_utf8_id_reports_byte_offset(self, tmp_path):
+        data = encode_blob(np.ones((1, 1)), ["ok", "ab"])
+        path = str(tmp_path / "badid.bin")
+        with open(path, "wb") as fh:
+            fh.write(data[:-1] + b"\xff")
+        id_start = len(data) - 2
+        with pytest.raises(FormatError, match=f"id at byte {id_start} .*"
+                                              f"at byte {id_start + 1}"):
+            cache_read(path)
+
     def test_corrupted_magic(self, tmp_path):
         path = str(tmp_path / "bad.bin")
         data = bytearray(encode_blob(np.ones((2, 2)), ["a", "b"]))

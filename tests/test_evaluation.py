@@ -7,6 +7,7 @@ import pytest
 
 from adret.errors import DataError, DimensionError
 from adret.evaluation import (
+    _BLOCK_ROWS,
     EmbeddingSet,
     RetrievalResult,
     ensemble_similarity,
@@ -57,6 +58,51 @@ class TestRecallAtK:
                 ours = recall_at_k(scores, qids, cids, truth, k)
                 ref = _recall_oracle(scores.tolist(), relevant, k)
                 assert ours == ref
+
+        # One decimal: the best relevant candidate ties with candidates at
+        # smaller and at larger indices. The last case spans three blocks.
+        tied_before = tied_after = 0
+        for n_queries, n_cands in [(20, 20)] * 20 + [(2 * _BLOCK_ROWS + 3, 30)]:
+            scores = np.round(rng.standard_normal((n_queries, n_cands)), 1)
+            relevant = [set(rng.choice(n_cands, size=rng.integers(1, 4),
+                                       replace=False).tolist())
+                        for _ in range(n_queries)]
+            qids = [f"q{i}" for i in range(n_queries)]
+            cids = [f"c{j}" for j in range(n_cands)]
+            truth = {qids[i]: {cids[j] for j in relevant[i]}
+                     for i in range(n_queries)}
+            for k in (1, 5, 10):
+                ours = recall_at_k(scores, qids, cids, truth, k)
+                assert ours == _recall_oracle(scores.tolist(), relevant, k)
+            for row, rel in zip(scores, relevant):
+                best = max(rel, key=lambda j: (row[j], -j))
+                tied = np.flatnonzero(row == row[best])
+                tied_before += int(np.any(tied < best))
+                tied_after += int(np.any(tied > best))
+        assert tied_before > 0 and tied_after > 0
+
+        # evaluate_scores, both directions, 5 captions per image; the 300
+        # caption queries span two blocks
+        n_images, captions = 60, 5
+        assert n_images * captions > _BLOCK_ROWS
+        scores = np.round(rng.standard_normal((n_images * captions, n_images)), 1)
+        scores[np.arange(n_images * captions),
+               np.arange(n_images * captions) // captions] += 1.0
+        iids = [f"i{j}" for j in range(n_images)]
+        tids = [f"t{j}.{c}" for j in range(n_images) for c in range(captions)]
+        truth = {f"i{j}": {f"t{j}.{c}" for c in range(captions)}
+                 for j in range(n_images)}
+        truth.update({f"t{j}.{c}": {f"i{j}"} for j in range(n_images)
+                      for c in range(captions)})
+        r = evaluate_scores(scores, tids, iids, truth)
+        caption_relevant = [{t // captions} for t in range(len(tids))]
+        image_relevant = [set(range(j * captions, (j + 1) * captions))
+                          for j in range(n_images)]
+        for k in (1, 5, 10):
+            assert getattr(r, f"cr_r{k}") == _recall_oracle(
+                scores.tolist(), caption_relevant, k)
+            assert getattr(r, f"ir_r{k}") == _recall_oracle(
+                scores.T.tolist(), image_relevant, k)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)

@@ -64,6 +64,33 @@ def _infonce_oracle(s, t2i, i2t, tau):
     return loss
 
 
+def _negatives_only_oracle(s, t2i, i2t, tau):
+    b = len(s)
+    loss = 0.0
+    for i in range(b):
+        loss += math.log(sum(math.exp(s[i][j] / tau) for j in t2i[i])) / b
+        loss += math.log(sum(math.exp(s[j][i] / tau) for j in i2t[i])) / b
+        loss -= 2 * s[i][i] / tau / b
+    return loss
+
+
+def _contrastive_grad_oracle(s, t2i, i2t, tau, with_positive):
+    """dL/dS one anchor at a time: each denominator term gets its softmax
+    weight / (b tau), the positive gets -1 / (b tau) from the numerator."""
+    b = len(s)
+    grad = [[0.0] * b for _ in range(b)]
+    for i in range(b):
+        for cells in ([(i, j) for j in t2i[i]], [(j, i) for j in i2t[i]]):
+            terms = ([(i, i)] if with_positive else []) + cells
+            zmax = max(s[r][c] / tau for r, c in terms)
+            weights = [math.exp(s[r][c] / tau - zmax) for r, c in terms]
+            total = sum(weights)
+            for (r, c), w in zip(terms, weights):
+                grad[r][c] += w / total / (b * tau)
+            grad[i][i] -= 1.0 / (b * tau)
+    return np.array(grad)
+
+
 def _adopt_oracle(s, tau):
     b = len(s)
     ga = min(1.0, max(0.0, sum(s[i][i] for i in range(b)) / b))
@@ -183,8 +210,15 @@ class TestSelectNegatives:
             s = rng.uniform(-1, 1, size=(6, 6))
             sel = select_negatives(s, 3)
             t2i, i2t = _select_oracle(s.tolist(), 3)
-            assert sel.text_to_image == tuple(t2i)
-            assert sel.image_to_text == tuple(i2t)
+            assert np.array_equal(sel.text_to_image, t2i)
+            assert np.array_equal(sel.image_to_text, i2t)
+        s = np.round(rng.uniform(-1, 1, size=(250, 250)), 2)  # many ties
+        for k in (1, 249):
+            sel = select_negatives(s, k)
+            t2i, i2t = _select_oracle(s.tolist(), k)
+            assert sel.text_to_image.shape == sel.image_to_text.shape == (250, k)
+            assert np.array_equal(sel.text_to_image, t2i)
+            assert np.array_equal(sel.image_to_text, i2t)
 
     def test_never_contains_positive_and_no_duplicates(self):
         rng = np.random.default_rng(6)
@@ -271,6 +305,28 @@ class TestNegativesOnlyInfoNCE:
         sel = select_negatives(s, 1)
         loss, _ = negatives_only_info_nce(s, sel, 0.05)
         assert loss < 0.0
+
+
+class TestWideBatch:
+    """Both InfoNCE forms at B=250, at both ends of K, against the oracles."""
+
+    @pytest.mark.parametrize("k", [1, 249])
+    @pytest.mark.parametrize("with_positive", [True, False])
+    def test_loss_and_gradient_match_oracles(self, k, with_positive):
+        rng = np.random.default_rng(13)
+        s = rng.uniform(-1, 1, size=(250, 250))
+        sel = select_negatives(s, k)
+        t2i, i2t = _select_oracle(s.tolist(), k)
+        if with_positive:
+            loss, grad = info_nce_loss(s, sel, 0.05)
+            ref = _infonce_oracle(s.tolist(), t2i, i2t, 0.05)
+        else:
+            loss, grad = negatives_only_info_nce(s, sel, 0.05)
+            ref = _negatives_only_oracle(s.tolist(), t2i, i2t, 0.05)
+        assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
+        ref_grad = _contrastive_grad_oracle(s.tolist(), t2i, i2t, 0.05,
+                                            with_positive)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-12)
 
 
 class TestAdoptLoss:
