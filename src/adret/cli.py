@@ -5,7 +5,8 @@ gradcheck (finite-difference verification of every differentiable op), and
 inspect-pool (dump a pooler's output and learned weights for one matrix).
 
 Exit codes: 0 success, 1 configuration error, 2 data/format error,
-3 numerical failure. Log verbosity comes from ADRET_LOG (error|info|debug).
+3 numerical failure. Log verbosity comes from ADRET_LOG (error|info|debug;
+any other value is a configuration error).
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _setup_logging() -> None:
     level = os.environ.get("ADRET_LOG", "info").strip().lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.INFO),
+    if level not in _LOG_LEVELS:
+        raise ConfigError(f"ADRET_LOG must be one of {'|'.join(_LOG_LEVELS)}, "
+                          f"got {level!r}")
+    logging.basicConfig(level=_LOG_LEVELS[level],
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -159,6 +163,8 @@ def cmd_gradcheck(seed: int) -> int:
 def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
                      params_path) -> int:
     matrix, _ = cache_read(matrix_path)
+    if matrix.shape[0] == 0:
+        raise DataError(f"{matrix_path}: matrix has no rows to pool")
     spec = PoolingSpec(
         method=method,
         k=k,
@@ -250,9 +256,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = _build_parser()
     try:
+        _setup_logging()
         args = parser.parse_args(argv)
         if args.command == "generate":
             cfg = load_config(args.config, seed_override=args.seed,

@@ -150,6 +150,16 @@ def encode_vjp(cache, d_embedding: Array):
     return grads, d_projected @ params.w_proj.T
 
 
+def batch_forward(features, params: EncoderParams):
+    """Encode a batch of feature matrices for a backward pass.
+
+    Returns (embedding matrix with a row per instance, per-instance caches
+    for encode_vjp).
+    """
+    pairs = [encode_forward(f, params) for f in features]
+    return np.stack([e for e, _ in pairs]), [c for _, c in pairs]
+
+
 def encode(raw, params: EncoderParams) -> Array:
     """Encode a RawInstance or a bare feature matrix to a unit vector."""
     features = raw.features if isinstance(raw, RawInstance) else raw

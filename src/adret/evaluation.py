@@ -135,8 +135,9 @@ def evaluate_scores_folds(scores: Array, text_ids: Sequence[str],
     folds=1 is plain evaluate_scores. The averaged result's RSUM is the sum
     of the six averaged metrics.
     """
-    if folds < 1:
-        raise ValueError(f"folds must be >= 1, got {folds}")
+    if not 1 <= folds <= len(image_ids):
+        raise ValueError(f"folds must be in [1, {len(image_ids)}] for "
+                         f"{len(image_ids)} test images, got {folds}")
     if folds == 1:
         return evaluate_scores(scores, text_ids, image_ids, truth)
     scores = as_matrix(scores, "score matrix")

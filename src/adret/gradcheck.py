@@ -1,10 +1,12 @@
 """Finite-difference verification of every differentiable operation.
 
 Assembles a named check for each primitive op, each learned-pooling stage,
-the encoder chain, both batch losses, and the two composed
-encode -> similarity -> loss pipelines, then runs them all against the
-central-difference oracle. The CLI's gradcheck verb and the test suite both
-call ``run_all``.
+the encoder chain under every pooling method, each batch loss, and one
+composed encode -> similarity -> loss pipeline per training loss mode, then
+runs them all against the central-difference oracle. The pipelines run the
+trainer's own ``training.batch_step``, so the gradient checked is the one
+Adam applies. The CLI's gradcheck verb and the test suite both call
+``run_all``.
 
 Discrete choices inside the losses (which negatives, which argmax) are not
 differentiable, so the checks pin them: InfoNCE variants hold the negative
@@ -18,12 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import pooling
-from .encoders import EncoderParams, encode_forward, encode_vjp
+from .encoders import BiEncoder, EncoderParams, encode_forward, encode_vjp
 from .objectives import (
+    adaptive_k,
+    alignment,
     hard_triplet_loss,
     info_nce_loss,
     negatives_only_info_nce,
     select_negatives,
+    uniformity,
 )
 from .pooling import PoolParams, PoolingSpec
 from .tensor import (
@@ -34,8 +39,20 @@ from .tensor import (
     finite_diff_check,
     matmul_vjp,
 )
+from .training import batch_step
 
 _KINK_CLEARANCE = 1e-3  # required distance from hinge zeros and argmax ties
+
+# one encoder check per pooling method, and per mode where the method has two
+_ENCODE_SPECS = (
+    PoolingSpec("mean"),
+    PoolingSpec("max"),
+    PoolingSpec("kmax", k=3),
+    PoolingSpec("manual", manual_mode="visual"),
+    PoolingSpec("manual", manual_mode="text"),
+    PoolingSpec("fixed-balance", weights=(0.75, 0.25)),
+    PoolingSpec("adpool"),
+)
 
 
 def _project_op() -> DiffOp:
@@ -110,7 +127,10 @@ def _encode_op(spec: PoolingSpec) -> DiffOp:
         return (d_f, grads["w_proj"], grads["b_proj"], grads["w_tok"],
                 grads["w_bal"])
 
-    return DiffOp(f"encode[{spec.method}]", forward, vjp)
+    label = spec.method
+    if spec.manual_mode:
+        label += f"-{spec.manual_mode}"
+    return DiffOp(f"encode[{label}]", forward, vjp)
 
 
 def _triplet_op(margin: float) -> DiffOp:
@@ -166,59 +186,37 @@ def _safe_triplet_matrix(rng: np.random.Generator, b: int, margin: float) -> np.
     raise RuntimeError("could not draw a kink-free triplet test matrix")
 
 
-def _pipeline_op(name: str, loss_of, texts, images, spec: PoolingSpec) -> DiffOp:
-    """encode both sides -> similarity -> loss, as a function of all params.
+def _pipeline_check(name: str, loss_of, texts, images, spec: PoolingSpec,
+                    tensors: dict[str, np.ndarray]):
+    """encode both sides -> similarity -> loss through the trainer's own
+    ``batch_step``, as a function of every parameter tensor.
 
-    Inputs are the eight parameter tensors (text then visual, each
-    w_proj, b_proj, w_tok, w_bal); the feature matrices are fixed data.
-    ``loss_of(s)`` must return (value, d_loss/d_s) and be smooth at the
+    Returns (op, inputs): the inputs are ``tensors``' values in order; the
+    feature matrices are fixed data. ``loss_of(s)`` has the trainer's loss
+    signature, (value, d_loss/d_s, aux), and must be smooth at the
     evaluation point.
     """
+    keys = list(tensors)
 
-    def run(inputs):
-        tp = EncoderParams(w_proj=inputs[0], b_proj=inputs[1],
-                           pool=PoolParams(inputs[2], inputs[3]), spec=spec)
-        vp = EncoderParams(w_proj=inputs[4], b_proj=inputs[5],
-                           pool=PoolParams(inputs[6], inputs[7]), spec=spec)
-        t_pairs = [encode_forward(f, tp) for f in texts]
-        v_pairs = [encode_forward(f, vp) for f in images]
-        t_mat = np.stack([e for e, _ in t_pairs])
-        v_mat = np.stack([e for e, _ in v_pairs])
-        return t_mat, v_mat, [c for _, c in t_pairs], [c for _, c in v_pairs]
+    def step(inputs):
+        model = BiEncoder.from_tensors(dict(zip(keys, inputs)), spec, spec)
+        return batch_step(model, texts, images, loss_of)
 
     def forward(*inputs):
-        t_mat, v_mat, _, _ = run(inputs)
-        return np.float64(loss_of(t_mat @ v_mat.T)[0])
+        return np.float64(step(inputs)[0])
 
     def vjp(inputs, out, grad):
-        t_mat, v_mat, t_caches, v_caches = run(inputs)
-        _, d_s = loss_of(t_mat @ v_mat.T)
-        d_s = d_s * float(grad)
-        d_t = d_s @ v_mat
-        d_v = d_s.T @ t_mat
-        acc = [np.zeros_like(x) for x in inputs]
-        keys = ("w_proj", "b_proj", "w_tok", "w_bal")
-        for i, cache in enumerate(t_caches):
-            g, _ = encode_vjp(cache, d_t[i])
-            for j, key in enumerate(keys):
-                acc[j] += g[key]
-        for i, cache in enumerate(v_caches):
-            g, _ = encode_vjp(cache, d_v[i])
-            for j, key in enumerate(keys):
-                acc[4 + j] += g[key]
-        return acc
+        grads = step(inputs)[2]
+        return [grads[k] * float(grad) for k in keys]
 
-    return DiffOp(name, forward, vjp)
+    return DiffOp(name, forward, vjp), [tensors[k].copy() for k in keys]
 
 
-def _pipeline_similarity(params, texts, images, spec):
-    tp = EncoderParams(w_proj=params[0], b_proj=params[1],
-                       pool=PoolParams(params[2], params[3]), spec=spec)
-    vp = EncoderParams(w_proj=params[4], b_proj=params[5],
-                       pool=PoolParams(params[6], params[7]), spec=spec)
-    t_mat = np.stack([encode_forward(f, tp)[0] for f in texts])
-    v_mat = np.stack([encode_forward(f, vp)[0] for f in images])
-    return t_mat @ v_mat.T
+def _similarity(tensors, texts, images, spec: PoolingSpec) -> np.ndarray:
+    """The similarity matrix ``batch_step`` scores at these parameters."""
+    model = BiEncoder.from_tensors(tensors, spec, spec)
+    return batch_step(model, texts, images,
+                      lambda s: (0.0, np.zeros_like(s), s))[1]
 
 
 def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray]]]:
@@ -248,10 +246,10 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
     checks.append((_balance_op(), [normal(4), normal(4), normal((4, 1))]))
     checks.append((_adpool_op(), [normal((5, 4)), normal((4, 1)), normal((4, 1))]))
 
-    spec = PoolingSpec("adpool")
-    checks.append((_encode_op(spec),
-                   [normal((4, 3)), normal((3, 5)), normal(5),
-                    normal((5, 1)), normal((5, 1))]))
+    for spec in _ENCODE_SPECS:
+        checks.append((_encode_op(spec),
+                       [normal((6, 3)), normal((3, 5)), normal(5),
+                        normal((5, 1)), normal((5, 1))]))
 
     margin = 0.2
     checks.append((_triplet_op(margin), [_safe_triplet_matrix(rng, 5, margin)]))
@@ -261,34 +259,48 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
     s2 = rng.uniform(-1.0, 1.0, size=(6, 6))
     checks.append((_negatives_only_op(0.5, select_negatives(s2, 3)), [s2]))
 
-    # composed pipelines over a tiny batch of variable-length instances
-    b, d_in, d = 3, 4, 5
+    # composed pipelines over a small batch of variable-length instances
+    b, d_in, d = 6, 3, 4
     texts = [normal((int(rng.integers(2, 5)), d_in)) for _ in range(b)]
     images = [normal((int(rng.integers(2, 5)), d_in)) for _ in range(b)]
+    spec = PoolingSpec("adpool")
 
-    def draw_params():
-        return [normal((d_in, d)), normal(d), 0.5 * normal((d, 1)),
-                0.5 * normal((d, 1)), normal((d_in, d)), normal(d),
-                0.5 * normal((d, 1)), 0.5 * normal((d, 1))]
+    def draw_tensors():
+        out = {}
+        for side in ("text", "visual"):
+            out[f"{side}.w_proj"] = normal((d_in, d))
+            out[f"{side}.b_proj"] = normal((1, d))
+            out[f"{side}.w_tok"] = 0.5 * normal((d, 1))
+            out[f"{side}.w_bal"] = 0.5 * normal((d, 1))
+        return out
 
-    params = draw_params()
-    frozen_sel = select_negatives(_pipeline_similarity(params, texts, images, spec), 2)
-    checks.append((_pipeline_op("pipeline[encode->infonce]",
-                                lambda sm: info_nce_loss(sm, frozen_sel, 0.5),
-                                texts, images, spec),
-                   [p.copy() for p in params]))
+    tensors = draw_tensors()
+    frozen_sel = select_negatives(_similarity(tensors, texts, images, spec), 2)
+    checks.append(_pipeline_check(
+        "pipeline[encode->infonce]",
+        lambda sm: (*info_nce_loss(sm, frozen_sel, 0.5), None),
+        texts, images, spec, tensors))
+
+    # the adaptive objective at the K its schedule picks for this batch
+    tensors = draw_tensors()
+    s0 = _similarity(tensors, texts, images, spec)
+    adaptive_sel = select_negatives(
+        s0, adaptive_k(alignment(s0), uniformity(s0), b))
+    checks.append(_pipeline_check(
+        "pipeline[encode->adopt]",
+        lambda sm: (*negatives_only_info_nce(sm, adaptive_sel, 0.5), None),
+        texts, images, spec, tensors))
 
     for _ in range(100):
-        tri_params = draw_params()
-        if _triplet_safe(_pipeline_similarity(tri_params, texts, images, spec),
-                         margin):
+        tensors = draw_tensors()
+        if _triplet_safe(_similarity(tensors, texts, images, spec), margin):
             break
     else:
         raise RuntimeError("could not draw kink-free pipeline parameters")
-    checks.append((_pipeline_op("pipeline[encode->hard_triplet]",
-                                lambda sm: hard_triplet_loss(sm, margin),
-                                texts, images, spec),
-                   tri_params))
+    checks.append(_pipeline_check(
+        "pipeline[encode->hard_triplet]",
+        lambda sm: (*hard_triplet_loss(sm, margin), None),
+        texts, images, spec, tensors))
     return checks
 
 

@@ -125,26 +125,16 @@ def _check_features(f: Array) -> Array:
 
 
 def mean_pool(f: Array) -> Array:
-    f = _check_features(f)
-    return f.mean(axis=0)
+    return pool_forward(f, PoolingSpec("mean"))[0]
 
 
 def max_pool(f: Array) -> Array:
-    f = _check_features(f)
-    return f.max(axis=0)
+    return pool_forward(f, PoolingSpec("max"))[0]
 
 
 def kmax_pool(f: Array, k: int) -> Array:
-    """Per-column mean of the k largest values."""
-    f = _check_features(f)
-    m = f.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"kmax_pool: k={k} outside [1, {m}]")
-    if k == m:
-        # shares mean_pool's summation order so the k==M identity is bit-exact
-        return mean_pool(f)
-    top, _ = sort_desc_per_column(f)
-    return top[:k].sum(axis=0) / k
+    """Per-column mean of the k largest values; ValueError for k outside [1, M]."""
+    return _kmax_forward(f, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +237,25 @@ def adpool(f: Array, params: PoolParams) -> tuple[Array, PoolDiagnostics]:
     return t, diag
 
 
-def _adpool_forward(f: Array, params: PoolParams):
+def _adpool_forward(f: Array, params: PoolParams, omega: Optional[Array] = None):
+    """Adaptive pooler; a given ``omega`` replaces the learned balance
+    (fixed-balance), so w_bal is unused and gets no gradient."""
     t_tok, theta, tok_cache = _token_forward(f, params.w_tok)
     t_emb, delta, f_checked = _embedding_forward(f)
-    t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
+    if omega is None:
+        t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
+    else:
+        t, bal_cache = omega[0] * t_tok + omega[1] * t_emb, None
     diag = PoolDiagnostics(theta=theta, delta=delta, omega=omega)
-    return t, diag, ("adpool", tok_cache, (delta, f_checked), bal_cache)
+    return t, diag, ("adpool", tok_cache, (delta, f_checked), omega, bal_cache)
 
 
 def _adpool_vjp(cache, d_t: Array):
-    _, tok_cache, emb_cache, bal_cache = cache
-    d_tok, d_emb, d_w_bal = _balance_vjp(bal_cache, d_t)
+    _, tok_cache, emb_cache, omega, bal_cache = cache
+    if bal_cache is None:
+        d_tok, d_emb, d_w_bal = omega[0] * d_t, omega[1] * d_t, np.zeros((0, 1))
+    else:
+        d_tok, d_emb, d_w_bal = _balance_vjp(bal_cache, d_t)
     d_f_tok, d_w_tok = _token_vjp(tok_cache, d_tok)
     d_f_emb = _embedding_vjp(emb_cache, d_emb)
     return d_f_tok + d_f_emb, d_w_tok, d_w_bal
@@ -301,16 +299,9 @@ def pool_forward(f: Array, spec: PoolingSpec,
         k = min(MANUAL_VISUAL_K, f.shape[0])
         return _kmax_forward(f, k)
     if method == "adpool":
-        t, diag, cache = _adpool_forward(f, params)
-        return t, diag, cache
+        return _adpool_forward(f, params)
     if method == "fixed-balance":
-        w1, w2 = spec.weights
-        t_tok, theta, tok_cache = _token_forward(f, params.w_tok)
-        t_emb, delta, f_checked = _embedding_forward(f)
-        t = w1 * t_tok + w2 * t_emb
-        diag = PoolDiagnostics(theta=theta, delta=delta,
-                               omega=np.array([w1, w2]))
-        return t, diag, ("fixed-balance", tok_cache, (delta, f_checked), (w1, w2))
+        return _adpool_forward(f, params, np.array(spec.weights))
     raise ConfigError(f"pooling method {method!r} not one of {POOL_METHODS}")
 
 
@@ -320,6 +311,8 @@ def _kmax_forward(f: Array, k: int):
     if not 1 <= k <= m:
         raise ValueError(f"kmax_pool: k={k} outside [1, {m}]")
     if k == m:
+        # the mean branch's summation order, so kmax_pool(f, M) == mean_pool(f)
+        # holds bit for bit
         return f.mean(axis=0), PoolDiagnostics(), ("mean", f.shape)
     _, perm = sort_desc_per_column(f)
     top_rows = perm[:k]
@@ -352,9 +345,4 @@ def pool_vjp(cache, d_t: Array):
         return d_f, no_param, no_param
     if kind == "adpool":
         return _adpool_vjp(cache, d_t)
-    if kind == "fixed-balance":
-        _, tok_cache, emb_cache, (w1, w2) = cache
-        d_f_tok, d_w_tok = _token_vjp(tok_cache, w1 * d_t)
-        d_f_emb = _embedding_vjp(emb_cache, w2 * d_t)
-        return d_f_tok + d_f_emb, d_w_tok, no_param
     raise ConfigError(f"unknown pooling cache kind {kind!r}")

@@ -122,13 +122,6 @@ def sort_desc_per_column_vjp(perm: Array, grad: Array) -> Array:
     return out
 
 
-def unsort_per_column(sorted_m: Array, perm: Array) -> Array:
-    """Invert sort_desc_per_column exactly."""
-    out = np.empty_like(sorted_m)
-    np.put_along_axis(out, perm, sorted_m, axis=0)
-    return out
-
-
 def l2_normalize_rows(m: Array) -> Array:
     m = as_matrix(m, "l2_normalize input")
     if m.size == 0:

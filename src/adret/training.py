@@ -16,10 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .data import Corpus, ground_truth
-from .encoders import BiEncoder, EncoderParams, encode_forward, encode_vjp
+from .encoders import BiEncoder, batch_forward, encode_vjp
 from .errors import ConfigError, TrainingDivergedError
 from .objectives import LossConfig, adopt_loss, hard_triplet_loss, info_nce_loss, select_negatives
-from .pooling import PoolParams
 from .tensor import Array
 
 ADAM_BETA1 = 0.9
@@ -143,6 +142,27 @@ def _batch_loss(s: Array, loss_cfg: LossConfig):
     return loss, grad, None
 
 
+def batch_step(model: BiEncoder, text_features, image_features, loss_of):
+    """Encode both sides, score ``s = T @ V.T``, take ``loss_of(s)`` and
+    backpropagate it through every encoder pass.
+
+    ``loss_of(s)`` returns (loss, d_loss/d_s, aux). Returns (loss, aux,
+    grads) with grads keyed and shaped like ``model.tensors()``; each
+    entry sums the per-instance gradients in batch order.
+    """
+    t_mat, t_caches = batch_forward(text_features, model.text)
+    v_mat, v_caches = batch_forward(image_features, model.visual)
+    loss, d_s, aux = loss_of(t_mat @ v_mat.T)
+    grads = {k: np.zeros_like(p) for k, p in model.tensors().items()}
+    for side, caches, d_emb in (("text", t_caches, d_s @ v_mat),
+                                ("visual", v_caches, d_s.T @ t_mat)):
+        for cache, d_e in zip(caches, d_emb):
+            g, _ = encode_vjp(cache, d_e)
+            for k, v in g.items():
+                grads[f"{side}.{k}"] += v
+    return loss, aux, grads
+
+
 def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
           val_corpus: Optional[Corpus] = None) -> tuple[BiEncoder, TrainLog]:
     """Train the bi-encoder on (image, caption) pairs.
@@ -162,7 +182,7 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
 
     visual_spec = model.visual.spec
     text_spec = model.text.spec
-    tensors = _natural_tensors(model)
+    tensors = model.tensors()
     state = AdamState.for_tensors(tensors)
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog(mode=cfg.loss.mode)
@@ -177,42 +197,16 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
             batch = order[start:start + cfg.batch_size]
             if len(batch) < 2:
                 continue  # a lone trailing pair has no in-batch negative
-            model = _model_from(tensors, visual_spec, text_spec)
             images = [corpus.images[i] for i in batch]
             texts = [captions_of[img.group_id][pick[start + j]]
                      for j, img in enumerate(images)]
-
-            t_caches = []
-            v_caches = []
-            t_rows = []
-            v_rows = []
-            for txt, img in zip(texts, images):
-                e, c = encode_forward(txt.features, model.text)
-                t_rows.append(e)
-                t_caches.append(c)
-                e, c = encode_forward(img.features, model.visual)
-                v_rows.append(e)
-                v_caches.append(c)
-            t_mat = np.stack(t_rows)
-            v_mat = np.stack(v_rows)
-            s = t_mat @ v_mat.T
-
-            loss, d_s, maturity = _batch_loss(s, cfg.loss)
+            loss, maturity, grads = batch_step(
+                BiEncoder.from_tensors(tensors, visual_spec, text_spec),
+                [t.features for t in texts], [i.features for i in images],
+                lambda s: _batch_loss(s, cfg.loss))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {iteration}")
-            d_t = d_s @ v_mat
-            d_v = d_s.T @ t_mat
-
-            grads = {k: np.zeros_like(p) for k, p in tensors.items()}
-            for i in range(len(batch)):
-                g, _ = encode_vjp(t_caches[i], d_t[i])
-                for k, v in g.items():
-                    grads[f"text.{k}"] += v
-                g, _ = encode_vjp(v_caches[i], d_v[i])
-                for k, v in g.items():
-                    grads[f"visual.{k}"] += v
-
             tensors = adam_step(tensors, grads, state, lr)
             log.records.append(IterationRecord(
                 epoch=epoch, iteration=iteration, loss=float(loss),
@@ -224,29 +218,10 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
 
         if val_corpus is not None:
             log.validation.append((epoch, _validation_rsum(
-                _model_from(tensors, visual_spec, text_spec), val_corpus)))
+                BiEncoder.from_tensors(tensors, visual_spec, text_spec),
+                val_corpus)))
 
-    return _model_from(tensors, visual_spec, text_spec), log
-
-
-def _natural_tensors(model: BiEncoder) -> dict[str, Array]:
-    out = {}
-    for name, enc in (("visual", model.visual), ("text", model.text)):
-        out[f"{name}.w_proj"] = enc.w_proj
-        out[f"{name}.b_proj"] = enc.b_proj
-        out[f"{name}.w_tok"] = enc.pool.w_tok
-        out[f"{name}.w_bal"] = enc.pool.w_bal
-    return out
-
-
-def _model_from(tensors: dict[str, Array], visual_spec, text_spec) -> BiEncoder:
-    def build(name, spec):
-        return EncoderParams(
-            w_proj=tensors[f"{name}.w_proj"],
-            b_proj=tensors[f"{name}.b_proj"],
-            pool=PoolParams(tensors[f"{name}.w_tok"], tensors[f"{name}.w_bal"]),
-            spec=spec)
-    return BiEncoder(build("visual", visual_spec), build("text", text_spec))
+    return BiEncoder.from_tensors(tensors, visual_spec, text_spec), log
 
 
 def _validation_rsum(model: BiEncoder, val_corpus: Corpus) -> float:

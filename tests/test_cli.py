@@ -176,6 +176,14 @@ class TestEval:
         save_tensors(params, tensors)
         assert main(["eval", "--config", cfg]) == 3
 
+    def test_more_folds_than_test_images_is_config_error(self, trained,
+                                                         tmp_path, capsys):
+        cfg, out = _write_config(tmp_path, name="folds.ini",
+                                 eval=["folds = 11"])  # 10 test images
+        assert main(["eval", "--config", cfg]) == 1
+        assert "got 11" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "results.json"))
+
     def test_missing_params_is_data_error(self, tmp_path):
         cfg, out = _write_config(tmp_path)
         assert main(["generate", "--config", cfg]) == 0
@@ -237,6 +245,12 @@ class TestInspectPool:
                      "--params", missing]) == 2
         assert missing in capsys.readouterr().err
 
+    def test_zero_row_matrix_is_data_error(self, tmp_path, capsys):
+        path = str(tmp_path / "empty.bin")
+        cache_write(path, np.zeros((0, 3)), [])
+        assert main(["inspect-pool", path]) == 2
+        assert path in capsys.readouterr().err
+
     def test_invalid_utf8_id_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "badid.bin"
         cache_write(str(path), np.ones((2, 3)), ["ab"])
@@ -251,3 +265,9 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.ini"]) == 1
+
+    def test_unknown_log_level_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("ADRET_LOG", "verbose")
+        assert main(["gradcheck"]) == 1
+        err = capsys.readouterr().err
+        assert "ADRET_LOG" in err and "error|info|debug" in err

@@ -201,6 +201,13 @@ class TestEvaluate:
         assert abs(r.rsum - (r.ir_r1 + r.ir_r5 + r.ir_r10
                              + r.cr_r1 + r.cr_r5 + r.cr_r10)) <= 1e-12
 
+    def test_more_folds_than_images_rejected(self):
+        rng = np.random.default_rng(9)
+        texts, images, truth = self._toy(rng, n_images=4)
+        scores = texts.vectors @ images.vectors.T
+        with pytest.raises(ValueError, match=r"\[1, 4\].*got 6"):
+            evaluate_scores_folds(scores, texts.ids, images.ids, truth, 6)
+
 
 class TestEnsemble:
     def test_single_matrix_identity(self):

@@ -1,6 +1,8 @@
 """Every analytic gradient against central finite differences, many seeds."""
 
 from adret.gradcheck import build_checks, run_all
+from adret.objectives import LOSS_MODES
+from adret.pooling import POOL_METHODS
 
 import numpy as np
 
@@ -27,3 +29,17 @@ def test_build_checks_inputs_are_finite():
     for op, inputs in build_checks(np.random.default_rng(1)):
         for x in inputs:
             assert np.all(np.isfinite(x)), op.name
+
+
+def test_every_pooler_and_loss_mode_is_checked_through_the_encoder():
+    names = {op.name for op, _ in build_checks(np.random.default_rng(0))}
+    for method in POOL_METHODS:
+        labels = ([f"{method}-visual", f"{method}-text"] if method == "manual"
+                  else [method])
+        for label in labels:
+            assert f"encode[{label}]" in names
+    pipeline_of = {"hard-triplet": "hard_triplet", "infonce-fixed": "infonce",
+                   "infonce-adaptive": "adopt"}
+    assert set(pipeline_of) == set(LOSS_MODES)
+    for loss in pipeline_of.values():
+        assert f"pipeline[encode->{loss}]" in names

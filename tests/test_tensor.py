@@ -18,7 +18,7 @@ from adret.tensor import (
     softmax_columns,
     softmax_vector,
     sort_desc_per_column,
-    unsort_per_column,
+    sort_desc_per_column_vjp,
 )
 
 
@@ -126,7 +126,7 @@ class TestSortDescPerColumn:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((8, 6))
         out, perm = sort_desc_per_column(m)
-        assert np.array_equal(unsort_per_column(out, perm), m)
+        assert np.array_equal(sort_desc_per_column_vjp(perm, out), m)
 
 
 class TestL2NormalizeRows:
