@@ -9,8 +9,10 @@ Layout of a cache blob:
     then          id table: u32 count, then per id a u32 byte length
                   followed by that many UTF-8 bytes
 
-Round-trips are bit-exact. Multi-tensor files (model parameters) are a plain
-concatenation of blobs, each carrying its tensor name as the single id.
+Payload values are finite: writers refuse NaN and inf, readers reject them
+with a FormatError naming the byte offset. Round-trips are bit-exact.
+Multi-tensor files (model parameters) are a plain concatenation of blobs,
+each carrying its tensor name as the single id.
 
 All writes in this package go through ``atomic_write_bytes``: data lands in a
 temp file in the target directory and is renamed into place, so a killed
@@ -22,12 +24,13 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, FormatError
-from .tensor import Array, as_matrix
+from .tensor import Array, finite_matrix
 
 MAGIC = b"ADRET1\n"
 _U32 = struct.Struct("<I")
@@ -52,7 +55,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def encode_blob(matrix: Array, ids: Sequence[str]) -> bytes:
-    matrix = as_matrix(matrix, "cache matrix")
+    matrix = finite_matrix(matrix, "cache matrix")
     rows, cols = matrix.shape
     if rows > _U32_MAX or cols > _U32_MAX:
         raise FormatError(f"matrix shape {matrix.shape} overflows the u32 "
@@ -86,8 +89,14 @@ def decode_blob(data: bytes, offset: int = 0) -> tuple[Array, list[str], int]:
     offset = end
     nbytes = rows * cols * 8
     end = need(nbytes, f"{rows}x{cols} float payload")
-    matrix = np.frombuffer(data[offset:end], dtype="<f8").reshape(rows, cols)
+    # a view into ``data``, not a copy: a corpus load then holds one payload
+    matrix = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise FormatError(f"non-finite value {matrix.flat[first]} at byte "
+                          f"{offset + 8 * first}")
     offset = end
     end = need(4, "id count")
     count = _U32.unpack_from(data, offset)[0]
@@ -111,20 +120,26 @@ def cache_write(path: str, matrix: Array, ids: Sequence[str]) -> None:
     atomic_write_bytes(path, encode_blob(matrix, ids))
 
 
-def _read(path: str) -> bytes:
+@contextmanager
+def _reading(path: str):
+    """The bytes of ``path``: DataError if missing; FormatErrors name the path."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
+    try:
+        yield data
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def cache_read(path: str) -> tuple[Array, list[str]]:
-    data = _read(path)
-    matrix, ids, end = decode_blob(data)
-    if end != len(data):
-        raise FormatError(f"trailing data after blob: file is {len(data)} "
-                          f"bytes, blob ends at byte {end}")
+    with _reading(path) as data:
+        matrix, ids, end = decode_blob(data)
+        if end != len(data):
+            raise FormatError(f"trailing data after blob: file is {len(data)} "
+                              f"bytes, blob ends at byte {end}")
     return matrix, ids
 
 
@@ -135,13 +150,13 @@ def save_tensors(path: str, tensors: dict[str, Array]) -> None:
 
 
 def load_tensors(path: str) -> dict[str, Array]:
-    data = _read(path)
     tensors: dict[str, Array] = {}
-    offset = 0
-    while offset < len(data):
-        matrix, ids, offset = decode_blob(data, offset)
-        if len(ids) != 1:
-            raise FormatError(f"tensor blob ending at byte {offset} must "
-                              f"carry exactly one name, got {len(ids)}")
-        tensors[ids[0]] = matrix
+    with _reading(path) as data:
+        offset = 0
+        while offset < len(data):
+            matrix, ids, offset = decode_blob(data, offset)
+            if len(ids) != 1:
+                raise FormatError(f"tensor blob ending at byte {offset} must "
+                                  f"carry exactly one name, got {len(ids)}")
+            tensors[ids[0]] = matrix
     return tensors

@@ -52,6 +52,7 @@ offending name in the message.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -113,7 +114,10 @@ class _Section:
         return self._parse(key, default, int, "an integer")
 
     def get_float(self, key: str, default: Optional[float] = None) -> float:
-        return self._parse(key, default, float, "a number")
+        value = self._parse(key, default, float, "a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.name}.{key} must be finite, got {value}")
+        return value
 
     def get_str(self, key: str, default: Optional[str] = None) -> str:
         return self._parse(key, default, str, "a string")

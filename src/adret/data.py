@@ -40,9 +40,6 @@ class Corpus:
     images: Tuple[RawInstance, ...]
     texts: Tuple[RawInstance, ...]
 
-    def caption_count(self) -> int:
-        return len(self.texts) // len(self.images) if self.images else 0
-
 
 @dataclass(frozen=True)
 class SyntheticCorpusConfig:
@@ -66,7 +63,7 @@ class SyntheticCorpusConfig:
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ConfigError(f"corpus.{name} must satisfy 1 <= min <= max")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ConfigError("corpus.noise_scale must be >= 0")
 
 

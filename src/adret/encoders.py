@@ -20,9 +20,11 @@ from .tensor import (
     ZERO_NORM_EPS,
     Array,
     add_row_bias,
+    add_row_bias_vjp,
     as_matrix,
     as_vector,
     matmul,
+    matmul_vjp,
 )
 
 
@@ -35,7 +37,7 @@ class EncoderParams:
 
     def __post_init__(self):
         w = as_matrix(self.w_proj, "w_proj")
-        b = as_vector(self.b_proj, "b_proj")
+        b = as_vector(self.b_proj)
         object.__setattr__(self, "w_proj", w)
         object.__setattr__(self, "b_proj", b)
         d = w.shape[1]
@@ -87,13 +89,6 @@ class BiEncoder:
                 raise DimensionError(f"missing tensor {exc} in parameter file")
         return BiEncoder(build("visual", visual_spec), build("text", text_spec))
 
-    def for_modality(self, modality: str) -> EncoderParams:
-        if modality == "visual":
-            return self.visual
-        if modality == "text":
-            return self.text
-        raise ValueError(f"unknown modality {modality!r}")
-
 
 def init_encoder_params(rng: np.random.Generator, input_dim: int,
                         embed_dim: int, spec: PoolingSpec) -> EncoderParams:
@@ -119,10 +114,10 @@ def encode_forward(features: Array, params: EncoderParams):
     projected = project(features, params.w_proj, params.b_proj)
     pooled, diag, pool_cache = pool_forward(projected, params.spec, params.pool)
     norm = float(np.sqrt(pooled @ pooled))
-    if norm < ZERO_NORM_EPS:
+    if not ZERO_NORM_EPS <= norm < np.inf:  # NaN fails too
         raise DegenerateVectorError(
-            f"pooled vector has norm {norm:.3e} < {ZERO_NORM_EPS}; "
-            "cannot normalize (encoder collapse?)")
+            f"pooled vector has norm {norm:.3e} outside [{ZERO_NORM_EPS}, inf); "
+            "cannot normalize (encoder collapse or non-finite input?)")
     embedding = pooled / norm
     cache = (features, params, pool_cache, embedding, norm, diag)
     return embedding, cache
@@ -141,13 +136,11 @@ def encode_vjp(cache, d_embedding: Array):
         d_w_tok = np.zeros_like(params.pool.w_tok)
     if d_w_bal.size == 0:
         d_w_bal = np.zeros_like(params.pool.w_bal)
-    grads = {
-        "w_proj": features.T @ d_projected,
-        "b_proj": d_projected.sum(axis=0),
-        "w_tok": d_w_tok,
-        "w_bal": d_w_bal,
-    }
-    return grads, d_projected @ params.w_proj.T
+    d_product, d_b_proj = add_row_bias_vjp(d_projected)
+    d_features, d_w_proj = matmul_vjp(features, params.w_proj, d_product)
+    grads = {"w_proj": d_w_proj, "b_proj": d_b_proj, "w_tok": d_w_tok,
+             "w_bal": d_w_bal}
+    return grads, d_features
 
 
 def batch_forward(features, params: EncoderParams):

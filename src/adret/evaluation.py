@@ -18,7 +18,7 @@ from typing import Mapping, Sequence, Set
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .tensor import Array, as_matrix, cosine_sim_matrix
+from .tensor import Array, as_matrix, cosine_sim_matrix, finite_matrix
 
 RECALL_KS = (1, 5, 10)
 _BLOCK_ROWS = 256  # query rows per counting block
@@ -101,7 +101,7 @@ def recall_at_k(scores: Array, query_ids: Sequence[str],
     ``scores[q, c]`` ranks candidate c for query q, higher is better."""
     if k < 1:
         raise ValueError(f"recall_at_k: k must be >= 1, got {k}")
-    scores = as_matrix(scores, "score matrix")
+    scores = finite_matrix(scores, "score matrix")
     return _recall(_best_relevant_ranks(scores, query_ids, candidate_ids, truth), k)
 
 
@@ -109,7 +109,7 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
                     image_ids: Sequence[str],
                     truth: Mapping[str, Set[str]]) -> RetrievalResult:
     """Both directions' R@{1,5,10} from a text-by-image score matrix."""
-    scores = as_matrix(scores, "score matrix")
+    scores = finite_matrix(scores, "score matrix")
     cr_ranks = _best_relevant_ranks(scores, text_ids, image_ids, truth)
     ir_ranks = _best_relevant_ranks(scores.T, image_ids, text_ids, truth)
     cr = [_recall(cr_ranks, k) for k in RECALL_KS]

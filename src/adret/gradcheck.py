@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import pooling
-from .encoders import BiEncoder, EncoderParams, encode_forward, encode_vjp
+from .encoders import BiEncoder, EncoderParams, encode_forward, encode_vjp, project
 from .objectives import (
     adaptive_k,
     alignment,
@@ -56,16 +56,13 @@ _ENCODE_SPECS = (
 
 
 def _project_op() -> DiffOp:
-    def forward(raw, w, b):
-        return raw @ w + b[None, :]
-
     def vjp(inputs, out, grad):
         raw, w, _ = inputs
         d_m, d_b = add_row_bias_vjp(grad)
         d_raw, d_w = matmul_vjp(raw, w, d_m)
         return d_raw, d_w, d_b
 
-    return DiffOp("project", forward, vjp)
+    return DiffOp("project", project, vjp)
 
 
 def _token_pool_op() -> DiffOp:
@@ -133,35 +130,15 @@ def _encode_op(spec: PoolingSpec) -> DiffOp:
     return DiffOp(f"encode[{label}]", forward, vjp)
 
 
-def _triplet_op(margin: float) -> DiffOp:
+def _loss_op(name: str, loss_of) -> DiffOp:
+    """A batch loss ``loss_of(s) -> (value, d_value/d_s)`` as a DiffOp on s."""
     def forward(s):
-        return np.float64(hard_triplet_loss(s, margin)[0])
+        return np.float64(loss_of(s)[0])
 
     def vjp(inputs, out, grad):
-        return (hard_triplet_loss(inputs[0], margin)[1] * float(grad),)
+        return (loss_of(inputs[0])[1] * float(grad),)
 
-    return DiffOp("hard_triplet_loss", forward, vjp)
-
-
-def _infonce_op(temperature: float, sel) -> DiffOp:
-    def forward(s):
-        return np.float64(info_nce_loss(s, sel, temperature)[0])
-
-    def vjp(inputs, out, grad):
-        return (info_nce_loss(inputs[0], sel, temperature)[1] * float(grad),)
-
-    return DiffOp("info_nce_loss", forward, vjp)
-
-
-def _negatives_only_op(temperature: float, sel) -> DiffOp:
-    def forward(s):
-        return np.float64(negatives_only_info_nce(s, sel, temperature)[0])
-
-    def vjp(inputs, out, grad):
-        return (negatives_only_info_nce(inputs[0], sel, temperature)[1]
-                * float(grad),)
-
-    return DiffOp("negatives_only_info_nce", forward, vjp)
+    return DiffOp(name, forward, vjp)
 
 
 def _triplet_safe(s: np.ndarray, margin: float) -> bool:
@@ -252,12 +229,19 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
                         normal((5, 1)), normal((5, 1))]))
 
     margin = 0.2
-    checks.append((_triplet_op(margin), [_safe_triplet_matrix(rng, 5, margin)]))
+    checks.append((_loss_op("hard_triplet_loss",
+                            lambda sm: hard_triplet_loss(sm, margin)),
+                   [_safe_triplet_matrix(rng, 5, margin)]))
 
     s = rng.uniform(-1.0, 1.0, size=(6, 6))
-    checks.append((_infonce_op(0.5, select_negatives(s, 3)), [s]))
+    sel = select_negatives(s, 3)
+    checks.append((_loss_op("info_nce_loss",
+                            lambda sm: info_nce_loss(sm, sel, 0.5)), [s]))
     s2 = rng.uniform(-1.0, 1.0, size=(6, 6))
-    checks.append((_negatives_only_op(0.5, select_negatives(s2, 3)), [s2]))
+    sel2 = select_negatives(s2, 3)
+    checks.append((_loss_op("negatives_only_info_nce",
+                            lambda sm: negatives_only_info_nce(sm, sel2, 0.5)),
+                   [s2]))
 
     # composed pipelines over a small batch of variable-length instances
     b, d_in, d = 6, 3, 4

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Array, as_matrix
+from .tensor import Array, finite_matrix
 
 LOSS_MODES = ("hard-triplet", "infonce-adaptive", "infonce-fixed")
 
@@ -43,9 +43,9 @@ class LossConfig:
     def __post_init__(self):
         if self.mode not in LOSS_MODES:
             raise ConfigError(f"loss mode {self.mode!r} not one of {LOSS_MODES}")
-        if self.margin < 0:
+        if not self.margin >= 0:
             raise ConfigError(f"margin must be >= 0, got {self.margin}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.mode == "infonce-fixed" and (self.fixed_k is None or self.fixed_k < 1):
             raise ConfigError("infonce-fixed requires fixed_k >= 1")
@@ -74,7 +74,7 @@ class NegativeSelection:
 
 
 def _square(s: Array, name: str) -> Array:
-    s = as_matrix(s, name)
+    s = finite_matrix(s, name)
     if s.shape[0] != s.shape[1]:
         raise DimensionError(f"{name} must be square, got {s.shape}")
     return s

@@ -97,7 +97,7 @@ class PoolingSpec:
             if self.weights is None:
                 raise ConfigError("fixed-balance pooling requires weights")
             w1, w2 = self.weights
-            if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:
+            if not (w1 >= 0 and w2 >= 0 and abs(w1 + w2 - 1.0) <= 1e-12):
                 raise ConfigError("fixed-balance weights must be nonnegative "
                                   f"and sum to 1, got ({w1}, {w2})")
 
@@ -198,8 +198,8 @@ def embedding_level_adpool(f: Array) -> tuple[Array, Array]:
 
 
 def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
-    t_tok = as_vector(t_tok, "t_tok")
-    t_emb = as_vector(t_emb, "t_emb")
+    t_tok = as_vector(t_tok)
+    t_emb = as_vector(t_emb)
     w = as_matrix(w_bal, "w_bal")
     d = t_tok.shape[0]
     if t_emb.shape[0] != d or w.shape != (d, 1):
@@ -280,6 +280,8 @@ def pool_forward(f: Array, spec: PoolingSpec,
     method = spec.method
     if method in ("adpool", "fixed-balance") and params is None:
         raise ConfigError(f"{method} pooling requires PoolParams")
+    if method == "manual" and spec.manual_mode == "text":
+        method = "mean"
 
     if method == "mean":
         f = _check_features(f)
@@ -291,13 +293,9 @@ def pool_forward(f: Array, spec: PoolingSpec,
     if method == "kmax":
         return _kmax_forward(f, spec.k)
     if method == "manual":
-        if spec.manual_mode == "text":
-            return pool_forward(f, PoolingSpec("mean"), params)
         # hand-tuned visual baseline; clamp to the sequence length so short
         # instances stay poolable
-        f = _check_features(f)
-        k = min(MANUAL_VISUAL_K, f.shape[0])
-        return _kmax_forward(f, k)
+        return _kmax_forward(f, min(MANUAL_VISUAL_K, len(f)))
     if method == "adpool":
         return _adpool_forward(f, params)
     if method == "fixed-balance":

@@ -10,6 +10,12 @@ Conventions:
   - matrices are 2-D C-order float64 ndarrays, rows x cols
   - sorting is descending, ties broken by original row index (stable)
   - softmax is stabilized by max subtraction
+
+Finiteness is checked where values enter or leave the package, not per op:
+file reads and writes (``cache``), config values, loss and score matrices
+(``finite_matrix``), the encoder's pooled norm, and the trainer's loss and
+gradient guards. On NaN input the primitives and pooling kernels do what
+numpy does: NaN propagates, and a sort ranks it below every number.
 """
 
 from __future__ import annotations
@@ -27,20 +33,23 @@ ZERO_NORM_EPS = 1e-12
 
 
 def as_matrix(x, name: str = "matrix") -> Array:
-    """Coerce to a finite 2-D float64 array, raising on anything else."""
+    """Coerce to a C-order 2-D float64 array; DimensionError for other ndims."""
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise EvaluationError(f"{name} contains non-finite values")
     return np.ascontiguousarray(m)
 
 
-def as_vector(x, name: str = "vector") -> Array:
-    v = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(v)):
+def finite_matrix(x, name: str = "matrix") -> Array:
+    """``as_matrix`` that also raises EvaluationError on a NaN or inf entry."""
+    m = as_matrix(x, name)
+    if not np.isfinite(m).all():
         raise EvaluationError(f"{name} contains non-finite values")
-    return v
+    return m
+
+
+def as_vector(x) -> Array:
+    return np.asarray(x, dtype=np.float64).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +71,7 @@ def matmul_vjp(a: Array, b: Array, grad: Array) -> tuple[Array, Array]:
 def add_row_bias(m: Array, bias: Array) -> Array:
     """Add a row vector to every row of ``m``."""
     m = as_matrix(m, "add_row_bias input")
-    bias = as_vector(bias, "bias")
+    bias = as_vector(bias)
     if bias.shape[0] != m.shape[1]:
         raise DimensionError(
             f"add_row_bias: bias length {bias.shape[0]} != cols {m.shape[1]}")
@@ -89,7 +98,7 @@ def softmax_columns_vjp(out: Array, grad: Array) -> Array:
 
 
 def softmax_vector(v: Array) -> Array:
-    v = as_vector(v, "softmax input")
+    v = as_vector(v)
     if v.size == 0:
         raise ValueError("softmax_vector: empty vector")
     z = v - v.max()

@@ -41,7 +41,7 @@ class TrainConfig:
             raise ConfigError(f"train.batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"train.epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"train.lr must be > 0, got {self.lr}")
         if self.lr_decay_every < 1:
             raise ConfigError("train.lr_decay_every must be >= 1")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ def _write_config(tmp_path, name="cfg.ini", **extra):
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _poke(path, offset, value):
+    """Overwrite the float64 at byte ``offset`` of a cache file."""
+    data = bytearray(_read_bytes(path))
+    data[offset:offset + 8] = struct.pack("<d", value)
+    with open(path, "wb") as fh:
+        fh.write(bytes(data))
 
 
 class TestGenerate:
@@ -128,6 +137,28 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert "generate" in capsys.readouterr().err
 
+    def test_non_finite_corpus_value_is_format_error(self, tmp_path, capsys):
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        path = os.path.join(out, "corpus", "train_visual.bin")
+        _poke(path, 15 + 8 * 3, float("nan"))  # payload starts at byte 15
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "at byte 39" in err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    @pytest.mark.parametrize("line", ["lr = nan", "temperature = inf",
+                                      "margin = -inf", "lr_decay_factor = nan"])
+    def test_non_finite_hyperparameter_is_config_error(self, tmp_path, capsys,
+                                                       line):
+        cfg, out = _write_config(tmp_path)
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("seed = 7\n", f"seed = 7\n{line}\n"))
+        assert main(["train", "--config", cfg]) == 1
+        assert "train." + line.split(" ")[0] in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
 
 class TestEval:
     @pytest.fixture()
@@ -184,6 +215,23 @@ class TestEval:
         assert "got 11" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "results.json"))
 
+    def test_non_finite_params_is_format_error(self, trained, capsys):
+        cfg, out = trained
+        params = os.path.join(out, "params.bin")
+        _poke(params, 15, float("inf"))  # first entry of the first tensor
+        assert main(["eval", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert params in err and "at byte 15" in err
+
+    def test_non_finite_cached_embedding_is_format_error(self, trained, capsys):
+        cfg, out = trained
+        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
+        cached = os.path.join(out, "cache_test_text_0.bin")
+        _poke(cached, 15 + 8 * 5, float("nan"))
+        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 2
+        err = capsys.readouterr().err
+        assert cached in err and "at byte 55" in err
+
     def test_missing_params_is_data_error(self, tmp_path):
         cfg, out = _write_config(tmp_path)
         assert main(["generate", "--config", cfg]) == 0
@@ -230,10 +278,28 @@ class TestInspectPool:
         delta = np.array(dump["delta"])
         np.testing.assert_allclose(delta.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_corrupt_matrix_is_format_error(self, tmp_path):
+    def test_corrupt_matrix_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         assert main(["inspect-pool", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_non_finite_matrix_is_format_error(self, tmp_path, capsys):
+        path = str(tmp_path / "nan.bin")
+        cache_write(path, np.ones((2, 3)), [])
+        _poke(path, 15 + 8 * 4, float("nan"))
+        assert main(["inspect-pool", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "at byte 47" in err
+
+    @pytest.mark.parametrize("weights", ["nan,0.5", "0.5,nan", "inf,-inf"])
+    def test_non_finite_weights_are_config_error(self, tmp_path, capsys,
+                                                 weights):
+        path = str(tmp_path / "m.bin")
+        cache_write(path, np.ones((2, 3)), [])
+        assert main(["inspect-pool", path, "--method", "fixed-balance",
+                     "--weights", weights]) == 1
+        assert "weights" in capsys.readouterr().err
 
     def test_missing_files_are_data_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.bin")
@@ -256,7 +322,9 @@ class TestInspectPool:
         cache_write(str(path), np.ones((2, 3)), ["ab"])
         path.write_bytes(path.read_bytes()[:-1] + b"\xff")
         assert main(["inspect-pool", str(path)]) == 2
-        assert "byte" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "byte" in err
+        assert str(path) in err
 
 
 class TestUsageErrors:

@@ -3,7 +3,10 @@
 import pytest
 
 from adret.config import load_config
+from adret.data import SyntheticCorpusConfig
 from adret.errors import ConfigError
+from adret.objectives import LossConfig
+from adret.training import TrainConfig
 
 
 BASE = """\
@@ -76,3 +79,33 @@ def test_fixed_loss_requires_k(tmp_path):
         _load(tmp_path, BASE, loss_override="infonce-fixed")
     cfg = _load(tmp_path, BASE, loss_override="infonce-fixed", k_override=8)
     assert cfg.train.loss.fixed_k == 8
+
+
+@pytest.mark.parametrize("section,key", [
+    ("train", "lr"), ("train", "temperature"), ("train", "margin"),
+    ("train", "lr_decay_factor"), ("corpus", "noise_scale")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_floats_name_the_field(tmp_path, section, key, value):
+    text = BASE.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+        _load(tmp_path, text)
+
+
+@pytest.mark.parametrize("weights", ["nan, 0.5", "0.5, nan", "nan, nan",
+                                     "inf, -inf"])
+def test_non_finite_balance_weights_rejected(tmp_path, weights):
+    text = BASE + f"\n[pooling.text]\nmethod = fixed-balance\nweights = {weights}\n"
+    with pytest.raises(ConfigError, match="fixed-balance weights"):
+        _load(tmp_path, text)
+
+
+def test_nan_rejected_by_config_objects():
+    nan = float("nan")
+    with pytest.raises(ConfigError, match="margin"):
+        LossConfig(mode="hard-triplet", margin=nan)
+    with pytest.raises(ConfigError, match="temperature"):
+        LossConfig(mode="infonce-adaptive", temperature=nan)
+    with pytest.raises(ConfigError, match="train.lr"):
+        TrainConfig(loss=LossConfig(mode="hard-triplet"), seed=0, lr=nan)
+    with pytest.raises(ConfigError, match="noise_scale"):
+        SyntheticCorpusConfig(num_groups=1, noise_scale=nan, seed=0)

@@ -1,6 +1,7 @@
 """Synthetic corpus generation and the binary cache format."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from adret.data import (
     load_corpus,
     save_corpus,
 )
-from adret.errors import ConfigError, FormatError
+from adret.errors import ConfigError, EvaluationError, FormatError
 
 
 class TestCorpusGeneration:
@@ -79,6 +80,11 @@ class TestCorpusGeneration:
             SyntheticCorpusConfig(num_groups=1, noise_scale=-0.1, seed=0)
         with pytest.raises(ConfigError, match="num_groups"):
             SyntheticCorpusConfig(num_groups=0, seed=0)
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 class TestCacheFormat:
@@ -143,6 +149,34 @@ class TestCacheFormat:
             fh.write(encode_blob(np.ones((1, 1)), ["x"]) + b"junk")
         with pytest.raises(FormatError, match="trailing"):
             cache_read(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_reports_byte_offset(self, tmp_path, value):
+        m = np.ones((3, 4))
+        data = bytearray(encode_blob(m, []))
+        m[2, 1] = value
+        data[15:15 + m.nbytes] = m.astype("<f8").tobytes()
+        path = str(tmp_path / "nan.bin")
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        with pytest.raises(FormatError, match=f"{re.escape(path)}: .* at byte {15 + 8 * 9}$"):
+            cache_read(path)
+
+    def test_non_finite_tensor_names_file_and_offset(self, tmp_path):
+        path = str(tmp_path / "params.bin")
+        save_tensors(path, {"a": np.ones((1, 2)), "b": np.ones((2, 1))})
+        data = bytearray(_read(path))
+        second = len(encode_blob(np.ones((1, 2)), ["a"]))
+        data[second + 15 + 8:second + 15 + 16] = np.array([np.nan]).tobytes()
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        with pytest.raises(FormatError, match=f"{re.escape(path)}: .* at byte {second + 23}$"):
+            load_tensors(path)
+
+    def test_writer_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            cache_write(str(tmp_path / "nan.bin"), np.array([[1.0, np.nan]]), [])
+        assert not os.listdir(tmp_path)
 
     def test_tensor_bundle_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -75,6 +75,19 @@ class TestEncode:
         with pytest.raises(DegenerateVectorError):
             encode(np.ones((2, 3)), params)
 
+    @pytest.mark.parametrize("spec", [
+        PoolingSpec("mean"), PoolingSpec("max"), PoolingSpec("adpool"),
+        PoolingSpec("manual", manual_mode="text"),
+        PoolingSpec("fixed-balance", weights=(0.25, 0.75))])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN/inf arithmetic
+    def test_non_finite_features_raise(self, spec, value):
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal((4, 6))
+        f[1, 2] = value
+        with pytest.raises(DegenerateVectorError, match="non-finite"):
+            encode(f, _params(rng, spec=spec))
+
     def test_encode_all_stacks_rows(self):
         rng = np.random.default_rng(4)
         params = _params(rng)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from adret.errors import DataError, DimensionError
+from adret.errors import DataError, DimensionError, EvaluationError
 from adret.evaluation import (
     _BLOCK_ROWS,
     EmbeddingSet,
@@ -125,6 +125,13 @@ class TestRecallAtK:
             base = recall_at_k(scores, qids, cids, truth, k)
             assert recall_at_k(np.exp(3 * scores), qids, cids, truth, k) == base
 
+    def test_non_finite_scores_raise(self):
+        scores = np.eye(3)
+        scores[2, 0] = np.nan
+        truth = {f"q{i}": {f"c{i}"} for i in range(3)}
+        with pytest.raises(EvaluationError, match="score matrix"):
+            recall_at_k(scores, ["q0", "q1", "q2"], ["c0", "c1", "c2"], truth, 1)
+
     def test_missing_query_raises(self):
         with pytest.raises(DataError, match="q0"):
             recall_at_k(np.ones((1, 2)), ["q0"], ["c0", "c1"], {}, 1)
@@ -183,6 +190,14 @@ class TestEvaluate:
         shuffled = EmbeddingSet(images.vectors[perm],
                                 tuple(images.ids[i] for i in perm))
         assert evaluate(texts, shuffled, truth) == base
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scores_raise(self, value):
+        scores = np.eye(2)
+        scores[0, 1] = value
+        truth = {"t0": {"i0"}, "t1": {"i1"}, "i0": {"t0"}, "i1": {"t1"}}
+        with pytest.raises(EvaluationError, match="score matrix"):
+            evaluate_scores(scores, ["t0", "t1"], ["i0", "i1"], truth)
 
     def test_folds_one_equals_plain(self):
         rng = np.random.default_rng(7)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from adret.errors import ConfigError
+from adret.errors import ConfigError, EvaluationError
 from adret.objectives import (
     LossConfig,
     adaptive_k,
@@ -139,6 +139,12 @@ class TestHardTriplet:
     def test_tiny_batch_rejected(self):
         with pytest.raises(ValueError):
             hard_triplet_loss([[1.0]], 0.2)
+
+    def test_non_finite_similarity_raises(self):
+        with pytest.raises(EvaluationError, match="similarity matrix"):
+            hard_triplet_loss([[0.5, np.nan], [0.4, 0.7]], 0.2)
+        with pytest.raises(EvaluationError, match="similarity matrix"):
+            adopt_loss([[0.5, 0.1], [np.inf, 0.7]], 0.05)
 
 
 class TestBatchStatistics:
