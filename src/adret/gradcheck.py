@@ -65,49 +65,13 @@ def _project_op() -> DiffOp:
     return DiffOp("project", project, vjp)
 
 
-def _token_pool_op() -> DiffOp:
-    def forward(f, w_tok):
-        return pooling._token_forward(f, w_tok)[0]
-
+def _stage_op(name: str, forward, backward) -> DiffOp:
+    """A pooling stage whose ``forward(*inputs)`` returns (value, ..., cache)
+    and whose ``backward(cache, grad)`` returns the input gradients."""
     def vjp(inputs, out, grad):
-        _, _, cache = pooling._token_forward(*inputs)
-        return pooling._token_vjp(cache, grad)
+        return backward(forward(*inputs)[-1], grad)
 
-    return DiffOp("token_level_adpool", forward, vjp)
-
-
-def _embedding_pool_op() -> DiffOp:
-    def forward(f):
-        return pooling._embedding_forward(f)[0]
-
-    def vjp(inputs, out, grad):
-        _, delta, f = pooling._embedding_forward(inputs[0])
-        return (pooling._embedding_vjp((delta, f), grad),)
-
-    return DiffOp("embedding_level_adpool", forward, vjp)
-
-
-def _balance_op() -> DiffOp:
-    def forward(t_tok, t_emb, w_bal):
-        return pooling._balance_forward(t_tok, t_emb, w_bal)[0]
-
-    def vjp(inputs, out, grad):
-        _, _, cache = pooling._balance_forward(*inputs)
-        return pooling._balance_vjp(cache, grad)
-
-    return DiffOp("balance_combine", forward, vjp)
-
-
-def _adpool_op() -> DiffOp:
-    def forward(f, w_tok, w_bal):
-        return pooling._adpool_forward(f, PoolParams(w_tok, w_bal))[0]
-
-    def vjp(inputs, out, grad):
-        f, w_tok, w_bal = inputs
-        _, _, cache = pooling._adpool_forward(f, PoolParams(w_tok, w_bal))
-        return pooling._adpool_vjp(cache, grad)
-
-    return DiffOp("adpool", forward, vjp)
+    return DiffOp(name, lambda *inputs: forward(*inputs)[0], vjp)
 
 
 def _encode_op(spec: PoolingSpec) -> DiffOp:
@@ -218,10 +182,19 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
         checks.append((op, core_inputs[op.name]))
 
     checks.append((_project_op(), [normal((4, 3)), normal((3, 5)), normal(5)]))
-    checks.append((_token_pool_op(), [normal((5, 4)), normal((4, 1))]))
-    checks.append((_embedding_pool_op(), [normal((5, 4))]))
-    checks.append((_balance_op(), [normal(4), normal(4), normal((4, 1))]))
-    checks.append((_adpool_op(), [normal((5, 4)), normal((4, 1)), normal((4, 1))]))
+    checks.append((_stage_op("token_level_adpool", pooling._token_forward,
+                             pooling._token_vjp),
+                   [normal((5, 4)), normal((4, 1))]))
+    checks.append((_stage_op("embedding_level_adpool", pooling._embedding_forward,
+                             lambda cache, g: (pooling._embedding_vjp(cache, g),)),
+                   [normal((5, 4))]))
+    checks.append((_stage_op("balance_combine", pooling._balance_forward,
+                             pooling._balance_vjp),
+                   [normal(4), normal(4), normal((4, 1))]))
+    checks.append((_stage_op(
+        "adpool",
+        lambda f, w_tok, w_bal: pooling._adpool_forward(f, PoolParams(w_tok, w_bal)),
+        pooling._adpool_vjp), [normal((5, 4)), normal((4, 1)), normal((4, 1))]))
 
     for spec in _ENCODE_SPECS:
         checks.append((_encode_op(spec),

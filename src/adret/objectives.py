@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Array, finite_matrix
+from .tensor import Array, as_matrix, finite_matrix
 
 LOSS_MODES = ("hard-triplet", "infonce-adaptive", "infonce-fixed")
 
@@ -109,7 +109,10 @@ def hard_triplet_loss(s: Array, margin: float) -> tuple[float, Array]:
 
 def alignment(s: Array) -> float:
     """Mean similarity of the positive pairs (the diagonal)."""
-    s = _square(s, "similarity matrix")
+    return _alignment(_square(s, "similarity matrix"))
+
+
+def _alignment(s: Array) -> float:
     return float(np.mean(np.diag(s)))
 
 
@@ -119,7 +122,10 @@ def uniformity(s: Array) -> float:
     0 when similarities hover around zero (well spread), approaching 1 as
     the batch collapses toward all-similar embeddings.
     """
-    s = _square(s, "similarity matrix")
+    return _uniformity(_square(s, "similarity matrix"))
+
+
+def _uniformity(s: Array) -> float:
     return float(np.log(np.mean(np.exp(s))))
 
 
@@ -226,12 +232,16 @@ def adopt_loss(s: Array, temperature: float) -> tuple[float, BatchMaturity, Arra
     negatives-only ratio: in matched-seed comparisons the saturating form
     loses its early-convergence advantage over the hard triplet loss, while
     this form keeps it.
+
+    Shape and finiteness of ``s`` are checked by the two public steps it
+    runs, select_negatives and the loss; the statistics computed before
+    them only pick K, so a bad ``s`` still raises before any loss returns.
     """
-    s = _square(s, "similarity matrix")
+    s = as_matrix(s, "similarity matrix")
     if s.shape[0] < 2:
         raise ValueError("adopt_loss needs a batch of at least 2")
-    gamma_a = clamp01(alignment(s))
-    gamma_u = clamp01(uniformity(s))
+    gamma_a = clamp01(_alignment(s))
+    gamma_u = clamp01(_uniformity(s))
     k = adaptive_k(gamma_a, gamma_u, s.shape[0])
     sel = select_negatives(s, k)
     loss, grad = negatives_only_info_nce(s, sel, temperature)

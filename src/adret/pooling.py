@@ -177,7 +177,7 @@ def _embedding_forward(f: Array):
     f = _check_features(f)
     delta = softmax_columns(f)
     t_emb = (delta * f).sum(axis=0)
-    return t_emb, delta, f
+    return t_emb, delta, (delta, f)
 
 
 def _embedding_vjp(cache, d_t: Array) -> Array:
@@ -241,13 +241,13 @@ def _adpool_forward(f: Array, params: PoolParams, omega: Optional[Array] = None)
     """Adaptive pooler; a given ``omega`` replaces the learned balance
     (fixed-balance), so w_bal is unused and gets no gradient."""
     t_tok, theta, tok_cache = _token_forward(f, params.w_tok)
-    t_emb, delta, f_checked = _embedding_forward(f)
+    t_emb, delta, emb_cache = _embedding_forward(f)
     if omega is None:
         t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
     else:
         t, bal_cache = omega[0] * t_tok + omega[1] * t_emb, None
     diag = PoolDiagnostics(theta=theta, delta=delta, omega=omega)
-    return t, diag, ("adpool", tok_cache, (delta, f_checked), omega, bal_cache)
+    return t, diag, ("adpool", tok_cache, emb_cache, omega, bal_cache)
 
 
 def _adpool_vjp(cache, d_t: Array):
@@ -312,10 +312,10 @@ def _kmax_forward(f: Array, k: int):
         # the mean branch's summation order, so kmax_pool(f, M) == mean_pool(f)
         # holds bit for bit
         return f.mean(axis=0), PoolDiagnostics(), ("mean", f.shape)
-    _, perm = sort_desc_per_column(f)
-    top_rows = perm[:k]
-    t = np.take_along_axis(f, top_rows, axis=0).sum(axis=0) / k
-    return t, PoolDiagnostics(), ("kmax", f.shape, top_rows, k)
+    ranked, perm = sort_desc_per_column(f)
+    t = ranked[:k].sum(axis=0) / k
+    t[np.isnan(ranked[-1])] = np.nan  # a NaN sorts last; keep it, as max does
+    return t, PoolDiagnostics(), ("kmax", f.shape, perm[:k], k)
 
 
 def pool_vjp(cache, d_t: Array):

@@ -78,12 +78,13 @@ class TestEncode:
     @pytest.mark.parametrize("spec", [
         PoolingSpec("mean"), PoolingSpec("max"), PoolingSpec("adpool"),
         PoolingSpec("manual", manual_mode="text"),
-        PoolingSpec("fixed-balance", weights=(0.25, 0.75))])
+        PoolingSpec("fixed-balance", weights=(0.25, 0.75)),
+        PoolingSpec("kmax", k=2), PoolingSpec("manual", manual_mode="visual")])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN/inf arithmetic
     def test_non_finite_features_raise(self, spec, value):
         rng = np.random.default_rng(7)
-        f = rng.standard_normal((4, 6))
+        f = rng.standard_normal((7, 6))  # more rows than either top-k keeps
         f[1, 2] = value
         with pytest.raises(DegenerateVectorError, match="non-finite"):
             encode(f, _params(rng, spec=spec))

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from adret import objectives
 from adret.errors import ConfigError, EvaluationError
 from adret.objectives import (
     LossConfig,
@@ -361,6 +362,15 @@ class TestAdoptLoss:
         # gamma sum 1.357 -> floor(4 * cos(1.066)) = 1
         assert maturity.k_selected == 1
         assert loss < 0.0  # positives already clear the negatives
+
+    def test_batch_is_scanned_once_per_public_step(self, monkeypatch):
+        # select_negatives and the loss each check s; nothing else rescans it
+        calls = []
+        real = objectives.finite_matrix
+        monkeypatch.setattr(objectives, "finite_matrix",
+                            lambda m, name: calls.append(name) or real(m, name))
+        adopt_loss(np.random.default_rng(13).uniform(-1, 1, (6, 6)), 0.05)
+        assert len(calls) == 2
 
     def test_gammas_always_clamped(self):
         rng = np.random.default_rng(12)

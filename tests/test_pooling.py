@@ -61,6 +61,12 @@ class TestSimpleAggregators:
             assert np.array_equal(kmax_pool(f, 1), max_pool(f))
             assert np.array_equal(kmax_pool(f, m), mean_pool(f))
 
+    def test_kmax_keeps_a_nan_it_does_not_select(self):
+        f = np.array([[5.0, 1.0], [np.nan, 2.0], [3.0, 3.0], [1.0, 4.0]])
+        for t in (kmax_pool(f, 2),
+                  pool(np.vstack([f, f]), PoolingSpec("manual", manual_mode="visual"))):
+            assert np.isnan(t[0]) and np.isfinite(t[1])
+
     def test_kmax_range_errors(self):
         f = np.ones((3, 2))
         with pytest.raises(ValueError):
