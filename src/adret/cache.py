@@ -21,6 +21,7 @@ process never leaves a partially-written file under the final name.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -141,6 +142,12 @@ def cache_read(path: str) -> tuple[Array, list[str]]:
             raise FormatError(f"trailing data after blob: file is {len(data)} "
                               f"bytes, blob ends at byte {end}")
     return matrix, ids
+
+
+def file_sha256(path: str) -> bytes:
+    """sha256 digest of a file's bytes; DataError if it is missing."""
+    with _reading(path) as data:
+        return hashlib.sha256(data).digest()
 
 
 def save_tensors(path: str, tensors: dict[str, Array]) -> None:

@@ -12,6 +12,7 @@ any other value is a configuration error).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -19,7 +20,14 @@ import sys
 
 import numpy as np
 
-from .cache import atomic_write_text, cache_read, cache_write, load_tensors, save_tensors
+from .cache import (
+    atomic_write_text,
+    cache_read,
+    cache_write,
+    file_sha256,
+    load_tensors,
+    save_tensors,
+)
 from .config import ExperimentConfig, load_config
 from .data import generate_splits, ground_truth, load_corpus, save_corpus
 from .encoders import BiEncoder, encode_all, init_encoder_params
@@ -106,13 +114,39 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _cache_key(cfg: ExperimentConfig, params_path: str) -> str:
+    """What cached test embeddings depend on: the parameter file, both
+    test-split files and the pooling specs (params.bin does not name the
+    pooler)."""
+    key = hashlib.sha256()
+    for path in (params_path, os.path.join(cfg.corpus_dir, "test_visual.bin"),
+                 os.path.join(cfg.corpus_dir, "test_text.bin")):
+        key.update(file_sha256(path))
+    key.update(repr((cfg.visual_pooling, cfg.text_pooling)).encode("utf-8"))
+    return key.hexdigest()
+
+
+def _read_cached(path: str, instances):
+    matrix, ids = cache_read(path)
+    if ids != [inst.id for inst in instances]:
+        raise DataError(f"{path}: cached ids do not match the test split's ids")
+    return matrix
+
+
 def _encode_test_split(cfg: ExperimentConfig, params_path: str, corpus,
                        cache_embeddings: bool, index: int):
+    """Encode the test split, or reuse embeddings cached under the same key."""
     cache_t = os.path.join(cfg.output_dir, f"cache_test_text_{index}.bin")
     cache_v = os.path.join(cfg.output_dir, f"cache_test_visual_{index}.bin")
-    if cache_embeddings and os.path.exists(cache_t) and os.path.exists(cache_v):
-        log.info("cache hit: reusing embeddings %s / %s", cache_t, cache_v)
-        return cache_read(cache_t)[0], cache_read(cache_v)[0]
+    cache_key = os.path.join(cfg.output_dir, f"cache_test_key_{index}.txt")
+    key = _cache_key(cfg, params_path) if cache_embeddings else None
+    if key and all(map(os.path.exists, (cache_t, cache_v, cache_key))):
+        with open(cache_key, "r", encoding="utf-8", errors="replace") as fh:
+            hit = fh.read() == key
+        if hit:
+            log.info("cache hit: reusing embeddings %s / %s", cache_t, cache_v)
+            return (_read_cached(cache_t, corpus.texts),
+                    _read_cached(cache_v, corpus.images))
     tensors = load_tensors(params_path)
     model = BiEncoder.from_tensors(tensors, cfg.visual_pooling, cfg.text_pooling)
     t_emb = encode_all(corpus.texts, model.text)
@@ -121,6 +155,7 @@ def _encode_test_split(cfg: ExperimentConfig, params_path: str, corpus,
         os.makedirs(cfg.output_dir, exist_ok=True)
         cache_write(cache_t, t_emb, [t.id for t in corpus.texts])
         cache_write(cache_v, v_emb, [i.id for i in corpus.images])
+        atomic_write_text(cache_key, key)  # last: it vouches for both files
         log.info("cached embeddings to %s / %s", cache_t, cache_v)
     return t_emb, v_emb
 

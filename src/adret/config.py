@@ -21,7 +21,7 @@ settings):
 
     [pooling.visual]
     method = adpool          ; mean | max | kmax | adpool | manual | fixed-balance
-    ; k = 5                  ; kmax only
+    ; k = 5                  ; kmax only, <= corpus.<modality>_len_min
     ; weights = 0.75, 0.25   ; fixed-balance only (token weight, embedding weight)
 
     [pooling.text]
@@ -221,13 +221,23 @@ def load_config(path: str, *, seed_override: Optional[int] = None,
         if count < 1:
             raise ConfigError(f"corpus.{name} must be >= 1")
 
+    visual_pooling = _pooling_spec(sections["pooling.visual"], "visual")
+    text_pooling = _pooling_spec(sections["pooling.text"], "text")
+    for modality, spec, (len_min, _) in (
+            ("visual", visual_pooling, corpus.visual_len),
+            ("text", text_pooling, corpus.text_len)):
+        if spec.method == "kmax" and spec.k > len_min:
+            raise ConfigError(
+                f"pooling.{modality}.k = {spec.k} exceeds corpus.{modality}_len_min "
+                f"= {len_min}; kmax pooling needs k rows in every instance")
+
     return ExperimentConfig(
         corpus=corpus,
         train_groups=train_groups,
         val_groups=val_groups,
         test_groups=test_groups,
         train=train,
-        visual_pooling=_pooling_spec(sections["pooling.visual"], "visual"),
-        text_pooling=_pooling_spec(sections["pooling.text"], "text"),
+        visual_pooling=visual_pooling,
+        text_pooling=text_pooling,
         eval_folds=eval_folds,
         output_dir=output_dir)

@@ -1,10 +1,13 @@
 """Bi-encoder: linear projection into the joint space, pooling, normalization.
 
 Each modality owns a projection (w_proj, b_proj) and pooling parameters; the
-encoder is project -> pool -> L2-normalize, leaf to unit vector. The
-``encode_forward`` / ``encode_vjp`` pair exposes the chain's gradient with
-respect to every parameter and the raw features, which is everything the
-training loop needs.
+encoder is project -> pool -> L2-normalize, leaf to unit vector.
+``batch_forward``/``batch_vjp`` run the chain for a whole batch: one
+``project`` call over every row, one ``pool_forward``/``pool_vjp`` call on
+the padded (B, M_max, d) stack (see ``pooling`` for the mask), and each
+instance's own feature gradient back. A batch row is bit-equal to encoding
+that instance alone; ``encode_forward``/``encode_vjp``/``encode`` are the
+B=1 case, and ``encode_all`` runs the kernel in fixed blocks of instances.
 """
 
 from __future__ import annotations
@@ -109,48 +112,62 @@ def project(raw: Array, w_proj: Array, b_proj: Array) -> Array:
     return add_row_bias(matmul(raw, w_proj), b_proj)
 
 
-def encode_forward(features: Array, params: EncoderParams):
-    """Full encoder with gradient bookkeeping; returns (unit vector, cache)."""
-    projected = project(features, params.w_proj, params.b_proj)
-    pooled, diag, pool_cache = pool_forward(projected, params.spec, params.pool)
-    norm = float(np.sqrt(pooled @ pooled))
-    if not ZERO_NORM_EPS <= norm < np.inf:  # NaN fails too
+ENCODE_BLOCK = 64  # instances per kernel call in encode_all
+
+
+def batch_forward(features, params: EncoderParams):
+    """Encode feature matrices (each M_b x d_in, M_b >= 1); returns
+    (embedding matrix with a unit row per instance, cache for batch_vjp)."""
+    rows = [as_matrix(f, "feature set") for f in features]
+    lengths = np.array([len(f) for f in rows])
+    valid = np.arange(lengths.max())[None, :] < lengths[:, None]
+    flat = np.concatenate(rows)
+    projected = np.zeros(valid.shape + (params.embed_dim,))
+    projected[valid] = project(flat, params.w_proj, params.b_proj)
+    pooled, _, pool_cache = pool_forward(projected, params.spec, params.pool,
+                                         lengths)
+    norms = np.sqrt((pooled * pooled).sum(axis=1))
+    bad = ~((ZERO_NORM_EPS <= norms) & (norms < np.inf))  # NaN fails too
+    if bad.any():
+        b = int(bad.argmax())
         raise DegenerateVectorError(
-            f"pooled vector has norm {norm:.3e} outside [{ZERO_NORM_EPS}, inf); "
-            "cannot normalize (encoder collapse or non-finite input?)")
-    embedding = pooled / norm
-    cache = (features, params, pool_cache, embedding, norm, diag)
-    return embedding, cache
+            f"pooled vector {b} has norm {norms[b]:.3e} outside "
+            f"[{ZERO_NORM_EPS}, inf); cannot normalize (encoder collapse or "
+            "non-finite input?)")
+    embeddings = pooled / norms[:, None]
+    return embeddings, (flat, lengths, valid, params, pool_cache,
+                        embeddings, norms)
 
 
-def encode_vjp(cache, d_embedding: Array):
-    """Backward through normalize -> pool -> project.
+def batch_vjp(cache, d_embeddings: Array):
+    """Backward through normalize -> pool -> project for a whole batch.
 
-    Returns (grads, d_features) where grads has keys w_proj, b_proj, w_tok,
-    w_bal matching the parameter shapes.
+    Returns (grads, d_features): grads has keys w_proj, b_proj, w_tok, w_bal
+    matching the parameter shapes, summed over the batch; d_features holds
+    one gradient per instance, shaped like its features.
     """
-    features, params, pool_cache, embedding, norm, _ = cache
-    d_pooled = (d_embedding - embedding * float(d_embedding @ embedding)) / norm
+    flat, lengths, valid, params, pool_cache, embeddings, norms = cache
+    inner = (d_embeddings * embeddings).sum(axis=1, keepdims=True)
+    d_pooled = (d_embeddings - embeddings * inner) / norms[:, None]
     d_projected, d_w_tok, d_w_bal = pool_vjp(pool_cache, d_pooled)
-    if d_w_tok.size == 0:
-        d_w_tok = np.zeros_like(params.pool.w_tok)
-    if d_w_bal.size == 0:
-        d_w_bal = np.zeros_like(params.pool.w_bal)
-    d_product, d_b_proj = add_row_bias_vjp(d_projected)
-    d_features, d_w_proj = matmul_vjp(features, params.w_proj, d_product)
+    d_product, d_b_proj = add_row_bias_vjp(d_projected[valid])
+    d_flat, d_w_proj = matmul_vjp(flat, params.w_proj, d_product)
+    d_features = [d_flat[e - m:e] for e, m in zip(np.cumsum(lengths), lengths)]
     grads = {"w_proj": d_w_proj, "b_proj": d_b_proj, "w_tok": d_w_tok,
              "w_bal": d_w_bal}
     return grads, d_features
 
 
-def batch_forward(features, params: EncoderParams):
-    """Encode a batch of feature matrices for a backward pass.
+def encode_forward(features: Array, params: EncoderParams):
+    """Encode one feature matrix: the B=1 batch. Returns (unit vector, cache)."""
+    embeddings, cache = batch_forward([features], params)
+    return embeddings[0], cache
 
-    Returns (embedding matrix with a row per instance, per-instance caches
-    for encode_vjp).
-    """
-    pairs = [encode_forward(f, params) for f in features]
-    return np.stack([e for e, _ in pairs]), [c for _, c in pairs]
+
+def encode_vjp(cache, d_embedding: Array):
+    """The B=1 batch_vjp: returns (grads, d_features) for one instance."""
+    grads, d_features = batch_vjp(cache, np.asarray(d_embedding)[None, :])
+    return grads, d_features[0]
 
 
 def encode(raw, params: EncoderParams) -> Array:
@@ -160,5 +177,9 @@ def encode(raw, params: EncoderParams) -> Array:
 
 
 def encode_all(instances, params: EncoderParams) -> Array:
-    """Stack encodings of an instance sequence into a matrix, row per instance."""
-    return np.stack([encode(inst, params) for inst in instances])
+    """Stack encodings of an instance sequence into a matrix, row per
+    instance, encoding blocks of ENCODE_BLOCK (no split-sized padded array)."""
+    features = [inst.features for inst in instances]
+    return np.concatenate([
+        batch_forward(features[i:i + ENCODE_BLOCK], params)[0]
+        for i in range(0, len(features), ENCODE_BLOCK)])

@@ -3,10 +3,14 @@
 Assembles a named check for each primitive op, each learned-pooling stage,
 the encoder chain under every pooling method, each batch loss, and one
 composed encode -> similarity -> loss pipeline per training loss mode, then
-runs them all against the central-difference oracle. The pipelines run the
-trainer's own ``training.batch_step``, so the gradient checked is the one
-Adam applies. The CLI's gradcheck verb and the test suite both call
-``run_all``.
+runs them all against the central-difference oracle. The pooling stages and
+the encoder checks run the batched kernels on ragged batches (a one-row
+instance next to padded ones); a stage check perturbs the padding too, whose
+gradient must be 0. The pipelines run the trainer's own
+``training.batch_step``, so the gradient checked is the one Adam applies;
+their batch holds a one-row instance and one with a repeated row, whose
+projected columns all tie. The CLI's gradcheck verb and the test suite both
+call ``run_all``.
 
 Discrete choices inside the losses (which negatives, which argmax) are not
 differentiable, so the checks pin them: InfoNCE variants hold the negative
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import pooling
-from .encoders import BiEncoder, EncoderParams, encode_forward, encode_vjp, project
+from .encoders import BiEncoder, EncoderParams, batch_forward, batch_vjp, project
 from .objectives import (
     adaptive_k,
     alignment,
@@ -53,6 +57,8 @@ _ENCODE_SPECS = (
     PoolingSpec("fixed-balance", weights=(0.75, 0.25)),
     PoolingSpec("adpool"),
 )
+_ENCODE_LENGTHS = (1, 5, 6, 3)  # raised to k where kmax needs more rows
+_STAGE_LENGTHS = (5, 1, 3)  # of a (3, 5, d) padded stack
 
 
 def _project_op() -> DiffOp:
@@ -74,18 +80,26 @@ def _stage_op(name: str, forward, backward) -> DiffOp:
     return DiffOp(name, lambda *inputs: forward(*inputs)[0], vjp)
 
 
-def _encode_op(spec: PoolingSpec) -> DiffOp:
+def _padded(f):
+    """(stack, mask of real rows) of a padded stack with _STAGE_LENGTHS."""
+    stack, _, valid = pooling._stack(f, _STAGE_LENGTHS)
+    return stack, valid
+
+
+def _encode_op(spec: PoolingSpec, batch: int) -> DiffOp:
+    """The batched encoder on ``batch`` feature matrices, then the encoder
+    parameters (w_proj, b_proj, w_tok, w_bal)."""
     def params_of(w_proj, b_proj, w_tok, w_bal):
         return EncoderParams(w_proj=w_proj, b_proj=b_proj,
                              pool=PoolParams(w_tok, w_bal), spec=spec)
 
-    def forward(f, w_proj, b_proj, w_tok, w_bal):
-        return encode_forward(f, params_of(w_proj, b_proj, w_tok, w_bal))[0]
+    def forward(*inputs):
+        return batch_forward(inputs[:batch], params_of(*inputs[batch:]))[0]
 
     def vjp(inputs, out, grad):
-        _, cache = encode_forward(inputs[0], params_of(*inputs[1:]))
-        grads, d_f = encode_vjp(cache, grad)
-        return (d_f, grads["w_proj"], grads["b_proj"], grads["w_tok"],
+        _, cache = batch_forward(inputs[:batch], params_of(*inputs[batch:]))
+        grads, d_features = batch_vjp(cache, grad)
+        return (*d_features, grads["w_proj"], grads["b_proj"], grads["w_tok"],
                 grads["w_bal"])
 
     label = spec.method
@@ -182,24 +196,31 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
         checks.append((op, core_inputs[op.name]))
 
     checks.append((_project_op(), [normal((4, 3)), normal((3, 5)), normal(5)]))
-    checks.append((_stage_op("token_level_adpool", pooling._token_forward,
-                             pooling._token_vjp),
-                   [normal((5, 4)), normal((4, 1))]))
-    checks.append((_stage_op("embedding_level_adpool", pooling._embedding_forward,
-                             lambda cache, g: (pooling._embedding_vjp(cache, g),)),
-                   [normal((5, 4))]))
+    stage_shape = (len(_STAGE_LENGTHS), max(_STAGE_LENGTHS), 4)
+    checks.append((_stage_op(
+        "token_level_adpool",
+        lambda f, w_tok: pooling._token_forward(*_padded(f), w_tok),
+        pooling._token_vjp), [normal(stage_shape), normal((4, 1))]))
+    checks.append((_stage_op(
+        "embedding_level_adpool",
+        lambda f: pooling._embedding_forward(*_padded(f)),
+        lambda cache, g: (pooling._embedding_vjp(cache, g),)),
+        [normal(stage_shape)]))
     checks.append((_stage_op("balance_combine", pooling._balance_forward,
                              pooling._balance_vjp),
-                   [normal(4), normal(4), normal((4, 1))]))
+                   [normal((3, 4)), normal((3, 4)), normal((4, 1))]))
     checks.append((_stage_op(
         "adpool",
-        lambda f, w_tok, w_bal: pooling._adpool_forward(f, PoolParams(w_tok, w_bal)),
-        pooling._adpool_vjp), [normal((5, 4)), normal((4, 1)), normal((4, 1))]))
+        lambda f, w_tok, w_bal: pooling._adpool_forward(
+            *_padded(f), PoolParams(w_tok, w_bal)),
+        pooling._adpool_vjp),
+        [normal(stage_shape), normal((4, 1)), normal((4, 1))]))
 
     for spec in _ENCODE_SPECS:
-        checks.append((_encode_op(spec),
-                       [normal((6, 3)), normal((3, 5)), normal(5),
-                        normal((5, 1)), normal((5, 1))]))
+        features = [normal((max(m, spec.k or 1), 3)) for m in _ENCODE_LENGTHS]
+        checks.append((_encode_op(spec, len(features)),
+                       features + [normal((3, 5)), normal(5), normal((5, 1)),
+                                   normal((5, 1))]))
 
     margin = 0.2
     checks.append((_loss_op("hard_triplet_loss",
@@ -218,8 +239,14 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
 
     # composed pipelines over a small batch of variable-length instances
     b, d_in, d = 6, 3, 4
-    texts = [normal((int(rng.integers(2, 5)), d_in)) for _ in range(b)]
-    images = [normal((int(rng.integers(2, 5)), d_in)) for _ in range(b)]
+
+    def ragged_side():
+        side = [normal((int(rng.integers(2, 5)), d_in)) for _ in range(b)]
+        side[0] = side[0][:1]
+        side[1] = np.vstack([side[1], side[1][:1]])  # ties in every column
+        return side
+
+    texts, images = ragged_side(), ragged_side()
     spec = PoolingSpec("adpool")
 
     def draw_tensors():

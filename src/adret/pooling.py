@@ -17,8 +17,15 @@ ranked rows. The adaptive pooler makes the weighting learnable twice over:
 Outputs are deliberately not normalized here; the encoder applies a single
 L2 normalization at the end so the balance weights see raw magnitudes.
 
-Every learnable path has a matching ``*_vjp`` so encoders can chain gradients
-through pooling by hand.
+Every kernel pools a batch: a padded (B, M, d) stack plus one length per
+instance. Padding is set to -0.0 (the additive identity), sorts below every
+real row (real ties keep their order), is masked to -inf in the softmax over
+ranks (theta) and the per-column softmax (delta), and gets a zero gradient.
+Rank sums add in rank order (``tensor.sum_rows``) and d sums run along the
+last axis, so each row of a batch result is bit-equal to pooling that
+instance alone (einsum or a 3-D ``@`` would not keep this). One M x d
+matrix is the B=1 stack: ``pool_forward``/``pool_vjp`` and the named entry
+points take one and return unbatched shapes.
 """
 
 from __future__ import annotations
@@ -32,13 +39,13 @@ from .errors import ConfigError, DimensionError
 from .tensor import (
     Array,
     as_matrix,
-    as_vector,
     softmax_columns,
     softmax_columns_vjp,
     softmax_vector,
     softmax_vector_vjp,
     sort_desc_per_column,
     sort_desc_per_column_vjp,
+    sum_rows,
 )
 
 POOL_METHODS = ("mean", "max", "kmax", "adpool", "manual", "fixed-balance")
@@ -113,15 +120,25 @@ class PoolDiagnostics:
     omega: Optional[Array] = None
 
 
-# ---------------------------------------------------------------------------
-# simple aggregators
-# ---------------------------------------------------------------------------
-
-def _check_features(f: Array) -> Array:
-    f = as_matrix(f, "feature set")
-    if f.shape[0] < 1:
+def _stack(f: Array, lengths=None):
+    """(stack with -0.0 padding, lengths, (B, M, 1) mask of real rows)."""
+    if lengths is None:
+        f = as_matrix(f, "feature set")[None]
+        lengths = [f.shape[1]]
+    f, lengths = np.asarray(f, dtype=np.float64), np.asarray(lengths)
+    if f.ndim != 3 or lengths.shape != f.shape[:1] or (lengths > f.shape[1]).any():
+        raise DimensionError(f"padded features {f.shape} do not fit "
+                             f"{lengths.size} lengths up to {lengths.max()}")
+    if lengths.size == 0 or lengths.min() < 1:
         raise ValueError("feature set must contain at least one row")
-    return f
+    valid = np.arange(f.shape[1])[None, :, None] < lengths[:, None, None]
+    return np.where(valid, f, -0.0), lengths, valid
+
+
+def _rank(f: Array, valid: Array):
+    """(each instance's columns sorted descending, padding -0.0, permutation)."""
+    ranked, perm = sort_desc_per_column(np.where(valid, f, np.nan))
+    return np.where(valid, ranked, -0.0), perm
 
 
 def mean_pool(f: Array) -> Array:
@@ -134,34 +151,59 @@ def max_pool(f: Array) -> Array:
 
 def kmax_pool(f: Array, k: int) -> Array:
     """Per-column mean of the k largest values; ValueError for k outside [1, M]."""
-    return _kmax_forward(f, k)[0]
+    return _topk_forward(*_stack(f), k)[0][0]
 
 
-# ---------------------------------------------------------------------------
-# adaptive pooling: token level, embedding level, balance
-# ---------------------------------------------------------------------------
+def _topk_forward(f: Array, lengths: Array, valid: Array, k):
+    """Per-column mean of instance b's ``k[b]`` largest values. Where k[b] is
+    the length this is the mean in row order, so kmax_pool(f, M) ==
+    mean_pool(f) bit for bit; elsewhere the top rows add in rank order."""
+    k = np.broadcast_to(k, lengths.shape)
+    bad = (k < 1) | (k > lengths)
+    if bad.any():
+        b = int(bad.argmax())
+        raise ValueError(f"kmax_pool: k={k[b]} outside [1, {lengths[b]}]")
+    t = sum_rows(f)[:, 0] / lengths[:, None]
+    part = k < lengths
+    if not part.any():
+        return t, PoolDiagnostics(), ("topk", lengths, valid, k, part, None, None)
+    ranked, perm = _rank(f, valid)
+    top = np.arange(f.shape[1])[None, :, None] < k[:, None, None]
+    t_top = sum_rows(np.where(top, ranked, -0.0))[:, 0] / k[:, None]
+    # a NaN sorts last; keep it, as max does
+    t_top[np.isnan(ranked[np.arange(len(f)), lengths - 1])] = np.nan
+    t = np.where(part[:, None], t_top, t)
+    return t, PoolDiagnostics(), ("topk", lengths, valid, k, part, perm, top)
 
-def _token_forward(f: Array, w_tok: Array):
-    f = _check_features(f)
+
+def _topk_vjp(cache, d_t: Array) -> Array:
+    _, lengths, valid, k, part, perm, top = cache
+    d_f = np.where(valid, (d_t / lengths[:, None])[:, None, :], 0.0)
+    if perm is None:
+        return d_f
+    d_ranked = np.where(top, (d_t / k[:, None])[:, None, :], 0.0)
+    return np.where(part[:, None, None],
+                    sort_desc_per_column_vjp(perm, d_ranked), d_f)
+
+
+def _token_forward(f: Array, valid: Array, w_tok: Array):
     w = as_matrix(w_tok, "w_tok")
-    if w.shape != (f.shape[1], 1):
-        raise DimensionError(f"w_tok must be {f.shape[1]} x 1, got {w.shape}")
-    ranked, perm = sort_desc_per_column(f)
-    logits = (ranked @ w).ravel()
-    theta = softmax_vector(logits)
-    t_tok = theta @ ranked
-    return t_tok, theta, (ranked, perm, theta, w)
+    if w.shape != (f.shape[2], 1):
+        raise DimensionError(f"w_tok must be {f.shape[2]} x 1, got {w.shape}")
+    w = w.ravel()
+    ranked, perm = _rank(f, valid)
+    logits = np.where(valid, (ranked * w).sum(axis=2, keepdims=True), -np.inf)
+    theta = softmax_columns(logits)  # (B, M, 1): a softmax down the ranks
+    t_tok = sum_rows(theta * ranked)[:, 0]
+    return t_tok, theta[:, :, 0], (ranked, perm, theta, w)
 
 
 def _token_vjp(cache, d_t: Array):
     ranked, perm, theta, w = cache
-    d_ranked = theta[:, None] * d_t[None, :]
-    d_theta = ranked @ d_t
-    d_logits = softmax_vector_vjp(theta, d_theta)
-    d_ranked += d_logits[:, None] * w.ravel()[None, :]
-    d_w = (ranked.T @ d_logits)[:, None]
-    d_f = sort_desc_per_column_vjp(perm, d_ranked)
-    return d_f, d_w
+    d_t = d_t[:, None, :]
+    d_logits = softmax_columns_vjp(theta, (ranked * d_t).sum(axis=2, keepdims=True))
+    d_w = (ranked * d_logits).sum(axis=(0, 1))[:, None]
+    return sort_desc_per_column_vjp(perm, theta * d_t + d_logits * w), d_w
 
 
 def token_level_adpool(f: Array, w_tok: Array) -> tuple[Array, Array]:
@@ -169,22 +211,20 @@ def token_level_adpool(f: Array, w_tok: Array) -> tuple[Array, Array]:
 
     Returns the pooled vector and the weights theta (length M, sums to 1).
     """
-    t_tok, theta, _ = _token_forward(f, w_tok)
-    return t_tok, theta
+    f, _, valid = _stack(f)
+    t_tok, theta, _ = _token_forward(f, valid, w_tok)
+    return t_tok[0], theta[0]
 
 
-def _embedding_forward(f: Array):
-    f = _check_features(f)
-    delta = softmax_columns(f)
-    t_emb = (delta * f).sum(axis=0)
-    return t_emb, delta, (delta, f)
+def _embedding_forward(f: Array, valid: Array):
+    delta = softmax_columns(np.where(valid, f, -np.inf))
+    return sum_rows(delta * f)[:, 0], delta, (delta, f)
 
 
 def _embedding_vjp(cache, d_t: Array) -> Array:
     delta, f = cache
-    d_f = delta * d_t[None, :]
-    d_delta = f * d_t[None, :]
-    return d_f + softmax_columns_vjp(delta, d_delta)
+    d_t = d_t[:, None, :]
+    return delta * d_t + softmax_columns_vjp(delta, f * d_t)
 
 
 def embedding_level_adpool(f: Array) -> tuple[Array, Array]:
@@ -193,33 +233,35 @@ def embedding_level_adpool(f: Array) -> tuple[Array, Array]:
     Returns the pooled vector and the weight matrix delta (each column sums
     to 1).
     """
-    t_emb, delta, _ = _embedding_forward(f)
-    return t_emb, delta
+    f, _, valid = _stack(f)
+    t_emb, delta, _ = _embedding_forward(f, valid)
+    return t_emb[0], delta[0]
 
 
 def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
-    t_tok = as_vector(t_tok)
-    t_emb = as_vector(t_emb)
+    """Balance one pair of pooled vectors, or each row of two (B, d) stacks."""
+    t_tok = np.asarray(t_tok, dtype=np.float64)
+    t_emb = np.asarray(t_emb, dtype=np.float64)
     w = as_matrix(w_bal, "w_bal")
-    d = t_tok.shape[0]
-    if t_emb.shape[0] != d or w.shape != (d, 1):
+    if t_emb.shape != t_tok.shape or w.shape != (t_tok.shape[-1], 1):
         raise DimensionError(
             f"balance_combine: incompatible shapes t_tok {t_tok.shape}, "
             f"t_emb {t_emb.shape}, w_bal {w.shape}")
     wb = w.ravel()
-    omega = softmax_vector(np.array([t_tok @ wb, t_emb @ wb]))
-    t = omega[0] * t_tok + omega[1] * t_emb
+    omega = softmax_vector(np.stack([(t_tok * wb).sum(axis=-1),
+                                     (t_emb * wb).sum(axis=-1)], axis=-1))
+    t = omega[..., :1] * t_tok + omega[..., 1:] * t_emb
     return t, omega, (t_tok, t_emb, wb, omega)
 
 
 def _balance_vjp(cache, d_t: Array):
     t_tok, t_emb, wb, omega = cache
-    d_omega = np.array([t_tok @ d_t, t_emb @ d_t])
-    d_logits = softmax_vector_vjp(omega, d_omega)
-    d_tok = omega[0] * d_t + d_logits[0] * wb
-    d_emb = omega[1] * d_t + d_logits[1] * wb
-    d_w = (d_logits[0] * t_tok + d_logits[1] * t_emb)[:, None]
-    return d_tok, d_emb, d_w
+    d_logits = softmax_vector_vjp(omega, np.stack(
+        [(t_tok * d_t).sum(axis=-1), (t_emb * d_t).sum(axis=-1)], axis=-1))
+    d_tok = omega[..., :1] * d_t + d_logits[..., :1] * wb
+    d_emb = omega[..., 1:] * d_t + d_logits[..., 1:] * wb
+    d_w = d_logits[..., :1] * t_tok + d_logits[..., 1:] * t_emb
+    return d_tok, d_emb, d_w.reshape(-1, wb.size).sum(axis=0)[:, None]
 
 
 def balance_combine(t_tok: Array, t_emb: Array, w_bal: Array) -> tuple[Array, Array]:
@@ -233,19 +275,20 @@ def balance_combine(t_tok: Array, t_emb: Array, w_bal: Array) -> tuple[Array, Ar
 
 def adpool(f: Array, params: PoolParams) -> tuple[Array, PoolDiagnostics]:
     """Full adaptive pooler: token level + embedding level + balance."""
-    t, diag, _ = _adpool_forward(f, params)
-    return t, diag
+    return pool_forward(f, PoolingSpec("adpool"), params)[:2]
 
 
-def _adpool_forward(f: Array, params: PoolParams, omega: Optional[Array] = None):
+def _adpool_forward(f: Array, valid: Array, params: PoolParams,
+                    omega: Optional[Array] = None):
     """Adaptive pooler; a given ``omega`` replaces the learned balance
     (fixed-balance), so w_bal is unused and gets no gradient."""
-    t_tok, theta, tok_cache = _token_forward(f, params.w_tok)
-    t_emb, delta, emb_cache = _embedding_forward(f)
+    t_tok, theta, tok_cache = _token_forward(f, valid, params.w_tok)
+    t_emb, delta, emb_cache = _embedding_forward(f, valid)
     if omega is None:
         t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
     else:
-        t, bal_cache = omega[0] * t_tok + omega[1] * t_emb, None
+        omega = np.broadcast_to(omega, (len(f), 2))
+        t, bal_cache = omega[:, :1] * t_tok + omega[:, 1:] * t_emb, None
     diag = PoolDiagnostics(theta=theta, delta=delta, omega=omega)
     return t, diag, ("adpool", tok_cache, emb_cache, omega, bal_cache)
 
@@ -253,17 +296,13 @@ def _adpool_forward(f: Array, params: PoolParams, omega: Optional[Array] = None)
 def _adpool_vjp(cache, d_t: Array):
     _, tok_cache, emb_cache, omega, bal_cache = cache
     if bal_cache is None:
-        d_tok, d_emb, d_w_bal = omega[0] * d_t, omega[1] * d_t, np.zeros((0, 1))
+        d_tok, d_emb = omega[:, :1] * d_t, omega[:, 1:] * d_t
+        d_w_bal = np.zeros((d_t.shape[1], 1))
     else:
         d_tok, d_emb, d_w_bal = _balance_vjp(bal_cache, d_t)
     d_f_tok, d_w_tok = _token_vjp(tok_cache, d_tok)
-    d_f_emb = _embedding_vjp(emb_cache, d_emb)
-    return d_f_tok + d_f_emb, d_w_tok, d_w_bal
+    return d_f_tok + _embedding_vjp(emb_cache, d_emb), d_w_tok, d_w_bal
 
-
-# ---------------------------------------------------------------------------
-# dispatch, with gradient support for every method
-# ---------------------------------------------------------------------------
 
 def pool(f: Array, spec: PoolingSpec, params: Optional[PoolParams] = None) -> Array:
     """Apply the pooler named by ``spec``; see pool_forward for gradients."""
@@ -271,76 +310,44 @@ def pool(f: Array, spec: PoolingSpec, params: Optional[PoolParams] = None) -> Ar
 
 
 def pool_forward(f: Array, spec: PoolingSpec,
-                 params: Optional[PoolParams] = None):
-    """Run a pooler and keep what its VJP needs.
+                 params: Optional[PoolParams] = None, lengths=None):
+    """Run a pooler on one M x d matrix, or on a padded (B, M, d) stack with
+    its ``lengths``, and keep what its VJP needs.
 
-    Returns (pooled vector, PoolDiagnostics, cache); pass the cache and an
-    upstream gradient to pool_vjp to get (d_features, d_w_tok, d_w_bal).
+    Returns (pooled, PoolDiagnostics, cache), batched for a stack; pass the
+    cache and a gradient shaped like ``pooled`` to pool_vjp.
     """
+    single = lengths is None
+    f, lengths, valid = _stack(f, lengths)
     method = spec.method
-    if method in ("adpool", "fixed-balance") and params is None:
-        raise ConfigError(f"{method} pooling requires PoolParams")
-    if method == "manual" and spec.manual_mode == "text":
-        method = "mean"
-
-    if method == "mean":
-        f = _check_features(f)
-        return f.mean(axis=0), PoolDiagnostics(), ("mean", f.shape)
-    if method == "max":
-        f = _check_features(f)
-        idx = f.argmax(axis=0)
-        return f[idx, np.arange(f.shape[1])], PoolDiagnostics(), ("max", f.shape, idx)
-    if method == "kmax":
-        return _kmax_forward(f, spec.k)
-    if method == "manual":
-        # hand-tuned visual baseline; clamp to the sequence length so short
-        # instances stay poolable
-        return _kmax_forward(f, min(MANUAL_VISUAL_K, len(f)))
-    if method == "adpool":
-        return _adpool_forward(f, params)
-    if method == "fixed-balance":
-        return _adpool_forward(f, params, np.array(spec.weights))
-    raise ConfigError(f"pooling method {method!r} not one of {POOL_METHODS}")
-
-
-def _kmax_forward(f: Array, k: int):
-    f = _check_features(f)
-    m, d = f.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"kmax_pool: k={k} outside [1, {m}]")
-    if k == m:
-        # the mean branch's summation order, so kmax_pool(f, M) == mean_pool(f)
-        # holds bit for bit
-        return f.mean(axis=0), PoolDiagnostics(), ("mean", f.shape)
-    ranked, perm = sort_desc_per_column(f)
-    t = ranked[:k].sum(axis=0) / k
-    t[np.isnan(ranked[-1])] = np.nan  # a NaN sorts last; keep it, as max does
-    return t, PoolDiagnostics(), ("kmax", f.shape, perm[:k], k)
+    if method in ("adpool", "fixed-balance"):
+        if params is None:
+            raise ConfigError(f"{method} pooling requires PoolParams")
+        omega = None if method == "adpool" else np.array(spec.weights)
+        t, diag, cache = _adpool_forward(f, valid, params, omega)
+    else:
+        # mean (and manual text) averages every row, max the top one; manual
+        # visual clamps its top k to the length so short instances pool
+        k = {"kmax": spec.k, "max": 1}.get(method, lengths)
+        if method == "manual" and spec.manual_mode == "visual":
+            k = np.minimum(MANUAL_VISUAL_K, lengths)
+        t, diag, cache = _topk_forward(f, lengths, valid, k)
+    if single:
+        t, diag = t[0], PoolDiagnostics(*(None if x is None else x[0] for x in
+                                          (diag.theta, diag.delta, diag.omega)))
+    return t, diag, cache
 
 
 def pool_vjp(cache, d_t: Array):
-    """Gradient of a pooled vector w.r.t. (features, w_tok, w_bal).
-
-    Parameter gradients are zero-shaped placeholders (shape (0, 1)) for
-    poolers without that parameter.
-    """
-    kind = cache[0]
-    no_param = np.zeros((0, 1))
-    if kind == "mean":
-        shape = cache[1]
-        d_f = np.tile(d_t / shape[0], (shape[0], 1))
-        return d_f, no_param, no_param
-    if kind == "max":
-        shape, idx = cache[1], cache[2]
-        d_f = np.zeros(shape)
-        d_f[idx, np.arange(shape[1])] = d_t
-        return d_f, no_param, no_param
-    if kind == "kmax":
-        shape, top_rows, k = cache[1], cache[2], cache[3]
-        d_f = np.zeros(shape)
-        np.put_along_axis(d_f, top_rows,
-                          np.tile(d_t / k, (top_rows.shape[0], 1)), axis=0)
-        return d_f, no_param, no_param
-    if kind == "adpool":
-        return _adpool_vjp(cache, d_t)
-    raise ConfigError(f"unknown pooling cache kind {kind!r}")
+    """Gradient w.r.t. (features, w_tok, w_bal) for a gradient ``d_t`` shaped
+    like the pooled value. The feature gradient is shaped like the features
+    and exactly 0 on padding; parameter gradients are d x 1, zeros for
+    poolers without that parameter."""
+    single = np.ndim(d_t) == 1
+    d_t = np.atleast_2d(d_t)
+    if cache[0] == "adpool":
+        d_f, d_w_tok, d_w_bal = _adpool_vjp(cache, d_t)
+    else:
+        d_f = _topk_vjp(cache, d_t)
+        d_w_tok, d_w_bal = np.zeros((2, d_t.shape[1], 1))
+    return (d_f[0] if single else d_f), d_w_tok, d_w_bal

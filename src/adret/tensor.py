@@ -8,8 +8,13 @@ to verify every analytic gradient against central finite differences.
 
 Conventions:
   - matrices are 2-D C-order float64 ndarrays, rows x cols
+  - sorting and the column softmax act on the row axis (-2), of one matrix
+    or of each matrix in a (B, M, d) stack; ``softmax_vector`` acts on the
+    last axis, of one vector or of each row of a matrix
   - sorting is descending, ties broken by original row index (stable)
   - softmax is stabilized by max subtraction
+  - ``matmul`` computes each output row from its own input row alone, so a
+    row's bits do not depend on how many rows are stacked with it
 
 Finiteness is checked where values enter or leave the package, not per op:
 file reads and writes (``cache``), config values, loss and score matrices
@@ -43,7 +48,11 @@ def as_matrix(x, name: str = "matrix") -> Array:
 def finite_matrix(x, name: str = "matrix") -> Array:
     """``as_matrix`` that also raises EvaluationError on a NaN or inf entry."""
     m = as_matrix(x, name)
-    if not np.isfinite(m).all():
+    # a finite sum has finite terms; finite terms give a non-finite sum only
+    # by overflow, so the full-size elementwise scan runs only then
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = m.sum()
+    if not np.isfinite(total) and not np.isfinite(m).all():
         raise EvaluationError(f"{name} contains non-finite values")
     return m
 
@@ -61,7 +70,9 @@ def matmul(a: Array, b: Array) -> Array:
     b = as_matrix(b, "matmul rhs")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
+    # not ``a @ b``: BLAS picks its kernels by shape (gemv for one row, edge
+    # tiles for the rest), so a row's bits would depend on its neighbours
+    return np.einsum("nk,kj->nj", a, b)
 
 
 def matmul_vjp(a: Array, b: Array, grad: Array) -> tuple[Array, Array]:
@@ -82,52 +93,62 @@ def add_row_bias_vjp(grad: Array) -> tuple[Array, Array]:
     return grad, grad.sum(axis=0)
 
 
+def sum_rows(m: Array) -> Array:
+    """Sum over the row axis (-2), kept as a length-1 axis, adding the rows
+    in order whatever the other axes' sizes, so -0.0 rows appended below
+    leave every sum bit-equal. numpy's ``sum`` keeps that order only while
+    the last axis has two or more entries (one column it sums pairwise)."""
+    if m.shape[-1] > 1:
+        return m.sum(axis=-2, keepdims=True)
+    return np.add.accumulate(m, axis=-2)[..., -1:, :]
+
+
 def softmax_columns(m: Array) -> Array:
-    """Column-wise softmax, stabilized by subtracting each column's max."""
-    m = as_matrix(m, "softmax input")
+    """Softmax down each column (axis -2), stabilized by the column's max;
+    a -inf entry gets weight exactly 0, so it can mask a padding row."""
+    m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         raise ValueError("softmax_columns: empty matrix")
-    z = m - m.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    e = np.exp(m - m.max(axis=-2, keepdims=True))
+    return e / sum_rows(e)
 
 
 def softmax_columns_vjp(out: Array, grad: Array) -> Array:
     # d/dm of sum(g * softmax(m)) = s * (g - sum_i g_i s_i), per column
-    return out * (grad - (grad * out).sum(axis=0, keepdims=True))
+    return out * (grad - sum_rows(grad * out))
 
 
 def softmax_vector(v: Array) -> Array:
-    v = as_vector(v)
+    """Softmax of a vector, or of each row of a matrix."""
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if v.size == 0:
         raise ValueError("softmax_vector: empty vector")
-    z = v - v.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_vector_vjp(out: Array, grad: Array) -> Array:
-    return out * (grad - float(grad @ out))
+    return out * (grad - (grad * out).sum(axis=-1, keepdims=True))
 
 
 def sort_desc_per_column(m: Array) -> tuple[Array, Array]:
-    """Sort each column descending.
+    """Sort each column descending along the row axis (axis -2).
 
-    Returns (sorted matrix, permutation); ``perm[i, j]`` is the original row
-    index of the value now sitting at row i of column j. Ties keep their
-    original order, so the permutation is deterministic.
+    Returns (sorted matrix, permutation); ``perm[..., i, j]`` is the original
+    row index of the value now sitting at row i of column j. Ties keep their
+    original order, so the permutation is deterministic; NaN sorts last.
     """
-    m = as_matrix(m, "sort input")
+    m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         raise ValueError("sort_desc_per_column: empty matrix")
-    perm = np.argsort(-m, axis=0, kind="stable")
-    return np.take_along_axis(m, perm, axis=0), perm
+    perm = np.argsort(-m, axis=-2, kind="stable")
+    return np.take_along_axis(m, perm, axis=-2), perm
 
 
 def sort_desc_per_column_vjp(perm: Array, grad: Array) -> Array:
     """Scatter the upstream gradient back through the recorded permutation."""
     out = np.zeros_like(grad)
-    np.put_along_axis(out, perm, grad, axis=0)
+    np.put_along_axis(out, perm, grad, axis=-2)
     return out
 
 

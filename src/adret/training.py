@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Corpus, ground_truth
-from .encoders import BiEncoder, batch_forward, encode_vjp
+from .encoders import BiEncoder, batch_forward, batch_vjp
 from .errors import ConfigError, TrainingDivergedError
 from .objectives import LossConfig, adopt_loss, hard_triplet_loss, info_nce_loss, select_negatives
 from .tensor import Array
@@ -144,22 +144,21 @@ def _batch_loss(s: Array, loss_cfg: LossConfig):
 
 def batch_step(model: BiEncoder, text_features, image_features, loss_of):
     """Encode both sides, score ``s = T @ V.T``, take ``loss_of(s)`` and
-    backpropagate it through every encoder pass.
+    backpropagate it through one batched encoder pass per side.
 
     ``loss_of(s)`` returns (loss, d_loss/d_s, aux). Returns (loss, aux,
-    grads) with grads keyed and shaped like ``model.tensors()``; each
-    entry sums the per-instance gradients in batch order.
+    grads) with grads keyed and shaped like ``model.tensors()``, each summed
+    over the batch.
     """
-    t_mat, t_caches = batch_forward(text_features, model.text)
-    v_mat, v_caches = batch_forward(image_features, model.visual)
+    t_mat, t_cache = batch_forward(text_features, model.text)
+    v_mat, v_cache = batch_forward(image_features, model.visual)
     loss, d_s, aux = loss_of(t_mat @ v_mat.T)
-    grads = {k: np.zeros_like(p) for k, p in model.tensors().items()}
-    for side, caches, d_emb in (("text", t_caches, d_s @ v_mat),
-                                ("visual", v_caches, d_s.T @ t_mat)):
-        for cache, d_e in zip(caches, d_emb):
-            g, _ = encode_vjp(cache, d_e)
-            for k, v in g.items():
-                grads[f"{side}.{k}"] += v
+    shapes = {k: p.shape for k, p in model.tensors().items()}
+    grads = {}
+    for side, cache, d_emb in (("text", t_cache, d_s @ v_mat),
+                               ("visual", v_cache, d_s.T @ t_mat)):
+        for k, g in batch_vjp(cache, d_emb)[0].items():
+            grads[f"{side}.{k}"] = g.reshape(shapes[f"{side}.{k}"])
     return loss, aux, grads
 
 

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from adret.cache import cache_write, load_tensors, save_tensors
+from adret.cache import cache_read, cache_write, load_tensors, save_tensors
 from adret.cli import main
 
 
@@ -191,6 +191,36 @@ class TestEval:
         assert os.path.exists(os.path.join(out, "cache_test_text_0.bin"))
         assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
         assert _read_bytes(os.path.join(out, "results.json")) == first
+
+    def test_cached_embeddings_follow_a_regenerated_split(self, trained, tmp_path):
+        cfg, out = trained
+        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
+        first = _read_bytes(os.path.join(out, "results.json"))
+        with open(cfg) as fh:
+            text = fh.read()
+        reseeded = tmp_path / "reseeded.ini"
+        reseeded.write_text(text.replace("seed = 42", "seed = 43"))
+        assert main(["generate", "--config", str(reseeded)]) == 0
+        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
+        cached = _read_bytes(os.path.join(out, "results.json"))
+        assert main(["eval", "--config", cfg]) == 0
+        assert cached == _read_bytes(os.path.join(out, "results.json"))
+        assert cached != first
+        # a regenerated split of another size is re-encoded too
+        resized = tmp_path / "resized.ini"
+        resized.write_text(text.replace("test_groups = 10", "test_groups = 12"))
+        assert main(["generate", "--config", str(resized)]) == 0
+        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
+
+    def test_cached_ids_must_match_the_split(self, trained, capsys):
+        cfg, out = trained
+        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
+        cached = os.path.join(out, "cache_test_text_0.bin")
+        matrix, ids = cache_read(cached)
+        cache_write(cached, matrix, ids[::-1])
+        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 2
+        err = capsys.readouterr().err
+        assert cached in err and "ids" in err
 
     def test_dimension_mismatch_is_config_error(self, trained, capsys):
         cfg, out = trained

@@ -66,6 +66,16 @@ def test_kmax_requires_k(tmp_path):
     assert cfg.visual_pooling.k == 3
 
 
+def test_kmax_k_above_the_shortest_instance_is_rejected(tmp_path):
+    text = BASE.replace("seed = 3", "seed = 3\nvisual_len_min = 3")
+    with pytest.raises(ConfigError, match=r"pooling\.visual\.k.*corpus\.visual_len_min"):
+        _load(tmp_path, text + "\n[pooling.visual]\nmethod = kmax\nk = 5\n")
+    with pytest.raises(ConfigError, match=r"pooling\.text\.k.*corpus\.text_len_min"):
+        _load(tmp_path, BASE + "\n[pooling.text]\nmethod = kmax\nk = 6\n")
+    cfg = _load(tmp_path, text + "\n[pooling.visual]\nmethod = kmax\nk = 3\n")
+    assert cfg.visual_pooling.k == 3
+
+
 def test_bad_values_name_the_field(tmp_path):
     bad = BASE.replace("seed = 9", "seed = 9\nbatch_size = soon")
     with pytest.raises(ConfigError, match="train.batch_size"):

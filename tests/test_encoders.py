@@ -5,11 +5,15 @@ import pytest
 
 from adret.data import RawInstance
 from adret.encoders import (
+    ENCODE_BLOCK,
     BiEncoder,
     EncoderParams,
+    batch_forward,
+    batch_vjp,
     encode,
     encode_all,
     encode_forward,
+    encode_vjp,
     init_encoder_params,
     project,
 )
@@ -120,6 +124,53 @@ class TestEncode:
         assert grads["w_tok"].shape == (4, 1)
         assert grads["w_bal"].shape == (4, 1)
         assert d_f.shape == f.shape
+
+
+ALL_SPECS = [
+    PoolingSpec("mean"), PoolingSpec("max"), PoolingSpec("kmax", k=3),
+    PoolingSpec("adpool"), PoolingSpec("fixed-balance", weights=(0.25, 0.75)),
+    PoolingSpec("manual", manual_mode="visual"),
+    PoolingSpec("manual", manual_mode="text")]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
+    @pytest.mark.parametrize("d_in,d", [(6, 4), (5, 1)])
+    def test_rows_are_bit_equal_to_encoding_alone(self, spec, d_in, d):
+        rng = np.random.default_rng(9)
+        params = _params(rng, d_in=d_in, d=d, spec=spec)
+        # lengths 1..12 (from k for kmax) over more than one encode_all
+        # block; manual-visual takes its mean branch wherever M <= 5
+        lengths = np.arange(ENCODE_BLOCK + 44) % 12 + 1
+        lengths = rng.permutation(np.maximum(lengths, spec.k or 1))
+        features = [rng.standard_normal((m, d_in)) for m in lengths]
+        alone = np.stack([encode(f, params) for f in features])
+        assert np.array_equal(batch_forward(features, params)[0], alone)
+        assert np.array_equal(batch_forward(features[:9], params)[0], alone[:9])
+        instances = [RawInstance("text", f, f"t{i}", f"g{i}")
+                     for i, f in enumerate(features)]
+        assert np.array_equal(encode_all(instances, params), alone)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
+    def test_vjp_gives_each_instance_its_own_feature_gradient(self, spec):
+        rng = np.random.default_rng(10)
+        params = _params(rng, spec=spec)
+        lengths = [max(m, spec.k or 1) for m in (4, 1, 7, 3)]
+        features = [rng.standard_normal((m, 6)) for m in lengths]
+        emb, cache = batch_forward(features, params)
+        d_emb = rng.standard_normal(emb.shape)
+        grads, d_features = batch_vjp(cache, d_emb)
+        assert [g.shape for g in d_features] == [f.shape for f in features]
+        assert grads["b_proj"].shape == (4,)
+        assert grads["w_tok"].shape == grads["w_bal"].shape == (4, 1)
+        # the batch's parameter gradient is the sum of the instances' own
+        for f, d_e, d_f in zip(features, d_emb, d_features):
+            d_f_alone = encode_vjp(encode_forward(f, params)[1], d_e)[1]
+            np.testing.assert_allclose(d_f, d_f_alone, rtol=0, atol=1e-14)
+        total = {k: sum(encode_vjp(encode_forward(f, params)[1], d_e)[0][k]
+                        for f, d_e in zip(features, d_emb)) for k in grads}
+        for k in grads:
+            np.testing.assert_allclose(grads[k], total[k], rtol=0, atol=1e-13)
 
 
 class TestBiEncoderPersistence:

@@ -17,6 +17,7 @@ from adret.pooling import (
     mean_pool,
     pool,
     pool_forward,
+    pool_vjp,
     token_level_adpool,
 )
 
@@ -232,3 +233,36 @@ class TestDispatch:
         for spec in specs:
             np.testing.assert_allclose(pool(f[perm], spec, params),
                                        pool(f, spec, params), atol=1e-12)
+
+
+class TestPaddedStack:
+    SPECS = [PoolingSpec("mean"), PoolingSpec("max"), PoolingSpec("kmax", k=2),
+             PoolingSpec("adpool"),
+             PoolingSpec("fixed-balance", weights=(0.75, 0.25)),
+             PoolingSpec("manual", manual_mode="visual"),
+             PoolingSpec("manual", manual_mode="text")]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_padding_is_ignored_and_gets_zero_gradient(self, spec):
+        rng = np.random.default_rng(15)
+        lengths = np.array([max(m, spec.k or 1) for m in (7, 1, 4, 2, 6)])
+        f = 1e6 * rng.standard_normal((5, 7, 3))  # padding full of junk
+        for b, m in enumerate(lengths):
+            f[b, :m] = rng.standard_normal((m, 3))
+        f[2, 3] = f[2, 0]  # a tie in every column
+        params = PoolParams(rng.standard_normal((3, 1)),
+                            rng.standard_normal((3, 1)))
+        t, diag, cache = pool_forward(f, spec, params, lengths)
+        for b, m in enumerate(lengths):
+            assert np.array_equal(t[b], pool(f[b, :m], spec, params))
+        d_f, d_w_tok, d_w_bal = pool_vjp(cache, rng.standard_normal(t.shape))
+        assert d_f.shape == f.shape
+        assert d_w_tok.shape == d_w_bal.shape == (3, 1)
+        for b, m in enumerate(lengths):
+            assert np.all(d_f[b, m:] == 0.0)
+            d_alone = pool_vjp(pool_forward(f[b, :m], spec, params)[2],
+                               np.zeros(3) + 1.0)[0]
+            assert d_alone.shape == (m, 3)
+        if diag.theta is not None:
+            assert np.all(diag.theta[lengths[:, None] <= np.arange(7)] == 0.0)
+            assert np.all(diag.delta[1, 1:] == 0.0)

@@ -13,6 +13,7 @@ from adret.tensor import (
     add_row_bias,
     cosine_sim_matrix,
     finite_diff_check,
+    finite_matrix,
     l2_normalize_rows,
     matmul,
     softmax_columns,
@@ -212,3 +213,19 @@ class TestFiniteDiffCheck:
         nan_op = DiffOp("nan", lambda x: x * np.nan, lambda i, o, g: (g,))
         with pytest.raises(EvaluationError):
             finite_diff_check(nan_op, [np.ones((2, 2))])
+
+
+class TestFiniteMatrix:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, value):
+        m = np.ones((3, 4))
+        m[2, 1] = value
+        with pytest.raises(EvaluationError, match="scores"):
+            finite_matrix(m, "scores")
+
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        m = np.full((2, 3), 1e308)
+        assert finite_matrix(m) is not None
+        m[1, 2] = np.inf
+        with pytest.raises(EvaluationError):
+            finite_matrix(m)
