@@ -85,11 +85,9 @@ def _draw_groups(rng: np.random.Generator, cfg: SyntheticCorpusConfig,
 
 
 def generate_corpus(cfg: SyntheticCorpusConfig) -> tuple[Corpus, GroundTruth]:
-    """One corpus of cfg.num_groups groups; bit-identical for a fixed seed."""
-    rng = np.random.default_rng(cfg.seed)
-    mix_v = rng.standard_normal((cfg.latent_dim, cfg.visual_dim))
-    mix_t = rng.standard_normal((cfg.latent_dim, cfg.text_dim))
-    corpus = _draw_groups(rng, cfg, mix_v, mix_t, 0, cfg.num_groups)
+    """One corpus of cfg.num_groups groups, the train split of
+    generate_splits; bit-identical for a fixed seed."""
+    corpus = generate_splits(cfg, cfg.num_groups, 0, 0)["train"]
     return corpus, ground_truth(corpus)
 
 

@@ -7,7 +7,8 @@ encoder is project -> pool -> L2-normalize, leaf to unit vector.
 the padded (B, M_max, d) stack (see ``pooling`` for the mask), and each
 instance's own feature gradient back. A batch row is bit-equal to encoding
 that instance alone; ``encode_forward``/``encode_vjp``/``encode`` are the
-B=1 case, and ``encode_all`` runs the kernel in fixed blocks of instances.
+B=1 case, and ``encode_all`` runs the kernel on blocks of instances of
+near-equal length.
 """
 
 from __future__ import annotations
@@ -178,8 +179,13 @@ def encode(raw, params: EncoderParams) -> Array:
 
 def encode_all(instances, params: EncoderParams) -> Array:
     """Stack encodings of an instance sequence into a matrix, row per
-    instance, encoding blocks of ENCODE_BLOCK (no split-sized padded array)."""
+    instance. Instances go to the kernel ENCODE_BLOCK at a time in stable
+    length order, so a block pads little, and each row lands at its
+    instance's position; rows do not depend on their block."""
     features = [inst.features for inst in instances]
-    return np.concatenate([
-        batch_forward(features[i:i + ENCODE_BLOCK], params)[0]
-        for i in range(0, len(features), ENCODE_BLOCK)])
+    order = np.argsort([len(f) for f in features], kind="stable")
+    out = np.empty((len(features), params.embed_dim))
+    for i in range(0, len(order), ENCODE_BLOCK):
+        block = order[i:i + ENCODE_BLOCK]
+        out[block] = batch_forward([features[j] for j in block], params)[0]
+    return out

@@ -268,49 +268,20 @@ def finite_diff_check(op: DiffOp, inputs: Sequence[Array],
 
 # DiffOp wrappers for the primitive operations, mainly consumed by the
 # gradient-check suite. Downstream code calls the plain functions directly.
-
-def _matmul_op_vjp(inputs, out, grad):
-    return matmul_vjp(inputs[0], inputs[1], grad)
-
-
-def _add_row_bias_op_vjp(inputs, out, grad):
-    return add_row_bias_vjp(grad)
-
-
-def _softmax_columns_op_vjp(inputs, out, grad):
-    return (softmax_columns_vjp(out, grad),)
-
-
-def _softmax_vector_op_vjp(inputs, out, grad):
-    return (softmax_vector_vjp(out, grad),)
-
-
-def _sort_op_forward(m):
-    return sort_desc_per_column(m)[0]
-
-
-def _sort_op_vjp(inputs, out, grad):
-    perm = sort_desc_per_column(inputs[0])[1]
-    return (sort_desc_per_column_vjp(perm, grad),)
-
-
-def _l2_op_vjp(inputs, out, grad):
-    return (l2_normalize_rows_vjp(inputs[0], out, grad),)
-
-
-def _cosine_op_vjp(inputs, out, grad):
-    return cosine_sim_matrix_vjp(inputs[0], inputs[1], grad)
-
-
-MATMUL_OP = DiffOp("matmul", matmul, _matmul_op_vjp)
-ADD_ROW_BIAS_OP = DiffOp("add_row_bias", add_row_bias, _add_row_bias_op_vjp)
+MATMUL_OP = DiffOp("matmul", matmul, lambda xs, out, g: matmul_vjp(*xs, g))
+ADD_ROW_BIAS_OP = DiffOp("add_row_bias", add_row_bias,
+                         lambda xs, out, g: add_row_bias_vjp(g))
 SOFTMAX_COLUMNS_OP = DiffOp("softmax_columns", softmax_columns,
-                            _softmax_columns_op_vjp)
+                            lambda xs, out, g: (softmax_columns_vjp(out, g),))
 SOFTMAX_VECTOR_OP = DiffOp("softmax_vector", softmax_vector,
-                           _softmax_vector_op_vjp)
-SORT_DESC_OP = DiffOp("sort_desc_per_column", _sort_op_forward, _sort_op_vjp)
-L2_NORMALIZE_OP = DiffOp("l2_normalize_rows", l2_normalize_rows, _l2_op_vjp)
-COSINE_SIM_OP = DiffOp("cosine_sim_matrix", cosine_sim_matrix, _cosine_op_vjp)
+                           lambda xs, out, g: (softmax_vector_vjp(out, g),))
+SORT_DESC_OP = DiffOp(
+    "sort_desc_per_column", lambda m: sort_desc_per_column(m)[0],
+    lambda xs, out, g: (sort_desc_per_column_vjp(sort_desc_per_column(xs[0])[1], g),))
+L2_NORMALIZE_OP = DiffOp("l2_normalize_rows", l2_normalize_rows,
+                         lambda xs, out, g: (l2_normalize_rows_vjp(xs[0], out, g),))
+COSINE_SIM_OP = DiffOp("cosine_sim_matrix", cosine_sim_matrix,
+                       lambda xs, out, g: cosine_sim_matrix_vjp(*xs, g))
 
 CORE_OPS = (MATMUL_OP, ADD_ROW_BIAS_OP, SOFTMAX_COLUMNS_OP, SOFTMAX_VECTOR_OP,
             SORT_DESC_OP, L2_NORMALIZE_OP, COSINE_SIM_OP)

@@ -73,10 +73,13 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
     out = {}
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient for parameter {name}")
+        with np.errstate(over="ignore"):
+            state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        # a finite v has a finite g and g * g; an inf v would stall every update
+        if not np.all(np.isfinite(state.v[name])):
+            raise TrainingDivergedError(
+                f"non-finite gradient or squared gradient for parameter {name}")
         state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
         out[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -159,6 +159,17 @@ class TestTrain:
         assert "train." + line.split(" ")[0] in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
+    def test_overflowing_gradient_is_numerical_error(self, tmp_path, capsys):
+        # the loss stays finite, but Adam's squared gradient overflows
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("seed = 7\n", "seed = 7\ntemperature = 1e-300\n"))
+        assert main(["train", "--config", cfg]) == 3
+        assert "squared gradient for parameter" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
 
 class TestEval:
     @pytest.fixture()

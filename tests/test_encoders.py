@@ -150,6 +150,10 @@ class TestBatch:
         instances = [RawInstance("text", f, f"t{i}", f"g{i}")
                      for i, f in enumerate(features)]
         assert np.array_equal(encode_all(instances, params), alone)
+        # encode_all regroups by length and puts each row back in place
+        perm = rng.permutation(len(instances))
+        assert np.array_equal(
+            encode_all([instances[i] for i in perm], params), alone[perm])
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
     def test_vjp_gives_each_instance_its_own_feature_gradient(self, spec):

@@ -31,6 +31,26 @@ def _recall_oracle(scores, relevant_columns, k):
     return 100.0 * hits / len(scores)
 
 
+def _both_directions(scores, caption_relevant):
+    """evaluate_scores against the oracle in both directions; an image is
+    relevant to every caption that lists it."""
+    n_texts, n_images = scores.shape
+    image_relevant = [{t for t in range(n_texts) if j in caption_relevant[t]}
+                      for j in range(n_images)]
+    tids = [f"t{t}" for t in range(n_texts)]
+    iids = [f"i{j}" for j in range(n_images)]
+    truth = {tids[t]: {iids[j] for j in rel}
+             for t, rel in enumerate(caption_relevant)}
+    truth.update({iids[j]: {tids[t] for t in rel}
+                  for j, rel in enumerate(image_relevant)})
+    r = evaluate_scores(scores, tids, iids, truth)
+    for k in (1, 5, 10):
+        assert getattr(r, f"cr_r{k}") == _recall_oracle(
+            scores.tolist(), caption_relevant, k)
+        assert getattr(r, f"ir_r{k}") == _recall_oracle(
+            scores.T.tolist(), image_relevant, k)
+
+
 class TestRecallAtK:
     def test_relevant_ranked_first(self):
         truth = {"q0": {"c1"}}
@@ -88,21 +108,42 @@ class TestRecallAtK:
         scores = np.round(rng.standard_normal((n_images * captions, n_images)), 1)
         scores[np.arange(n_images * captions),
                np.arange(n_images * captions) // captions] += 1.0
-        iids = [f"i{j}" for j in range(n_images)]
-        tids = [f"t{j}.{c}" for j in range(n_images) for c in range(captions)]
-        truth = {f"i{j}": {f"t{j}.{c}" for c in range(captions)}
-                 for j in range(n_images)}
-        truth.update({f"t{j}.{c}": {f"i{j}"} for j in range(n_images)
-                      for c in range(captions)})
-        r = evaluate_scores(scores, tids, iids, truth)
-        caption_relevant = [{t // captions} for t in range(len(tids))]
-        image_relevant = [set(range(j * captions, (j + 1) * captions))
-                          for j in range(n_images)]
-        for k in (1, 5, 10):
-            assert getattr(r, f"cr_r{k}") == _recall_oracle(
-                scores.tolist(), caption_relevant, k)
-            assert getattr(r, f"ir_r{k}") == _recall_oracle(
-                scores.T.tolist(), image_relevant, k)
+        _both_directions(scores, [{t // captions} for t in range(len(scores))])
+
+        # image queries whose best caption sits in the middle of three row
+        # blocks, tied with a caption in the block before and one after
+        n_images = 7
+        scores = np.round(rng.uniform(-1, 1, (3 * _BLOCK_ROWS, n_images)), 1)
+        caption_relevant = [{t % n_images} for t in range(3 * _BLOCK_ROWS)]
+        rows = np.arange(3 * _BLOCK_ROWS)
+        for j in range(n_images):
+            mid = rows[_BLOCK_ROWS:][rows[_BLOCK_ROWS:] % n_images == j][0]
+            others = rows[rows % n_images == (j + 1) % n_images]
+            before, after = others[0], others[-1]
+            assert before < _BLOCK_ROWS and after >= 2 * _BLOCK_ROWS
+            scores[[mid, before, after], j] = 5.0
+            greater = rows[rows % n_images == (j + 2) % n_images]
+            scores[rng.choice(greater, size=j, replace=False), j] = 6.0
+        _both_directions(scores, caption_relevant)
+
+        # captions with two or three relevant images; one-row and
+        # one-column matrices
+        for n_texts, n_images in [(40, 12), (2 * _BLOCK_ROWS + 5, 9),
+                                  (1, 9), (9, 1), (1, 1)]:
+            scores = np.round(rng.standard_normal((n_texts, n_images)), 1)
+            caption_relevant = [
+                set(rng.choice(n_images, size=min(n_images, rng.integers(2, 4)),
+                               replace=False).tolist())
+                for _ in range(n_texts)]
+            for j in range(n_images):
+                caption_relevant[j % n_texts].add(j)
+            _both_directions(scores, caption_relevant)
+        for n_cands in (1, 9):
+            scores = np.round(rng.standard_normal((1, n_cands)), 1)
+            for k in (1, 5, 10):
+                assert recall_at_k(scores, ["q0"], [f"c{j}" for j in range(n_cands)],
+                                   {"q0": {f"c{n_cands - 1}"}}, k) == \
+                    _recall_oracle(scores.tolist(), [{n_cands - 1}], k)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(1)
@@ -232,6 +273,14 @@ class TestEnsemble:
     def test_duplicate_matrices(self):
         m = np.random.default_rng(9).standard_normal((3, 3))
         np.testing.assert_allclose(ensemble_similarity([m, m]), m, atol=1e-15)
+
+    def test_bit_equal_to_stacked_mean(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 3, 5):
+            mats = [rng.standard_normal((37, 23)) for _ in range(n)]
+            assert ensemble_similarity(mats).tobytes() == \
+                np.mean(np.stack(mats), axis=0).tobytes()
+        assert ensemble_similarity(mats[:1]) is mats[0]
 
     def test_mean_example(self):
         out = ensemble_similarity([np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])])

@@ -61,6 +61,14 @@ class TestAdam:
             adam_step(params, {"visual.w_proj": np.full((2, 2), np.nan)},
                       state, 1e-3)
 
+    def test_overflowing_squared_gradient_names_parameter(self):
+        # g is finite but g * g is inf: v would be inf and every update 0
+        params = {"text.w_tok": np.ones((2, 1))}
+        state = AdamState.for_tensors(params)
+        with pytest.raises(TrainingDivergedError, match="text.w_tok"):
+            adam_step(params, {"text.w_tok": np.full((2, 1), 1e200)},
+                      state, 1e-3)
+
 
 class TestLearningRateSchedule:
     def test_schedule_values(self):
