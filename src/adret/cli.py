@@ -28,7 +28,7 @@ from .cache import (
     load_tensors,
     save_tensors,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, parse_weights
 from .data import generate_splits, ground_truth, load_corpus, save_corpus
 from .encoders import BiEncoder, encode_all, init_encoder_params
 from .errors import (
@@ -228,18 +228,6 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
     return 0
 
 
-def _parse_weights(raw):
-    if raw is None:
-        return None
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"--weights expects two comma-separated numbers, got {raw!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ConfigError(f"--weights must be numeric, got {raw!r}")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="adret",
                      description="Bi-encoder contrastive retrieval with "
@@ -314,7 +302,8 @@ def main(argv=None) -> int:
             return cmd_gradcheck(args.seed)
         if args.command == "inspect-pool":
             return cmd_inspect_pool(args.matrix, args.method, args.k,
-                                    _parse_weights(args.weights),
+                                    None if args.weights is None else
+                                    parse_weights(args.weights, "--weights"),
                                     args.modality, args.params)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, DimensionError, ValueError) as exc:

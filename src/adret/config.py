@@ -123,6 +123,17 @@ class _Section:
         return self._parse(key, default, str, "a string")
 
 
+def parse_weights(raw: str, name: str) -> tuple[float, float]:
+    """Fixed-balance weights written as two comma-separated numbers; the
+    range is checked by ``PoolingSpec``."""
+    try:
+        w_tok, w_emb = map(float, raw.split(","))
+    except ValueError:  # a part is not a number, or not two parts
+        raise ConfigError(f"{name} must be two comma-separated numbers, "
+                          f"got {raw!r}") from None
+    return w_tok, w_emb
+
+
 def _pooling_spec(section: _Section, modality: str) -> PoolingSpec:
     method = section.get_str("method", "adpool")
     k = None
@@ -133,15 +144,8 @@ def _pooling_spec(section: _Section, modality: str) -> PoolingSpec:
     if method == "manual":
         manual_mode = modality
     if method == "fixed-balance":
-        raw = section.get_str("weights")
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"{section.name}.weights must be two "
-                              f"comma-separated numbers, got {raw!r}")
-        try:
-            weights = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"{section.name}.weights must be numeric, got {raw!r}")
+        weights = parse_weights(section.get_str("weights"),
+                                f"{section.name}.weights")
     return PoolingSpec(method=method, k=k, manual_mode=manual_mode,
                        weights=weights)
 

@@ -1,14 +1,13 @@
 """Bi-encoder: linear projection into the joint space, pooling, normalization.
 
 Each modality owns a projection (w_proj, b_proj) and pooling parameters; the
-encoder is project -> pool -> L2-normalize, leaf to unit vector.
+encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 ``batch_forward``/``batch_vjp`` run the chain for a whole batch: one
 ``project`` call over every row, one ``pool_forward``/``pool_vjp`` call on
 the padded (B, M_max, d) stack (see ``pooling`` for the mask), and each
 instance's own feature gradient back. A batch row is bit-equal to encoding
-that instance alone; ``encode_forward``/``encode_vjp``/``encode`` are the
-B=1 case, and ``encode_all`` runs the kernel on blocks of instances of
-near-equal length.
+that instance alone; ``encode`` is the B=1 case, and ``encode_all`` runs the
+kernel on blocks of instances of near-equal length.
 """
 
 from __future__ import annotations
@@ -18,15 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RawInstance
-from .errors import DegenerateVectorError, DimensionError
+from .errors import DimensionError
 from .pooling import PoolingSpec, PoolParams, pool_forward, pool_vjp
 from .tensor import (
-    ZERO_NORM_EPS,
     Array,
     add_row_bias,
     add_row_bias_vjp,
     as_matrix,
     as_vector,
+    l2_normalize_rows,
+    l2_normalize_rows_vjp,
     matmul,
     matmul_vjp,
 )
@@ -51,10 +51,6 @@ class EncoderParams:
             raise DimensionError(
                 f"pooling weights are for d={self.pool.w_tok.shape[0]}, "
                 f"projection outputs d={d}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_proj.shape[0]
 
     @property
     def embed_dim(self) -> int:
@@ -127,17 +123,9 @@ def batch_forward(features, params: EncoderParams):
     projected[valid] = project(flat, params.w_proj, params.b_proj)
     pooled, _, pool_cache = pool_forward(projected, params.spec, params.pool,
                                          lengths)
-    norms = np.sqrt((pooled * pooled).sum(axis=1))
-    bad = ~((ZERO_NORM_EPS <= norms) & (norms < np.inf))  # NaN fails too
-    if bad.any():
-        b = int(bad.argmax())
-        raise DegenerateVectorError(
-            f"pooled vector {b} has norm {norms[b]:.3e} outside "
-            f"[{ZERO_NORM_EPS}, inf); cannot normalize (encoder collapse or "
-            "non-finite input?)")
-    embeddings = pooled / norms[:, None]
-    return embeddings, (flat, lengths, valid, params, pool_cache,
-                        embeddings, norms)
+    embeddings = l2_normalize_rows(pooled)
+    return embeddings, (flat, lengths, valid, params, pool_cache, pooled,
+                        embeddings)
 
 
 def batch_vjp(cache, d_embeddings: Array):
@@ -147,9 +135,8 @@ def batch_vjp(cache, d_embeddings: Array):
     matching the parameter shapes, summed over the batch; d_features holds
     one gradient per instance, shaped like its features.
     """
-    flat, lengths, valid, params, pool_cache, embeddings, norms = cache
-    inner = (d_embeddings * embeddings).sum(axis=1, keepdims=True)
-    d_pooled = (d_embeddings - embeddings * inner) / norms[:, None]
+    flat, lengths, valid, params, pool_cache, pooled, embeddings = cache
+    d_pooled = l2_normalize_rows_vjp(pooled, embeddings, d_embeddings)
     d_projected, d_w_tok, d_w_bal = pool_vjp(pool_cache, d_pooled)
     d_product, d_b_proj = add_row_bias_vjp(d_projected[valid])
     d_flat, d_w_proj = matmul_vjp(flat, params.w_proj, d_product)
@@ -159,22 +146,10 @@ def batch_vjp(cache, d_embeddings: Array):
     return grads, d_features
 
 
-def encode_forward(features: Array, params: EncoderParams):
-    """Encode one feature matrix: the B=1 batch. Returns (unit vector, cache)."""
-    embeddings, cache = batch_forward([features], params)
-    return embeddings[0], cache
-
-
-def encode_vjp(cache, d_embedding: Array):
-    """The B=1 batch_vjp: returns (grads, d_features) for one instance."""
-    grads, d_features = batch_vjp(cache, np.asarray(d_embedding)[None, :])
-    return grads, d_features[0]
-
-
 def encode(raw, params: EncoderParams) -> Array:
     """Encode a RawInstance or a bare feature matrix to a unit vector."""
     features = raw.features if isinstance(raw, RawInstance) else raw
-    return encode_forward(features, params)[0]
+    return batch_forward([features], params)[0][0]
 
 
 def encode_all(instances, params: EncoderParams) -> Array:

@@ -18,9 +18,10 @@ Conventions:
 
 Finiteness is checked where values enter or leave the package, not per op:
 file reads and writes (``cache``), config values, loss and score matrices
-(``finite_matrix``), the encoder's pooled norm, and the trainer's loss and
-gradient guards. On NaN input the primitives and pooling kernels do what
-numpy does: NaN propagates, and a sort ranks it below every number.
+(``finite_matrix``), the row norms in ``l2_normalize_rows`` (the encoder's
+last step), and the trainer's loss, gradient and update guards. On NaN input
+the primitives and pooling kernels do what numpy does: NaN propagates, and a
+sort ranks it below every number.
 """
 
 from __future__ import annotations
@@ -153,19 +154,23 @@ def sort_desc_per_column_vjp(perm: Array, grad: Array) -> Array:
 
 
 def l2_normalize_rows(m: Array) -> Array:
+    """Scale each row to unit length; DegenerateVectorError names the first
+    row whose norm is below ZERO_NORM_EPS, infinite or NaN."""
     m = as_matrix(m, "l2_normalize input")
     if m.size == 0:
         raise ValueError("l2_normalize_rows: empty matrix")
     norms = np.sqrt((m * m).sum(axis=1))
-    if norms.min() < ZERO_NORM_EPS:
-        row = int(norms.argmin())
+    bad = ~((ZERO_NORM_EPS <= norms) & (norms < np.inf))  # NaN fails too
+    if bad.any():
+        row = int(bad.argmax())
         raise DegenerateVectorError(
-            f"row {row} has norm {norms[row]:.3e} < {ZERO_NORM_EPS}; "
-            "cannot normalize (encoder collapse?)")
+            f"row {row} has norm {norms[row]:.3e} outside [{ZERO_NORM_EPS}, "
+            "inf); cannot normalize (encoder collapse or non-finite input?)")
     return m / norms[:, None]
 
 
 def l2_normalize_rows_vjp(m: Array, out: Array, grad: Array) -> Array:
+    """Gradient through ``out = l2_normalize_rows(m)``."""
     norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
     inner = (grad * out).sum(axis=1, keepdims=True)
     return (grad - out * inner) / norms
@@ -179,15 +184,6 @@ def cosine_sim_matrix(t: Array, v: Array) -> Array:
         raise DimensionError(
             f"cosine_sim_matrix: column counts differ, {t.shape} vs {v.shape}")
     return l2_normalize_rows(t) @ l2_normalize_rows(v).T
-
-
-def cosine_sim_matrix_vjp(t: Array, v: Array, grad: Array) -> tuple[Array, Array]:
-    tn = l2_normalize_rows(t)
-    vn = l2_normalize_rows(v)
-    dtn = grad @ vn
-    dvn = grad.T @ tn
-    return (l2_normalize_rows_vjp(t, tn, dtn),
-            l2_normalize_rows_vjp(v, vn, dvn))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +274,6 @@ SOFTMAX_VECTOR_OP = DiffOp("softmax_vector", softmax_vector,
 SORT_DESC_OP = DiffOp(
     "sort_desc_per_column", lambda m: sort_desc_per_column(m)[0],
     lambda xs, out, g: (sort_desc_per_column_vjp(sort_desc_per_column(xs[0])[1], g),))
-L2_NORMALIZE_OP = DiffOp("l2_normalize_rows", l2_normalize_rows,
-                         lambda xs, out, g: (l2_normalize_rows_vjp(xs[0], out, g),))
-COSINE_SIM_OP = DiffOp("cosine_sim_matrix", cosine_sim_matrix,
-                       lambda xs, out, g: cosine_sim_matrix_vjp(*xs, g))
 
 CORE_OPS = (MATMUL_OP, ADD_ROW_BIAS_OP, SOFTMAX_COLUMNS_OP, SOFTMAX_VECTOR_OP,
-            SORT_DESC_OP, L2_NORMALIZE_OP, COSINE_SIM_OP)
+            SORT_DESC_OP)

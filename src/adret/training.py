@@ -82,7 +82,11 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
         state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        out[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        with np.errstate(over="ignore"):
+            out[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if not np.all(np.isfinite(out[name])):
+            raise TrainingDivergedError(
+                f"non-finite update for parameter {name} at learning rate {lr:g}")
     return out
 
 

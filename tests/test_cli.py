@@ -170,6 +170,17 @@ class TestTrain:
         assert "squared gradient for parameter" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
+    def test_overflowing_update_names_parameter(self, tmp_path, capsys):
+        # finite gradients, but lr * m_hat / sqrt(v_hat) overflows
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("seed = 7\n", "seed = 7\nlr = 1e308\n"))
+        assert main(["train", "--config", cfg]) == 3
+        assert "update for parameter" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
 
 class TestEval:
     @pytest.fixture()

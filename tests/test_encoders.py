@@ -12,8 +12,6 @@ from adret.encoders import (
     batch_vjp,
     encode,
     encode_all,
-    encode_forward,
-    encode_vjp,
     init_encoder_params,
     project,
 )
@@ -116,9 +114,8 @@ class TestEncode:
         rng = np.random.default_rng(6)
         params = _params(rng)
         f = rng.standard_normal((4, 6))
-        from adret.encoders import encode_vjp
-        e, cache = encode_forward(f, params)
-        grads, d_f = encode_vjp(cache, rng.standard_normal(4))
+        e, cache = batch_forward([f], params)
+        grads, (d_f,) = batch_vjp(cache, rng.standard_normal((1, 4)))
         assert grads["w_proj"].shape == (6, 4)
         assert grads["b_proj"].shape == (4,)
         assert grads["w_tok"].shape == (4, 1)
@@ -167,11 +164,15 @@ class TestBatch:
         assert [g.shape for g in d_features] == [f.shape for f in features]
         assert grads["b_proj"].shape == (4,)
         assert grads["w_tok"].shape == grads["w_bal"].shape == (4, 1)
+
+        def alone(f, d_e):  # the B=1 batch
+            return batch_vjp(batch_forward([f], params)[1], d_e[None, :])
+
         # the batch's parameter gradient is the sum of the instances' own
         for f, d_e, d_f in zip(features, d_emb, d_features):
-            d_f_alone = encode_vjp(encode_forward(f, params)[1], d_e)[1]
+            d_f_alone = alone(f, d_e)[1][0]
             np.testing.assert_allclose(d_f, d_f_alone, rtol=0, atol=1e-14)
-        total = {k: sum(encode_vjp(encode_forward(f, params)[1], d_e)[0][k]
+        total = {k: sum(alone(f, d_e)[0][k]
                         for f, d_e in zip(features, d_emb)) for k in grads}
         for k in grads:
             np.testing.assert_allclose(grads[k], total[k], rtol=0, atol=1e-13)

@@ -1,16 +1,11 @@
-"""Every analytic gradient against central finite differences, many seeds."""
+"""The gradient-check suite's coverage and determinism. That every check
+passes on ten seeds is the acceptance gate's ``test_gradient_suite``."""
 
 from adret.gradcheck import build_checks, run_all
 from adret.objectives import LOSS_MODES
 from adret.pooling import POOL_METHODS
 
 import numpy as np
-
-
-def test_all_operations_pass_on_ten_seeds():
-    for seed in range(10):
-        for report in run_all(seed):
-            assert report.passed, f"seed {seed}: {report}"
 
 
 def test_suite_covers_at_least_ten_operations():

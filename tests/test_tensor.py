@@ -147,6 +147,10 @@ class TestL2NormalizeRows:
     def test_near_zero_row_raises(self):
         with pytest.raises(DegenerateVectorError):
             l2_normalize_rows([[1.0, 1.0], [1e-13, 0.0]])
+        # a NaN or infinite norm cannot be normalized either
+        for value in (np.nan, np.inf):
+            with pytest.raises(DegenerateVectorError, match="row 1 "):
+                l2_normalize_rows([[1.0, 1.0], [value, 0.0]])
 
 
 class TestCosineSimMatrix:
