@@ -12,7 +12,9 @@ Layout of a cache blob:
 Payload values are finite: writers refuse NaN and inf, readers reject them
 with a FormatError naming the byte offset. Round-trips are bit-exact.
 Multi-tensor files (model parameters) are a plain concatenation of blobs,
-each carrying its tensor name as the single id.
+each carrying its tensor name as the single id. A corpus file repeats each
+instance's id on all of its rows, so the writer and reader work by runs of
+equal ids: each distinct id record is built, or decoded, once.
 
 All writes in this package go through ``atomic_write_bytes``: data lands in a
 temp file in the target directory and is renamed into place, so a killed
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, EvaluationError, FormatError
 from .tensor import Array, finite_matrix
 
 MAGIC = b"ADRET1\n"
@@ -55,24 +57,32 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def encode_blob(matrix: Array, ids: Sequence[str]) -> bytes:
-    matrix = finite_matrix(matrix, "cache matrix")
-    rows, cols = matrix.shape
+def encode_blob(blocks: Sequence[Array], ids: Sequence[str],
+                repeats: Sequence[int]) -> bytearray:
+    """One blob of the 2-D ``blocks`` stacked in row order, its id table
+    listing ``ids[i]`` ``repeats[i]`` times; each id record is built once,
+    and the blocks are copied straight into the one output buffer."""
+    rows, cols = sum(map(len, blocks)), np.shape(blocks[0])[1]
     if rows > _U32_MAX or cols > _U32_MAX:
-        raise FormatError(f"matrix shape {matrix.shape} overflows the u32 "
+        raise FormatError(f"matrix shape {(rows, cols)} overflows the u32 "
                           "dimension fields at byte 7")
-    parts = [MAGIC, _U32.pack(rows), _U32.pack(cols),
-             np.ascontiguousarray(matrix, dtype="<f8").tobytes()]
-    parts.append(_U32.pack(len(ids)))
-    for name in ids:
-        raw = name.encode("utf-8")
-        parts.append(_U32.pack(len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+    records = (name.encode("utf-8") for name in ids)
+    table = b"".join([_U32.pack(sum(repeats))] + [
+        (_U32.pack(len(raw)) + raw) * n for raw, n in zip(records, repeats)])
+    start = len(MAGIC) + 8
+    end = start + 8 * rows * cols
+    out = bytearray(end + len(table))
+    out[:start] = MAGIC + _U32.pack(rows) + _U32.pack(cols)
+    out[end:] = table
+    payload = np.frombuffer(out, "<f8", rows * cols, start).reshape(rows, cols)
+    finite_matrix(np.concatenate(blocks, out=payload), "cache matrix")
+    return out
 
 
-def decode_blob(data: bytes, offset: int = 0) -> tuple[Array, list[str], int]:
-    """Parse one blob starting at ``offset``; returns (matrix, ids, end)."""
+def decode_runs(data: bytes, offset: int = 0) -> tuple[Array, list, int]:
+    """Parse one blob starting at ``offset``; returns (matrix, runs, end),
+    ``runs`` pairing each id with its count of equal records in a row, which
+    slice compares count without decoding them again."""
     def need(n: int, what: str) -> int:
         if offset + n > len(data):
             raise FormatError(f"truncated cache file: {what} needs {n} bytes "
@@ -85,40 +95,44 @@ def decode_blob(data: bytes, offset: int = 0) -> tuple[Array, list[str], int]:
                           f"got {data[offset:end]!r}")
     offset = end
     end = need(8, "dimension header")
-    rows = _U32.unpack_from(data, offset)[0]
-    cols = _U32.unpack_from(data, offset + 4)[0]
+    rows, cols = struct.unpack_from("<II", data, offset)
     offset = end
-    nbytes = rows * cols * 8
-    end = need(nbytes, f"{rows}x{cols} float payload")
+    end = need(rows * cols * 8, f"{rows}x{cols} float payload")
     # a view into ``data``, not a copy: a corpus load then holds one payload
     matrix = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        first = int(np.argmin(finite))
+    try:
+        matrix = finite_matrix(matrix, "cache payload")
+    except EvaluationError:
+        first = int(np.argmin(np.isfinite(matrix)))
         raise FormatError(f"non-finite value {matrix.flat[first]} at byte "
-                          f"{offset + 8 * first}")
+                          f"{offset + 8 * first}") from None
     offset = end
     end = need(4, "id count")
-    count = _U32.unpack_from(data, offset)[0]
+    left = _U32.unpack_from(data, offset)[0]
     offset = end
-    ids = []
-    for _ in range(count):
+    runs = []
+    while left:
         end = need(4, "id length")
         length = _U32.unpack_from(data, offset)[0]
         offset = end
         end = need(length, "id bytes")
         try:
-            ids.append(data[offset:end].decode("utf-8"))
+            name = data[offset:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"id at byte {offset} is not valid UTF-8: "
                               f"{exc.reason} at byte {offset + exc.start}")
+        record, size = data[offset - 4:end], length + 4
+        last = end + size * (left - 1)  # the id count bounds the run
+        while end < last and data[end:end + size] == record:
+            end += size
+        runs.append((name, (end - offset + 4) // size))
+        left -= runs[-1][1]
         offset = end
-    return matrix, ids, offset
+    return matrix, runs, offset
 
 
 def cache_write(path: str, matrix: Array, ids: Sequence[str]) -> None:
-    atomic_write_bytes(path, encode_blob(matrix, ids))
+    atomic_write_bytes(path, encode_blob([matrix], ids, [1] * len(ids)))
 
 
 @contextmanager
@@ -135,13 +149,19 @@ def _reading(path: str):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def cache_read(path: str) -> tuple[Array, list[str]]:
+def cache_read_runs(path: str) -> tuple[Array, list]:
+    """The matrix and id runs (see ``decode_runs``) of a one-blob file."""
     with _reading(path) as data:
-        matrix, ids, end = decode_blob(data)
+        matrix, runs, end = decode_runs(data)
         if end != len(data):
             raise FormatError(f"trailing data after blob: file is {len(data)} "
                               f"bytes, blob ends at byte {end}")
-    return matrix, ids
+    return matrix, runs
+
+
+def cache_read(path: str) -> tuple[Array, list[str]]:
+    matrix, runs = cache_read_runs(path)
+    return matrix, [name for name, n in runs for _ in range(n)]
 
 
 def file_sha256(path: str) -> bytes:
@@ -152,7 +172,7 @@ def file_sha256(path: str) -> bytes:
 
 def save_tensors(path: str, tensors: dict[str, Array]) -> None:
     """Write named 2-D tensors as concatenated blobs, sorted by name."""
-    parts = [encode_blob(tensors[name], [name]) for name in sorted(tensors)]
+    parts = [encode_blob([tensors[name]], [name], [1]) for name in sorted(tensors)]
     atomic_write_bytes(path, b"".join(parts))
 
 
@@ -161,9 +181,9 @@ def load_tensors(path: str) -> dict[str, Array]:
     with _reading(path) as data:
         offset = 0
         while offset < len(data):
-            matrix, ids, offset = decode_blob(data, offset)
-            if len(ids) != 1:
-                raise FormatError(f"tensor blob ending at byte {offset} must "
-                                  f"carry exactly one name, got {len(ids)}")
-            tensors[ids[0]] = matrix
+            matrix, runs, offset = decode_runs(data, offset)
+            if [n for _, n in runs] != [1]:
+                raise FormatError(f"tensor blob ending at byte {offset} must carry "
+                                  f"exactly one name, got {sum(n for _, n in runs)}")
+            tensors[runs[0][0]] = matrix
     return tensors

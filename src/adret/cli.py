@@ -81,9 +81,12 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.corpus_dir, exist_ok=True)
     splits = generate_splits(cfg.corpus, cfg.train_groups, cfg.val_groups,
                              cfg.test_groups)
-    for name in ("train", "val", "test"):
-        corpus = splits[name]
-        save_corpus(cfg.corpus_dir, name, corpus)
+    for name, corpus in splits.items():  # train, val, test
+        try:
+            save_corpus(cfg.corpus_dir, name, corpus)
+        except EvaluationError:  # the writer's one finiteness check
+            raise ConfigError(f"corpus.noise_scale = {cfg.corpus.noise_scale:g} "
+                              f"overflows the {name} split's features to inf")
         print(f"{name}: {len(corpus.images)} images, {len(corpus.texts)} texts")
     log.info("corpus written to %s", cfg.corpus_dir)
     return 0

@@ -20,7 +20,8 @@ from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
-from .cache import atomic_write_text, cache_read, cache_write
+from .cache import (atomic_write_bytes, atomic_write_text, cache_read_runs,
+                    encode_blob)
 from .errors import ConfigError, DataError
 from .tensor import Array
 
@@ -77,9 +78,10 @@ def _draw_groups(rng: np.random.Generator, cfg: SyntheticCorpusConfig,
         n = int(rng.integers(cfg.visual_len[0], cfg.visual_len[1] + 1))
         feats = z @ mix_v + cfg.noise_scale * rng.standard_normal((n, cfg.visual_dim))
         images.append(RawInstance("visual", feats, f"i{g:06d}", gid))
+        zt = z @ mix_t
         for c in range(cfg.captions_per_image):
             m = int(rng.integers(cfg.text_len[0], cfg.text_len[1] + 1))
-            feats = z @ mix_t + cfg.noise_scale * rng.standard_normal((m, cfg.text_dim))
+            feats = zt + cfg.noise_scale * rng.standard_normal((m, cfg.text_dim))
             texts.append(RawInstance("text", feats, f"t{g:06d}.{c}", gid))
     return Corpus(tuple(images), tuple(texts))
 
@@ -103,10 +105,11 @@ def generate_splits(cfg: SyntheticCorpusConfig, train_groups: int,
     mix_t = rng.standard_normal((cfg.latent_dim, cfg.text_dim))
     splits = {}
     start = 0
-    for name, count in (("train", train_groups), ("val", val_groups),
-                        ("test", test_groups)):
-        splits[name] = _draw_groups(rng, cfg, mix_v, mix_t, start, count)
-        start += count
+    with np.errstate(over="ignore"):  # inf is left to the writer's check
+        for name, count in (("train", train_groups), ("val", val_groups),
+                            ("test", test_groups)):
+            splits[name] = _draw_groups(rng, cfg, mix_v, mix_t, start, count)
+            start += count
     return splits
 
 
@@ -114,16 +117,15 @@ def save_corpus(directory: str, split: str, corpus: Corpus) -> None:
     """Persist a split as two cache files plus a JSON sidecar.
 
     Instances are stacked row-wise per modality with the instance id repeated
-    on every row; the sidecar maps instance ids to group ids. All files are
-    byte-deterministic for a fixed corpus.
+    on every row, written and read by runs of one id; the sidecar maps instance
+    ids to group ids. All files are byte-deterministic for a fixed corpus.
     """
-    groups: dict[str, str] = {}
     for name, instances in (("visual", corpus.images), ("text", corpus.texts)):
-        rows = np.concatenate([inst.features for inst in instances], axis=0)
-        ids = [inst.id for inst in instances for _ in range(inst.features.shape[0])]
-        cache_write(os.path.join(directory, f"{split}_{name}.bin"), rows, ids)
-        for inst in instances:
-            groups[inst.id] = inst.group_id
+        blocks = [inst.features for inst in instances]
+        atomic_write_bytes(os.path.join(directory, f"{split}_{name}.bin"),
+                           encode_blob(blocks, [inst.id for inst in instances],
+                                       list(map(len, blocks))))
+    groups = {inst.id: inst.group_id for inst in corpus.images + corpus.texts}
     atomic_write_text(os.path.join(directory, f"{split}_meta.json"),
                       json.dumps({"groups": groups}, sort_keys=True) + "\n")
     truth = {qid: sorted(rel) for qid, rel in ground_truth(corpus).items()}
@@ -141,18 +143,19 @@ def load_corpus(directory: str, split: str) -> Corpus:
 
     def read(name: str) -> tuple:
         path = os.path.join(directory, f"{split}_{name}.bin")
-        matrix, ids = cache_read(path)
-        instances = []
+        matrix, runs = cache_read_runs(path)
+        instances: dict[str, RawInstance] = {}
         start = 0
-        for stop in range(1, len(ids) + 1):
-            if stop == len(ids) or ids[stop] != ids[start]:
-                iid = ids[start]
-                if iid not in groups:
-                    raise DataError(f"instance {iid!r} in {path} missing from sidecar")
-                instances.append(RawInstance(name, matrix[start:stop], iid,
-                                             groups[iid]))
-                start = stop
-        return tuple(instances)
+        for iid, rows in runs:
+            if iid in instances:
+                raise DataError(f"instance {iid!r} occurs in two separate "
+                                f"runs of rows in {path}")
+            if iid not in groups:
+                raise DataError(f"instance {iid!r} in {path} missing from sidecar")
+            instances[iid] = RawInstance(name, matrix[start:start + rows], iid,
+                                         groups[iid])
+            start += rows
+        return tuple(instances.values())
 
     return Corpus(read("visual"), read("text"))
 
@@ -163,15 +166,11 @@ def ground_truth(corpus: Corpus) -> GroundTruth:
     A text query's relevant set is its group's image; an image query's
     relevant set is all of its group's captions.
     """
-    captions_by_group: dict[str, set[str]] = {}
-    image_by_group: dict[str, str] = {}
-    for img in corpus.images:
-        image_by_group[img.group_id] = img.id
+    captions: dict[str, set[str]] = {}
     for txt in corpus.texts:
-        captions_by_group.setdefault(txt.group_id, set()).add(txt.id)
-    truth: GroundTruth = {}
-    for img in corpus.images:
-        truth[img.id] = frozenset(captions_by_group.get(img.group_id, ()))
-    for txt in corpus.texts:
-        truth[txt.id] = frozenset({image_by_group[txt.group_id]})
+        captions.setdefault(txt.group_id, set()).add(txt.id)
+    image = {img.group_id: frozenset({img.id}) for img in corpus.images}
+    truth: GroundTruth = {img.id: frozenset(captions.get(img.group_id, ()))
+                          for img in corpus.images}
+    truth.update((txt.id, image[txt.group_id]) for txt in corpus.texts)
     return truth

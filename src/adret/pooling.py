@@ -136,9 +136,9 @@ def _stack(f: Array, lengths=None):
 
 
 def _rank(f: Array, valid: Array):
-    """(each instance's columns sorted descending, padding -0.0, permutation)."""
-    ranked, perm = sort_desc_per_column(np.where(valid, f, np.nan))
-    return np.where(valid, ranked, -0.0), perm
+    """(columns sorted descending, padding -0.0; the NaN-padded stack)."""
+    keyed = np.where(valid, f, np.nan)
+    return np.where(valid, sort_desc_per_column(keyed), -0.0), keyed
 
 
 def mean_pool(f: Array) -> Array:
@@ -167,23 +167,23 @@ def _topk_forward(f: Array, lengths: Array, valid: Array, k):
     part = k < lengths
     if not part.any():
         return t, PoolDiagnostics(), ("topk", lengths, valid, k, part, None, None)
-    ranked, perm = _rank(f, valid)
+    ranked, keyed = _rank(f, valid)
     top = np.arange(f.shape[1])[None, :, None] < k[:, None, None]
     t_top = sum_rows(np.where(top, ranked, -0.0))[:, 0] / k[:, None]
     # a NaN sorts last; keep it, as max does
     t_top[np.isnan(ranked[np.arange(len(f)), lengths - 1])] = np.nan
     t = np.where(part[:, None], t_top, t)
-    return t, PoolDiagnostics(), ("topk", lengths, valid, k, part, perm, top)
+    return t, PoolDiagnostics(), ("topk", lengths, valid, k, part, keyed, top)
 
 
 def _topk_vjp(cache, d_t: Array) -> Array:
-    _, lengths, valid, k, part, perm, top = cache
+    _, lengths, valid, k, part, keyed, top = cache
     d_f = np.where(valid, (d_t / lengths[:, None])[:, None, :], 0.0)
-    if perm is None:
+    if keyed is None:
         return d_f
     d_ranked = np.where(top, (d_t / k[:, None])[:, None, :], 0.0)
     return np.where(part[:, None, None],
-                    sort_desc_per_column_vjp(perm, d_ranked), d_f)
+                    sort_desc_per_column_vjp(keyed, d_ranked), d_f)
 
 
 def _token_forward(f: Array, valid: Array, w_tok: Array):
@@ -191,19 +191,19 @@ def _token_forward(f: Array, valid: Array, w_tok: Array):
     if w.shape != (f.shape[2], 1):
         raise DimensionError(f"w_tok must be {f.shape[2]} x 1, got {w.shape}")
     w = w.ravel()
-    ranked, perm = _rank(f, valid)
+    ranked, keyed = _rank(f, valid)
     logits = np.where(valid, (ranked * w).sum(axis=2, keepdims=True), -np.inf)
     theta = softmax_columns(logits)  # (B, M, 1): a softmax down the ranks
     t_tok = sum_rows(theta * ranked)[:, 0]
-    return t_tok, theta[:, :, 0], (ranked, perm, theta, w)
+    return t_tok, theta[:, :, 0], (ranked, keyed, theta, w)
 
 
 def _token_vjp(cache, d_t: Array):
-    ranked, perm, theta, w = cache
+    ranked, keyed, theta, w = cache
     d_t = d_t[:, None, :]
     d_logits = softmax_columns_vjp(theta, (ranked * d_t).sum(axis=2, keepdims=True))
     d_w = (ranked * d_logits).sum(axis=(0, 1))[:, None]
-    return sort_desc_per_column_vjp(perm, theta * d_t + d_logits * w), d_w
+    return sort_desc_per_column_vjp(keyed, theta * d_t + d_logits * w), d_w
 
 
 def token_level_adpool(f: Array, w_tok: Array) -> tuple[Array, Array]:

@@ -11,7 +11,8 @@ Conventions:
   - sorting and the column softmax act on the row axis (-2), of one matrix
     or of each matrix in a (B, M, d) stack; ``softmax_vector`` acts on the
     last axis, of one vector or of each row of a matrix
-  - sorting is descending, ties broken by original row index (stable)
+  - sorting is descending; the forward returns values only, and its VJP
+    ranks again, breaking ties by original row index (stable)
   - softmax is stabilized by max subtraction
   - ``matmul`` computes each output row from its own input row alone, so a
     row's bits do not depend on how many rows are stacked with it
@@ -132,23 +133,20 @@ def softmax_vector_vjp(out: Array, grad: Array) -> Array:
     return out * (grad - (grad * out).sum(axis=-1, keepdims=True))
 
 
-def sort_desc_per_column(m: Array) -> tuple[Array, Array]:
-    """Sort each column descending along the row axis (axis -2).
-
-    Returns (sorted matrix, permutation); ``perm[..., i, j]`` is the original
-    row index of the value now sitting at row i of column j. Ties keep their
-    original order, so the permutation is deterministic; NaN sorts last.
-    """
+def sort_desc_per_column(m: Array) -> Array:
+    """Sort each column descending along the row axis (axis -2), NaN last;
+    values only (equal values are interchangeable, up to a zero's sign)."""
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         raise ValueError("sort_desc_per_column: empty matrix")
-    perm = np.argsort(-m, axis=-2, kind="stable")
-    return np.take_along_axis(m, perm, axis=-2), perm
+    return -np.sort(-m, axis=-2)
 
 
-def sort_desc_per_column_vjp(perm: Array, grad: Array) -> Array:
-    """Scatter the upstream gradient back through the recorded permutation."""
+def sort_desc_per_column_vjp(m: Array, grad: Array) -> Array:
+    """Scatter the upstream gradient back to the rows of ``m`` it was sorted
+    from; a stable argsort keeps tied rows in their original order."""
     out = np.zeros_like(grad)
+    perm = np.argsort(-np.asarray(m, dtype=np.float64), axis=-2, kind="stable")
     np.put_along_axis(out, perm, grad, axis=-2)
     return out
 
@@ -159,7 +157,8 @@ def l2_normalize_rows(m: Array) -> Array:
     m = as_matrix(m, "l2_normalize input")
     if m.size == 0:
         raise ValueError("l2_normalize_rows: empty matrix")
-    norms = np.sqrt((m * m).sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflow is an infinite norm
+        norms = np.sqrt((m * m).sum(axis=1))
     bad = ~((ZERO_NORM_EPS <= norms) & (norms < np.inf))  # NaN fails too
     if bad.any():
         row = int(bad.argmax())
@@ -271,9 +270,8 @@ SOFTMAX_COLUMNS_OP = DiffOp("softmax_columns", softmax_columns,
                             lambda xs, out, g: (softmax_columns_vjp(out, g),))
 SOFTMAX_VECTOR_OP = DiffOp("softmax_vector", softmax_vector,
                            lambda xs, out, g: (softmax_vector_vjp(out, g),))
-SORT_DESC_OP = DiffOp(
-    "sort_desc_per_column", lambda m: sort_desc_per_column(m)[0],
-    lambda xs, out, g: (sort_desc_per_column_vjp(sort_desc_per_column(xs[0])[1], g),))
+SORT_DESC_OP = DiffOp("sort_desc_per_column", sort_desc_per_column,
+                      lambda xs, out, g: (sort_desc_per_column_vjp(xs[0], g),))
 
 CORE_OPS = (MATMUL_OP, ADD_ROW_BIAS_OP, SOFTMAX_COLUMNS_OP, SOFTMAX_VECTOR_OP,
             SORT_DESC_OP)

@@ -71,6 +71,16 @@ class TestGenerate:
                 assert os.path.exists(os.path.join(out, "corpus",
                                                    f"{split}_{suffix}"))
 
+    def test_overflowing_noise_scale_is_config_error(self, tmp_path, capsys):
+        cfg, out = _write_config(tmp_path)
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("seed = 42\n", "seed = 42\nnoise_scale = 1e308\n"))
+        assert main(["generate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "corpus.noise_scale" in err and "train split" in err
+        assert "Warning" not in err
+
     def test_same_seed_identical_files(self, tmp_path):
         digests = []
         for sub in ("a", "b"):
@@ -168,6 +178,18 @@ class TestTrain:
             fh.write(text.replace("seed = 7\n", "seed = 7\ntemperature = 1e-300\n"))
         assert main(["train", "--config", cfg]) == 3
         assert "squared gradient for parameter" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    def test_huge_noise_scale_is_numerical_error(self, tmp_path, capsys):
+        # generates finite features whose squared norms overflow
+        cfg, out = _write_config(tmp_path)
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("seed = 42\n", "seed = 42\nnoise_scale = 1e200\n"))
+        assert main(["generate", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "norm inf" in err and "Warning" not in err
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
     def test_overflowing_update_names_parameter(self, tmp_path, capsys):

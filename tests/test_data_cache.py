@@ -1,7 +1,9 @@
 """Synthetic corpus generation and the binary cache format."""
 
+import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from adret.cache import (
     atomic_write_bytes,
     cache_read,
     cache_write,
+    decode_runs,
     encode_blob,
     load_tensors,
     save_tensors,
@@ -22,7 +25,7 @@ from adret.data import (
     load_corpus,
     save_corpus,
 )
-from adret.errors import ConfigError, EvaluationError, FormatError
+from adret.errors import ConfigError, DataError, EvaluationError, FormatError
 
 
 class TestCorpusGeneration:
@@ -87,6 +90,31 @@ def _read(path):
         return fh.read()
 
 
+def _blob(matrix, ids):
+    """The package writer with one id record per listed id."""
+    return encode_blob([matrix], ids, [1] * len(ids))
+
+
+def _reference_blob(matrix, ids):
+    """The per-row writer the run-based one replaced, kept as the format's
+    oracle: every id record is packed and joined one by one."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    rows, cols = matrix.shape
+    parts = [b"ADRET1\n", struct.pack("<I", rows), struct.pack("<I", cols),
+             np.ascontiguousarray(matrix, dtype="<f8").tobytes()]
+    parts.append(struct.pack("<I", len(ids)))
+    for name in ids:
+        raw = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(raw)))
+        parts.append(raw)
+    return b"".join(parts)
+
+
+def _write(path, data):
+    with open(path, "wb") as fh:
+        fh.write(bytes(data))
+
+
 class TestCacheFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -116,7 +144,7 @@ class TestCacheFormat:
         assert cache_read(path)[1] == ["café", "überrow"]
 
     def test_invalid_utf8_id_reports_byte_offset(self, tmp_path):
-        data = encode_blob(np.ones((1, 1)), ["ok", "ab"])
+        data = _blob(np.ones((1, 1)), ["ok", "ab"])
         path = str(tmp_path / "badid.bin")
         with open(path, "wb") as fh:
             fh.write(data[:-1] + b"\xff")
@@ -127,7 +155,7 @@ class TestCacheFormat:
 
     def test_corrupted_magic(self, tmp_path):
         path = str(tmp_path / "bad.bin")
-        data = bytearray(encode_blob(np.ones((2, 2)), ["a", "b"]))
+        data = bytearray(_blob(np.ones((2, 2)), ["a", "b"]))
         data[0] ^= 0xFF
         path2 = str(tmp_path / "bad2.bin")
         with open(path2, "wb") as fh:
@@ -136,7 +164,7 @@ class TestCacheFormat:
             cache_read(path2)
 
     def test_truncation_reports_byte_offset(self, tmp_path):
-        data = encode_blob(np.ones((3, 4)), ["a", "b", "c"])
+        data = _blob(np.ones((3, 4)), ["a", "b", "c"])
         path = str(tmp_path / "trunc.bin")
         with open(path, "wb") as fh:
             fh.write(data[:20])
@@ -146,14 +174,14 @@ class TestCacheFormat:
     def test_trailing_garbage_rejected(self, tmp_path):
         path = str(tmp_path / "extra.bin")
         with open(path, "wb") as fh:
-            fh.write(encode_blob(np.ones((1, 1)), ["x"]) + b"junk")
+            fh.write(_blob(np.ones((1, 1)), ["x"]) + b"junk")
         with pytest.raises(FormatError, match="trailing"):
             cache_read(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_reports_byte_offset(self, tmp_path, value):
         m = np.ones((3, 4))
-        data = bytearray(encode_blob(m, []))
+        data = bytearray(_blob(m, []))
         m[2, 1] = value
         data[15:15 + m.nbytes] = m.astype("<f8").tobytes()
         path = str(tmp_path / "nan.bin")
@@ -166,7 +194,7 @@ class TestCacheFormat:
         path = str(tmp_path / "params.bin")
         save_tensors(path, {"a": np.ones((1, 2)), "b": np.ones((2, 1))})
         data = bytearray(_read(path))
-        second = len(encode_blob(np.ones((1, 2)), ["a"]))
+        second = len(_blob(np.ones((1, 2)), ["a"]))
         data[second + 15 + 8:second + 15 + 16] = np.array([np.nan]).tobytes()
         with open(path, "wb") as fh:
             fh.write(bytes(data))
@@ -188,6 +216,98 @@ class TestCacheFormat:
         assert loaded.keys() == tensors.keys()
         for name in tensors:
             assert np.array_equal(loaded[name], tensors[name])
+
+
+class TestWriterOracle:
+    """The run-based writer against the per-row reference, byte for byte."""
+
+    def test_save_corpus_matches_per_row_writer(self, tmp_path):
+        cfg = SyntheticCorpusConfig(num_groups=7, captions_per_image=3, seed=10)
+        corpus, _ = generate_corpus(cfg)
+        save_corpus(str(tmp_path), "s", corpus)
+        for name, instances in (("visual", corpus.images),
+                                ("text", corpus.texts)):
+            rows = np.concatenate([inst.features for inst in instances])
+            ids = [inst.id for inst in instances for _ in inst.features]
+            assert _read(tmp_path / f"s_{name}.bin") == _reference_blob(rows, ids)
+
+    @pytest.mark.parametrize("ids", [
+        ["a"] * 7 + ["b"] * 5 + ["c"],        # long runs
+        ["a", "a", "b", "a", "b", "b"],       # non-adjacent repeats
+        ["café", "café", "überrow", "日本"],  # non-ASCII
+        ["", "", "x", ""],                    # empty ids
+    ])
+    def test_ids_as_rows_and_as_runs(self, ids):
+        m = np.arange(3.0 * len(ids)).reshape(len(ids), 3) - 4.5
+        expected = _reference_blob(m, ids)
+        assert _blob(m, ids) == expected
+        # the same table given as runs of equal ids over row blocks
+        starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
+        stops = starts[1:] + [len(ids)]
+        blocks = [m[a:b] for a, b in zip(starts, stops)]
+        assert encode_blob(blocks, [ids[a] for a in starts],
+                           [b - a for a, b in zip(starts, stops)]) == expected
+        matrix, runs, end = decode_runs(expected)
+        assert end == len(expected) and np.array_equal(matrix, m)
+        assert runs == [(ids[a], b - a) for a, b in zip(starts, stops)]
+
+    def test_zero_row_matrix(self):
+        m = np.zeros((0, 4))
+        assert _blob(m, []) == _reference_blob(m, [])
+
+    def test_tensor_blobs(self, tmp_path):
+        rng = np.random.default_rng(2)
+        tensors = {"visual.w_tok": rng.standard_normal((3, 1)),
+                   "text.w_proj": rng.standard_normal((4, 3))}
+        path = str(tmp_path / "params.bin")
+        save_tensors(path, tensors)
+        assert _read(path) == b"".join(_reference_blob(tensors[name], [name])
+                                       for name in sorted(tensors))
+
+
+class TestRunReader:
+    """Errors met while walking the id table by runs name their byte."""
+
+    IDS = ["abc"] * 5 + ["xy"] * 3
+    TABLE = 15 + 8 * 8 * 2  # the id table of an 8 x 2 payload starts here
+
+    def _file(self, tmp_path, data):
+        path = str(tmp_path / "ids.bin")
+        _write(path, data)
+        return path
+
+    def test_truncation_inside_a_run(self, tmp_path):
+        data = _blob(np.ones((8, 2)), self.IDS)
+        third = self.TABLE + 4 + 2 * 7  # the third "abc" record
+        path = self._file(tmp_path, data[:third + 5])
+        with pytest.raises(FormatError, match=f"id bytes needs 3 bytes at "
+                                              f"byte {third + 4},"):
+            cache_read(path)
+        path = self._file(tmp_path, data[:third + 2])
+        with pytest.raises(FormatError, match=f"id length needs 4 bytes at "
+                                              f"byte {third},"):
+            cache_read(path)
+
+    def test_invalid_utf8_in_the_first_record_of_a_later_run(self, tmp_path):
+        data = bytearray(_blob(np.ones((8, 2)), self.IDS))
+        first_xy = self.TABLE + 4 + 5 * 7 + 4  # the first "xy" id's bytes
+        for k in range(3):  # the whole run reads b"\xffy"
+            data[first_xy + 6 * k] = 0xFF
+        with pytest.raises(FormatError, match=f"id at byte {first_xy} is not "
+                                              f"valid UTF-8: .* at byte {first_xy}$"):
+            cache_read(self._file(tmp_path, data))
+
+    def test_id_count_differs_from_records(self, tmp_path):
+        data = bytearray(_blob(np.ones((8, 2)), self.IDS))
+        data[self.TABLE:self.TABLE + 4] = struct.pack("<I", 9)
+        with pytest.raises(FormatError, match=f"id length needs 4 bytes at "
+                                              f"byte {len(data)},"):
+            cache_read(self._file(tmp_path, data))
+        # a count of 3 ends the blob inside the first run of five records
+        data[self.TABLE:self.TABLE + 4] = struct.pack("<I", 3)
+        with pytest.raises(FormatError, match="blob ends at byte "
+                                              f"{self.TABLE + 4 + 3 * 7}$"):
+            cache_read(self._file(tmp_path, data))
 
 
 class TestAtomicWrites:
@@ -228,3 +348,12 @@ class TestCorpusPersistence:
             with open(tmp_path / "a" / name, "rb") as fa, \
                  open(tmp_path / "b" / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    def test_id_in_two_separate_runs_is_data_error(self, tmp_path):
+        with open(tmp_path / "s_meta.json", "w") as fh:
+            json.dump({"groups": {"a": "g0", "b": "g1"}}, fh)
+        path = str(tmp_path / "s_visual.bin")
+        cache_write(path, np.ones((4, 2)), ["a", "a", "b", "a"])
+        cache_write(str(tmp_path / "s_text.bin"), np.ones((1, 2)), ["b"])
+        with pytest.raises(DataError, match=f"'a' .*{re.escape(path)}"):
+            load_corpus(str(tmp_path), "s")

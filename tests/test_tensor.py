@@ -103,31 +103,53 @@ class TestSoftmax:
             softmax_vector(np.zeros(0))
 
 
+def _ranks(m):
+    """Each row's rank in its column (0 = largest), read from where the VJP
+    sends a gradient that carries each sorted position's index."""
+    m = np.asarray(m, dtype=np.float64)
+    positions = np.broadcast_to(np.arange(m.shape[0])[:, None], m.shape)
+    return sort_desc_per_column_vjp(m, positions.astype(np.float64))
+
+
 class TestSortDescPerColumn:
     def test_example(self):
-        out, perm = sort_desc_per_column([[1.0], [3.0], [2.0]])
+        out = sort_desc_per_column([[1.0], [3.0], [2.0]])
         np.testing.assert_array_equal(out[:, 0], [3, 2, 1])
-        np.testing.assert_array_equal(perm[:, 0], [1, 2, 0])
+        np.testing.assert_array_equal(_ranks([[1.0], [3.0], [2.0]])[:, 0], [2, 0, 1])
 
     def test_already_sorted_gives_identity_permutation(self):
-        out, perm = sort_desc_per_column([[5.0], [4.0], [1.0]])
-        np.testing.assert_array_equal(perm[:, 0], [0, 1, 2])
+        out = sort_desc_per_column([[5.0], [4.0], [1.0]])
+        np.testing.assert_array_equal(out[:, 0], [5, 4, 1])
+        np.testing.assert_array_equal(_ranks([[5.0], [4.0], [1.0]])[:, 0], [0, 1, 2])
 
     def test_ties_keep_original_order(self):
-        _, perm = sort_desc_per_column([[2.0], [2.0], [3.0]])
-        np.testing.assert_array_equal(perm[:, 0], [2, 0, 1])
+        m = np.array([[2.0], [2.0], [3.0]])
+        np.testing.assert_array_equal(_ranks(m)[:, 0], [1, 2, 0])
+        # a one-hot gradient on sorted position 1 lands on the first tied row
+        grad = np.array([[0.0], [1.0], [0.0]])
+        np.testing.assert_array_equal(sort_desc_per_column_vjp(m, grad)[:, 0],
+                                      [1, 0, 0])
+
+    def test_values_equal_the_stable_gather(self):
+        # the values a stable argsort picks, NaN last, on a (B, M, d) stack
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 9, 3))
+        m[rng.random(m.shape) < 0.2] = np.nan
+        perm = np.argsort(-m, axis=-2, kind="stable")
+        assert np.array_equal(sort_desc_per_column(m),
+                              np.take_along_axis(m, perm, axis=-2), equal_nan=True)
 
     def test_column_means_preserved(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((7, 5))
-        out, _ = sort_desc_per_column(m)
+        out = sort_desc_per_column(m)
         np.testing.assert_allclose(out.mean(axis=0), m.mean(axis=0), atol=1e-15)
 
     def test_unsort_is_exact_inverse(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((8, 6))
-        out, perm = sort_desc_per_column(m)
-        assert np.array_equal(sort_desc_per_column_vjp(perm, out), m)
+        out = sort_desc_per_column(m)
+        assert np.array_equal(sort_desc_per_column_vjp(m, out), m)
 
 
 class TestL2NormalizeRows:
@@ -147,8 +169,9 @@ class TestL2NormalizeRows:
     def test_near_zero_row_raises(self):
         with pytest.raises(DegenerateVectorError):
             l2_normalize_rows([[1.0, 1.0], [1e-13, 0.0]])
-        # a NaN or infinite norm cannot be normalized either
-        for value in (np.nan, np.inf):
+        # a NaN or infinite norm cannot be normalized either, nor one whose
+        # square overflows
+        for value in (np.nan, np.inf, 1e200):
             with pytest.raises(DegenerateVectorError, match="row 1 "):
                 l2_normalize_rows([[1.0, 1.0], [value, 0.0]])
 
