@@ -42,7 +42,8 @@ from .errors import (
 )
 from .evaluation import ensemble_similarity, evaluate_scores_folds
 from .gradcheck import run_all
-from .pooling import PoolParams, PoolingSpec, pool_forward
+from .objectives import LOSS_MODES
+from .pooling import POOL_METHODS, PoolParams, PoolingSpec, pool_forward
 from .tensor import cosine_sim_matrix
 from .training import train
 
@@ -208,16 +209,11 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
         k=k,
         manual_mode=modality if method == "manual" else None,
         weights=weights)
-    d = matrix.shape[1]
     if params_path:
-        tensors = load_tensors(params_path)
-        try:
-            params = PoolParams(tensors[f"{modality}.w_tok"],
-                                tensors[f"{modality}.w_bal"])
-        except KeyError as exc:
-            raise DataError(f"parameter file lacks tensor {exc}")
+        model = BiEncoder.from_tensors(load_tensors(params_path), spec, spec)
+        params = getattr(model, modality).pool
     else:
-        params = PoolParams.zeros(d)
+        params = PoolParams.zeros(matrix.shape[1])
     pooled, diag, _ = pool_forward(matrix, spec, params)
     dump = {
         "method": method,
@@ -249,8 +245,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the bi-encoder")
     add_config_flags(p)
-    p.add_argument("--loss", choices=("hard-triplet", "infonce-adaptive",
-                                      "infonce-fixed"), default=None,
+    p.add_argument("--loss", choices=LOSS_MODES, default=None,
                    help="override train.loss")
     p.add_argument("--k", type=int, default=None,
                    help="negative count for infonce-fixed")
@@ -269,9 +264,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("inspect-pool", help="dump pooled vector and weights")
     p.add_argument("matrix", help="cache-format matrix file")
-    p.add_argument("--method", default="adpool",
-                   choices=("mean", "max", "kmax", "adpool", "manual",
-                            "fixed-balance"))
+    p.add_argument("--method", default="adpool", choices=POOL_METHODS)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--weights", default=None,
                    help="fixed-balance weights, e.g. 0.75,0.25")

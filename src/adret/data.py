@@ -155,6 +155,9 @@ def load_corpus(directory: str, split: str) -> Corpus:
             instances[iid] = RawInstance(name, matrix[start:start + rows], iid,
                                          groups[iid])
             start += rows
+        if start != len(matrix):
+            raise DataError(f"{path}: id table covers {start} rows, payload "
+                            f"has {len(matrix)}")
         return tuple(instances.values())
 
     return Corpus(read("visual"), read("text"))

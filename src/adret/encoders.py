@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RawInstance
-from .errors import DimensionError
+from .errors import DataError, DimensionError
 from .pooling import PoolingSpec, PoolParams, pool_forward, pool_vjp
 from .tensor import (
     Array,
@@ -59,7 +59,8 @@ class EncoderParams:
 
 @dataclass(frozen=True)
 class BiEncoder:
-    """Trainable parameters for both modalities."""
+    """Trainable parameters for both modalities, or their gradient.
+    ``tensors``/``from_tensors`` are the one flat layout of both."""
 
     visual: EncoderParams
     text: EncoderParams
@@ -77,6 +78,7 @@ class BiEncoder:
     @staticmethod
     def from_tensors(tensors: dict[str, Array], visual_spec: PoolingSpec,
                      text_spec: PoolingSpec) -> "BiEncoder":
+        """Rebuild from ``tensors()``'s layout; DataError names a missing tensor."""
         def build(name: str, spec: PoolingSpec) -> EncoderParams:
             try:
                 return EncoderParams(
@@ -86,7 +88,7 @@ class BiEncoder:
                                     tensors[f"{name}.w_bal"]),
                     spec=spec)
             except KeyError as exc:
-                raise DimensionError(f"missing tensor {exc} in parameter file")
+                raise DataError(f"missing tensor {exc} in parameter file")
         return BiEncoder(build("visual", visual_spec), build("text", text_spec))
 
 
@@ -131,9 +133,9 @@ def batch_forward(features, params: EncoderParams):
 def batch_vjp(cache, d_embeddings: Array):
     """Backward through normalize -> pool -> project for a whole batch.
 
-    Returns (grads, d_features): grads has keys w_proj, b_proj, w_tok, w_bal
-    matching the parameter shapes, summed over the batch; d_features holds
-    one gradient per instance, shaped like its features.
+    Returns (grads, d_features): grads is an EncoderParams with the
+    parameters' own shapes and spec, each tensor summed over the batch;
+    d_features holds one gradient per instance, shaped like its features.
     """
     flat, lengths, valid, params, pool_cache, pooled, embeddings = cache
     d_pooled = l2_normalize_rows_vjp(pooled, embeddings, d_embeddings)
@@ -141,9 +143,8 @@ def batch_vjp(cache, d_embeddings: Array):
     d_product, d_b_proj = add_row_bias_vjp(d_projected[valid])
     d_flat, d_w_proj = matmul_vjp(flat, params.w_proj, d_product)
     d_features = [d_flat[e - m:e] for e, m in zip(np.cumsum(lengths), lengths)]
-    grads = {"w_proj": d_w_proj, "b_proj": d_b_proj, "w_tok": d_w_tok,
-             "w_bal": d_w_bal}
-    return grads, d_features
+    return (EncoderParams(d_w_proj, d_b_proj, PoolParams(d_w_tok, d_w_bal),
+                          params.spec), d_features)
 
 
 def encode(raw, params: EncoderParams) -> Array:

@@ -100,8 +100,8 @@ def _encode_op(spec: PoolingSpec, batch: int) -> DiffOp:
     def vjp(inputs, out, grad):
         _, cache = batch_forward(inputs[:batch], params_of(*inputs[batch:]))
         grads, d_features = batch_vjp(cache, grad)
-        return (*d_features, grads["w_proj"], grads["b_proj"], grads["w_tok"],
-                grads["w_bal"])
+        return (*d_features, grads.w_proj, grads.b_proj, grads.pool.w_tok,
+                grads.pool.w_bal)
 
     label = spec.method
     if spec.manual_mode:
@@ -142,21 +142,22 @@ def _safe_triplet_matrix(rng: np.random.Generator, b: int, margin: float) -> np.
     raise RuntimeError("could not draw a kink-free triplet test matrix")
 
 
-def _pipeline_check(name: str, loss_of, texts, images, spec: PoolingSpec,
-                    tensors: dict[str, np.ndarray]):
+def _pipeline_check(name: str, loss_of, texts, images, model: BiEncoder):
     """encode both sides -> similarity -> loss through the trainer's own
     ``batch_step``, as a function of every parameter tensor.
 
-    Returns (op, inputs): the inputs are ``tensors``' values in order; the
-    feature matrices are fixed data. ``loss_of(s)`` has the trainer's loss
-    signature, (value, d_loss/d_s, aux), and must be smooth at the
-    evaluation point.
+    Returns (op, inputs): the inputs are ``model.tensors()``' values in
+    order; the feature matrices are fixed data. ``loss_of(s)`` has the
+    trainer's loss signature, (value, d_loss/d_s, aux), and must be smooth
+    at the evaluation point.
     """
+    tensors = model.tensors()
     keys = list(tensors)
 
     def step(inputs):
-        model = BiEncoder.from_tensors(dict(zip(keys, inputs)), spec, spec)
-        return batch_step(model, texts, images, loss_of)
+        return batch_step(BiEncoder.from_tensors(
+            dict(zip(keys, inputs)), model.visual.spec, model.text.spec),
+            texts, images, loss_of)
 
     def forward(*inputs):
         return np.float64(step(inputs)[0])
@@ -168,9 +169,8 @@ def _pipeline_check(name: str, loss_of, texts, images, spec: PoolingSpec,
     return DiffOp(name, forward, vjp), [tensors[k].copy() for k in keys]
 
 
-def _similarity(tensors, texts, images, spec: PoolingSpec) -> np.ndarray:
+def _similarity(model: BiEncoder, texts, images) -> np.ndarray:
     """The similarity matrix ``batch_step`` scores at these parameters."""
-    model = BiEncoder.from_tensors(tensors, spec, spec)
     return batch_step(model, texts, images,
                       lambda s: (0.0, np.zeros_like(s), s))[1]
 
@@ -243,42 +243,38 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
     texts, images = ragged_side(), ragged_side()
     spec = PoolingSpec("adpool")
 
-    def draw_tensors():
-        out = {}
-        for side in ("text", "visual"):
-            out[f"{side}.w_proj"] = normal((d_in, d))
-            out[f"{side}.b_proj"] = normal((1, d))
-            out[f"{side}.w_tok"] = 0.5 * normal((d, 1))
-            out[f"{side}.w_bal"] = 0.5 * normal((d, 1))
-        return out
+    def draw_model():  # text, then visual; arguments are drawn left to right
+        text, visual = [EncoderParams(normal((d_in, d)), normal(d), PoolParams(
+            0.5 * normal((d, 1)), 0.5 * normal((d, 1))), spec) for _ in range(2)]
+        return BiEncoder(visual, text)
 
-    tensors = draw_tensors()
-    frozen_sel = select_negatives(_similarity(tensors, texts, images, spec), 2)
+    model = draw_model()
+    frozen_sel = select_negatives(_similarity(model, texts, images), 2)
     checks.append(_pipeline_check(
         "pipeline[encode->infonce]",
         lambda sm: (*info_nce_loss(sm, frozen_sel, 0.5), None),
-        texts, images, spec, tensors))
+        texts, images, model))
 
     # the adaptive objective at the K its schedule picks for this batch
-    tensors = draw_tensors()
-    s0 = _similarity(tensors, texts, images, spec)
+    model = draw_model()
+    s0 = _similarity(model, texts, images)
     adaptive_sel = select_negatives(
         s0, adaptive_k(alignment(s0), uniformity(s0), b))
     checks.append(_pipeline_check(
         "pipeline[encode->adopt]",
         lambda sm: (*negatives_only_info_nce(sm, adaptive_sel, 0.5), None),
-        texts, images, spec, tensors))
+        texts, images, model))
 
     for _ in range(100):
-        tensors = draw_tensors()
-        if _triplet_safe(_similarity(tensors, texts, images, spec), margin):
+        model = draw_model()
+        if _triplet_safe(_similarity(model, texts, images), margin):
             break
     else:
         raise RuntimeError("could not draw kink-free pipeline parameters")
     checks.append(_pipeline_check(
         "pipeline[encode->hard_triplet]",
         lambda sm: (*hard_triplet_loss(sm, margin), None),
-        texts, images, spec, tensors))
+        texts, images, model))
     return checks
 
 

@@ -154,19 +154,16 @@ def batch_step(model: BiEncoder, text_features, image_features, loss_of):
     backpropagate it through one batched encoder pass per side.
 
     ``loss_of(s)`` returns (loss, d_loss/d_s, aux). Returns (loss, aux,
-    grads) with grads keyed and shaped like ``model.tensors()``, each summed
-    over the batch.
+    grads): each side's ``batch_vjp`` gradient, summed over the batch and
+    flattened by ``BiEncoder.tensors``, so keyed and shaped like
+    ``model.tensors()``.
     """
     t_mat, t_cache = batch_forward(text_features, model.text)
     v_mat, v_cache = batch_forward(image_features, model.visual)
     loss, d_s, aux = loss_of(t_mat @ v_mat.T)
-    shapes = {k: p.shape for k, p in model.tensors().items()}
-    grads = {}
-    for side, cache, d_emb in (("text", t_cache, d_s @ v_mat),
-                               ("visual", v_cache, d_s.T @ t_mat)):
-        for k, g in batch_vjp(cache, d_emb)[0].items():
-            grads[f"{side}.{k}"] = g.reshape(shapes[f"{side}.{k}"])
-    return loss, aux, grads
+    grads = BiEncoder(text=batch_vjp(t_cache, d_s @ v_mat)[0],
+                      visual=batch_vjp(v_cache, d_s.T @ t_mat)[0])
+    return loss, aux, grads.tensors()
 
 
 def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
@@ -186,10 +183,7 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
     for txt in corpus.texts:
         captions_of[txt.group_id].append(txt)
 
-    visual_spec = model.visual.spec
-    text_spec = model.text.spec
-    tensors = model.tensors()
-    state = AdamState.for_tensors(tensors)
+    state = AdamState.for_tensors(model.tensors())
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog(mode=cfg.loss.mode)
     iteration = 0
@@ -207,13 +201,14 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
             texts = [captions_of[img.group_id][pick[start + j]]
                      for j, img in enumerate(images)]
             loss, maturity, grads = batch_step(
-                BiEncoder.from_tensors(tensors, visual_spec, text_spec),
-                [t.features for t in texts], [i.features for i in images],
+                model, [t.features for t in texts], [i.features for i in images],
                 lambda s: _batch_loss(s, cfg.loss))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {iteration}")
-            tensors = adam_step(tensors, grads, state, lr)
+            model = BiEncoder.from_tensors(
+                adam_step(model.tensors(), grads, state, lr),
+                model.visual.spec, model.text.spec)
             log.records.append(IterationRecord(
                 epoch=epoch, iteration=iteration, loss=float(loss),
                 gamma_align=maturity.gamma_align if maturity else None,
@@ -223,11 +218,9 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
             iteration += 1
 
         if val_corpus is not None:
-            log.validation.append((epoch, _validation_rsum(
-                BiEncoder.from_tensors(tensors, visual_spec, text_spec),
-                val_corpus)))
+            log.validation.append((epoch, _validation_rsum(model, val_corpus)))
 
-    return BiEncoder.from_tensors(tensors, visual_spec, text_spec), log
+    return model, log
 
 
 def _validation_rsum(model: BiEncoder, val_corpus: Corpus) -> float:

@@ -274,6 +274,24 @@ class TestEval:
         save_tensors(params, tensors)
         assert main(["eval", "--config", cfg]) == 1
 
+    def test_params_lacking_a_tensor_is_data_error(self, trained, tmp_path,
+                                                   capsys):
+        cfg, out = trained
+        params = os.path.join(out, "params.bin")
+        matrix = str(tmp_path / "m.bin")
+        cache_write(matrix, np.random.default_rng(0).standard_normal((4, 8)), [])
+        assert main(["inspect-pool", matrix]) == 0
+        assert main(["inspect-pool", matrix, "--params", params]) == 0
+        zero, learned = capsys.readouterr().out.splitlines()
+        assert zero != learned  # the trained text pooling weights were read
+        tensors = load_tensors(params)
+        del tensors["text.w_tok"]
+        save_tensors(params, tensors)
+        for argv in (["eval", "--config", cfg],
+                     ["inspect-pool", matrix, "--params", params]):
+            assert main(argv) == 2
+            assert "missing tensor 'text.w_tok'" in capsys.readouterr().err
+
     def test_collapsed_params_hit_numerical_exit(self, trained):
         cfg, out = trained
         params = os.path.join(out, "params.bin")

@@ -349,6 +349,18 @@ class TestCorpusPersistence:
                  open(tmp_path / "b" / name, "rb") as fb:
                 assert fa.read() == fb.read(), name
 
+    @pytest.mark.parametrize("ids,rows", [(["a", "a"], 3), (["a"] * 3, 1)])
+    def test_id_table_must_cover_the_payload_rows(self, tmp_path, ids, rows):
+        with open(tmp_path / "s_meta.json", "w") as fh:
+            json.dump({"groups": {"a": "g0"}}, fh)
+        path = str(tmp_path / "s_visual.bin")
+        cache_write(path, np.ones((rows, 2)), ids)
+        cache_write(str(tmp_path / "s_text.bin"), np.ones((1, 2)), ["a"])
+        with pytest.raises(DataError, match=(
+                f"{re.escape(path)}: id table covers {len(ids)} rows, "
+                f"payload has {rows}")):
+            load_corpus(str(tmp_path), "s")
+
     def test_id_in_two_separate_runs_is_data_error(self, tmp_path):
         with open(tmp_path / "s_meta.json", "w") as fh:
             json.dump({"groups": {"a": "g0", "b": "g1"}}, fh)

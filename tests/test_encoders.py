@@ -15,8 +15,9 @@ from adret.encoders import (
     init_encoder_params,
     project,
 )
-from adret.errors import DegenerateVectorError, DimensionError
+from adret.errors import DataError, DegenerateVectorError, DimensionError
 from adret.pooling import PoolParams, PoolingSpec
+from adret.training import batch_step
 
 
 def _params(rng, d_in=6, d=4, spec=None):
@@ -25,6 +26,12 @@ def _params(rng, d_in=6, d=4, spec=None):
         b_proj=rng.standard_normal(d),
         pool=PoolParams(rng.standard_normal((d, 1)), rng.standard_normal((d, 1))),
         spec=spec or PoolingSpec("adpool"))
+
+
+def _named(grads):
+    """An EncoderParams gradient's four tensors by name."""
+    return {"w_proj": grads.w_proj, "b_proj": grads.b_proj,
+            "w_tok": grads.pool.w_tok, "w_bal": grads.pool.w_bal}
 
 
 class TestProject:
@@ -116,10 +123,11 @@ class TestEncode:
         f = rng.standard_normal((4, 6))
         e, cache = batch_forward([f], params)
         grads, (d_f,) = batch_vjp(cache, rng.standard_normal((1, 4)))
-        assert grads["w_proj"].shape == (6, 4)
-        assert grads["b_proj"].shape == (4,)
-        assert grads["w_tok"].shape == (4, 1)
-        assert grads["w_bal"].shape == (4, 1)
+        assert grads.w_proj.shape == (6, 4)
+        assert grads.b_proj.shape == (4,)
+        assert grads.pool.w_tok.shape == (4, 1)
+        assert grads.pool.w_bal.shape == (4, 1)
+        assert grads.spec == params.spec
         assert d_f.shape == f.shape
 
 
@@ -162,8 +170,8 @@ class TestBatch:
         d_emb = rng.standard_normal(emb.shape)
         grads, d_features = batch_vjp(cache, d_emb)
         assert [g.shape for g in d_features] == [f.shape for f in features]
-        assert grads["b_proj"].shape == (4,)
-        assert grads["w_tok"].shape == grads["w_bal"].shape == (4, 1)
+        assert grads.b_proj.shape == (4,)
+        assert grads.pool.w_tok.shape == grads.pool.w_bal.shape == (4, 1)
 
         def alone(f, d_e):  # the B=1 batch
             return batch_vjp(batch_forward([f], params)[1], d_e[None, :])
@@ -172,10 +180,27 @@ class TestBatch:
         for f, d_e, d_f in zip(features, d_emb, d_features):
             d_f_alone = alone(f, d_e)[1][0]
             np.testing.assert_allclose(d_f, d_f_alone, rtol=0, atol=1e-14)
-        total = {k: sum(alone(f, d_e)[0][k]
-                        for f, d_e in zip(features, d_emb)) for k in grads}
-        for k in grads:
-            np.testing.assert_allclose(grads[k], total[k], rtol=0, atol=1e-13)
+        named = _named(grads)
+        total = {k: sum(_named(alone(f, d_e)[0])[k]
+                        for f, d_e in zip(features, d_emb)) for k in named}
+        for k in named:
+            np.testing.assert_allclose(named[k], total[k], rtol=0, atol=1e-13)
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
+    def test_gradients_have_the_model_layout(self, spec):
+        rng = np.random.default_rng(12)
+        model = BiEncoder(init_encoder_params(rng, 6, 4, spec),
+                          init_encoder_params(rng, 5, 4, spec))
+        lengths = [max(m, spec.k or 1) for m in (3, 1, 7)]
+        texts = [rng.standard_normal((m, 5)) for m in lengths]
+        images = [rng.standard_normal((m, 6)) for m in lengths[::-1]]
+        d_s = rng.standard_normal((3, 3))
+        _, _, grads = batch_step(model, texts, images,
+                                 lambda s: (0.0, d_s, None))
+        assert ({k: g.shape for k, g in grads.items()}
+                == {k: p.shape for k, p in model.tensors().items()})
 
 
 class TestBiEncoderPersistence:
@@ -195,7 +220,7 @@ class TestBiEncoderPersistence:
         assert np.array_equal(rebuilt.text.pool.w_tok, model.text.pool.w_tok)
 
     def test_missing_tensor_raises(self):
-        with pytest.raises(DimensionError, match="missing tensor"):
+        with pytest.raises(DataError, match="missing tensor 'visual.w_proj'"):
             BiEncoder.from_tensors({}, PoolingSpec("mean"), PoolingSpec("mean"))
 
     def test_init_shapes_and_zero_pooling_weights(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from adret import training
 from adret.data import SyntheticCorpusConfig, generate_splits
 from adret.encoders import BiEncoder, init_encoder_params
 from adret.errors import ConfigError, TrainingDivergedError
@@ -147,6 +148,31 @@ class TestTrainLoop:
         s = np.eye(4) * 0.9
         loss, grad = hard_triplet_loss(s, 0.0)
         assert loss == 0.0 and np.array_equal(grad, np.zeros((4, 4)))
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestBenchmarkHooks:
+    def test_train_calls_lr_at_and_validation_once_per_epoch(self,
+                                                            monkeypatch):
+        # perfbench cuts each epoch at the module-global training.lr_at and
+        # times validation through training._validation_rsum; without these
+        # calls it would split epoch time evenly and stop timing validation
+        calls = []
+        for name in ("lr_at", "_validation_rsum"):
+            monkeypatch.setattr(training, name,
+                                _counting(calls, name, getattr(training, name)))
+        splits, model, cfg = _small_setup(epochs=3)
+        train(splits["train"], model, cfg, splits["val"])
+        assert calls == ["lr_at", "_validation_rsum"] * 3
+        calls.clear()
+        train(splits["train"], model, cfg)
+        assert calls == ["lr_at"] * 3
 
 
 class TestTrainLogSerialization:
