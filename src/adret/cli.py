@@ -118,6 +118,16 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _load_model(params_path: str, visual_spec: PoolingSpec,
+                text_spec: PoolingSpec) -> BiEncoder:
+    """The model a parameter file holds; its DataErrors name the file."""
+    tensors = load_tensors(params_path)
+    try:
+        return BiEncoder.from_tensors(tensors, visual_spec, text_spec)
+    except DataError as exc:
+        raise DataError(f"{params_path}: {exc}") from None
+
+
 def _cache_key(cfg: ExperimentConfig, params_path: str) -> str:
     """What cached test embeddings depend on: the parameter file, both
     test-split files and the pooling specs (params.bin does not name the
@@ -151,8 +161,7 @@ def _encode_test_split(cfg: ExperimentConfig, params_path: str, corpus,
             log.info("cache hit: reusing embeddings %s / %s", cache_t, cache_v)
             return (_read_cached(cache_t, corpus.texts),
                     _read_cached(cache_v, corpus.images))
-    tensors = load_tensors(params_path)
-    model = BiEncoder.from_tensors(tensors, cfg.visual_pooling, cfg.text_pooling)
+    model = _load_model(params_path, cfg.visual_pooling, cfg.text_pooling)
     t_emb = encode_all(corpus.texts, model.text)
     v_emb = encode_all(corpus.images, model.visual)
     if cache_embeddings:
@@ -210,7 +219,7 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
         manual_mode=modality if method == "manual" else None,
         weights=weights)
     if params_path:
-        model = BiEncoder.from_tensors(load_tensors(params_path), spec, spec)
+        model = _load_model(params_path, spec, spec)
         params = getattr(model, modality).pool
     else:
         params = PoolParams.zeros(matrix.shape[1])

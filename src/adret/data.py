@@ -137,9 +137,16 @@ def load_corpus(directory: str, split: str) -> Corpus:
     meta_path = os.path.join(directory, f"{split}_meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
-            groups = json.load(fh)["groups"]
+            meta = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"missing corpus sidecar {meta_path}; run generate first")
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{meta_path}: corpus sidecar is not JSON: {exc}") from None
+    groups = meta.get("groups") if isinstance(meta, dict) else None
+    if not (isinstance(groups, dict)
+            and all(isinstance(g, str) for g in groups.values())):
+        raise DataError(f"{meta_path}: corpus sidecar must be "
+                        '{"groups": {instance id: group id}}')
 
     def read(name: str) -> tuple:
         path = os.path.join(directory, f"{split}_{name}.bin")

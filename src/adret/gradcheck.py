@@ -27,13 +27,11 @@ import numpy as np
 from . import pooling
 from .encoders import BiEncoder, EncoderParams, batch_forward, batch_vjp, project
 from .objectives import (
-    adaptive_k,
-    alignment,
+    adopt_loss,
     hard_triplet_loss,
     info_nce_loss,
     negatives_only_info_nce,
     select_negatives,
-    uniformity,
 )
 from .pooling import PoolParams, PoolingSpec
 from .tensor import (
@@ -122,24 +120,21 @@ def _loss_op(name: str, loss_of) -> DiffOp:
 
 def _triplet_safe(s: np.ndarray, margin: float) -> bool:
     """True when every hinge argument and argmax gap clears the kink zone."""
-    b = s.shape[0]
-    masked = np.where(np.eye(b, dtype=bool), -np.inf, s)
-    row_sorted = -np.sort(-masked, axis=1)
-    col_sorted = -np.sort(-masked.T, axis=1)
-    gap = min(float((row_sorted[:, 0] - row_sorted[:, 1]).min()),
-              float((col_sorted[:, 0] - col_sorted[:, 1]).min()))
-    diag = np.diag(s)
-    hinge = np.concatenate([margin - diag + row_sorted[:, 0],
-                            margin - diag + col_sorted[:, 0]])
-    return gap > _KINK_CLEARANCE and float(np.abs(hinge).min()) > _KINK_CLEARANCE
+    sel = select_negatives(s, 2)
+    top = np.concatenate([np.take_along_axis(s, sel.text_to_image, axis=1),
+                          np.take_along_axis(s.T, sel.image_to_text, axis=1)])
+    hinge = margin - np.tile(np.diag(s), 2) + top[:, 0]
+    return (float((top[:, 0] - top[:, 1]).min()) > _KINK_CLEARANCE
+            and float(np.abs(hinge).min()) > _KINK_CLEARANCE)
 
 
-def _safe_triplet_matrix(rng: np.random.Generator, b: int, margin: float) -> np.ndarray:
+def _kink_free(draw, similarity, margin: float):
+    """The first of up to 100 ``draw()``s whose similarity is triplet-safe."""
     for _ in range(100):
-        s = rng.uniform(-1.0, 1.0, size=(b, b))
-        if _triplet_safe(s, margin):
-            return s
-    raise RuntimeError("could not draw a kink-free triplet test matrix")
+        x = draw()
+        if _triplet_safe(similarity(x), margin):
+            return x
+    raise RuntimeError("could not draw a kink-free triplet test point")
 
 
 def _pipeline_check(name: str, loss_of, texts, images, model: BiEncoder):
@@ -219,7 +214,8 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
     margin = 0.2
     checks.append((_loss_op("hard_triplet_loss",
                             lambda sm: hard_triplet_loss(sm, margin)),
-                   [_safe_triplet_matrix(rng, 5, margin)]))
+                   [_kink_free(lambda: rng.uniform(-1.0, 1.0, size=(5, 5)),
+                               lambda s: s, margin)]))
 
     s = rng.uniform(-1.0, 1.0, size=(6, 6))
     sel = select_negatives(s, 3)
@@ -258,19 +254,14 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
     # the adaptive objective at the K its schedule picks for this batch
     model = draw_model()
     s0 = _similarity(model, texts, images)
-    adaptive_sel = select_negatives(
-        s0, adaptive_k(alignment(s0), uniformity(s0), b))
+    adaptive_sel = select_negatives(s0, adopt_loss(s0, 0.5)[1].k_selected)
     checks.append(_pipeline_check(
         "pipeline[encode->adopt]",
         lambda sm: (*negatives_only_info_nce(sm, adaptive_sel, 0.5), None),
         texts, images, model))
 
-    for _ in range(100):
-        model = draw_model()
-        if _triplet_safe(_similarity(model, texts, images), margin):
-            break
-    else:
-        raise RuntimeError("could not draw kink-free pipeline parameters")
+    model = _kink_free(draw_model, lambda m: _similarity(m, texts, images),
+                       margin)
     checks.append(_pipeline_check(
         "pipeline[encode->hard_triplet]",
         lambda sm: (*hard_triplet_loss(sm, margin), None),

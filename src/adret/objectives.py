@@ -1,13 +1,13 @@
 """Training objectives over a batch similarity matrix.
 
 The similarity matrix S is square with text anchors on rows, images on
-columns, and positives on the diagonal. Two loss families are provided:
-
-  - hard triplet: hinge with margin against the single hardest in-batch
-    negative, in both retrieval directions, summed over the batch.
-  - InfoNCE over a selected negative set, averaged over the batch, in both
-    directions. The denominator includes the positive term alongside the
-    selected negatives, which keeps the loss nonnegative and saturating.
+columns, and positives on the diagonal. Every loss contrasts each anchor,
+in both retrieval directions, with its K hardest in-batch negatives, picked
+by one ranking (``select_negatives``); one kernel gathers them, runs the
+loss's per-anchor term and scatters the gradient back. The hard triplet is
+the K = 1 hinge with margin, summed over the batch; InfoNCE is averaged
+over the batch, and its saturating form puts the positive in the
+denominator next to the negatives, which keeps it nonnegative.
 
 The adaptive variant re-derives the negative-set size K every batch from two
 batch statistics: alignment (mean positive similarity) and uniformity
@@ -15,8 +15,8 @@ batch statistics: alignment (mean positive similarity) and uniformity
 treated as plain numbers; no gradient flows through the schedule. A cosine
 ramp maps their sum onto K, so an untrained batch (sum near 0) uses nearly
 all in-batch negatives and a mature one (sum near 2) only the hardest one.
-
-Each loss returns its gradient with respect to S alongside the value.
+``batch_loss`` maps each loss mode onto its K. Each loss returns its
+gradient with respect to S alongside the value.
 """
 
 from __future__ import annotations
@@ -80,33 +80,6 @@ def _square(s: Array, name: str) -> Array:
     return s
 
 
-def hard_triplet_loss(s: Array, margin: float) -> tuple[float, Array]:
-    """Hinge against the hardest in-batch negative, both directions, summed.
-
-    Subgradient convention: an exactly-zero hinge contributes no gradient.
-    """
-    s = _square(s, "similarity matrix")
-    b = s.shape[0]
-    if b < 2:
-        raise ValueError("hard_triplet_loss needs a batch of at least 2")
-    idx = np.arange(b)
-    masked = np.where(np.eye(b, dtype=bool), -np.inf, s)
-    jhat = masked.argmax(axis=1)  # hardest negative image per text anchor
-    ihat = masked.argmax(axis=0)  # hardest negative text per image anchor
-    diag = s[idx, idx]
-    h_row = margin - diag + s[idx, jhat]
-    h_col = margin - diag + s[ihat, idx]
-    act_row = h_row > 0
-    act_col = h_col > 0
-    loss = float(h_row[act_row].sum() + h_col[act_col].sum())
-    grad = np.zeros_like(s)
-    np.add.at(grad, (idx[act_row], jhat[act_row]), 1.0)
-    np.add.at(grad, (idx[act_row], idx[act_row]), -1.0)
-    np.add.at(grad, (ihat[act_col], idx[act_col]), 1.0)
-    np.add.at(grad, (idx[act_col], idx[act_col]), -1.0)
-    return loss, grad
-
-
 def alignment(s: Array) -> float:
     """Mean similarity of the positive pairs (the diagonal)."""
     return _alignment(_square(s, "similarity matrix"))
@@ -157,46 +130,77 @@ def select_negatives(s: Array, k: int) -> NegativeSelection:
     b = s.shape[0]
     if not 1 <= k <= b - 1:
         raise ValueError(f"select_negatives: k={k} outside [1, {b - 1}]")
-    flipped = -np.where(np.eye(b, dtype=bool), -np.inf, s)
-    return NegativeSelection(np.argsort(flipped, axis=1, kind="stable")[:, :k],
-                             np.argsort(flipped.T, axis=1, kind="stable")[:, :k])
+    masked = np.where(np.eye(b, dtype=bool), -np.inf, s)
+    if k == 1:  # the stable order's first column, ties included, unsorted
+        return NegativeSelection(masked.argmax(axis=1)[:, None],
+                                 masked.argmax(axis=0)[:, None])
+    return NegativeSelection(np.argsort(-masked, axis=1, kind="stable")[:, :k],
+                             np.argsort(-masked.T, axis=1, kind="stable")[:, :k])
 
 
-def _contrastive(s: Array, sel: NegativeSelection, temperature: float,
-                 positive_in_denominator: bool) -> tuple[float, Array]:
-    """Per anchor logsumexp(z) - pos/tau, z = selected negatives / tau with
-    pos/tau in front for the saturating form. Image anchors use ``s.T`` and
-    ``grad.T``; a row of indices has no repeats, so put_along_axis is exact."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:
+    """Sum ``term(pos, negs) -> (summed loss, d_pos, d_negs)`` over text
+    anchors (``s``, ``grad``) and image anchors (``s.T``, ``grad.T``), where
+    ``negs`` holds the selected similarities; a row of indices has no
+    repeats, so put_along_axis scatters exactly."""
     s = _square(s, "similarity matrix")
     b = s.shape[0]
     if len(sel.text_to_image) != b or len(sel.image_to_text) != b:
         raise DimensionError(
             f"selection covers {len(sel.text_to_image)} anchors, batch is {b}")
     idx = np.arange(b)
-    scale = b * temperature
-    pos = s[idx, idx] / temperature
+    pos = s[idx, idx]
     grad = np.zeros_like(s)
     loss = 0.0
     for sims, g, negs in ((s, grad, sel.text_to_image),
                           (s.T, grad.T, sel.image_to_text)):
-        z = np.take_along_axis(sims, negs, axis=1) / temperature
+        value, d_pos, d_negs = term(pos, np.take_along_axis(sims, negs, axis=1))
+        loss += value
+        grad[idx, idx] += d_pos
+        np.put_along_axis(g, negs, np.take_along_axis(g, negs, axis=1) + d_negs,
+                          axis=1)
+    return loss, grad
+
+
+def hard_triplet_loss(s: Array, margin: float) -> tuple[float, Array]:
+    """Hinge against the hardest in-batch negative, both directions, summed.
+
+    Subgradient convention: an exactly-zero hinge contributes no gradient.
+    """
+    s = as_matrix(s, "similarity matrix")
+    if s.shape[0] < 2:
+        raise ValueError("hard_triplet_loss needs a batch of at least 2")
+
+    def hinge(pos, negs):
+        h = margin - pos + negs[:, 0]
+        act = h > 0
+        return float(h[act].sum()), -1.0 * act, 1.0 * act[:, None]
+
+    return _contrastive(s, select_negatives(s, 1), hinge)
+
+
+def _logsumexp(temperature: float, positive_in_denominator: bool):
+    """The InfoNCE term: per anchor logsumexp(z) - pos/tau, z = selected
+    negatives / tau with pos/tau in front for the saturating form."""
+    if temperature <= 0:
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
+
+    def term(pos, negs):
+        scale = len(pos) * temperature
+        pos = pos / temperature
+        z = negs / temperature
         if positive_in_denominator:
             z = np.concatenate((pos[:, None], z), axis=1)
         zmax = z.max(axis=1, keepdims=True)
         e = np.exp(z - zmax)
         total = e.sum(axis=1, keepdims=True)
-        loss += float(np.sum(zmax[:, 0] + np.log(total[:, 0]) - pos))
+        loss = float(np.sum(zmax[:, 0] + np.log(total[:, 0]) - pos))
         p = e / total
         if positive_in_denominator:
-            grad[idx, idx] += (p[:, 0] - 1.0) / scale
-            p = p[:, 1:]
-        else:
-            grad[idx, idx] -= 1.0 / scale
-        np.put_along_axis(g, negs, np.take_along_axis(g, negs, axis=1) + p / scale,
-                          axis=1)
-    return loss / b, grad
+            return loss, (p[:, 0] - 1.0) / scale, p[:, 1:] / scale
+        return loss, -1.0 / scale, p / scale
+
+    return term
 
 
 def info_nce_loss(s: Array, sel: NegativeSelection,
@@ -207,7 +211,8 @@ def info_nce_loss(s: Array, sel: NegativeSelection,
     computed via logsumexp. Each direction is averaged over the batch and the
     two directions are summed.
     """
-    return _contrastive(s, sel, temperature, positive_in_denominator=True)
+    loss, grad = _contrastive(s, sel, _logsumexp(temperature, True))
+    return loss / len(grad), grad
 
 
 def negatives_only_info_nce(s: Array, sel: NegativeSelection,
@@ -220,7 +225,8 @@ def negatives_only_info_nce(s: Array, sel: NegativeSelection,
     sustained pull is what makes the adaptive objective keep tightening
     positive pairs after the hinge-style losses have gone quiet.
     """
-    return _contrastive(s, sel, temperature, positive_in_denominator=False)
+    loss, grad = _contrastive(s, sel, _logsumexp(temperature, False))
+    return loss / len(grad), grad
 
 
 def adopt_loss(s: Array, temperature: float) -> tuple[float, BatchMaturity, Array]:
@@ -246,3 +252,15 @@ def adopt_loss(s: Array, temperature: float) -> tuple[float, BatchMaturity, Arra
     sel = select_negatives(s, k)
     loss, grad = negatives_only_info_nce(s, sel, temperature)
     return loss, BatchMaturity(gamma_a, gamma_u, k), grad
+
+
+def batch_loss(s: Array, cfg: LossConfig) -> tuple[float, Array, Optional[BatchMaturity]]:
+    """(loss, d_loss/d_s, maturity or None) of the configured loss, whose K
+    is 1 (hard-triplet), min(fixed_k, B - 1) or adaptive_k's pick."""
+    if cfg.mode == "infonce-adaptive":
+        loss, maturity, grad = adopt_loss(s, cfg.temperature)
+        return loss, grad, maturity
+    if cfg.mode == "hard-triplet":
+        return (*hard_triplet_loss(s, cfg.margin), None)
+    sel = select_negatives(s, min(cfg.fixed_k, len(s) - 1))
+    return (*info_nce_loss(s, sel, cfg.temperature), None)

@@ -1,4 +1,4 @@
-"""Mini-batch training loop: Adam, stepped learning-rate decay, loss dispatch.
+"""Mini-batch training loop: Adam, stepped learning-rate decay, the batch step.
 
 Batches pair each image with one caption sampled fresh every epoch, so the
 in-batch positives are strictly one-to-one. The loop is single-threaded and
@@ -18,7 +18,7 @@ import numpy as np
 from .data import Corpus, ground_truth
 from .encoders import BiEncoder, batch_forward, batch_vjp
 from .errors import ConfigError, TrainingDivergedError
-from .objectives import LossConfig, adopt_loss, hard_triplet_loss, info_nce_loss, select_negatives
+from .objectives import LossConfig, batch_loss
 from .tensor import Array
 
 ADAM_BETA1 = 0.9
@@ -135,20 +135,6 @@ def k_history(log: TrainLog) -> list[tuple[int, int]]:
     return [(r.iteration, r.k) for r in log.records]
 
 
-def _batch_loss(s: Array, loss_cfg: LossConfig):
-    """Dispatch to the configured loss; returns (loss, grad, maturity-or-None)."""
-    if loss_cfg.mode == "hard-triplet":
-        loss, grad = hard_triplet_loss(s, loss_cfg.margin)
-        return loss, grad, None
-    if loss_cfg.mode == "infonce-adaptive":
-        loss, maturity, grad = adopt_loss(s, loss_cfg.temperature)
-        return loss, grad, maturity
-    k = min(loss_cfg.fixed_k, s.shape[0] - 1)
-    sel = select_negatives(s, k)
-    loss, grad = info_nce_loss(s, sel, loss_cfg.temperature)
-    return loss, grad, None
-
-
 def batch_step(model: BiEncoder, text_features, image_features, loss_of):
     """Encode both sides, score ``s = T @ V.T``, take ``loss_of(s)`` and
     backpropagate it through one batched encoder pass per side.
@@ -202,7 +188,7 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
                      for j, img in enumerate(images)]
             loss, maturity, grads = batch_step(
                 model, [t.features for t in texts], [i.features for i in images],
-                lambda s: _batch_loss(s, cfg.loss))
+                lambda s: batch_loss(s, cfg.loss))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {iteration}")

@@ -157,6 +157,17 @@ class TestTrain:
         assert path in err and "at byte 39" in err
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
+    @pytest.mark.parametrize("content", ["", '{"x": 1}', '{"groups": 5}',
+                                         "[1, 2]"])
+    def test_malformed_sidecar_is_data_error(self, tmp_path, capsys, content):
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        path = os.path.join(out, "corpus", "train_meta.json")
+        with open(path, "w") as fh:
+            fh.write(content)
+        assert main(["train", "--config", cfg]) == 2
+        assert path in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["lr = nan", "temperature = inf",
                                       "margin = -inf", "lr_decay_factor = nan"])
     def test_non_finite_hyperparameter_is_config_error(self, tmp_path, capsys,
@@ -284,13 +295,14 @@ class TestEval:
         assert main(["inspect-pool", matrix, "--params", params]) == 0
         zero, learned = capsys.readouterr().out.splitlines()
         assert zero != learned  # the trained text pooling weights were read
+        bad = str(tmp_path / "bad.bin")
         tensors = load_tensors(params)
         del tensors["text.w_tok"]
-        save_tensors(params, tensors)
-        for argv in (["eval", "--config", cfg],
-                     ["inspect-pool", matrix, "--params", params]):
+        save_tensors(bad, tensors)
+        for argv in (["eval", "--config", cfg, "--ensemble", params, bad],
+                     ["inspect-pool", matrix, "--params", bad]):
             assert main(argv) == 2
-            assert "missing tensor 'text.w_tok'" in capsys.readouterr().err
+            assert f"{bad}: missing tensor 'text.w_tok'" in capsys.readouterr().err
 
     def test_collapsed_params_hit_numerical_exit(self, trained):
         cfg, out = trained

@@ -12,10 +12,12 @@ import pytest
 from adret import objectives
 from adret.errors import ConfigError, EvaluationError
 from adret.objectives import (
+    BatchMaturity,
     LossConfig,
     adaptive_k,
     adopt_loss,
     alignment,
+    batch_loss,
     hard_triplet_loss,
     info_nce_loss,
     negatives_only_info_nce,
@@ -37,6 +39,23 @@ def _triplet_oracle(s, margin):
         total += max(0.0, margin - s[i][i] + hardest_col[0])
         total += max(0.0, margin - s[i][i] + hardest_row[0])
     return total
+
+
+def _triplet_grad_oracle(s, margin):
+    """dL/dS of the hard triplet: +1 on each active hinge's hardest negative
+    (the smaller index on a tie), -1 on its positive."""
+    b = len(s)
+    grad = [[0.0] * b for _ in range(b)]
+    for i in range(b):
+        j = -max((s[i][j], -j) for j in range(b) if j != i)[1]
+        if margin - s[i][i] + s[i][j] > 0:
+            grad[i][j] += 1.0
+            grad[i][i] -= 1.0
+        j = -max((s[j][i], -j) for j in range(b) if j != i)[1]
+        if margin - s[i][i] + s[j][i] > 0:
+            grad[j][i] += 1.0
+            grad[i][i] -= 1.0
+    return np.array(grad)
 
 
 def _select_oracle(s, k):
@@ -137,6 +156,20 @@ class TestHardTriplet:
             assert loss >= 0.0
             assert (loss == 0.0) == np.array_equal(grad, np.zeros_like(grad))
 
+    def test_tied_hardest_negatives_pick_the_smaller_index(self):
+        # row 0 ties columns 1 and 2, column 0 ties rows 1 and 2
+        s = np.array([[0.5, 0.6, 0.6], [0.6, 0.5, 0.1], [0.6, 0.1, 0.5]])
+        _, grad = hard_triplet_loss(s, 0.2)
+        assert np.array_equal(grad, [[-2.0, 2.0, 1.0],
+                                     [2.0, -2.0, 0.0],
+                                     [1.0, 0.0, -2.0]])
+
+    def test_gradient_matches_oracle_on_ties(self):
+        s = np.round(np.random.default_rng(14).uniform(-1, 1, size=(64, 64)), 1)
+        loss, grad = hard_triplet_loss(s, 0.2)
+        assert abs(loss - _triplet_oracle(s.tolist(), 0.2)) <= 1e-12
+        assert np.array_equal(grad, _triplet_grad_oracle(s.tolist(), 0.2))
+
     def test_tiny_batch_rejected(self):
         with pytest.raises(ValueError):
             hard_triplet_loss([[1.0]], 0.2)
@@ -220,12 +253,16 @@ class TestSelectNegatives:
             assert np.array_equal(sel.text_to_image, t2i)
             assert np.array_equal(sel.image_to_text, i2t)
         s = np.round(rng.uniform(-1, 1, size=(250, 250)), 2)  # many ties
-        for k in (1, 249):
+        hardest = select_negatives(s, 1)
+        for k in (1, 2, 249):
             sel = select_negatives(s, k)
             t2i, i2t = _select_oracle(s.tolist(), k)
             assert sel.text_to_image.shape == sel.image_to_text.shape == (250, k)
             assert np.array_equal(sel.text_to_image, t2i)
             assert np.array_equal(sel.image_to_text, i2t)
+            # k = 1 takes an unsorted path: it must be every ranking's head
+            assert np.array_equal(sel.text_to_image[:, :1], hardest.text_to_image)
+            assert np.array_equal(sel.image_to_text[:, :1], hardest.image_to_text)
 
     def test_never_contains_positive_and_no_duplicates(self):
         rng = np.random.default_rng(6)
@@ -378,6 +415,33 @@ class TestAdoptLoss:
         _, maturity, _ = adopt_loss(s, 0.05)
         assert 0.0 <= maturity.gamma_align <= 1.0
         assert 0.0 <= maturity.gamma_uniform <= 1.0
+
+
+class TestBatchLoss:
+    def test_each_mode_equals_its_direct_call(self):
+        s = np.random.default_rng(16).uniform(-1, 1, size=(6, 6))
+        loss, grad, maturity = batch_loss(s, LossConfig("hard-triplet", margin=0.3))
+        assert (loss, maturity) == (hard_triplet_loss(s, 0.3)[0], None)
+        assert np.array_equal(grad, hard_triplet_loss(s, 0.3)[1])
+        loss, grad, maturity = batch_loss(
+            s, LossConfig("infonce-fixed", temperature=0.1, fixed_k=3))
+        ref_loss, ref_grad = info_nce_loss(s, select_negatives(s, 3), 0.1)
+        assert (loss, maturity) == (ref_loss, None)
+        assert np.array_equal(grad, ref_grad)
+        loss, grad, maturity = batch_loss(
+            s, LossConfig("infonce-adaptive", temperature=0.1))
+        ref_loss, ref_maturity, ref_grad = adopt_loss(s, 0.1)
+        assert (loss, maturity) == (ref_loss, ref_maturity)
+        assert isinstance(maturity, BatchMaturity)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_fixed_k_is_clamped_to_the_batch(self):
+        s = np.random.default_rng(17).uniform(-1, 1, size=(3, 3))
+        loss, grad, _ = batch_loss(
+            s, LossConfig("infonce-fixed", temperature=0.1, fixed_k=10))
+        ref_loss, ref_grad = info_nce_loss(s, select_negatives(s, 2), 0.1)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestLossConfig:

@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Run the adret CLI end to end for every loss mode and pooling method, then
+# `adret gradcheck --seed 3`, and print one `sha256  path` line per output.
+#
+# Each of the 18 runs (3 losses x 6 poolers) generates a 120/30/30-group
+# corpus, trains 3 epochs at batch size 32 and evaluates with 2 folds. Paths
+# are printed relative to OUT_DIR, so two source trees compare with diff:
+#
+#   tools/output_digests.sh old/src /tmp/old > old.txt
+#   tools/output_digests.sh new/src /tmp/new > new.txt
+#   diff old.txt new.txt
+#
+# SRC_DIR is the directory that holds the adret package (a checkout's src/).
+# OUT_DIR must not exist yet or be empty. Takes about a minute on 2 cores.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC_DIR OUT_DIR" >&2
+    exit 1
+fi
+src=$(cd "$1" && pwd)
+[ -f "$src/adret/__init__.py" ] || { echo "$0: no adret package in $src" >&2; exit 1; }
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+[ -z "$(ls -A "$out")" ] || { echo "$0: $out is not empty" >&2; exit 1; }
+
+export PYTHONPATH="$src" ADRET_LOG=error
+export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+adret() { python3 -m adret.cli "$@"; }
+
+for loss in hard-triplet infonce-adaptive infonce-fixed; do
+    for pool in mean max kmax adpool manual fixed-balance; do
+        run="$out/$loss-$pool"
+        mkdir "$run"
+        case $pool in
+            kmax) option="k = 3" ;;
+            fixed-balance) option="weights = 0.75, 0.25" ;;
+            *) option="" ;;
+        esac
+        cat > "$run/exp.ini" <<INI
+[corpus]
+seed = 1234
+train_groups = 120
+val_groups = 30
+test_groups = 30
+
+[pooling.visual]
+method = $pool
+$option
+
+[pooling.text]
+method = $pool
+$option
+
+[train]
+seed = 7
+batch_size = 32
+epochs = 3
+loss = $loss
+fixed_k = 10
+
+[eval]
+folds = 2
+
+[output]
+dir = $run
+INI
+        adret generate --config "$run/exp.ini" > "$run/generate.out"
+        adret train --config "$run/exp.ini" > "$run/train.out"
+        adret eval --config "$run/exp.ini" > "$run/eval.out"
+    done
+done
+adret gradcheck --seed 3 > "$out/gradcheck.out"
+
+cd "$out"
+find . -type f ! -name exp.ini | LC_ALL=C sort | xargs sha256sum
