@@ -2,8 +2,8 @@
 negative sampling, runnable end to end on a synthetic paired corpus."""
 
 from .data import Corpus, RawInstance, SyntheticCorpusConfig, generate_corpus, ground_truth
-from .encoders import BiEncoder, EncoderParams, encode, init_encoder_params, project
-from .evaluation import EmbeddingSet, RetrievalResult, ensemble_similarity, evaluate, recall_at_k
+from .encoders import BiEncoder, EncoderParams, encode, init_encoder_params, project, split_scores
+from .evaluation import RetrievalResult, ensemble_similarity, evaluate_scores, recall_at_k
 from .objectives import (
     BatchMaturity,
     LossConfig,
@@ -31,6 +31,6 @@ from .pooling import (
     token_level_adpool,
 )
 from .tensor import DiffOp, GradCheckReport, finite_diff_check
-from .training import AdamState, TrainConfig, TrainLog, adam_step, k_history, lr_at, train
+from .training import AdamState, TrainConfig, TrainLog, adam_step, lr_at, train
 
 __version__ = "0.1.0"

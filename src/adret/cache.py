@@ -23,7 +23,6 @@ process never leaves a partially-written file under the final name.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import tempfile
@@ -164,12 +163,6 @@ def cache_read(path: str) -> tuple[Array, list[str]]:
     return matrix, [name for name, n in runs for _ in range(n)]
 
 
-def file_sha256(path: str) -> bytes:
-    """sha256 digest of a file's bytes; DataError if it is missing."""
-    with _reading(path) as data:
-        return hashlib.sha256(data).digest()
-
-
 def save_tensors(path: str, tensors: dict[str, Array]) -> None:
     """Write named 2-D tensors as concatenated blobs, sorted by name."""
     parts = [encode_blob([tensors[name]], [name], [1]) for name in sorted(tensors)]
@@ -181,9 +174,13 @@ def load_tensors(path: str) -> dict[str, Array]:
     with _reading(path) as data:
         offset = 0
         while offset < len(data):
+            start = offset
             matrix, runs, offset = decode_runs(data, offset)
             if [n for _, n in runs] != [1]:
                 raise FormatError(f"tensor blob ending at byte {offset} must carry "
                                   f"exactly one name, got {sum(n for _, n in runs)}")
+            if runs[0][0] in tensors:
+                raise FormatError(f"duplicate tensor name {runs[0][0]!r} in the "
+                                  f"blob at byte {start}")
             tensors[runs[0][0]] = matrix
     return tensors

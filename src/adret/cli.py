@@ -12,7 +12,6 @@ any other value is a configuration error).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -20,17 +19,10 @@ import sys
 
 import numpy as np
 
-from .cache import (
-    atomic_write_text,
-    cache_read,
-    cache_write,
-    file_sha256,
-    load_tensors,
-    save_tensors,
-)
+from .cache import atomic_write_text, cache_read, load_tensors, save_tensors
 from .config import ExperimentConfig, load_config, parse_weights
 from .data import generate_splits, ground_truth, load_corpus, save_corpus
-from .encoders import BiEncoder, encode_all, init_encoder_params
+from .encoders import BiEncoder, init_encoder_params, split_scores
 from .errors import (
     ConfigError,
     DataError,
@@ -44,7 +36,6 @@ from .evaluation import ensemble_similarity, evaluate_scores_folds
 from .gradcheck import run_all
 from .objectives import LOSS_MODES
 from .pooling import POOL_METHODS, PoolParams, PoolingSpec, pool_forward
-from .tensor import cosine_sim_matrix
 from .training import train
 
 log = logging.getLogger("adret")
@@ -128,65 +119,15 @@ def _load_model(params_path: str, visual_spec: PoolingSpec,
         raise DataError(f"{params_path}: {exc}") from None
 
 
-def _cache_key(cfg: ExperimentConfig, params_path: str) -> str:
-    """What cached test embeddings depend on: the parameter file, both
-    test-split files and the pooling specs (params.bin does not name the
-    pooler)."""
-    key = hashlib.sha256()
-    for path in (params_path, os.path.join(cfg.corpus_dir, "test_visual.bin"),
-                 os.path.join(cfg.corpus_dir, "test_text.bin")):
-        key.update(file_sha256(path))
-    key.update(repr((cfg.visual_pooling, cfg.text_pooling)).encode("utf-8"))
-    return key.hexdigest()
-
-
-def _read_cached(path: str, instances):
-    matrix, ids = cache_read(path)
-    if ids != [inst.id for inst in instances]:
-        raise DataError(f"{path}: cached ids do not match the test split's ids")
-    return matrix
-
-
-def _encode_test_split(cfg: ExperimentConfig, params_path: str, corpus,
-                       cache_embeddings: bool, index: int):
-    """Encode the test split, or reuse embeddings cached under the same key."""
-    cache_t = os.path.join(cfg.output_dir, f"cache_test_text_{index}.bin")
-    cache_v = os.path.join(cfg.output_dir, f"cache_test_visual_{index}.bin")
-    cache_key = os.path.join(cfg.output_dir, f"cache_test_key_{index}.txt")
-    key = _cache_key(cfg, params_path) if cache_embeddings else None
-    if key and all(map(os.path.exists, (cache_t, cache_v, cache_key))):
-        with open(cache_key, "r", encoding="utf-8", errors="replace") as fh:
-            hit = fh.read() == key
-        if hit:
-            log.info("cache hit: reusing embeddings %s / %s", cache_t, cache_v)
-            return (_read_cached(cache_t, corpus.texts),
-                    _read_cached(cache_v, corpus.images))
-    model = _load_model(params_path, cfg.visual_pooling, cfg.text_pooling)
-    t_emb = encode_all(corpus.texts, model.text)
-    v_emb = encode_all(corpus.images, model.visual)
-    if cache_embeddings:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        cache_write(cache_t, t_emb, [t.id for t in corpus.texts])
-        cache_write(cache_v, v_emb, [i.id for i in corpus.images])
-        atomic_write_text(cache_key, key)  # last: it vouches for both files
-        log.info("cached embeddings to %s / %s", cache_t, cache_v)
-    return t_emb, v_emb
-
-
-def cmd_eval(cfg: ExperimentConfig, params_paths: list[str],
-             cache_embeddings: bool) -> int:
+def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
     corpus = load_corpus(cfg.corpus_dir, "test")
-    truth = ground_truth(corpus)
-    text_ids = tuple(t.id for t in corpus.texts)
-    image_ids = tuple(i.id for i in corpus.images)
-    matrices = []
-    for index, path in enumerate(params_paths):
-        t_emb, v_emb = _encode_test_split(cfg, path, corpus, cache_embeddings,
-                                          index)
-        matrices.append(cosine_sim_matrix(t_emb, v_emb))
-    scores = ensemble_similarity(matrices)
-    result = evaluate_scores_folds(scores, text_ids, image_ids, truth,
-                                   cfg.eval_folds)
+    scores = ensemble_similarity([
+        split_scores(_load_model(path, cfg.visual_pooling, cfg.text_pooling),
+                     corpus)
+        for path in params_paths])
+    result = evaluate_scores_folds(scores, tuple(t.id for t in corpus.texts),
+                                   tuple(i.id for i in corpus.images),
+                                   ground_truth(corpus), cfg.eval_folds)
     os.makedirs(cfg.output_dir, exist_ok=True)
     atomic_write_text(os.path.join(cfg.output_dir, "results.json"),
                       result.to_json() + "\n")
@@ -265,8 +206,6 @@ def _build_parser() -> _Parser:
     add_config_flags(p)
     p.add_argument("--ensemble", nargs="+", metavar="PARAMS", default=None,
                    help="parameter files to ensemble (default: OUT/params.bin)")
-    p.add_argument("--cache-embeddings", action="store_true",
-                   help="reuse encoded test embeddings across eval runs")
 
     p = sub.add_parser("gradcheck", help="finite-difference check every op")
     p.add_argument("--seed", type=int, default=0)
@@ -302,7 +241,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config, seed_override=args.seed,
                               out_override=args.out)
             paths = args.ensemble or [os.path.join(cfg.output_dir, "params.bin")]
-            return cmd_eval(cfg, paths, args.cache_embeddings)
+            return cmd_eval(cfg, paths)
         if args.command == "gradcheck":
             return cmd_gradcheck(args.seed)
         if args.command == "inspect-pool":

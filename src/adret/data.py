@@ -167,7 +167,22 @@ def load_corpus(directory: str, split: str) -> Corpus:
                             f"has {len(matrix)}")
         return tuple(instances.values())
 
-    return Corpus(read("visual"), read("text"))
+    images, texts = read("visual"), read("text")
+    image_of: dict[str, str] = {}
+    for img in images:
+        if image_of.setdefault(img.group_id, img.id) != img.id:
+            raise DataError(f"{meta_path}: group {img.group_id!r} has two images, "
+                            f"{image_of[img.group_id]!r} and {img.id!r}")
+    for txt in texts:
+        if txt.group_id not in image_of:
+            raise DataError(f"{meta_path}: caption {txt.id!r} names group "
+                            f"{txt.group_id!r}, which has no image")
+    captioned = {txt.group_id for txt in texts}
+    for img in images:
+        if img.group_id not in captioned:
+            raise DataError(f"{meta_path}: image {img.id!r} has no caption in "
+                            f"group {img.group_id!r}")
+    return Corpus(images, texts)
 
 
 def ground_truth(corpus: Corpus) -> GroundTruth:

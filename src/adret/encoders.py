@@ -7,7 +7,8 @@ encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 the padded (B, M_max, d) stack (see ``pooling`` for the mask), and each
 instance's own feature gradient back. A batch row is bit-equal to encoding
 that instance alone; ``encode`` is the B=1 case, and ``encode_all`` runs the
-kernel on blocks of instances of near-equal length.
+kernel on blocks of instances of near-equal length. ``split_scores`` is the
+one way a corpus split is scored, for eval and validation alike.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RawInstance
+from .data import Corpus, RawInstance
 from .errors import DataError, DimensionError
 from .pooling import PoolingSpec, PoolParams, pool_forward, pool_vjp
 from .tensor import (
@@ -25,6 +26,7 @@ from .tensor import (
     add_row_bias_vjp,
     as_matrix,
     as_vector,
+    cosine_sim_matrix,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
     matmul,
@@ -165,3 +167,10 @@ def encode_all(instances, params: EncoderParams) -> Array:
         block = order[i:i + ENCODE_BLOCK]
         out[block] = batch_forward([features[j] for j in block], params)[0]
     return out
+
+
+def split_scores(model: BiEncoder, corpus: Corpus) -> Array:
+    """Text-by-image cosine scores of a split: rows follow ``corpus.texts``,
+    columns ``corpus.images``."""
+    return cosine_sim_matrix(encode_all(corpus.texts, model.text),
+                             encode_all(corpus.images, model.visual))

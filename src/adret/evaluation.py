@@ -19,24 +19,10 @@ from typing import Mapping, Sequence, Set
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .tensor import Array, as_matrix, cosine_sim_matrix, finite_matrix
+from .tensor import Array, as_matrix, finite_matrix
 
 RECALL_KS = (1, 5, 10)
 _BLOCK_ROWS = 256  # query rows per counting block
-
-
-@dataclass(frozen=True)
-class EmbeddingSet:
-    """Unit-normalized embeddings with their instance ids, row-aligned."""
-
-    vectors: Array
-    ids: tuple[str, ...]
-
-    def __post_init__(self):
-        v = as_matrix(self.vectors, "embeddings")
-        object.__setattr__(self, "vectors", v)
-        if len(self.ids) != v.shape[0]:
-            raise DimensionError(f"{len(self.ids)} ids for {v.shape[0]} rows")
 
 
 @dataclass(frozen=True)
@@ -145,13 +131,6 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
     return RetrievalResult(ir_r1=ir[0], ir_r5=ir[1], ir_r10=ir[2],
                            cr_r1=cr[0], cr_r5=cr[1], cr_r10=cr[2],
                            rsum=float(sum(ir) + sum(cr)))
-
-
-def evaluate(texts: EmbeddingSet, images: EmbeddingSet,
-             truth: Mapping[str, Set[str]]) -> RetrievalResult:
-    """Build the similarity table once and score both directions."""
-    scores = cosine_sim_matrix(texts.vectors, images.vectors)
-    return evaluate_scores(scores, texts.ids, images.ids, truth)
 
 
 def evaluate_scores_folds(scores: Array, text_ids: Sequence[str],

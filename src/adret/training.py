@@ -16,8 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .data import Corpus, ground_truth
-from .encoders import BiEncoder, batch_forward, batch_vjp
+from .encoders import BiEncoder, batch_forward, batch_vjp, split_scores
 from .errors import ConfigError, TrainingDivergedError
+from .evaluation import evaluate_scores
 from .objectives import LossConfig, batch_loss
 from .tensor import Array
 
@@ -128,13 +129,6 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def k_history(log: TrainLog) -> list[tuple[int, int]]:
-    """The (iteration, K) series of an adaptive-mode log."""
-    if log.mode != "infonce-adaptive":
-        raise ConfigError(f"k_history needs an adaptive-mode log, got {log.mode!r}")
-    return [(r.iteration, r.k) for r in log.records]
-
-
 def batch_step(model: BiEncoder, text_features, image_features, loss_of):
     """Encode both sides, score ``s = T @ V.T``, take ``loss_of(s)`` and
     backpropagate it through one batched encoder pass per side.
@@ -210,11 +204,7 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
 
 
 def _validation_rsum(model: BiEncoder, val_corpus: Corpus) -> float:
-    from .evaluation import EmbeddingSet, evaluate
-    from .encoders import encode_all
-
-    texts = EmbeddingSet(encode_all(val_corpus.texts, model.text),
-                         tuple(t.id for t in val_corpus.texts))
-    images = EmbeddingSet(encode_all(val_corpus.images, model.visual),
-                          tuple(i.id for i in val_corpus.images))
-    return evaluate(texts, images, ground_truth(val_corpus)).rsum
+    return evaluate_scores(split_scores(model, val_corpus),
+                           tuple(t.id for t in val_corpus.texts),
+                           tuple(i.id for i in val_corpus.images),
+                           ground_truth(val_corpus)).rsum

@@ -16,8 +16,8 @@ import pytest
 
 from adret.cli import main
 from adret.data import SyntheticCorpusConfig, generate_splits, ground_truth
-from adret.encoders import BiEncoder, encode_all, init_encoder_params
-from adret.evaluation import EmbeddingSet, evaluate, recall_at_k
+from adret.encoders import BiEncoder, init_encoder_params, split_scores
+from adret.evaluation import evaluate_scores, recall_at_k
 from adret.gradcheck import run_all
 from adret.objectives import (
     LossConfig,
@@ -74,11 +74,10 @@ def _desk_train(desk, seed, mode, spec):
 
 def _test_rsum(desk, model):
     corpus = desk["splits"]["test"]
-    texts = EmbeddingSet(encode_all(corpus.texts, model.text),
-                         tuple(t.id for t in corpus.texts))
-    images = EmbeddingSet(encode_all(corpus.images, model.visual),
-                          tuple(i.id for i in corpus.images))
-    return evaluate(texts, images, desk["test_truth"]).rsum
+    return evaluate_scores(split_scores(model, corpus),
+                           tuple(t.id for t in corpus.texts),
+                           tuple(i.id for i in corpus.images),
+                           desk["test_truth"]).rsum
 
 
 @pytest.fixture(scope="module")

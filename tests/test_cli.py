@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from adret.cache import cache_read, cache_write, load_tensors, save_tensors
+from adret.cache import cache_write, load_tensors, save_tensors
 from adret.cli import main
 
 
@@ -50,6 +50,14 @@ def _write_config(tmp_path, name="cfg.ini", **extra):
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _regroup(path, moves):
+    """Move instances of a corpus sidecar to other group ids."""
+    meta = json.loads(_read_bytes(path))
+    meta["groups"].update(moves)
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
 
 
 def _poke(path, offset, value):
@@ -168,6 +176,23 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("moves, message", [
+        ({"t000000.1": "gZZZ"},
+         "caption 't000000.1' names group 'gZZZ', which has no image"),
+        ({f"t000000.{c}": "g000001" for c in range(3)},
+         "image 'i000000' has no caption in group 'g000000'"),
+        ({"i000001": "g000000"},
+         "group 'g000000' has two images, 'i000000' and 'i000001'"),
+    ], ids=["orphan-caption", "uncaptioned-image", "two-images"])
+    def test_group_without_one_image_and_a_caption_is_data_error(
+            self, tmp_path, capsys, moves, message):
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        path = os.path.join(out, "corpus", "train_meta.json")
+        _regroup(path, moves)
+        assert main(["train", "--config", cfg]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["lr = nan", "temperature = inf",
                                       "margin = -inf", "lr_decay_factor = nan"])
     def test_non_finite_hyperparameter_is_config_error(self, tmp_path, capsys,
@@ -239,44 +264,6 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--ensemble", params, params]) == 0
         assert _read_bytes(os.path.join(out, "results.json")) == single
 
-    def test_cached_embeddings_round_trip(self, trained):
-        cfg, out = trained
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
-        first = _read_bytes(os.path.join(out, "results.json"))
-        assert os.path.exists(os.path.join(out, "cache_test_text_0.bin"))
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
-        assert _read_bytes(os.path.join(out, "results.json")) == first
-
-    def test_cached_embeddings_follow_a_regenerated_split(self, trained, tmp_path):
-        cfg, out = trained
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
-        first = _read_bytes(os.path.join(out, "results.json"))
-        with open(cfg) as fh:
-            text = fh.read()
-        reseeded = tmp_path / "reseeded.ini"
-        reseeded.write_text(text.replace("seed = 42", "seed = 43"))
-        assert main(["generate", "--config", str(reseeded)]) == 0
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
-        cached = _read_bytes(os.path.join(out, "results.json"))
-        assert main(["eval", "--config", cfg]) == 0
-        assert cached == _read_bytes(os.path.join(out, "results.json"))
-        assert cached != first
-        # a regenerated split of another size is re-encoded too
-        resized = tmp_path / "resized.ini"
-        resized.write_text(text.replace("test_groups = 10", "test_groups = 12"))
-        assert main(["generate", "--config", str(resized)]) == 0
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
-
-    def test_cached_ids_must_match_the_split(self, trained, capsys):
-        cfg, out = trained
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
-        cached = os.path.join(out, "cache_test_text_0.bin")
-        matrix, ids = cache_read(cached)
-        cache_write(cached, matrix, ids[::-1])
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 2
-        err = capsys.readouterr().err
-        assert cached in err and "ids" in err
-
     def test_dimension_mismatch_is_config_error(self, trained, capsys):
         cfg, out = trained
         params = os.path.join(out, "params.bin")
@@ -304,6 +291,25 @@ class TestEval:
             assert main(argv) == 2
             assert f"{bad}: missing tensor 'text.w_tok'" in capsys.readouterr().err
 
+    def test_repeated_tensor_name_is_format_error(self, trained, tmp_path,
+                                                  capsys):
+        cfg, out = trained
+        params = os.path.join(out, "params.bin")
+        matrix = str(tmp_path / "m.bin")
+        cache_write(matrix, np.ones((4, 8)), [])
+        data = _read_bytes(params)
+        bad = str(tmp_path / "bad.bin")
+        save_tensors(bad, {"text.w_tok": load_tensors(params)["text.w_tok"]})
+        blob = _read_bytes(bad)
+        with open(bad, "wb") as fh:
+            fh.write(data + blob)  # the last blob repeats 'text.w_tok'
+        for argv in (["eval", "--config", cfg, "--ensemble", params, bad],
+                     ["inspect-pool", matrix, "--params", bad]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert (f"{bad}: duplicate tensor name 'text.w_tok' in the blob "
+                    f"at byte {len(data)}") in err
+
     def test_collapsed_params_hit_numerical_exit(self, trained):
         cfg, out = trained
         params = os.path.join(out, "params.bin")
@@ -327,14 +333,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert params in err and "at byte 15" in err
 
-    def test_non_finite_cached_embedding_is_format_error(self, trained, capsys):
+    def test_orphan_caption_in_test_split_is_data_error(self, trained, capsys):
         cfg, out = trained
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 0
-        cached = os.path.join(out, "cache_test_text_0.bin")
-        _poke(cached, 15 + 8 * 5, float("nan"))
-        assert main(["eval", "--config", cfg, "--cache-embeddings"]) == 2
-        err = capsys.readouterr().err
-        assert cached in err and "at byte 55" in err
+        path = os.path.join(out, "corpus", "test_meta.json")
+        _regroup(path, {"t000050.0": "gZZZ"})
+        assert main(["eval", "--config", cfg]) == 2
+        assert f"{path}: caption 't000050.0' names group 'gZZZ'" in capsys.readouterr().err
 
     def test_missing_params_is_data_error(self, tmp_path):
         cfg, out = _write_config(tmp_path)
@@ -434,6 +438,10 @@ class TestInspectPool:
 class TestUsageErrors:
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["train", "--bogus"]) == 1
+
+    def test_cache_embeddings_flag_is_gone(self, capsys):
+        assert main(["eval", "--config", "cfg.ini", "--cache-embeddings"]) == 1
+        assert "--cache-embeddings" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.ini"]) == 1

@@ -201,6 +201,14 @@ class TestCacheFormat:
         with pytest.raises(FormatError, match=f"{re.escape(path)}: .* at byte {second + 23}$"):
             load_tensors(path)
 
+    def test_repeated_tensor_name_names_file_and_offset(self, tmp_path):
+        path = str(tmp_path / "params.bin")
+        first = _blob(np.ones((1, 2)), ["a"])
+        _write(path, first + _blob(np.ones((3, 3)), ["a"]))
+        with pytest.raises(FormatError, match=f"{re.escape(path)}: duplicate tensor "
+                                              f"name 'a' in the blob at byte {len(first)}$"):
+            load_tensors(path)
+
     def test_writer_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(EvaluationError, match="non-finite"):
             cache_write(str(tmp_path / "nan.bin"), np.array([[1.0, np.nan]]), [])

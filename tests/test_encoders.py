@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adret.data import RawInstance
+from adret.data import Corpus, RawInstance
 from adret.encoders import (
     ENCODE_BLOCK,
     BiEncoder,
@@ -14,9 +14,11 @@ from adret.encoders import (
     encode_all,
     init_encoder_params,
     project,
+    split_scores,
 )
 from adret.errors import DataError, DegenerateVectorError, DimensionError
 from adret.pooling import PoolParams, PoolingSpec
+from adret.tensor import cosine_sim_matrix
 from adret.training import batch_step
 
 
@@ -106,6 +108,20 @@ class TestEncode:
         mat = encode_all(instances, params)
         assert mat.shape == (5, 4)
         np.testing.assert_array_equal(mat[2], encode(instances[2], params))
+
+    def test_split_scores_rows_are_texts_and_columns_images(self):
+        rng = np.random.default_rng(6)
+        model = BiEncoder(visual=_params(rng, d_in=5), text=_params(rng))
+        images = tuple(RawInstance("visual", rng.standard_normal((4, 5)),
+                                   f"i{j}", f"g{j}") for j in range(3))
+        texts = tuple(RawInstance("text", rng.standard_normal((3, 6)),
+                                  f"t{j}.{c}", f"g{j}")
+                      for j in range(3) for c in range(2))
+        scores = split_scores(model, Corpus(images=images, texts=texts))
+        assert scores.shape == (6, 3)
+        np.testing.assert_array_equal(
+            scores, cosine_sim_matrix(encode_all(texts, model.text),
+                                      encode_all(images, model.visual)))
 
     def test_every_pooling_spec_encodes(self):
         rng = np.random.default_rng(5)

@@ -8,15 +8,13 @@ import pytest
 from adret.errors import DataError, DimensionError, EvaluationError
 from adret.evaluation import (
     _BLOCK_ROWS,
-    EmbeddingSet,
     RetrievalResult,
     ensemble_similarity,
-    evaluate,
     evaluate_scores,
     evaluate_scores_folds,
     recall_at_k,
 )
-from adret.tensor import l2_normalize_rows
+from adret.tensor import cosine_sim_matrix, l2_normalize_rows
 
 
 def _recall_oracle(scores, relevant_columns, k):
@@ -196,12 +194,12 @@ class TestEvaluate:
             truth[f"i{j}"] = {f"t{j}.{c}" for c in range(captions)}
             for c in range(captions):
                 truth[f"t{j}.{c}"] = {f"i{j}"}
-        return EmbeddingSet(texts, tids), EmbeddingSet(images, iids), truth
+        return texts, tids, images, iids, truth
 
     def test_rsum_is_sum_of_six(self):
         rng = np.random.default_rng(3)
-        texts, images, truth = self._toy(rng)
-        r = evaluate(texts, images, truth)
+        texts, tids, images, iids, truth = self._toy(rng)
+        r = evaluate_scores(cosine_sim_matrix(texts, images), tids, iids, truth)
         total = r.ir_r1 + r.ir_r5 + r.ir_r10 + r.cr_r1 + r.cr_r5 + r.cr_r10
         assert r.rsum == total
         assert r.ir_r1 <= r.ir_r5 <= r.ir_r10
@@ -209,8 +207,9 @@ class TestEvaluate:
 
     def test_near_duplicates_retrieve_perfectly(self):
         rng = np.random.default_rng(4)
-        texts, images, truth = self._toy(rng, n_images=10)
-        assert evaluate(texts, images, truth).rsum == 600.0
+        texts, tids, images, iids, truth = self._toy(rng, n_images=10)
+        scores = cosine_sim_matrix(texts, images)
+        assert evaluate_scores(scores, tids, iids, truth).rsum == 600.0
 
     def test_random_embeddings_near_chance(self):
         rng = np.random.default_rng(5)
@@ -220,17 +219,17 @@ class TestEvaluate:
         tids = tuple(f"t{j}.{c}" for j in range(200) for c in range(5))
         truth = {f"i{j}": {f"t{j}.{c}" for c in range(5)} for j in range(200)}
         truth.update({f"t{j}.{c}": {f"i{j}"} for j in range(200) for c in range(5)})
-        r = evaluate(EmbeddingSet(texts, tids), EmbeddingSet(images, iids), truth)
+        r = evaluate_scores(cosine_sim_matrix(texts, images), tids, iids, truth)
         assert r.ir_r1 < 20.0 and r.cr_r1 < 20.0
 
     def test_candidate_permutation_invariance(self):
         rng = np.random.default_rng(6)
-        texts, images, truth = self._toy(rng)
-        base = evaluate(texts, images, truth)
-        perm = rng.permutation(len(images.ids))
-        shuffled = EmbeddingSet(images.vectors[perm],
-                                tuple(images.ids[i] for i in perm))
-        assert evaluate(texts, shuffled, truth) == base
+        texts, tids, images, iids, truth = self._toy(rng)
+        base = evaluate_scores(cosine_sim_matrix(texts, images), tids, iids, truth)
+        perm = rng.permutation(len(iids))
+        shuffled = evaluate_scores(cosine_sim_matrix(texts, images[perm]), tids,
+                                   tuple(iids[i] for i in perm), truth)
+        assert shuffled == base
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_scores_raise(self, value):
@@ -242,27 +241,27 @@ class TestEvaluate:
 
     def test_folds_one_equals_plain(self):
         rng = np.random.default_rng(7)
-        texts, images, truth = self._toy(rng)
-        scores = texts.vectors @ images.vectors.T
-        a = evaluate_scores(scores, texts.ids, images.ids, truth)
-        b = evaluate_scores_folds(scores, texts.ids, images.ids, truth, 1)
+        texts, tids, images, iids, truth = self._toy(rng)
+        scores = texts @ images.T
+        a = evaluate_scores(scores, tids, iids, truth)
+        b = evaluate_scores_folds(scores, tids, iids, truth, 1)
         assert a == b
 
     def test_five_folds_average(self):
         rng = np.random.default_rng(8)
-        texts, images, truth = self._toy(rng, n_images=25)
-        scores = texts.vectors @ images.vectors.T
-        r = evaluate_scores_folds(scores, texts.ids, images.ids, truth, 5)
+        texts, tids, images, iids, truth = self._toy(rng, n_images=25)
+        scores = texts @ images.T
+        r = evaluate_scores_folds(scores, tids, iids, truth, 5)
         assert 0.0 <= r.rsum <= 600.0
         assert abs(r.rsum - (r.ir_r1 + r.ir_r5 + r.ir_r10
                              + r.cr_r1 + r.cr_r5 + r.cr_r10)) <= 1e-12
 
     def test_more_folds_than_images_rejected(self):
         rng = np.random.default_rng(9)
-        texts, images, truth = self._toy(rng, n_images=4)
-        scores = texts.vectors @ images.vectors.T
+        texts, tids, images, iids, truth = self._toy(rng, n_images=4)
+        scores = texts @ images.T
         with pytest.raises(ValueError, match=r"\[1, 4\].*got 6"):
-            evaluate_scores_folds(scores, texts.ids, images.ids, truth, 6)
+            evaluate_scores_folds(scores, tids, iids, truth, 6)
 
 
 class TestEnsemble:
@@ -310,6 +309,7 @@ class TestSerialization:
         assert [float(x) for x in row.split(",")] == [1.5, 2.5, 3.5, 4.5, 5.5,
                                                       6.5, 24.0]
 
-    def test_embedding_set_validates_id_count(self):
-        with pytest.raises(DimensionError):
-            EmbeddingSet(np.ones((3, 2)), ("a", "b"))
+    def test_id_counts_must_match_the_score_matrix(self):
+        truth = {"a": {"x"}, "b": {"y"}, "x": {"a"}, "y": {"b"}}
+        with pytest.raises(DimensionError, match=r"\(3, 2\) does not match 2 queries"):
+            evaluate_scores(np.ones((3, 2)), ("a", "b"), ("x", "y"), truth)

@@ -12,9 +12,7 @@ from adret.pooling import PoolingSpec
 from adret.training import (
     AdamState,
     TrainConfig,
-    TrainLog,
     adam_step,
-    k_history,
     lr_at,
     train,
 )
@@ -191,17 +189,3 @@ class TestTrainLogSerialization:
         _, log = train(splits["train"], model, cfg)
         row = log.to_csv().strip().split("\n")[1].split(",")
         assert row[3] == "" and row[4] == "" and row[5] == ""
-
-    def test_k_history_extraction(self):
-        log = TrainLog(mode="infonce-adaptive")
-        from adret.training import IterationRecord
-        for i, k in enumerate((63, 40, 12)):
-            log.records.append(IterationRecord(0, i, 1.0, 0.1, 0.1, k, 5e-4))
-        assert k_history(log) == [(0, 63), (1, 40), (2, 12)]
-
-    def test_k_history_rejects_non_adaptive(self):
-        with pytest.raises(ConfigError):
-            k_history(TrainLog(mode="hard-triplet"))
-
-    def test_k_history_empty_log(self):
-        assert k_history(TrainLog(mode="infonce-adaptive")) == []

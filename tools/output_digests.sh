@@ -3,7 +3,10 @@
 # `adret gradcheck --seed 3`, and print one `sha256  path` line per output.
 #
 # Each of the 18 runs (3 losses x 6 poolers) generates a 120/30/30-group
-# corpus, trains 3 epochs at batch size 32 and evaluates with 2 folds. Paths
+# corpus, trains 3 epochs at batch size 32 and evaluates with 2 folds. Then,
+# per loss, `adret eval --ensemble` scores the adpool and mean runs' parameter
+# files together under the adpool run's config, writing into LOSS-ensemble/
+# (a copy of the test split), so no run's results.json is overwritten. Paths
 # are printed relative to OUT_DIR, so two source trees compare with diff:
 #
 #   tools/output_digests.sh old/src /tmp/old > old.txt
@@ -69,6 +72,12 @@ INI
         adret train --config "$run/exp.ini" > "$run/train.out"
         adret eval --config "$run/exp.ini" > "$run/eval.out"
     done
+    ensemble="$out/$loss-ensemble"
+    mkdir -p "$ensemble/corpus"
+    cp "$out/$loss-adpool"/corpus/test_* "$ensemble/corpus/"
+    adret eval --config "$out/$loss-adpool/exp.ini" --out "$ensemble" \
+        --ensemble "$out/$loss-adpool/params.bin" "$out/$loss-mean/params.bin" \
+        > "$ensemble/eval.out"
 done
 adret gradcheck --seed 3 > "$out/gradcheck.out"
 
