@@ -110,20 +110,33 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def _load_model(params_path: str, visual_spec: PoolingSpec,
-                text_spec: PoolingSpec) -> BiEncoder:
-    """The model a parameter file holds; its DataErrors name the file."""
+                text_spec: PoolingSpec,
+                widths: dict[str, tuple[int, str]]) -> BiEncoder:
+    """The model a parameter file holds; its DataErrors name the file.
+
+    ``widths`` maps a tensor name to (the row count the caller's input needs,
+    what sets it), so a file for other dimensions exits 2 before any math.
+    """
     tensors = load_tensors(params_path)
     try:
-        return BiEncoder.from_tensors(tensors, visual_spec, text_spec)
-    except DataError as exc:
+        model = BiEncoder.from_tensors(tensors, visual_spec, text_spec)
+    except (DataError, DimensionError) as exc:
         raise DataError(f"{params_path}: {exc}") from None
+    for name, (want, source) in widths.items():
+        got = len(tensors[name])
+        if got != want:
+            raise DataError(f"{params_path}: {name} takes {got}-dimensional "
+                            f"rows, {source} is {want}")
+    return model
 
 
 def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
     corpus = load_corpus(cfg.corpus_dir, "test")
+    widths = {"visual.w_proj": (cfg.corpus.visual_dim, "corpus.visual_dim"),
+              "text.w_proj": (cfg.corpus.text_dim, "corpus.text_dim")}
     scores = ensemble_similarity([
-        split_scores(_load_model(path, cfg.visual_pooling, cfg.text_pooling),
-                     corpus)
+        split_scores(_load_model(path, cfg.visual_pooling, cfg.text_pooling,
+                                 widths), corpus)
         for path in params_paths])
     result = evaluate_scores_folds(scores, tuple(t.id for t in corpus.texts),
                                    tuple(i.id for i in corpus.images),
@@ -160,7 +173,9 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
         manual_mode=modality if method == "manual" else None,
         weights=weights)
     if params_path:
-        model = _load_model(params_path, spec, spec)
+        model = _load_model(params_path, spec, spec, {
+            f"{modality}.w_tok": (matrix.shape[1],
+                                  f"the row width of {matrix_path}")})
         params = getattr(model, modality).pool
     else:
         params = PoolParams.zeros(matrix.shape[1])

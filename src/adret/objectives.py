@@ -3,7 +3,9 @@
 The similarity matrix S is square with text anchors on rows, images on
 columns, and positives on the diagonal. Every loss contrasts each anchor,
 in both retrieval directions, with its K hardest in-batch negatives, picked
-by one ranking (``select_negatives``); one kernel gathers them, runs the
+by one ranking (``select_negatives``: an unstable argsort, re-sorted stably
+only in rows with a tie among their K + 1 hardest, so ties go to the
+smaller index); one kernel gathers them through flat indices, runs the
 loss's per-anchor term and scatters the gradient back. The hard triplet is
 the K = 1 hinge with margin, summed over the batch; InfoNCE is averaged
 over the batch, and its saturating form puts the positive in the
@@ -134,31 +136,49 @@ def select_negatives(s: Array, k: int) -> NegativeSelection:
     if k == 1:  # the stable order's first column, ties included, unsorted
         return NegativeSelection(masked.argmax(axis=1)[:, None],
                                  masked.argmax(axis=0)[:, None])
-    return NegativeSelection(np.argsort(-masked, axis=1, kind="stable")[:, :k],
-                             np.argsort(-masked.T, axis=1, kind="stable")[:, :k])
+    return NegativeSelection(_stable_head(-masked, k), _stable_head(-masked.T, k))
+
+
+def _stable_head(keys: Array, k: int) -> Array:
+    """The first k columns of each row's stable ascending argsort of ``keys``.
+
+    The default (unstable) argsort ranks every row. Where the k + 1 smallest
+    keys of a row are all distinct, its first k positions are the same in
+    any sorted order; only the rows with a tie there are ranked again, stably.
+    """
+    order = np.argsort(keys, axis=1)
+    head = np.take_along_axis(keys, order[:, :k + 1], axis=1)
+    tied = (head[:, 1:] == head[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    return order[:, :k]
 
 
 def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:
     """Sum ``term(pos, negs) -> (summed loss, d_pos, d_negs)`` over text
-    anchors (``s``, ``grad``) and image anchors (``s.T``, ``grad.T``), where
-    ``negs`` holds the selected similarities; a row of indices has no
-    repeats, so put_along_axis scatters exactly."""
+    anchors (row i, columns ``text_to_image[i]``) and image anchors (column
+    j, rows ``image_to_text[j]``), where ``negs`` holds the selected
+    similarities. Both are gathered and scattered through flat indices into
+    ``s`` and its gradient; a row of indices has no repeats, so the
+    scatter-add is exact."""
     s = _square(s, "similarity matrix")
     b = s.shape[0]
     if len(sel.text_to_image) != b or len(sel.image_to_text) != b:
         raise DimensionError(
             f"selection covers {len(sel.text_to_image)} anchors, batch is {b}")
     idx = np.arange(b)
-    pos = s[idx, idx]
-    grad = np.zeros_like(s)
+    diag = idx * (b + 1)
+    flat_s = s.ravel()
+    grad = np.zeros((b, b))
+    flat_g = grad.reshape(-1)
+    pos = flat_s[diag]
     loss = 0.0
-    for sims, g, negs in ((s, grad, sel.text_to_image),
-                          (s.T, grad.T, sel.image_to_text)):
-        value, d_pos, d_negs = term(pos, np.take_along_axis(sims, negs, axis=1))
+    for at in (idx[:, None] * b + sel.text_to_image,
+               sel.image_to_text * b + idx[:, None]):
+        value, d_pos, d_negs = term(pos, flat_s[at])
         loss += value
-        grad[idx, idx] += d_pos
-        np.put_along_axis(g, negs, np.take_along_axis(g, negs, axis=1) + d_negs,
-                          axis=1)
+        flat_g[diag] += d_pos
+        flat_g[at] += d_negs
     return loss, grad
 
 

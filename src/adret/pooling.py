@@ -3,7 +3,10 @@
 All poolers collapse an M x d feature matrix into a single d-vector. Three
 fixed aggregators (mean, max, k-max) follow the sort-then-weight view of
 pooling: sort each column descending, then take a fixed weighting of the
-ranked rows. The adaptive pooler makes the weighting learnable twice over:
+ranked rows. Their gradient needs no second sort: a row is in a column's
+top k if it beats the k-th largest value, or ties it and is among the first
+such rows (ties go to the smaller row, as in a stable sort). The adaptive
+pooler makes the weighting learnable twice over:
 
   - token level: sort columns descending, score each ranked row with a
     learned d x 1 weight vector, softmax the scores, and weight-sum the rows.
@@ -166,24 +169,35 @@ def _topk_forward(f: Array, lengths: Array, valid: Array, k):
     t = sum_rows(f)[:, 0] / lengths[:, None]
     part = k < lengths
     if not part.any():
-        return t, PoolDiagnostics(), ("topk", lengths, valid, k, part, None, None)
+        return t, PoolDiagnostics(), ("topk", lengths, valid, k, None, None)
     ranked, keyed = _rank(f, valid)
     top = np.arange(f.shape[1])[None, :, None] < k[:, None, None]
     t_top = sum_rows(np.where(top, ranked, -0.0))[:, 0] / k[:, None]
     # a NaN sorts last; keep it, as max does
     t_top[np.isnan(ranked[np.arange(len(f)), lengths - 1])] = np.nan
     t = np.where(part[:, None], t_top, t)
-    return t, PoolDiagnostics(), ("topk", lengths, valid, k, part, keyed, top)
+    kth = ranked[np.arange(len(f)), k - 1][:, None, :]
+    return t, PoolDiagnostics(), ("topk", lengths, valid, k, keyed, kth)
 
 
 def _topk_vjp(cache, d_t: Array) -> Array:
-    _, lengths, valid, k, part, keyed, top = cache
-    d_f = np.where(valid, (d_t / lengths[:, None])[:, None, :], 0.0)
+    """d_t / k[b] on the rows a stable descending sort puts in instance b's
+    top k[b], found without a sort: the rows above the k-th largest value
+    ``kth``, then, as ties go to the smaller row, the first rows equal to it,
+    up to k[b] in all. A NaN sorts last, so every number is above a NaN
+    ``kth`` and every NaN ties with it. Where k[b] is the length these are
+    the real rows."""
+    _, lengths, valid, k, keyed, kth = cache
     if keyed is None:
-        return d_f
-    d_ranked = np.where(top, (d_t / k[:, None])[:, None, :], 0.0)
-    return np.where(part[:, None, None],
-                    sort_desc_per_column_vjp(keyed, d_ranked), d_f)
+        return np.where(valid, (d_t / lengths[:, None])[:, None, :], 0.0)
+    above, tie = keyed > kth, keyed == kth
+    nan_kth = np.isnan(kth)
+    if nan_kth.any():
+        nan = np.isnan(keyed)
+        above, tie = np.where(nan_kth, ~nan, above), np.where(nan_kth, nan, tie)
+    need = k[:, None, None] - above.sum(axis=1, keepdims=True, dtype=np.int32)
+    top = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need))
+    return np.where(top, (d_t / k[:, None])[:, None, :], 0.0)
 
 
 def _token_forward(f: Array, valid: Array, w_tok: Array):

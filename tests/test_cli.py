@@ -264,13 +264,27 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--ensemble", params, params]) == 0
         assert _read_bytes(os.path.join(out, "results.json")) == single
 
-    def test_dimension_mismatch_is_config_error(self, trained, capsys):
+    def test_params_for_other_dimensions_are_data_error(self, trained,
+                                                        tmp_path, capsys):
         cfg, out = trained
         params = os.path.join(out, "params.bin")
+        bad = str(tmp_path / "bad.bin")
         tensors = load_tensors(params)
         tensors["visual.w_proj"] = np.zeros((5, 8))  # corpus has 10-dim visuals
-        save_tensors(params, tensors)
-        assert main(["eval", "--config", cfg]) == 1
+        save_tensors(bad, tensors)
+        assert main(["eval", "--config", cfg, "--ensemble", params, bad]) == 2
+        assert (f"{bad}: visual.w_proj takes 5-dimensional rows, "
+                f"corpus.visual_dim is 10") in capsys.readouterr().err
+        matrix = str(tmp_path / "m.bin")
+        cache_write(matrix, np.ones((5, 4)), [])  # the model pools 8-dim rows
+        assert main(["inspect-pool", matrix, "--params", params]) == 2
+        assert (f"{params}: text.w_tok takes 8-dimensional rows, the row "
+                f"width of {matrix} is 4") in capsys.readouterr().err
+        tensors = load_tensors(params)
+        tensors["text.w_proj"] = np.zeros((10, 6))  # b_proj is 8 long
+        save_tensors(bad, tensors)
+        assert main(["eval", "--config", cfg, "--ensemble", bad]) == 2
+        assert f"{bad}: b_proj length 8 != d 6" in capsys.readouterr().err
 
     def test_params_lacking_a_tensor_is_data_error(self, trained, tmp_path,
                                                    capsys):

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adret import objectives
 from adret.errors import ConfigError, EvaluationError
@@ -278,6 +279,35 @@ class TestSelectNegatives:
         for k in (0, 4):
             with pytest.raises(ValueError):
                 select_negatives(s, k)
+
+
+class TestSelectNegativesProperty:
+    """The fast ranking re-sorts only rows with a tie in their head; for
+    every k it must pick what a stable argsort picks."""
+
+    LEVELS = (0.0, -0.0, 0.5, -0.5, 0.25, 1.0, -1.0, 0.75)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(2, 250), st.sampled_from((2, 3, 8, "rounded", None)),
+           st.integers(0, 2**32 - 1), st.integers(1, 249))
+    @example(250, None, 1, 200)
+    @example(250, "rounded", 2, 249)
+    @example(250, "rounded", 3, 2)
+    @example(250, 2, 4, 120)
+    def test_equals_the_stable_argsort(self, b, levels, seed, k):
+        k = min(k, b - 1)
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-1, 1, size=(b, b))  # levels None: no ties
+        if levels == "rounded":  # ties in some rows' heads, not all
+            s = np.round(s, 2)
+        elif levels is not None:  # two levels are 0.0 and -0.0: all tied
+            s = rng.choice(self.LEVELS[:levels], size=(b, b))
+        masked = np.where(np.eye(b, dtype=bool), -np.inf, s)
+        sel = select_negatives(s, k)
+        assert np.array_equal(sel.text_to_image,
+                              np.argsort(-masked, axis=1, kind="stable")[:, :k])
+        assert np.array_equal(sel.image_to_text,
+                              np.argsort(-masked.T, axis=1, kind="stable")[:, :k])
 
 
 class TestInfoNCE:

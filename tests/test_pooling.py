@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adret.errors import ConfigError, DimensionError
 from adret.pooling import (
+    MANUAL_VISUAL_K,
     PoolParams,
     PoolingSpec,
     adpool,
@@ -20,6 +22,7 @@ from adret.pooling import (
     pool_vjp,
     token_level_adpool,
 )
+from adret.tensor import sort_desc_per_column_vjp
 
 
 def _token_pool_oracle(f, w_tok):
@@ -266,3 +269,44 @@ class TestPaddedStack:
         if diag.theta is not None:
             assert np.all(diag.theta[lengths[:, None] <= np.arange(7)] == 0.0)
             assert np.all(diag.delta[1, 1:] == 0.0)
+
+
+GRID = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)  # few values: ties in most columns
+
+
+@st.composite
+def _ragged_stack(draw):
+    """(B, M, d) stack with lengths up to 8 (padding holds grid junk, NaN
+    included) and a (B, d) upstream gradient, both from GRID."""
+    lengths = np.array(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
+    b, m, d = len(lengths), int(lengths.max()), draw(st.integers(1, 3))
+    cells = st.lists(st.sampled_from(GRID + (math.nan,)),
+                     min_size=b * m * d, max_size=b * m * d)
+    f = np.array(draw(cells)).reshape(b, m, d)
+    d_t = np.array(draw(st.lists(st.sampled_from(GRID), min_size=b * d,
+                                 max_size=b * d))).reshape(b, d)
+    return f, lengths, d_t
+
+
+class TestTopkGradientProperty:
+    """The top-k VJP picks its rows without a sort; it must give exactly
+    what a stable argsort scatter gives, ties to the smaller row included."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_ragged_stack(), st.sampled_from(("max", "kmax", "manual")),
+           st.integers(1, 8))
+    def test_equals_the_stable_scatter(self, stack, method, k):
+        f, lengths, d_t = stack
+        k = min(k, int(lengths.min()))
+        spec, k = {"max": (PoolingSpec("max"), 1),
+                   "kmax": (PoolingSpec("kmax", k=k), k),
+                   "manual": (PoolingSpec("manual", manual_mode="visual"),
+                              np.minimum(MANUAL_VISUAL_K, lengths))}[method]
+        k = np.broadcast_to(k, lengths.shape)
+        d_f = pool_vjp(pool_forward(f, spec, lengths=lengths)[2], d_t)[0]
+        rows = np.arange(f.shape[1])[None, :, None]
+        keyed = np.where(rows < lengths[:, None, None], f, np.nan)
+        d_ranked = np.where(rows < k[:, None, None],
+                            (d_t / k[:, None])[:, None, :], 0.0)
+        oracle = sort_desc_per_column_vjp(keyed, d_ranked)
+        assert d_f.tobytes() == oracle.tobytes()  # bit for bit, zero signs too

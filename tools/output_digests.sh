@@ -3,7 +3,9 @@
 # `adret gradcheck --seed 3`, and print one `sha256  path` line per output.
 #
 # Each of the 18 runs (3 losses x 6 poolers) generates a 120/30/30-group
-# corpus, trains 3 epochs at batch size 32 and evaluates with 2 folds. Then,
+# corpus, trains 3 epochs at batch size 32 and evaluates with 2 folds. Per
+# loss, one more `manual` run, LOSS-manual-b120, trains at batch size 120, the
+# whole training split: the wide shape, where K stays near B - 1. Then,
 # per loss, `adret eval --ensemble` scores the adpool and mean runs' parameter
 # files together under the adpool run's config, writing into LOSS-ensemble/
 # (a copy of the test split), so no run's results.json is overwritten. Paths
@@ -32,8 +34,11 @@ export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 adret() { python3 -m adret.cli "$@"; }
 
 for loss in hard-triplet infonce-adaptive infonce-fixed; do
-    for pool in mean max kmax adpool manual fixed-balance; do
+    for pool_batch in mean:32 max:32 kmax:32 adpool:32 manual:32 \
+                      fixed-balance:32 manual:120; do
+        pool=${pool_batch%:*} batch=${pool_batch#*:}
         run="$out/$loss-$pool"
+        [ "$batch" = 32 ] || run="$run-b$batch"
         mkdir "$run"
         case $pool in
             kmax) option="k = 3" ;;
@@ -57,7 +62,7 @@ $option
 
 [train]
 seed = 7
-batch_size = 32
+batch_size = $batch
 epochs = 3
 loss = $loss
 fixed_k = 10
