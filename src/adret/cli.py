@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .cache import atomic_write_text, cache_read, load_tensors, save_tensors
-from .config import ExperimentConfig, load_config, parse_weights
+from .config import ExperimentConfig, load_config, parse_weights, pooling_spec
 from .data import generate_splits, ground_truth, load_corpus, save_corpus
 from .encoders import BiEncoder, init_encoder_params, split_scores
 from .errors import (
@@ -42,6 +42,11 @@ log = logging.getLogger("adret")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
+
+
+# the config key each generate/train/eval flag sets
+_FLAG_KEYS = {"seed": "train.seed", "out": "output.dir", "loss": "train.loss",
+              "k": "train.fixed_k", "epochs": "train.epochs"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,8 +90,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    train_corpus = load_corpus(cfg.corpus_dir, "train")
-    val_corpus = load_corpus(cfg.corpus_dir, "val")
+    train_corpus = load_corpus(cfg.corpus_dir, "train", cfg.corpus)
+    val_corpus = load_corpus(cfg.corpus_dir, "val", cfg.corpus)
     model = build_model(cfg)
     trained, train_log = train(train_corpus, model, cfg.train, val_corpus)
 
@@ -131,7 +136,7 @@ def _load_model(params_path: str, visual_spec: PoolingSpec,
 
 
 def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
-    corpus = load_corpus(cfg.corpus_dir, "test")
+    corpus = load_corpus(cfg.corpus_dir, "test", cfg.corpus)
     widths = {"visual.w_proj": (cfg.corpus.visual_dim, "corpus.visual_dim"),
               "text.w_proj": (cfg.corpus.text_dim, "corpus.text_dim")}
     scores = ensemble_similarity([
@@ -167,11 +172,7 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
     matrix, _ = cache_read(matrix_path)
     if matrix.shape[0] == 0:
         raise DataError(f"{matrix_path}: matrix has no rows to pool")
-    spec = PoolingSpec(
-        method=method,
-        k=k,
-        manual_mode=modality if method == "manual" else None,
-        weights=weights)
+    spec = pooling_spec(method, modality, {"k": k, "weights": weights}.get)
     if params_path:
         model = _load_model(params_path, spec, spec, {
             f"{modality}.w_tok": (matrix.shape[1],
@@ -201,21 +202,18 @@ def _build_parser() -> _Parser:
 
     def add_config_flags(p):
         p.add_argument("--config", required=True, help="experiment INI file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override train.seed")
-        p.add_argument("--out", default=None, help="override output.dir")
+        p.add_argument("--seed", help="set train.seed")
+        p.add_argument("--out", help="set output.dir")
 
     p = sub.add_parser("generate", help="synthesize and persist corpus splits")
     add_config_flags(p)
 
     p = sub.add_parser("train", help="train the bi-encoder")
     add_config_flags(p)
-    p.add_argument("--loss", choices=LOSS_MODES, default=None,
-                   help="override train.loss")
-    p.add_argument("--k", type=int, default=None,
-                   help="negative count for infonce-fixed")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="override train.epochs")
+    p.add_argument("--loss", choices=LOSS_MODES, help="set train.loss")
+    p.add_argument("--k", help="set train.fixed_k, the infonce-fixed "
+                               "negative count")
+    p.add_argument("--epochs", help="set train.epochs")
 
     p = sub.add_parser("eval", help="evaluate retrieval on the test split")
     add_config_flags(p)
@@ -242,21 +240,6 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = parser.parse_args(argv)
-        if args.command == "generate":
-            cfg = load_config(args.config, seed_override=args.seed,
-                              out_override=args.out)
-            return cmd_generate(cfg)
-        if args.command == "train":
-            cfg = load_config(args.config, seed_override=args.seed,
-                              loss_override=args.loss, k_override=args.k,
-                              out_override=args.out,
-                              epochs_override=args.epochs)
-            return cmd_train(cfg)
-        if args.command == "eval":
-            cfg = load_config(args.config, seed_override=args.seed,
-                              out_override=args.out)
-            paths = args.ensemble or [os.path.join(cfg.output_dir, "params.bin")]
-            return cmd_eval(cfg, paths)
         if args.command == "gradcheck":
             return cmd_gradcheck(args.seed)
         if args.command == "inspect-pool":
@@ -264,7 +247,16 @@ def main(argv=None) -> int:
                                     None if args.weights is None else
                                     parse_weights(args.weights, "--weights"),
                                     args.modality, args.params)
-        raise ConfigError(f"unknown command {args.command!r}")
+        flags = vars(args)
+        cfg = load_config(args.config, {key: flags[flag] for flag, key
+                                        in _FLAG_KEYS.items()
+                                        if flags.get(flag) is not None})
+        if args.command == "generate":
+            return cmd_generate(cfg)
+        if args.command == "train":
+            return cmd_train(cfg)
+        paths = args.ensemble or [os.path.join(cfg.output_dir, "params.bin")]
+        return cmd_eval(cfg, paths)
     except (ConfigError, DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -128,12 +128,14 @@ def save_corpus(directory: str, split: str, corpus: Corpus) -> None:
     groups = {inst.id: inst.group_id for inst in corpus.images + corpus.texts}
     atomic_write_text(os.path.join(directory, f"{split}_meta.json"),
                       json.dumps({"groups": groups}, sort_keys=True) + "\n")
-    truth = {qid: sorted(rel) for qid, rel in ground_truth(corpus).items()}
-    atomic_write_text(os.path.join(directory, f"{split}_truth.json"),
-                      json.dumps(truth, sort_keys=True) + "\n")
 
 
-def load_corpus(directory: str, split: str) -> Corpus:
+def load_corpus(directory: str, split: str,
+                cfg: Optional[SyntheticCorpusConfig] = None) -> Corpus:
+    """A split written by ``save_corpus``; with ``cfg``, each feature file
+    must hold rows of ``cfg.visual_dim``/``text_dim`` columns."""
+    widths = {} if cfg is None else {"visual": cfg.visual_dim,
+                                     "text": cfg.text_dim}
     meta_path = os.path.join(directory, f"{split}_meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
@@ -151,6 +153,9 @@ def load_corpus(directory: str, split: str) -> Corpus:
     def read(name: str) -> tuple:
         path = os.path.join(directory, f"{split}_{name}.bin")
         matrix, runs = cache_read_runs(path)
+        if name in widths and matrix.shape[1] != widths[name]:
+            raise DataError(f"{path}: rows are {matrix.shape[1]}-dimensional, "
+                            f"corpus.{name}_dim is {widths[name]}")
         instances: dict[str, RawInstance] = {}
         start = 0
         for iid, rows in runs:

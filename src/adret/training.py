@@ -31,7 +31,7 @@ ADAM_EPS = 1e-8
 class TrainConfig:
     loss: LossConfig
     seed: int
-    batch_size: int = 128
+    batch_size: int = 64
     epochs: int = 25
     lr: float = 5e-4
     lr_decay_every: int = 15

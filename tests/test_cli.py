@@ -75,7 +75,7 @@ class TestGenerate:
         captured = capsys.readouterr().out
         assert "train: 40 images, 120 texts" in captured
         for split in ("train", "val", "test"):
-            for suffix in ("visual.bin", "text.bin", "meta.json", "truth.json"):
+            for suffix in ("visual.bin", "text.bin", "meta.json"):
                 assert os.path.exists(os.path.join(out, "corpus",
                                                    f"{split}_{suffix}"))
 
@@ -204,6 +204,29 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == 1
         assert "train." + line.split(" ")[0] in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    def test_corpus_of_other_widths_is_data_error(self, tmp_path, capsys):
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0  # 10-dim visual rows
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("visual_dim = 10", "visual_dim = 12"))
+        for command, split in (("train", "train"), ("eval", "test")):
+            assert main([command, "--config", cfg]) == 2
+            path = os.path.join(out, "corpus", f"{split}_visual.bin")
+            assert (f"{path}: rows are 10-dimensional, corpus.visual_dim "
+                    f"is 12") in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    def test_flags_are_parsed_as_config_values(self, tmp_path, capsys):
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg, "--epochs", "soon"]) == 1
+        assert ("train.epochs must be an integer, got 'soon'"
+                in capsys.readouterr().err)
+        assert main(["train", "--config", cfg, "--loss", "infonce-fixed",
+                     "--k", "0"]) == 1
+        assert "fixed_k >= 1" in capsys.readouterr().err
 
     def test_overflowing_gradient_is_numerical_error(self, tmp_path, capsys):
         # the loss stays finite, but Adam's squared gradient overflows

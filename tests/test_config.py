@@ -1,8 +1,10 @@
 """Config parsing: sections, defaults, overrides, and pooling specs."""
 
+import dataclasses
+
 import pytest
 
-from adret.config import load_config
+from adret.config import KEYS, REQUIRED, load_config
 from adret.data import SyntheticCorpusConfig
 from adret.errors import ConfigError
 from adret.objectives import LossConfig
@@ -21,10 +23,10 @@ dir = /tmp/x
 """
 
 
-def _load(tmp_path, text, **kw):
+def _load(tmp_path, text, overrides=None):
     path = tmp_path / "c.ini"
     path.write_text(text)
-    return load_config(str(path), **kw)
+    return load_config(str(path), overrides)
 
 
 def test_desk_defaults(tmp_path):
@@ -41,12 +43,48 @@ def test_desk_defaults(tmp_path):
 
 
 def test_overrides(tmp_path):
-    cfg = _load(tmp_path, BASE, seed_override=42, loss_override="hard-triplet",
-                out_override="/tmp/y", epochs_override=3)
+    cfg = _load(tmp_path, BASE, {"train.seed": "42", "train.loss": "hard-triplet",
+                                 "output.dir": "/tmp/y", "train.epochs": "3"})
     assert cfg.train.seed == 42
     assert cfg.train.loss.mode == "hard-triplet"
     assert cfg.output_dir == "/tmp/y"
     assert cfg.train.epochs == 3
+
+
+def test_overrides_are_parsed_and_checked_like_file_values(tmp_path):
+    bad = BASE.replace("seed = 9", "seed = 9\nbatch_size = soon")
+    cfg = _load(tmp_path, bad, {"train.batch_size": "16"})
+    assert cfg.train.batch_size == 16
+    with pytest.raises(ConfigError, match="train.seed must be an integer, got 'x'"):
+        _load(tmp_path, BASE, {"train.seed": "x"})
+    with pytest.raises(ConfigError, match="train.lr must be finite"):
+        _load(tmp_path, BASE, {"train.lr": "nan"})
+    with pytest.raises(ConfigError, match="unknown config field train.sed"):
+        _load(tmp_path, BASE, {"train.sed": "1"})
+    with pytest.raises(ConfigError, match=r"unknown config section \[extras\]"):
+        _load(tmp_path, BASE, {"extras.x": "1"})
+
+
+def test_key_defaults_equal_the_dataclass_defaults():
+    # a default in KEYS and the default of the field it fills must agree
+    checked = []
+    for section, cls in (("corpus", SyntheticCorpusConfig),
+                         ("train", TrainConfig), ("train", LossConfig)):
+        keys = KEYS[section]
+        for field in dataclasses.fields(cls):
+            if field.default is dataclasses.MISSING:
+                continue
+            if f"{field.name}_min" in keys:  # a (min, max) pair of keys
+                default = (keys[f"{field.name}_min"][1],
+                           keys[f"{field.name}_max"][1])
+            elif field.name in keys and keys[field.name][1] is not REQUIRED:
+                default = keys[field.name][1]
+            else:
+                continue
+            assert default == field.default, f"{section}.{field.name}"
+            checked.append(field.name)
+    assert "batch_size" in checked and "visual_len" in checked
+    assert len(checked) == 16
 
 
 def test_pooling_sections(tmp_path):
@@ -86,8 +124,9 @@ def test_bad_values_name_the_field(tmp_path):
 
 def test_fixed_loss_requires_k(tmp_path):
     with pytest.raises(ConfigError):
-        _load(tmp_path, BASE, loss_override="infonce-fixed")
-    cfg = _load(tmp_path, BASE, loss_override="infonce-fixed", k_override=8)
+        _load(tmp_path, BASE, {"train.loss": "infonce-fixed"})
+    cfg = _load(tmp_path, BASE, {"train.loss": "infonce-fixed",
+                                 "train.fixed_k": "8"})
     assert cfg.train.loss.fixed_k == 8
 
 

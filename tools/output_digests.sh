@@ -8,8 +8,12 @@
 # whole training split: the wide shape, where K stays near B - 1. Then,
 # per loss, `adret eval --ensemble` scores the adpool and mean runs' parameter
 # files together under the adpool run's config, writing into LOSS-ensemble/
-# (a copy of the test split), so no run's results.json is overwritten. Paths
-# are printed relative to OUT_DIR, so two source trees compare with diff:
+# (a copy of the test split), so no run's results.json is overwritten. Per
+# loss, LOSS-flags repeats the adpool run with --seed/--out/--loss/--k/--epochs
+# given on the command line over an INI that holds other values for them; the
+# script exits 1 unless its outputs are byte-equal to LOSS-adpool's, and
+# prints no digests for it. Paths are printed relative to OUT_DIR, so two
+# source trees compare with diff:
 #
 #   tools/output_digests.sh old/src /tmp/old > old.txt
 #   tools/output_digests.sh new/src /tmp/new > new.txt
@@ -77,6 +81,23 @@ INI
         adret train --config "$run/exp.ini" > "$run/train.out"
         adret eval --config "$run/exp.ini" > "$run/eval.out"
     done
+    # The adpool run again, but with --seed/--out/--loss/--k/--epochs set
+    # over an INI that says otherwise: every output must equal its twin's.
+    twin="$out/$loss-adpool" flagged="$out/$loss-flags"
+    other=hard-triplet
+    [ "$loss" != hard-triplet ] || other=infonce-fixed
+    mkdir "$flagged"
+    sed -e 's/^seed = 7$/seed = 99/' -e "s/^loss = .*/loss = $other/" \
+        -e 's/^fixed_k = 10$/fixed_k = 4/' -e 's/^epochs = 3$/epochs = 1/' \
+        -e "s|^dir = .*|dir = $out/unused|" "$twin/exp.ini" > "$flagged/exp.ini"
+    flags=(--config "$flagged/exp.ini" --seed 7 --out "$flagged")
+    adret generate "${flags[@]}" > "$flagged/generate.out"
+    adret train "${flags[@]}" --loss "$loss" --k 10 --epochs 3 > "$flagged/train.out"
+    adret eval "${flags[@]}" > "$flagged/eval.out"
+    if ! diff -r -x exp.ini "$twin" "$flagged" > /dev/null; then
+        echo "$0: outputs of $flagged differ from $twin" >&2
+        exit 1
+    fi
     ensemble="$out/$loss-ensemble"
     mkdir -p "$ensemble/corpus"
     cp "$out/$loss-adpool"/corpus/test_* "$ensemble/corpus/"
@@ -87,4 +108,5 @@ done
 adret gradcheck --seed 3 > "$out/gradcheck.out"
 
 cd "$out"
-find . -type f ! -name exp.ini | LC_ALL=C sort | xargs sha256sum
+find . -type f ! -name exp.ini ! -path './*-flags/*' | LC_ALL=C sort \
+    | xargs sha256sum
