@@ -136,12 +136,15 @@ def cache_write(path: str, matrix: Array, ids: Sequence[str]) -> None:
 
 @contextmanager
 def _reading(path: str):
-    """The bytes of ``path``: DataError if missing; FormatErrors name the path."""
+    """The bytes of ``path``: DataError if missing or unreadable; FormatErrors
+    name the path."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
+    except OSError as exc:  # a directory, no permission, ...
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     try:
         yield data
     except FormatError as exc:

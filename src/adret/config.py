@@ -149,6 +149,11 @@ def load_config(path: str,
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError(
+            f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config file {path} is not valid INI: {exc}")
 

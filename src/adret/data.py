@@ -142,6 +142,9 @@ def load_corpus(directory: str, split: str,
             meta = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"missing corpus sidecar {meta_path}; run generate first")
+    except OSError as exc:  # a directory, no permission, ...
+        raise DataError(f"cannot read corpus sidecar {meta_path}: "
+                        f"{exc.strerror}") from None
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{meta_path}: corpus sidecar is not JSON: {exc}") from None
     groups = meta.get("groups") if isinstance(meta, dict) else None

@@ -24,9 +24,12 @@ Every kernel pools a batch: a padded (B, M, d) stack plus one length per
 instance. Padding is set to -0.0 (the additive identity), sorts below every
 real row (real ties keep their order), is masked to -inf in the softmax over
 ranks (theta) and the per-column softmax (delta), and gets a zero gradient.
-Rank sums add in rank order (``tensor.sum_rows``) and d sums run along the
-last axis, so each row of a batch result is bit-equal to pooling that
-instance alone (einsum or a 3-D ``@`` would not keep this). One M x d
+Rank sums add in rank order (``tensor.sum_rows``) and the sums over d of an
+M-row instance (theta's logits) run elementwise along the last axis, so each
+row of a batch result is bit-equal to pooling that instance alone. One
+einsum or 3-D ``@`` over the padded M x d rows would not promise this: its
+kernel may change with M, which padding raises. (A stacked product of one
+row at a time, as in ``tensor.matmul``, would keep it.) One M x d
 matrix is the B=1 stack: ``pool_forward``/``pool_vjp`` and the named entry
 points take one and return unbatched shapes.
 """

@@ -14,8 +14,9 @@ Conventions:
   - sorting is descending; the forward returns values only, and its VJP
     ranks again, breaking ties by original row index (stable)
   - softmax is stabilized by max subtraction
-  - ``matmul`` computes each output row from its own input row alone, so a
-    row's bits do not depend on how many rows are stacked with it
+  - ``matmul`` runs one BLAS gemv per row, so row ``i`` of ``matmul(a, b)``
+    is bit-equal to ``a[i] @ b``: a row's bits do not depend on how many
+    rows are stacked with it
 
 Finiteness is checked where values enter or leave the package, not per op:
 file reads and writes (``cache``), config values, loss and score matrices
@@ -72,9 +73,10 @@ def matmul(a: Array, b: Array) -> Array:
     b = as_matrix(b, "matmul rhs")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    # not ``a @ b``: BLAS picks its kernels by shape (gemv for one row, edge
-    # tiles for the rest), so a row's bits would depend on its neighbours
-    return np.einsum("nk,kj->nj", a, b)
+    # one BLAS gemv per row, so row i is bit-equal to ``a[i] @ b``; not
+    # ``a @ b``, whose gemm picks kernels by shape (edge tiles for the last
+    # rows), so a row's bits would depend on its neighbours
+    return np.matmul(a[:, None, :], b)[:, 0]
 
 
 def matmul_vjp(a: Array, b: Array, grad: Array) -> tuple[Array, Array]:

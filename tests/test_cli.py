@@ -113,6 +113,18 @@ class TestGenerate:
         assert main(["generate", "--config", str(path)]) == 1
         assert "corpus.noise" in capsys.readouterr().err
 
+    def test_directory_as_config_is_config_error(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(tmp_path)]) == 1
+        assert (f"error: cannot read config file {tmp_path}: "
+                in capsys.readouterr().err)
+
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[corpus]\nseed = \xff\n")
+        assert main(["generate", "--config", str(path)]) == 1
+        assert (f"error: config file {path} is not UTF-8: "
+                in capsys.readouterr().err)
+
 
 class TestTrain:
     def test_full_run_writes_artifacts(self, tmp_path):
@@ -428,6 +440,10 @@ class TestInspectPool:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         assert main(["inspect-pool", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_directory_as_matrix_is_data_error(self, tmp_path, capsys):
+        assert main(["inspect-pool", str(tmp_path)]) == 2
+        assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err
 
     def test_non_finite_matrix_is_format_error(self, tmp_path, capsys):
         path = str(tmp_path / "nan.bin")

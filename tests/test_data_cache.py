@@ -209,6 +209,12 @@ class TestCacheFormat:
                                               f"name 'a' in the blob at byte {len(first)}$"):
             load_tensors(path)
 
+    @pytest.mark.parametrize("read", [load_tensors, cache_read])
+    def test_unreadable_path_is_data_error_naming_it(self, tmp_path, read):
+        with pytest.raises(DataError,
+                           match=f"cannot read {re.escape(str(tmp_path))}: "):
+            read(str(tmp_path))
+
     def test_writer_refuses_non_finite_values(self, tmp_path):
         with pytest.raises(EvaluationError, match="non-finite"):
             cache_write(str(tmp_path / "nan.bin"), np.array([[1.0, np.nan]]), [])
@@ -367,6 +373,13 @@ class TestCorpusPersistence:
         with pytest.raises(DataError, match=(
                 f"{re.escape(path)}: id table covers {len(ids)} rows, "
                 f"payload has {rows}")):
+            load_corpus(str(tmp_path), "s")
+
+    def test_unreadable_sidecar_is_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "s_meta.json"
+        path.mkdir()
+        with pytest.raises(DataError, match=(
+                f"cannot read corpus sidecar {re.escape(str(path))}: ")):
             load_corpus(str(tmp_path), "s")
 
     def test_id_in_two_separate_runs_is_data_error(self, tmp_path):

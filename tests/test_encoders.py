@@ -156,7 +156,7 @@ ALL_SPECS = [
 
 class TestBatch:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
-    @pytest.mark.parametrize("d_in,d", [(6, 4), (5, 1)])
+    @pytest.mark.parametrize("d_in,d", [(6, 4), (5, 1), (32, 32)])
     def test_rows_are_bit_equal_to_encoding_alone(self, spec, d_in, d):
         rng = np.random.default_rng(9)
         params = _params(rng, d_in=d_in, d=d, spec=spec)

@@ -35,6 +35,17 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("n,k,j", [(1, 32, 32), (640, 32, 32), (9, 7, 5),
+                                       (4, 1, 3), (4, 3, 1)])
+    def test_row_is_bit_equal_to_its_own_product(self, n, k, j):
+        rng = np.random.default_rng(n + k + j)
+        b = rng.standard_normal((k, j))
+        # one array and a view at an odd 8-byte offset into a larger buffer
+        buffer = rng.standard_normal(n * k + 2)
+        for a in (rng.standard_normal((n, k)), buffer[1:1 + n * k].reshape(n, k)):
+            out = matmul(a, b)
+            assert all(np.array_equal(out[i], a[i] @ b) for i in range(n))
+
     def test_vjp_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         report = finite_diff_check(

@@ -19,6 +19,9 @@
 #   tools/output_digests.sh new/src /tmp/new > new.txt
 #   diff old.txt new.txt
 #
+# Where params.bin digests differ, `tools/param_drift.py /tmp/old /tmp/new`
+# prints how far each tensor moved.
+#
 # SRC_DIR is the directory that holds the adret package (a checkout's src/).
 # OUT_DIR must not exist yet or be empty. Takes about a minute on 2 cores.
 set -euo pipefail
