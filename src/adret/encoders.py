@@ -4,8 +4,8 @@ Each modality owns a projection (w_proj, b_proj) and pooling parameters; the
 encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 ``batch_forward``/``batch_vjp`` run the chain for a whole batch: one
 ``project`` call over every row, one ``pool_forward``/``pool_vjp`` call on
-the padded (B, M_max, d) stack (see ``pooling`` for the mask), and each
-instance's own feature gradient back. A batch row is bit-equal to encoding
+the padded (B, M_max, d) stack (see ``pooling`` for the mask), and the
+gradient of every feature row back. A batch row is bit-equal to encoding
 that instance alone; ``encode`` is the B=1 case, and ``encode_all`` runs the
 kernel on blocks of instances of near-equal length. ``split_scores`` is the
 one way a corpus split is scored, for eval and validation alike.
@@ -137,16 +137,16 @@ def batch_vjp(cache, d_embeddings: Array):
 
     Returns (grads, d_features): grads is an EncoderParams with the
     parameters' own shapes and spec, each tensor summed over the batch;
-    d_features holds one gradient per instance, shaped like its features.
+    d_features is the feature gradient of every instance's rows, stacked in
+    batch order as the features were (split it by their lengths).
     """
     flat, lengths, valid, params, pool_cache, pooled, embeddings = cache
     d_pooled = l2_normalize_rows_vjp(pooled, embeddings, d_embeddings)
     d_projected, d_w_tok, d_w_bal = pool_vjp(pool_cache, d_pooled)
     d_product, d_b_proj = add_row_bias_vjp(d_projected[valid])
     d_flat, d_w_proj = matmul_vjp(flat, params.w_proj, d_product)
-    d_features = [d_flat[e - m:e] for e, m in zip(np.cumsum(lengths), lengths)]
     return (EncoderParams(d_w_proj, d_b_proj, PoolParams(d_w_tok, d_w_bal),
-                          params.spec), d_features)
+                          params.spec), d_flat)
 
 
 def encode(raw, params: EncoderParams) -> Array:

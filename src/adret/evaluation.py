@@ -7,13 +7,18 @@ Candidates rank by descending score, ties toward the smaller index. A
 query hits at K when its best relevant candidate has 0-based rank < K, where
 rank = #(score > best) + #(score == best at a smaller index), counted with
 no sort: one pass over contiguous blocks of score-matrix rows gives both
-directions' ranks, so every K comes from that pass.
+directions' ranks, so every K comes from that pass. The pass also checks
+each block's finiteness before it counts it, while the block is in cache,
+so no separate scan reads the whole matrix. A NaN or inf score raises
+EvaluationError; the ground truth is read first, so a query missing from
+it raises DataError even then.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence, Set
 
 import numpy as np
@@ -22,7 +27,13 @@ from .errors import DataError, DimensionError
 from .tensor import Array, as_matrix, finite_matrix
 
 RECALL_KS = (1, 5, 10)
-_BLOCK_ROWS = 256  # query rows per counting block
+_BLOCK_SCORES = 1 << 17  # scores per counting block (1 MB of float64)
+
+
+def _block_rows(n_columns: int) -> int:
+    """Rows per counting block of a matrix with ``n_columns`` columns: 65 at
+    2000 columns, 655 at 200."""
+    return max(1, _BLOCK_SCORES // max(n_columns, 1))
 
 
 @dataclass(frozen=True)
@@ -54,51 +65,66 @@ def _best_relevant(scores: Array, query_ids: Sequence[str],
         raise DimensionError(f"score matrix {scores.shape} does not match "
                              f"{len(query_ids)} queries x {len(candidate_ids)} candidates")
     column_of = {cid: j for j, cid in enumerate(candidate_ids)}
-    queries, candidates, starts = [], [], []
-    for q, qid in enumerate(query_ids):
+    relevant = []
+    for qid in query_ids:
         if qid not in truth:
             raise DataError(f"query {qid!r} missing from ground truth")
-        relevant = [column_of[cid] for cid in truth[qid] if cid in column_of]
-        if not relevant:
+        relevant.append([column_of[cid] for cid in truth[qid] if cid in column_of])
+        if not relevant[-1]:
             raise DataError(f"query {qid!r} has no relevant candidate in the index")
-        starts.append(len(candidates))
-        queries += [q] * len(relevant)
-        candidates += relevant
-    queries, candidates = (np.array(a, dtype=np.intp) for a in (queries, candidates))
+    counts = np.array([len(r) for r in relevant], dtype=np.intp)
+    queries = np.repeat(np.arange(len(relevant)), counts)
+    candidates = np.fromiter(chain.from_iterable(relevant), dtype=np.intp,
+                             count=len(queries))
     order = np.lexsort((candidates, -scores[queries, candidates], queries))
-    return candidates[order[starts]]
+    return candidates[order[np.cumsum(counts) - counts]]
 
 
 def _rank_counts(scores: Array, row_best: np.ndarray, col_best=None):
     """(Rank of each row's best column along its row, rank of each column's
     best row down its column or None without ``col_best``) from one pass
-    over blocks of _BLOCK_ROWS rows. A row counts #(s > best), plus its ties
-    at smaller columns where its best value occurs twice or more. A column
-    adds #(s >= best), as ``s > nextafter(best, -inf)``, in blocks above its
-    best row, then #(s > best), plus the ties above it in its own block."""
-    columns = np.arange(scores.shape[1])
-    row_top = scores[np.arange(len(scores)), row_best]
-    row_ranks = np.empty(len(scores), dtype=np.intp)
-    col_ranks = None if col_best is None else np.zeros(len(columns), dtype=np.intp)
+    over blocks of ``_block_rows`` rows, each checked by ``finite_matrix``
+    (EvaluationError names the "score matrix") before it is counted.
+
+    A row counts #(s > best), plus its ties at smaller columns where its
+    best value occurs twice or more. A column adds #(s >= best), as
+    ``s > nextafter(best, -inf)``, in blocks above its best row, then
+    #(s > best), plus the ties above it in its own block. Each comparison
+    goes into one reused boolean buffer and is counted as a byte sum."""
+    n_rows, n_columns = scores.shape
+    step = _block_rows(n_columns)
+    columns = np.arange(n_columns)
+    row_top = scores[np.arange(n_rows), row_best]
+    row_ranks = np.empty(n_rows, dtype=np.intp)
+    col_ranks = None if col_best is None else np.zeros(n_columns, dtype=np.intp)
     if col_best is not None:
         col_top = scores[col_best, columns]
         col_ge = np.nextafter(col_top, -np.inf)
-    for lo in range(0, len(scores), _BLOCK_ROWS):
-        block = scores[lo:lo + _BLOCK_ROWS]
+    buffer = np.empty((min(step, n_rows), n_columns), dtype=bool)
+    for lo in range(0, n_rows, step):
+        block = finite_matrix(scores[lo:lo + step], "score matrix")
         hi = lo + len(block)
+        mask = buffer[:hi - lo]
         top = row_top[lo:hi, None]
-        row_ranks[lo:hi] = np.count_nonzero(block > top, axis=1)
-        tied = np.flatnonzero(np.count_nonzero(block == top, axis=1) > 1)
-        row_ranks[lo + tied] += np.count_nonzero(
-            (block[tied] == top[tied]) & (columns < row_best[lo + tied, None]), axis=1)
+        row_ranks[lo:hi] = _count(np.greater(block, top, out=mask), axis=1)
+        tied = np.flatnonzero(_count(np.equal(block, top, out=mask), axis=1) > 1)
+        row_ranks[lo + tied] += _count(
+            mask[tied] & (columns < row_best[lo + tied, None]), axis=1)
         if col_best is not None:
             after = col_best >= hi
-            col_ranks += np.count_nonzero(block > np.where(after, col_ge, col_top), axis=0)
+            col_ranks += _count(np.greater(
+                block, np.where(after, col_ge, col_top), out=mask), axis=0)
             inside = np.flatnonzero((col_best >= lo) & ~after)
-            col_ranks[inside] += np.count_nonzero(
+            col_ranks[inside] += _count(
                 (block[:, inside] == col_top[inside])
                 & (np.arange(lo, hi)[:, None] < col_best[inside]), axis=0)
     return row_ranks, col_ranks
+
+
+def _count(mask: np.ndarray, axis: int) -> np.ndarray:
+    """True entries of a boolean matrix along ``axis``, summed as bytes,
+    which is faster than ``np.count_nonzero(mask, axis)``."""
+    return mask.view(np.uint8).sum(axis=axis, dtype=np.uint32)
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -112,7 +138,7 @@ def recall_at_k(scores: Array, query_ids: Sequence[str],
     ``scores[q, c]`` ranks candidate c for query q, higher is better."""
     if k < 1:
         raise ValueError(f"recall_at_k: k must be >= 1, got {k}")
-    scores = finite_matrix(scores, "score matrix")
+    scores = as_matrix(scores, "score matrix")
     ranks, _ = _rank_counts(
         scores, _best_relevant(scores, query_ids, candidate_ids, truth))
     return _recall(ranks, k)
@@ -122,7 +148,7 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
                     image_ids: Sequence[str],
                     truth: Mapping[str, Set[str]]) -> RetrievalResult:
     """Both directions' R@{1,5,10} from a text-by-image score matrix."""
-    scores = finite_matrix(scores, "score matrix")
+    scores = as_matrix(scores, "score matrix")
     cr_ranks, ir_ranks = _rank_counts(
         scores, _best_relevant(scores, text_ids, image_ids, truth),
         _best_relevant(scores.T, image_ids, text_ids, truth))

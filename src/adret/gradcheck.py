@@ -85,6 +85,12 @@ def _padded(f):
     return stack, valid
 
 
+def _top(f):
+    """Each column's largest real value, as the adpool forward takes it: the
+    first row the token branch ranks."""
+    return pooling._rank(*_padded(f))[0][:, :1]
+
+
 def _encode_op(spec: PoolingSpec, batch: int) -> DiffOp:
     """The batched encoder on ``batch`` feature matrices, then the encoder
     parameters (w_proj, b_proj, w_tok, w_bal)."""
@@ -97,7 +103,9 @@ def _encode_op(spec: PoolingSpec, batch: int) -> DiffOp:
 
     def vjp(inputs, out, grad):
         _, cache = batch_forward(inputs[:batch], params_of(*inputs[batch:]))
-        grads, d_features = batch_vjp(cache, grad)
+        grads, d_flat = batch_vjp(cache, grad)
+        lengths = [len(f) for f in inputs[:batch]]
+        d_features = np.split(d_flat, np.cumsum(lengths)[:-1])
         return (*d_features, grads.w_proj, grads.b_proj, grads.pool.w_tok,
                 grads.pool.w_bal)
 
@@ -192,7 +200,7 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
         pooling._token_vjp), [normal(stage_shape), normal((4, 1))]))
     checks.append((_stage_op(
         "embedding_level_adpool",
-        lambda f: pooling._embedding_forward(*_padded(f)),
+        lambda f: pooling._embedding_forward(*_padded(f), _top(f)),
         lambda cache, g: (pooling._embedding_vjp(cache, g),)),
         [normal(stage_shape)]))
     checks.append((_stage_op("balance_combine", pooling._balance_forward,

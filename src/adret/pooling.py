@@ -144,7 +144,9 @@ def _stack(f: Array, lengths=None):
 def _rank(f: Array, valid: Array):
     """(columns sorted descending, padding -0.0; the NaN-padded stack)."""
     keyed = np.where(valid, f, np.nan)
-    return np.where(valid, sort_desc_per_column(keyed), -0.0), keyed
+    ranked = sort_desc_per_column(keyed)
+    np.copyto(ranked, -0.0, where=~valid)
+    return ranked, keyed
 
 
 def mean_pool(f: Array) -> Array:
@@ -209,9 +211,10 @@ def _token_forward(f: Array, valid: Array, w_tok: Array):
         raise DimensionError(f"w_tok must be {f.shape[2]} x 1, got {w.shape}")
     w = w.ravel()
     ranked, keyed = _rank(f, valid)
-    logits = np.where(valid, (ranked * w).sum(axis=2, keepdims=True), -np.inf)
+    product = ranked * w  # reused below for the theta-weighted rows
+    logits = np.where(valid, product.sum(axis=2, keepdims=True), -np.inf)
     theta = softmax_columns(logits)  # (B, M, 1): a softmax down the ranks
-    t_tok = sum_rows(theta * ranked)[:, 0]
+    t_tok = sum_rows(np.multiply(theta, ranked, out=product))[:, 0]
     return t_tok, theta[:, :, 0], (ranked, keyed, theta, w)
 
 
@@ -233,8 +236,16 @@ def token_level_adpool(f: Array, w_tok: Array) -> tuple[Array, Array]:
     return t_tok[0], theta[0]
 
 
-def _embedding_forward(f: Array, valid: Array):
-    delta = softmax_columns(np.where(valid, f, -np.inf))
+def _embedding_forward(f: Array, valid: Array, top: Array):
+    """``top`` is each column's largest real value, the token branch's first
+    ranked row. Shifting by it instead of by the column max gives
+    ``softmax_columns(np.where(valid, f, -np.inf))`` bit for bit: the two
+    differ at most in a zero's sign, and exp(+-0) = 1. A NaN makes the
+    column's sum, so the whole column, NaN either way (of either sign)."""
+    delta = np.where(valid, f, -np.inf)
+    np.subtract(delta, top, out=delta)
+    np.exp(delta, out=delta)
+    np.divide(delta, sum_rows(delta), out=delta)
     return sum_rows(delta * f)[:, 0], delta, (delta, f)
 
 
@@ -251,7 +262,7 @@ def embedding_level_adpool(f: Array) -> tuple[Array, Array]:
     to 1).
     """
     f, _, valid = _stack(f)
-    t_emb, delta, _ = _embedding_forward(f, valid)
+    t_emb, delta, _ = _embedding_forward(f, valid, f.max(axis=1, keepdims=True))
     return t_emb[0], delta[0]
 
 
@@ -300,7 +311,8 @@ def _adpool_forward(f: Array, valid: Array, params: PoolParams,
     """Adaptive pooler; a given ``omega`` replaces the learned balance
     (fixed-balance), so w_bal is unused and gets no gradient."""
     t_tok, theta, tok_cache = _token_forward(f, valid, params.w_tok)
-    t_emb, delta, emb_cache = _embedding_forward(f, valid)
+    ranked = tok_cache[0]
+    t_emb, delta, emb_cache = _embedding_forward(f, valid, ranked[:, :1])
     if omega is None:
         t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
     else:

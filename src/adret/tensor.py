@@ -19,11 +19,12 @@ Conventions:
     rows are stacked with it
 
 Finiteness is checked where values enter or leave the package, not per op:
-file reads and writes (``cache``), config values, loss and score matrices
-(``finite_matrix``), the row norms in ``l2_normalize_rows`` (the encoder's
-last step), and the trainer's loss, gradient and update guards. On NaN input
-the primitives and pooling kernels do what numpy does: NaN propagates, and a
-sort ranks it below every number.
+file reads and writes (``cache``), config values, loss matrices
+(``finite_matrix``), score matrices (``finite_matrix`` on each block of rows
+as ``evaluation`` ranks it, not in a pass of their own), the row norms in
+``l2_normalize_rows`` (the encoder's last step), and the trainer's loss,
+gradient and update guards. On NaN input the primitives and pooling kernels
+do what numpy does: NaN propagates, and a sort ranks it below every number.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ def sort_desc_per_column(m: Array) -> Array:
     m = np.asarray(m, dtype=np.float64)
     if m.size == 0:
         raise ValueError("sort_desc_per_column: empty matrix")
-    return -np.sort(-m, axis=-2)
+    out = np.negative(m)  # -np.sort(-m) in one new array
+    out.sort(axis=-2)
+    return np.negative(out, out=out)
 
 
 def sort_desc_per_column_vjp(m: Array, grad: Array) -> Array:

@@ -138,7 +138,7 @@ class TestEncode:
         params = _params(rng)
         f = rng.standard_normal((4, 6))
         e, cache = batch_forward([f], params)
-        grads, (d_f,) = batch_vjp(cache, rng.standard_normal((1, 4)))
+        grads, d_f = batch_vjp(cache, rng.standard_normal((1, 4)))
         assert grads.w_proj.shape == (6, 4)
         assert grads.b_proj.shape == (4,)
         assert grads.pool.w_tok.shape == (4, 1)
@@ -184,8 +184,9 @@ class TestBatch:
         features = [rng.standard_normal((m, 6)) for m in lengths]
         emb, cache = batch_forward(features, params)
         d_emb = rng.standard_normal(emb.shape)
-        grads, d_features = batch_vjp(cache, d_emb)
-        assert [g.shape for g in d_features] == [f.shape for f in features]
+        grads, d_flat = batch_vjp(cache, d_emb)
+        assert d_flat.shape == (sum(lengths), 6)
+        d_features = np.split(d_flat, np.cumsum(lengths)[:-1])
         assert grads.b_proj.shape == (4,)
         assert grads.pool.w_tok.shape == grads.pool.w_bal.shape == (4, 1)
 
@@ -194,7 +195,7 @@ class TestBatch:
 
         # the batch's parameter gradient is the sum of the instances' own
         for f, d_e, d_f in zip(features, d_emb, d_features):
-            d_f_alone = alone(f, d_e)[1][0]
+            d_f_alone = alone(f, d_e)[1]
             np.testing.assert_allclose(d_f, d_f_alone, rtol=0, atol=1e-14)
         named = _named(grads)
         total = {k: sum(_named(alone(f, d_e)[0])[k]

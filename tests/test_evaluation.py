@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from adret import evaluation
 from adret.errors import DataError, DimensionError, EvaluationError
 from adret.evaluation import (
-    _BLOCK_ROWS,
     RetrievalResult,
+    _block_rows,
     ensemble_similarity,
     evaluate_scores,
     evaluate_scores_folds,
@@ -27,6 +28,13 @@ def _recall_oracle(scores, relevant_columns, k):
         if min(rank_of[j] for j in relevant_columns[q]) <= k:
             hits += 1
     return 100.0 * hits / len(scores)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Counting blocks of 1024 scores, so that the matrices the Python
+    oracle can afford span several blocks."""
+    monkeypatch.setattr(evaluation, "_BLOCK_SCORES", 1024)
 
 
 def _both_directions(scores, caption_relevant):
@@ -62,7 +70,7 @@ class TestRecallAtK:
         assert recall_at_k(scores, ["q0"], cids, truth, 5) == 0.0
         assert recall_at_k(scores, ["q0"], cids, truth, 10) == 100.0
 
-    def test_matches_rank_scan_oracle(self):
+    def test_matches_rank_scan_oracle(self, small_blocks):
         rng = np.random.default_rng(0)
         cids = [f"c{j}" for j in range(20)]
         for trial in range(20):
@@ -80,7 +88,7 @@ class TestRecallAtK:
         # One decimal: the best relevant candidate ties with candidates at
         # smaller and at larger indices. The last case spans three blocks.
         tied_before = tied_after = 0
-        for n_queries, n_cands in [(20, 20)] * 20 + [(2 * _BLOCK_ROWS + 3, 30)]:
+        for n_queries, n_cands in [(20, 20)] * 20 + [(2 * _block_rows(30) + 3, 30)]:
             scores = np.round(rng.standard_normal((n_queries, n_cands)), 1)
             relevant = [set(rng.choice(n_cands, size=rng.integers(1, 4),
                                        replace=False).tolist())
@@ -100,9 +108,9 @@ class TestRecallAtK:
         assert tied_before > 0 and tied_after > 0
 
         # evaluate_scores, both directions, 5 captions per image; the 300
-        # caption queries span two blocks
+        # caption queries span several blocks
         n_images, captions = 60, 5
-        assert n_images * captions > _BLOCK_ROWS
+        assert n_images * captions > 2 * _block_rows(n_images)
         scores = np.round(rng.standard_normal((n_images * captions, n_images)), 1)
         scores[np.arange(n_images * captions),
                np.arange(n_images * captions) // captions] += 1.0
@@ -111,14 +119,15 @@ class TestRecallAtK:
         # image queries whose best caption sits in the middle of three row
         # blocks, tied with a caption in the block before and one after
         n_images = 7
-        scores = np.round(rng.uniform(-1, 1, (3 * _BLOCK_ROWS, n_images)), 1)
-        caption_relevant = [{t % n_images} for t in range(3 * _BLOCK_ROWS)]
-        rows = np.arange(3 * _BLOCK_ROWS)
+        block = _block_rows(n_images)
+        scores = np.round(rng.uniform(-1, 1, (3 * block, n_images)), 1)
+        caption_relevant = [{t % n_images} for t in range(3 * block)]
+        rows = np.arange(3 * block)
         for j in range(n_images):
-            mid = rows[_BLOCK_ROWS:][rows[_BLOCK_ROWS:] % n_images == j][0]
+            mid = rows[block:][rows[block:] % n_images == j][0]
             others = rows[rows % n_images == (j + 1) % n_images]
             before, after = others[0], others[-1]
-            assert before < _BLOCK_ROWS and after >= 2 * _BLOCK_ROWS
+            assert before < block and after >= 2 * block
             scores[[mid, before, after], j] = 5.0
             greater = rows[rows % n_images == (j + 2) % n_images]
             scores[rng.choice(greater, size=j, replace=False), j] = 6.0
@@ -126,7 +135,7 @@ class TestRecallAtK:
 
         # captions with two or three relevant images; one-row and
         # one-column matrices
-        for n_texts, n_images in [(40, 12), (2 * _BLOCK_ROWS + 5, 9),
+        for n_texts, n_images in [(40, 12), (2 * _block_rows(9) + 5, 9),
                                   (1, 9), (9, 1), (1, 1)]:
             scores = np.round(rng.standard_normal((n_texts, n_images)), 1)
             caption_relevant = [
@@ -262,6 +271,66 @@ class TestEvaluate:
         scores = texts @ images.T
         with pytest.raises(ValueError, match=r"\[1, 4\].*got 6"):
             evaluate_scores_folds(scores, tids, iids, truth, 6)
+
+
+def _grouped(n_images, captions):
+    """Ids and truth where caption t describes image t // captions; the
+    zero-padded ids keep each fold's captions in row order."""
+    tids = [f"t{t:06d}" for t in range(n_images * captions)]
+    iids = [f"i{j:06d}" for j in range(n_images)]
+    truth = {tid: {iids[t // captions]} for t, tid in enumerate(tids)}
+    truth.update({iid: set(tids[j * captions:(j + 1) * captions])
+                  for j, iid in enumerate(iids)})
+    return tids, iids, truth
+
+
+class TestCountingBlocks:
+    """The ranking pass checks each block of score rows for finiteness as
+    it counts it; there is no separate scan of the whole matrix."""
+
+    def test_full_size_blocks_match_the_oracle(self):
+        n_images = 200
+        rng = np.random.default_rng(11)
+        scores = np.round(rng.standard_normal(
+            (_block_rows(n_images) + 3, n_images)), 1)
+        _both_directions(scores, [{t % n_images} for t in range(len(scores))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_in_the_last_block_raises(self, value):
+        n_images, captions = 400, 5
+        tids, iids, truth = _grouped(n_images, captions)
+        scores = np.random.default_rng(12).uniform(-1, 1, (len(tids), n_images))
+        # the last score is in the last of several blocks, both of the whole
+        # matrix and of the second of two folds
+        assert len(tids) > 2 * _block_rows(n_images)
+        assert len(tids) // 2 > _block_rows(n_images // 2)
+        scores[-1, -1] = value
+        for score in (lambda: evaluate_scores(scores, tids, iids, truth),
+                      lambda: recall_at_k(scores, tids, iids, truth, 5),
+                      lambda: evaluate_scores_folds(scores, tids, iids, truth, 2)):
+            with pytest.raises(EvaluationError, match="score matrix"):
+                score()
+
+    def test_finite_scores_whose_block_sum_overflows_rank(self, small_blocks):
+        n_images = 8
+        n_texts = 3 * _block_rows(n_images)
+        scores = np.random.default_rng(13).choice(
+            [-0.5e308, 0.5e308, 1e308, -np.finfo(float).max], size=(n_texts, n_images))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [scores[lo:lo + _block_rows(n_images)].sum()
+                    for lo in range(0, n_texts, _block_rows(n_images))]
+        assert not np.isfinite(sums).any()
+        _both_directions(scores, [{t % n_images} for t in range(n_texts)])
+
+    def test_missing_truth_is_reported_before_non_finite_scores(self):
+        # the queries' truth is read before the scores: a DataError (exit 2),
+        # where a separate scan first used to raise EvaluationError (exit 3)
+        scores = np.full((2, 2), np.nan)
+        truth = {"t0": {"i0"}, "i0": {"t0"}, "i1": {"t1"}}
+        with pytest.raises(DataError, match="'t1' missing"):
+            evaluate_scores(scores, ["t0", "t1"], ["i0", "i1"], truth)
+        with pytest.raises(DataError, match="'t1' missing"):
+            recall_at_k(scores, ["t0", "t1"], ["i0", "i1"], truth, 1)
 
 
 class TestEnsemble:

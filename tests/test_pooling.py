@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adret import pooling
 from adret.errors import ConfigError, DimensionError
 from adret.pooling import (
     MANUAL_VISUAL_K,
@@ -22,7 +23,7 @@ from adret.pooling import (
     pool_vjp,
     token_level_adpool,
 )
-from adret.tensor import sort_desc_per_column_vjp
+from adret.tensor import softmax_columns, sort_desc_per_column_vjp
 
 
 def _token_pool_oracle(f, w_tok):
@@ -310,3 +311,42 @@ class TestTopkGradientProperty:
                             (d_t / k[:, None])[:, None, :], 0.0)
         oracle = sort_desc_per_column_vjp(keyed, d_ranked)
         assert d_f.tobytes() == oracle.tobytes()  # bit for bit, zero signs too
+
+
+def _bytes(a):
+    """The bytes of ``a`` with every NaN made np.nan: equal for arrays equal
+    bit for bit, zero signs included, up to the signs of their NaNs."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+class TestAdpoolBitEquality:
+    """The adpool forward shares buffers between its stages; on stacks full
+    of ties, zeros of both signs and NaN it must give the bytes of the
+    stages run apart, and of each instance pooled alone."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_ragged_stack())
+    def test_shifted_embedding_softmax_equals_softmax_columns(self, stack):
+        f, lengths, _ = stack
+        f, _, valid = pooling._stack(f, lengths)
+        top = pooling._rank(f, valid)[0][:, :1]
+        delta = pooling._embedding_forward(f, valid, top)[1]
+        # a NaN's sign may differ: np.sort may clear a NaN's sign bit, so
+        # the ranked rows can hold the NaN negated, where max returns it
+        assert _bytes(delta) == _bytes(softmax_columns(np.where(valid, f, -np.inf)))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_ragged_stack(), st.sampled_from(
+        (PoolingSpec("adpool"), PoolingSpec("fixed-balance", weights=(0.25, 0.75)))))
+    def test_batch_rows_equal_pooling_alone(self, stack, spec):
+        f, lengths, d_t = stack
+        d = f.shape[2]
+        params = PoolParams(np.linspace(-1.0, 1.0, d)[:, None],
+                            np.linspace(0.5, -0.5, d)[:, None])
+        t, diag, _ = pool_forward(f, spec, params, lengths)
+        for b, m in enumerate(lengths):
+            t_b, diag_b, _ = pool_forward(f[b, :m], spec, params)
+            # np.sort may return a NaN with either sign, by the stack's size
+            assert _bytes(t[b]) == _bytes(t_b)
+            assert _bytes(diag.theta[b, :m]) == _bytes(diag_b.theta)
+            assert _bytes(diag.delta[b, :m]) == _bytes(diag_b.delta)

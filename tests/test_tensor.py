@@ -150,6 +150,15 @@ class TestSortDescPerColumn:
         assert np.array_equal(sort_desc_per_column(m),
                               np.take_along_axis(m, perm, axis=-2), equal_nan=True)
 
+    @pytest.mark.parametrize("shape", [(9, 4), (3, 7, 5)])
+    def test_bytes_equal_the_negated_sort(self, shape):
+        # zeros of both signs, ties and NaN; the sort of one negated copy
+        # must give the bytes of -np.sort(-m), zero signs and NaN included
+        grid = np.array([-1.0, -0.0, 0.0, 0.5, 0.5, np.nan])
+        m = np.random.default_rng(6).choice(grid, size=shape)
+        assert sort_desc_per_column(m).tobytes() == \
+            (-np.sort(-m, axis=-2)).tobytes()
+
     def test_column_means_preserved(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((7, 5))

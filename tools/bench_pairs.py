@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of two source checkouts.
+
+    tools/bench_pairs.py OLD NEW --workload W --seeds A-B --seconds S
+
+OLD and NEW are source checkouts, each with its own ``perfbench/run.py``.
+For each seed from A to B, the benchmark runs once in each checkout, as
+``perfbench/run.py --workload W --seed N --seconds S --trace 0``; the
+checkout that runs first alternates from seed to seed, so a drift in the
+machine's speed falls on both sides. Each run's result is the last line
+of its standard output.
+
+For every end-to-end metric that NEW's ``BENCHMARK.json`` lists, the
+script prints OLD's and NEW's median and quartiles and the number of
+pairs that NEW wins (strictly better, in the metric's direction). The
+exit code is 1 if any run failed or was not ``correct``, else 0.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _seeds(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float):
+    """The result object of one benchmark run, or None if it failed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", type=_seeds, required=True, help="A-B, inclusive")
+    p.add_argument("--seconds", type=float, required=True)
+    args = p.parse_args(argv)
+
+    spec = json.loads((args.new / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    values = {side: {name: [] for name in metrics} for side in ("old", "new")}
+    ok = True
+    for i, seed in enumerate(args.seeds):
+        sides = ("old", "new") if i % 2 == 0 else ("new", "old")
+        results = {}
+        for side in sides:
+            result = _run(getattr(args, side), args.workload, seed, args.seconds)
+            if result is None or not result["correct"]:
+                print(f"seed {seed}: {side} run failed or is not correct",
+                      file=sys.stderr)
+                ok = False
+            results[side] = result
+        if None in results.values():
+            continue
+        print(f"seed {seed}: " + "  ".join(
+            f"{name} {results['old']['metrics'][name]['value']:.4g} -> "
+            f"{results['new']['metrics'][name]['value']:.4g}" for name in metrics),
+            flush=True)
+        for side, result in results.items():
+            for name in metrics:
+                values[side][name].append(result["metrics"][name]["value"])
+
+    pairs = len(values["old"][next(iter(metrics))])
+    if pairs:
+        print(f"\n{args.workload}, {pairs} pairs: median [q1, q3], NEW wins")
+    for name, better in metrics.items():
+        old, new = values["old"][name], values["new"][name]
+        if not old:
+            continue
+        sign = -1 if better == "lower" else 1
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        (o1, o2, o3), (n1, n2, n3) = _quartiles(old), _quartiles(new)
+        print(f"{name:12s} old {o2:.4g} [{o1:.4g}, {o3:.4g}]  "
+              f"new {n2:.4g} [{n1:.4g}, {n3:.4g}]  "
+              f"change {100 * (n2 / o2 - 1) if o2 else 0.0:+.1f}%  "
+              f"wins {wins}/{pairs}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
