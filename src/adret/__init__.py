@@ -1,8 +1,8 @@
 """Bi-encoder contrastive retrieval with adaptive pooling and adaptive
 negative sampling, runnable end to end on a synthetic paired corpus."""
 
-from .data import Corpus, RawInstance, SyntheticCorpusConfig, generate_corpus, ground_truth
-from .encoders import BiEncoder, EncoderParams, encode, init_encoder_params, project, split_scores
+from .data import Corpus, RawInstance, SyntheticCorpusConfig, ground_truth
+from .encoders import BiEncoder, EncoderParams, init_encoder_params, project, split_scores
 from .evaluation import RetrievalResult, ensemble_similarity, evaluate_scores, recall_at_k
 from .objectives import (
     BatchMaturity,
@@ -17,19 +17,7 @@ from .objectives import (
     select_negatives,
     uniformity,
 )
-from .pooling import (
-    PoolDiagnostics,
-    PoolParams,
-    PoolingSpec,
-    adpool,
-    balance_combine,
-    embedding_level_adpool,
-    kmax_pool,
-    max_pool,
-    mean_pool,
-    pool,
-    token_level_adpool,
-)
+from .pooling import PoolDiagnostics, PoolParams, PoolingSpec
 from .tensor import DiffOp, GradCheckReport, finite_diff_check
 from .training import AdamState, TrainConfig, TrainLog, adam_step, lr_at, train
 

@@ -86,13 +86,6 @@ def _draw_groups(rng: np.random.Generator, cfg: SyntheticCorpusConfig,
     return Corpus(tuple(images), tuple(texts))
 
 
-def generate_corpus(cfg: SyntheticCorpusConfig) -> tuple[Corpus, GroundTruth]:
-    """One corpus of cfg.num_groups groups, the train split of
-    generate_splits; bit-identical for a fixed seed."""
-    corpus = generate_splits(cfg, cfg.num_groups, 0, 0)["train"]
-    return corpus, ground_truth(corpus)
-
-
 def generate_splits(cfg: SyntheticCorpusConfig, train_groups: int,
                     val_groups: int, test_groups: int) -> dict[str, Corpus]:
     """Train/val/test corpora sharing one latent world (same mixing matrices).

@@ -6,8 +6,8 @@ encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 ``project`` call over every row, one ``pool_forward``/``pool_vjp`` call on
 the padded (B, M_max, d) stack (see ``pooling`` for the mask), and the
 gradient of every feature row back. A batch row is bit-equal to encoding
-that instance alone; ``encode`` is the B=1 case, and ``encode_all`` runs the
-kernel on blocks of instances of near-equal length. ``split_scores`` is the
+that instance alone, its B=1 batch; ``encode_all`` runs the kernel on
+blocks of instances of near-equal length. ``split_scores`` is the
 one way a corpus split is scored, for eval and validation alike.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, RawInstance
+from .data import Corpus
 from .errors import DataError, DimensionError
 from .pooling import PoolingSpec, PoolParams, pool_forward, pool_vjp
 from .tensor import (
@@ -147,12 +147,6 @@ def batch_vjp(cache, d_embeddings: Array):
     d_flat, d_w_proj = matmul_vjp(flat, params.w_proj, d_product)
     return (EncoderParams(d_w_proj, d_b_proj, PoolParams(d_w_tok, d_w_bal),
                           params.spec), d_flat)
-
-
-def encode(raw, params: EncoderParams) -> Array:
-    """Encode a RawInstance or a bare feature matrix to a unit vector."""
-    features = raw.features if isinstance(raw, RawInstance) else raw
-    return batch_forward([features], params)[0][0]
 
 
 def encode_all(instances, params: EncoderParams) -> Array:

@@ -84,10 +84,6 @@ def _square(s: Array, name: str) -> Array:
 
 def alignment(s: Array) -> float:
     """Mean similarity of the positive pairs (the diagonal)."""
-    return _alignment(_square(s, "similarity matrix"))
-
-
-def _alignment(s: Array) -> float:
     return float(np.mean(np.diag(s)))
 
 
@@ -97,10 +93,6 @@ def uniformity(s: Array) -> float:
     0 when similarities hover around zero (well spread), approaching 1 as
     the batch collapses toward all-similar embeddings.
     """
-    return _uniformity(_square(s, "similarity matrix"))
-
-
-def _uniformity(s: Array) -> float:
     return float(np.log(np.mean(np.exp(s))))
 
 
@@ -266,8 +258,8 @@ def adopt_loss(s: Array, temperature: float) -> tuple[float, BatchMaturity, Arra
     s = as_matrix(s, "similarity matrix")
     if s.shape[0] < 2:
         raise ValueError("adopt_loss needs a batch of at least 2")
-    gamma_a = clamp01(_alignment(s))
-    gamma_u = clamp01(_uniformity(s))
+    gamma_a = clamp01(alignment(s))
+    gamma_u = clamp01(uniformity(s))
     k = adaptive_k(gamma_a, gamma_u, s.shape[0])
     sel = select_negatives(s, k)
     loss, grad = negatives_only_info_nce(s, sel, temperature)

@@ -26,12 +26,15 @@ real row (real ties keep their order), is masked to -inf in the softmax over
 ranks (theta) and the per-column softmax (delta), and gets a zero gradient.
 Rank sums add in rank order (``tensor.sum_rows``) and the sums over d of an
 M-row instance (theta's logits) run elementwise along the last axis, so each
-row of a batch result is bit-equal to pooling that instance alone. One
-einsum or 3-D ``@`` over the padded M x d rows would not promise this: its
-kernel may change with M, which padding raises. (A stacked product of one
-row at a time, as in ``tensor.matmul``, would keep it.) One M x d
-matrix is the B=1 stack: ``pool_forward``/``pool_vjp`` and the named entry
-points take one and return unbatched shapes.
+row of a batch result is bit-equal to pooling that instance alone, up to the
+sign bit of a NaN: ``np.sort`` may flip it, by the stack's size. (No NaN
+reaches an embedding: ``l2_normalize_rows`` rejects it.) One einsum or 3-D
+``@`` over the padded M x d rows would not promise this: its kernel may
+change with M, which padding raises. (A stacked product of one row at a
+time, as in ``tensor.matmul``, would keep it.)
+
+``pool_forward``/``pool_vjp`` are the pooling API. One M x d matrix is the
+B=1 stack: given one, they return unbatched shapes.
 """
 
 from __future__ import annotations
@@ -149,28 +152,15 @@ def _rank(f: Array, valid: Array):
     return ranked, keyed
 
 
-def mean_pool(f: Array) -> Array:
-    return pool_forward(f, PoolingSpec("mean"))[0]
-
-
-def max_pool(f: Array) -> Array:
-    return pool_forward(f, PoolingSpec("max"))[0]
-
-
-def kmax_pool(f: Array, k: int) -> Array:
-    """Per-column mean of the k largest values; ValueError for k outside [1, M]."""
-    return _topk_forward(*_stack(f), k)[0][0]
-
-
 def _topk_forward(f: Array, lengths: Array, valid: Array, k):
     """Per-column mean of instance b's ``k[b]`` largest values. Where k[b] is
-    the length this is the mean in row order, so kmax_pool(f, M) ==
-    mean_pool(f) bit for bit; elsewhere the top rows add in rank order."""
+    the length this is the mean in row order, so kmax with k = M equals
+    mean bit for bit; elsewhere the top rows add in rank order."""
     k = np.broadcast_to(k, lengths.shape)
     bad = (k < 1) | (k > lengths)
     if bad.any():
         b = int(bad.argmax())
-        raise ValueError(f"kmax_pool: k={k[b]} outside [1, {lengths[b]}]")
+        raise ValueError(f"kmax pooling: k={k[b]} outside [1, {lengths[b]}]")
     t = sum_rows(f)[:, 0] / lengths[:, None]
     part = k < lengths
     if not part.any():
@@ -226,16 +216,6 @@ def _token_vjp(cache, d_t: Array):
     return sort_desc_per_column_vjp(keyed, theta * d_t + d_logits * w), d_w
 
 
-def token_level_adpool(f: Array, w_tok: Array) -> tuple[Array, Array]:
-    """Rank rows per column, learn softmax weights over the ranks, weight-sum.
-
-    Returns the pooled vector and the weights theta (length M, sums to 1).
-    """
-    f, _, valid = _stack(f)
-    t_tok, theta, _ = _token_forward(f, valid, w_tok)
-    return t_tok[0], theta[0]
-
-
 def _embedding_forward(f: Array, valid: Array, top: Array):
     """``top`` is each column's largest real value, the token branch's first
     ranked row. Shifting by it instead of by the column max gives
@@ -255,17 +235,6 @@ def _embedding_vjp(cache, d_t: Array) -> Array:
     return delta * d_t + softmax_columns_vjp(delta, f * d_t)
 
 
-def embedding_level_adpool(f: Array) -> tuple[Array, Array]:
-    """Parameter-free soft maximum: per-column softmax weighting.
-
-    Returns the pooled vector and the weight matrix delta (each column sums
-    to 1).
-    """
-    f, _, valid = _stack(f)
-    t_emb, delta, _ = _embedding_forward(f, valid, f.max(axis=1, keepdims=True))
-    return t_emb[0], delta[0]
-
-
 def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
     """Balance one pair of pooled vectors, or each row of two (B, d) stacks."""
     t_tok = np.asarray(t_tok, dtype=np.float64)
@@ -273,7 +242,7 @@ def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
     w = as_matrix(w_bal, "w_bal")
     if t_emb.shape != t_tok.shape or w.shape != (t_tok.shape[-1], 1):
         raise DimensionError(
-            f"balance_combine: incompatible shapes t_tok {t_tok.shape}, "
+            f"balance: incompatible shapes t_tok {t_tok.shape}, "
             f"t_emb {t_emb.shape}, w_bal {w.shape}")
     wb = w.ravel()
     omega = softmax_vector(np.stack([(t_tok * wb).sum(axis=-1),
@@ -290,20 +259,6 @@ def _balance_vjp(cache, d_t: Array):
     d_emb = omega[..., 1:] * d_t + d_logits[..., 1:] * wb
     d_w = d_logits[..., :1] * t_tok + d_logits[..., 1:] * t_emb
     return d_tok, d_emb, d_w.reshape(-1, wb.size).sum(axis=0)[:, None]
-
-
-def balance_combine(t_tok: Array, t_emb: Array, w_bal: Array) -> tuple[Array, Array]:
-    """Learned convex combination of the two pooled vectors.
-
-    Returns the combined vector and the weights omega (length 2, sums to 1).
-    """
-    t, omega, _ = _balance_forward(t_tok, t_emb, w_bal)
-    return t, omega
-
-
-def adpool(f: Array, params: PoolParams) -> tuple[Array, PoolDiagnostics]:
-    """Full adaptive pooler: token level + embedding level + balance."""
-    return pool_forward(f, PoolingSpec("adpool"), params)[:2]
 
 
 def _adpool_forward(f: Array, valid: Array, params: PoolParams,
@@ -331,11 +286,6 @@ def _adpool_vjp(cache, d_t: Array):
         d_tok, d_emb, d_w_bal = _balance_vjp(bal_cache, d_t)
     d_f_tok, d_w_tok = _token_vjp(tok_cache, d_tok)
     return d_f_tok + _embedding_vjp(emb_cache, d_emb), d_w_tok, d_w_bal
-
-
-def pool(f: Array, spec: PoolingSpec, params: Optional[PoolParams] = None) -> Array:
-    """Apply the pooler named by ``spec``; see pool_forward for gradients."""
-    return pool_forward(f, spec, params)[0]
 
 
 def pool_forward(f: Array, spec: PoolingSpec,

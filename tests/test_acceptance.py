@@ -26,15 +26,7 @@ from adret.objectives import (
     info_nce_loss,
     select_negatives,
 )
-from adret.pooling import (
-    PoolingSpec,
-    balance_combine,
-    embedding_level_adpool,
-    kmax_pool,
-    max_pool,
-    mean_pool,
-    token_level_adpool,
-)
+from adret.pooling import PoolingSpec, PoolParams, _balance_forward, pool_forward
 from adret.training import TrainConfig, train
 
 DESK_CORPUS_SEED = 1234
@@ -102,24 +94,30 @@ def test_pooling_algebra_suite():
     start = time.monotonic()
     rng = np.random.default_rng(0)
     scale = 50.0
+
+    def pooled(f, method, **fixed):
+        return pool_forward(f, PoolingSpec(method, **fixed),
+                            PoolParams.zeros(f.shape[1]))[0]
+
     for trial in range(100):
         m = int(rng.integers(1, 13))
         d = int(rng.integers(2, 9))
         f = rng.standard_normal((m, d))
 
-        assert np.array_equal(kmax_pool(f, 1), max_pool(f))
-        assert np.array_equal(kmax_pool(f, m), mean_pool(f))
+        assert np.array_equal(pooled(f, "kmax", k=1), pooled(f, "max"))
+        assert np.array_equal(pooled(f, "kmax", k=m), pooled(f, "mean"))
 
-        t_tok, _ = token_level_adpool(f, np.zeros((d, 1)))
-        assert np.abs(t_tok - mean_pool(f)).max() <= 1e-12
+        # the token branch alone, zero weights
+        t_tok = pooled(f, "fixed-balance", weights=(1.0, 0.0))
+        assert np.abs(t_tok - pooled(f, "mean")).max() <= 1e-12
 
         g = f.copy()
         g[g.argmax(axis=0), np.arange(d)] += 0.5  # distinct column maxima
-        t_emb, _ = embedding_level_adpool(scale * g)
-        assert np.abs(t_emb / scale - max_pool(g)).max() <= 1e-6
+        t_emb = pooled(scale * g, "fixed-balance", weights=(0.0, 1.0))
+        assert np.abs(t_emb / scale - pooled(g, "max")).max() <= 1e-6
 
         t = rng.standard_normal(d)
-        combined, _ = balance_combine(t, t, rng.standard_normal((d, 1)))
+        combined, _, _ = _balance_forward(t, t, rng.standard_normal((d, 1)))
         assert np.array_equal(combined, t)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

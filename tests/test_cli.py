@@ -462,6 +462,13 @@ class TestInspectPool:
                      "--weights", weights]) == 1
         assert "weights" in capsys.readouterr().err
 
+    def test_kmax_k_beyond_the_rows_is_config_error(self, tmp_path, capsys):
+        path = str(tmp_path / "m.bin")
+        cache_write(path, np.ones((4, 3)), [])
+        assert main(["inspect-pool", path, "--method", "kmax", "--k", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "kmax pooling: k=10 outside [1, 4]" in err
+
     def test_missing_files_are_data_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.bin")
         assert main(["inspect-pool", missing]) == 2

@@ -19,7 +19,6 @@ from adret.cache import (
 )
 from adret.data import (
     SyntheticCorpusConfig,
-    generate_corpus,
     generate_splits,
     ground_truth,
     load_corpus,
@@ -28,18 +27,24 @@ from adret.data import (
 from adret.errors import ConfigError, DataError, EvaluationError, FormatError
 
 
+def _corpus(cfg):
+    """A corpus of cfg.num_groups groups: the train split alone."""
+    return generate_splits(cfg, cfg.num_groups, 0, 0)["train"]
+
+
 class TestCorpusGeneration:
     def test_instance_counts(self):
         cfg = SyntheticCorpusConfig(num_groups=100, captions_per_image=5, seed=1)
-        corpus, truth = generate_corpus(cfg)
+        corpus = _corpus(cfg)
+        truth = ground_truth(corpus)
         assert len(corpus.images) == 100
         assert len(corpus.texts) == 500
         assert len(truth) == 600
 
     def test_same_seed_bit_identical(self):
         cfg = SyntheticCorpusConfig(num_groups=20, seed=99)
-        a, _ = generate_corpus(cfg)
-        b, _ = generate_corpus(cfg)
+        a = _corpus(cfg)
+        b = _corpus(cfg)
         for x, y in zip(a.images + a.texts, b.images + b.texts):
             assert x.id == y.id and x.group_id == y.group_id
             assert np.array_equal(x.features, y.features)
@@ -47,14 +52,14 @@ class TestCorpusGeneration:
     def test_lengths_within_ranges(self):
         cfg = SyntheticCorpusConfig(num_groups=40, seed=2,
                                     visual_len=(4, 12), text_len=(5, 15))
-        corpus, _ = generate_corpus(cfg)
+        corpus = _corpus(cfg)
         assert all(4 <= i.features.shape[0] <= 12 for i in corpus.images)
         assert all(5 <= t.features.shape[0] <= 15 for t in corpus.texts)
 
     def test_zero_noise_collapses_group_rows(self):
         cfg = SyntheticCorpusConfig(num_groups=5, captions_per_image=1,
                                     noise_scale=0.0, seed=3)
-        corpus, _ = generate_corpus(cfg)
+        corpus = _corpus(cfg)
         for inst in corpus.images + corpus.texts:
             np.testing.assert_array_equal(inst.features,
                                           np.tile(inst.features[0],
@@ -62,7 +67,8 @@ class TestCorpusGeneration:
 
     def test_ground_truth_links_groups(self):
         cfg = SyntheticCorpusConfig(num_groups=3, captions_per_image=2, seed=4)
-        corpus, truth = generate_corpus(cfg)
+        corpus = _corpus(cfg)
+        truth = ground_truth(corpus)
         img = corpus.images[0]
         captions = {t.id for t in corpus.texts if t.group_id == img.group_id}
         assert truth[img.id] == frozenset(captions)
@@ -237,7 +243,7 @@ class TestWriterOracle:
 
     def test_save_corpus_matches_per_row_writer(self, tmp_path):
         cfg = SyntheticCorpusConfig(num_groups=7, captions_per_image=3, seed=10)
-        corpus, _ = generate_corpus(cfg)
+        corpus = _corpus(cfg)
         save_corpus(str(tmp_path), "s", corpus)
         for name, instances in (("visual", corpus.images),
                                 ("text", corpus.texts)):
@@ -342,7 +348,7 @@ class TestAtomicWrites:
 class TestCorpusPersistence:
     def test_round_trip(self, tmp_path):
         cfg = SyntheticCorpusConfig(num_groups=6, captions_per_image=3, seed=8)
-        corpus, _ = generate_corpus(cfg)
+        corpus = _corpus(cfg)
         save_corpus(str(tmp_path), "train", corpus)
         loaded = load_corpus(str(tmp_path), "train")
         assert len(loaded.images) == 6 and len(loaded.texts) == 18
@@ -355,7 +361,7 @@ class TestCorpusPersistence:
     def test_same_corpus_same_bytes(self, tmp_path):
         cfg = SyntheticCorpusConfig(num_groups=4, seed=9)
         for sub in ("a", "b"):
-            corpus, _ = generate_corpus(cfg)
+            corpus = _corpus(cfg)
             os.makedirs(tmp_path / sub)
             save_corpus(str(tmp_path / sub), "t", corpus)
         for name in os.listdir(tmp_path / "a"):

@@ -10,7 +10,6 @@ from adret.encoders import (
     EncoderParams,
     batch_forward,
     batch_vjp,
-    encode,
     encode_all,
     init_encoder_params,
     project,
@@ -28,6 +27,11 @@ def _params(rng, d_in=6, d=4, spec=None):
         b_proj=rng.standard_normal(d),
         pool=PoolParams(rng.standard_normal((d, 1)), rng.standard_normal((d, 1))),
         spec=spec or PoolingSpec("adpool"))
+
+
+def _encode(features, params):
+    """One feature matrix's unit embedding: the B=1 batch."""
+    return batch_forward([features], params)[0][0]
 
 
 def _named(grads):
@@ -56,35 +60,28 @@ class TestEncode:
         rng = np.random.default_rng(0)
         params = _params(rng)
         for _ in range(10):
-            e = encode(rng.standard_normal((5, 6)), params)
+            e = _encode(rng.standard_normal((5, 6)), params)
             assert abs(np.linalg.norm(e) - 1.0) <= 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         params = _params(rng)
         f = rng.standard_normal((4, 6))
-        assert np.array_equal(encode(f, params), encode(f.copy(), params))
-
-    def test_accepts_raw_instances(self):
-        rng = np.random.default_rng(2)
-        params = _params(rng)
-        f = rng.standard_normal((3, 6))
-        inst = RawInstance("text", f, "t0", "g0")
-        assert np.array_equal(encode(inst, params), encode(f, params))
+        assert np.array_equal(_encode(f, params), _encode(f.copy(), params))
 
     def test_scaled_input_still_unit_norm(self):
         rng = np.random.default_rng(3)
         params = _params(rng)
         f = rng.standard_normal((4, 6))
         for c in (1e-3, 1.0, 1e4):
-            assert abs(np.linalg.norm(encode(c * f, params)) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(_encode(c * f, params)) - 1.0) <= 1e-12
 
     def test_collapsed_pooled_vector_raises(self):
         params = EncoderParams(w_proj=np.zeros((3, 4)), b_proj=np.zeros(4),
                                pool=PoolParams.zeros(4),
                                spec=PoolingSpec("mean"))
         with pytest.raises(DegenerateVectorError):
-            encode(np.ones((2, 3)), params)
+            _encode(np.ones((2, 3)), params)
 
     @pytest.mark.parametrize("spec", [
         PoolingSpec("mean"), PoolingSpec("max"), PoolingSpec("adpool"),
@@ -98,7 +95,7 @@ class TestEncode:
         f = rng.standard_normal((7, 6))  # more rows than either top-k keeps
         f[1, 2] = value
         with pytest.raises(DegenerateVectorError, match="non-finite"):
-            encode(f, _params(rng, spec=spec))
+            _encode(f, _params(rng, spec=spec))
 
     def test_encode_all_stacks_rows(self):
         rng = np.random.default_rng(4)
@@ -107,7 +104,7 @@ class TestEncode:
                      for i in range(5)]
         mat = encode_all(instances, params)
         assert mat.shape == (5, 4)
-        np.testing.assert_array_equal(mat[2], encode(instances[2], params))
+        np.testing.assert_array_equal(mat[2], _encode(instances[2].features, params))
 
     def test_split_scores_rows_are_texts_and_columns_images(self):
         rng = np.random.default_rng(6)
@@ -130,7 +127,7 @@ class TestEncode:
                      PoolingSpec("kmax", k=2), PoolingSpec("adpool"),
                      PoolingSpec("manual", manual_mode="visual"),
                      PoolingSpec("fixed-balance", weights=(0.25, 0.75))):
-            e = encode(f, _params(rng, spec=spec))
+            e = _encode(f, _params(rng, spec=spec))
             assert abs(np.linalg.norm(e) - 1.0) <= 1e-12
 
     def test_forward_vjp_shapes(self):
@@ -165,7 +162,7 @@ class TestBatch:
         lengths = np.arange(ENCODE_BLOCK + 44) % 12 + 1
         lengths = rng.permutation(np.maximum(lengths, spec.k or 1))
         features = [rng.standard_normal((m, d_in)) for m in lengths]
-        alone = np.stack([encode(f, params) for f in features])
+        alone = np.stack([_encode(f, params) for f in features])
         assert np.array_equal(batch_forward(features, params)[0], alone)
         assert np.array_equal(batch_forward(features[:9], params)[0], alone[:9])
         instances = [RawInstance("text", f, f"t{i}", f"g{i}")

@@ -12,16 +12,8 @@ from adret.pooling import (
     MANUAL_VISUAL_K,
     PoolParams,
     PoolingSpec,
-    adpool,
-    balance_combine,
-    embedding_level_adpool,
-    kmax_pool,
-    max_pool,
-    mean_pool,
-    pool,
     pool_forward,
     pool_vjp,
-    token_level_adpool,
 )
 from adret.tensor import softmax_columns, sort_desc_per_column_vjp
 
@@ -42,47 +34,71 @@ def _token_pool_oracle(f, w_tok):
     return np.array(out), np.array(theta)
 
 
+MEAN, MAX, ADPOOL = PoolingSpec("mean"), PoolingSpec("max"), PoolingSpec("adpool")
+# the adaptive pooler's token or embedding branch alone
+TOKEN = PoolingSpec("fixed-balance", weights=(1.0, 0.0))
+EMBEDDING = PoolingSpec("fixed-balance", weights=(0.0, 1.0))
+# one spec per pooling method, both manual modes
+SPECS = [MEAN, MAX, PoolingSpec("kmax", k=2), ADPOOL,
+         PoolingSpec("fixed-balance", weights=(0.75, 0.25)),
+         PoolingSpec("manual", manual_mode="visual"),
+         PoolingSpec("manual", manual_mode="text")]
+
+
+def _kmax(f, k):
+    return pool_forward(f, PoolingSpec("kmax", k=k))[0]
+
+
 class TestSimpleAggregators:
     def test_mean_example(self):
-        np.testing.assert_array_equal(mean_pool([[1.0, 3.0], [3.0, 5.0]]), [2, 4])
+        np.testing.assert_array_equal(
+            pool_forward([[1.0, 3.0], [3.0, 5.0]], MEAN)[0], [2, 4])
 
     def test_mean_single_row(self):
-        np.testing.assert_array_equal(mean_pool([[7.0, -1.0]]), [7, -1])
+        np.testing.assert_array_equal(pool_forward([[7.0, -1.0]], MEAN)[0], [7, -1])
 
     def test_max_example(self):
-        np.testing.assert_array_equal(max_pool([[1.0, 3.0], [3.0, 5.0]]), [3, 5])
+        np.testing.assert_array_equal(
+            pool_forward([[1.0, 3.0], [3.0, 5.0]], MAX)[0], [3, 5])
 
     def test_max_constant(self):
-        np.testing.assert_array_equal(max_pool([[2.0, 2.0], [2.0, 2.0]]), [2, 2])
+        np.testing.assert_array_equal(
+            pool_forward([[2.0, 2.0], [2.0, 2.0]], MAX)[0], [2, 2])
 
     def test_kmax_example(self):
-        assert kmax_pool(np.array([[5.0], [3.0], [1.0]]), 2)[0] == 4.0
+        assert _kmax(np.array([[5.0], [3.0], [1.0]]), 2)[0] == 4.0
 
     def test_kmax_endpoints_are_bit_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             f = rng.standard_normal((int(rng.integers(1, 9)), 4))
             m = f.shape[0]
-            assert np.array_equal(kmax_pool(f, 1), max_pool(f))
-            assert np.array_equal(kmax_pool(f, m), mean_pool(f))
+            assert np.array_equal(_kmax(f, 1), pool_forward(f, MAX)[0])
+            assert np.array_equal(_kmax(f, m), pool_forward(f, MEAN)[0])
 
     def test_kmax_keeps_a_nan_it_does_not_select(self):
         f = np.array([[5.0, 1.0], [np.nan, 2.0], [3.0, 3.0], [1.0, 4.0]])
-        for t in (kmax_pool(f, 2),
-                  pool(np.vstack([f, f]), PoolingSpec("manual", manual_mode="visual"))):
+        manual = PoolingSpec("manual", manual_mode="visual")
+        for t in (_kmax(f, 2), pool_forward(np.vstack([f, f]), manual)[0]):
             assert np.isnan(t[0]) and np.isfinite(t[1])
 
     def test_kmax_range_errors(self):
         f = np.ones((3, 2))
         with pytest.raises(ValueError):
-            kmax_pool(f, 0)
-        with pytest.raises(ValueError):
-            kmax_pool(f, 4)
+            pooling._topk_forward(*pooling._stack(f), 0)
+        with pytest.raises(ValueError, match=r"kmax pooling: k=4 outside \[1, 3\]"):
+            _kmax(f, 4)
 
-    def test_empty_rejected(self):
-        for fn in (mean_pool, max_pool):
-            with pytest.raises(ValueError):
-                fn(np.zeros((0, 3)))
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_empty_rejected(self, spec):
+        with pytest.raises(ValueError):
+            pool_forward(np.zeros((0, 3)), spec, PoolParams.zeros(3))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_non_matrix_rejected(self, spec):
+        for f in (np.ones(3), np.ones((2, 4, 3))):  # 3-D needs lengths
+            with pytest.raises(DimensionError):
+                pool_forward(f, spec, PoolParams.zeros(3))
 
 
 class TestTokenLevel:
@@ -90,34 +106,41 @@ class TestTokenLevel:
         rng = np.random.default_rng(1)
         for _ in range(20):
             f = rng.standard_normal((int(rng.integers(1, 10)), 5))
-            t, theta = token_level_adpool(f, np.zeros((5, 1)))
-            np.testing.assert_allclose(t, mean_pool(f), atol=1e-12)
-            np.testing.assert_allclose(theta, 1.0 / f.shape[0], atol=1e-15)
+            t, diag, _ = pool_forward(f, TOKEN, PoolParams.zeros(5))
+            np.testing.assert_allclose(t, pool_forward(f, MEAN)[0], atol=1e-12)
+            np.testing.assert_allclose(diag.theta, 1.0 / f.shape[0], atol=1e-15)
 
     def test_single_row_passthrough(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((1, 4))
-        t, theta = token_level_adpool(f, rng.standard_normal((4, 1)))
+        params = PoolParams(rng.standard_normal((4, 1)), np.zeros((4, 1)))
+        t, diag, _ = pool_forward(f, TOKEN, params)
         np.testing.assert_allclose(t, f[0], atol=1e-15)
-        np.testing.assert_array_equal(theta, [1.0])
+        np.testing.assert_array_equal(diag.theta, [1.0])
 
     def test_matches_scalar_oracle(self):
         f = np.array([[0.3, -1.2], [2.0, 0.4], [-0.7, 1.1]])
         w = np.array([[1.0], [0.0]])
-        t, theta = token_level_adpool(f, w)
+        t, diag, _ = pool_forward(f, TOKEN, PoolParams(w, np.zeros((2, 1))))
         t_ref, theta_ref = _token_pool_oracle(f, w.ravel())
         np.testing.assert_allclose(t, t_ref, atol=1e-12)
-        np.testing.assert_allclose(theta, theta_ref, atol=1e-12)
+        np.testing.assert_allclose(diag.theta, theta_ref, atol=1e-12)
+
+
+def _embedding(f):
+    """(pooled, delta) of the embedding branch alone."""
+    t, diag, _ = pool_forward(f, EMBEDDING, PoolParams.zeros(np.shape(f)[1]))
+    return t, diag.delta
 
 
 class TestEmbeddingLevel:
     def test_two_zero_column(self):
-        t, _ = embedding_level_adpool([[2.0], [0.0]])
+        t, _ = _embedding([[2.0], [0.0]])
         expected = 2 * math.exp(2) / (math.exp(2) + 1)  # soft max of {2, 0}
         assert abs(t[0] - expected) <= 1e-12
 
     def test_constant_column_passthrough(self):
-        t, delta = embedding_level_adpool([[3.5], [3.5], [3.5]])
+        t, delta = _embedding([[3.5], [3.5], [3.5]])
         assert abs(t[0] - 3.5) <= 1e-12
         np.testing.assert_allclose(delta[:, 0], 1 / 3, atol=1e-15)
 
@@ -127,8 +150,9 @@ class TestEmbeddingLevel:
         for _ in range(10):
             f = rng.standard_normal((6, 4))
             f[f.argmax(axis=0), np.arange(4)] += 0.5  # well-separated maxima
-            t_scaled, _ = embedding_level_adpool(scale * f)
-            np.testing.assert_allclose(t_scaled / scale, max_pool(f), atol=1e-6)
+            t_scaled, _ = _embedding(scale * f)
+            np.testing.assert_allclose(t_scaled / scale, pool_forward(f, MAX)[0],
+                                       atol=1e-6)
 
 
 class TestBalance:
@@ -136,22 +160,22 @@ class TestBalance:
         rng = np.random.default_rng(4)
         for _ in range(10):
             t = rng.standard_normal(6)
-            out, omega = balance_combine(t, t, rng.standard_normal((6, 1)))
+            out, omega, _ = pooling._balance_forward(t, t, rng.standard_normal((6, 1)))
             np.testing.assert_array_equal(out, t)
             assert abs(omega.sum() - 1.0) <= 1e-15
 
     def test_zero_weight_gives_even_split(self):
         rng = np.random.default_rng(5)
-        _, omega = balance_combine(rng.standard_normal(4),
-                                   rng.standard_normal(4), np.zeros((4, 1)))
+        _, omega, _ = pooling._balance_forward(
+            rng.standard_normal(4), rng.standard_normal(4), np.zeros((4, 1)))
         np.testing.assert_array_equal(omega, [0.5, 0.5])
 
     def test_fixed_weights_override(self):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((5, 3))
         params = PoolParams(rng.standard_normal((3, 1)), np.zeros((3, 1)))
-        t_tok, _ = token_level_adpool(f, params.w_tok)
-        t_emb, _ = embedding_level_adpool(f)
+        t_tok = pool_forward(f, TOKEN, params)[0]
+        t_emb, _ = _embedding(f)
         spec = PoolingSpec("fixed-balance", weights=(0.75, 0.25))
         out, diag, _ = pool_forward(f, spec, params)
         np.testing.assert_allclose(out, 0.75 * t_tok + 0.25 * t_emb, atol=1e-15)
@@ -159,7 +183,7 @@ class TestBalance:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            balance_combine(np.ones(3), np.ones(4), np.ones((3, 1)))
+            pooling._balance_forward(np.ones(3), np.ones(4), np.ones((3, 1)))
 
 
 class TestAdpool:
@@ -168,15 +192,15 @@ class TestAdpool:
         f = rng.standard_normal((1, 5))
         params = PoolParams(rng.standard_normal((5, 1)),
                             rng.standard_normal((5, 1)))
-        t, _ = adpool(f, params)
+        t, _, _ = pool_forward(f, ADPOOL, params)
         np.testing.assert_allclose(t, f[0], atol=1e-15)
 
     def test_zero_parameters_blend_mean_and_soft_max(self):
         rng = np.random.default_rng(8)
         f = rng.standard_normal((6, 4))
-        t, _ = adpool(f, PoolParams.zeros(4))
-        t_emb, _ = embedding_level_adpool(f)
-        np.testing.assert_allclose(t, 0.5 * mean_pool(f) + 0.5 * t_emb,
+        t, _, _ = pool_forward(f, ADPOOL, PoolParams.zeros(4))
+        t_emb, _ = _embedding(f)
+        np.testing.assert_allclose(t, 0.5 * pool_forward(f, MEAN)[0] + 0.5 * t_emb,
                                    atol=1e-12)
 
     def test_diagnostics_are_distributions(self):
@@ -184,7 +208,7 @@ class TestAdpool:
         f = rng.standard_normal((7, 5))
         params = PoolParams(rng.standard_normal((5, 1)),
                             rng.standard_normal((5, 1)))
-        _, diag = adpool(f, params)
+        _, diag, _ = pool_forward(f, ADPOOL, params)
         assert abs(diag.theta.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(diag.delta.sum(axis=0), 1.0, atol=1e-12)
         assert abs(diag.omega.sum() - 1.0) <= 1e-12
@@ -195,24 +219,20 @@ class TestDispatch:
         rng = np.random.default_rng(10)
         f = rng.standard_normal((8, 4))
         spec = PoolingSpec("manual", manual_mode="visual")
-        np.testing.assert_array_equal(pool(f, spec), kmax_pool(f, 5))
+        np.testing.assert_array_equal(pool_forward(f, spec)[0], _kmax(f, 5))
 
     def test_manual_visual_clamps_to_short_sequences(self):
         rng = np.random.default_rng(11)
         f = rng.standard_normal((3, 4))
         spec = PoolingSpec("manual", manual_mode="visual")
-        np.testing.assert_array_equal(pool(f, spec), kmax_pool(f, 3))
+        np.testing.assert_array_equal(pool_forward(f, spec)[0], _kmax(f, 3))
 
     def test_manual_text_is_mean(self):
         rng = np.random.default_rng(12)
         f = rng.standard_normal((6, 4))
         spec = PoolingSpec("manual", manual_mode="text")
-        np.testing.assert_array_equal(pool(f, spec), mean_pool(f))
-
-    def test_mean_spec_matches_mean_pool(self):
-        rng = np.random.default_rng(13)
-        f = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(pool(f, PoolingSpec("mean")), mean_pool(f))
+        np.testing.assert_array_equal(pool_forward(f, spec)[0],
+                                      pool_forward(f, MEAN)[0])
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError):
@@ -222,7 +242,7 @@ class TestDispatch:
         with pytest.raises(ConfigError):
             PoolingSpec("fixed-balance", weights=(0.7, 0.2))
         with pytest.raises(ConfigError):
-            pool(np.ones((3, 2)), PoolingSpec("adpool"))  # params missing
+            pool_forward(np.ones((3, 2)), ADPOOL)  # params missing
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(14)
@@ -230,22 +250,15 @@ class TestDispatch:
         params = PoolParams(rng.standard_normal((4, 1)),
                             rng.standard_normal((4, 1)))
         perm = rng.permutation(9)
-        specs = [PoolingSpec("mean"), PoolingSpec("max"),
-                 PoolingSpec("kmax", k=3), PoolingSpec("adpool"),
+        specs = [MEAN, MAX, PoolingSpec("kmax", k=3), ADPOOL,
                  PoolingSpec("fixed-balance", weights=(0.5, 0.5)),
                  PoolingSpec("manual", manual_mode="visual")]
         for spec in specs:
-            np.testing.assert_allclose(pool(f[perm], spec, params),
-                                       pool(f, spec, params), atol=1e-12)
+            np.testing.assert_allclose(pool_forward(f[perm], spec, params)[0],
+                                       pool_forward(f, spec, params)[0], atol=1e-12)
 
 
 class TestPaddedStack:
-    SPECS = [PoolingSpec("mean"), PoolingSpec("max"), PoolingSpec("kmax", k=2),
-             PoolingSpec("adpool"),
-             PoolingSpec("fixed-balance", weights=(0.75, 0.25)),
-             PoolingSpec("manual", manual_mode="visual"),
-             PoolingSpec("manual", manual_mode="text")]
-
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_padding_is_ignored_and_gets_zero_gradient(self, spec):
         rng = np.random.default_rng(15)
@@ -258,7 +271,7 @@ class TestPaddedStack:
                             rng.standard_normal((3, 1)))
         t, diag, cache = pool_forward(f, spec, params, lengths)
         for b, m in enumerate(lengths):
-            assert np.array_equal(t[b], pool(f[b, :m], spec, params))
+            assert np.array_equal(t[b], pool_forward(f[b, :m], spec, params)[0])
         d_f, d_w_tok, d_w_bal = pool_vjp(cache, rng.standard_normal(t.shape))
         assert d_f.shape == f.shape
         assert d_w_tok.shape == d_w_bal.shape == (3, 1)

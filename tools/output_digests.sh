@@ -12,8 +12,10 @@
 # loss, LOSS-flags repeats the adpool run with --seed/--out/--loss/--k/--epochs
 # given on the command line over an INI that holds other values for them; the
 # script exits 1 unless its outputs are byte-equal to LOSS-adpool's, and
-# prints no digests for it. Paths are printed relative to OUT_DIR, so two
-# source trees compare with diff:
+# prints no digests for it. Last, inspect-pool/ holds `adret inspect-pool` on
+# one fixed 7 x 32 matrix (rng seed 0) for every pooling method, both manual
+# modalities, and adpool once more with infonce-adaptive-adpool's weights.
+# Paths are printed relative to OUT_DIR, so two source trees compare with diff:
 #
 #   tools/output_digests.sh old/src /tmp/old > old.txt
 #   tools/output_digests.sh new/src /tmp/new > new.txt
@@ -109,6 +111,25 @@ INI
         > "$ensemble/eval.out"
 done
 adret gradcheck --seed 3 > "$out/gradcheck.out"
+
+inspect="$out/inspect-pool"
+mkdir "$inspect"
+python3 -c 'import sys, numpy as np; from adret.cache import cache_write
+cache_write(sys.argv[1], np.random.default_rng(0).standard_normal((7, 32)), [])' \
+    "$inspect/matrix.bin"
+inspect_pool() {
+    name=$1; shift
+    adret inspect-pool "$inspect/matrix.bin" "$@" > "$inspect/$name.out"
+}
+inspect_pool mean --method mean
+inspect_pool max --method max
+inspect_pool kmax --method kmax --k 3
+inspect_pool adpool --method adpool
+inspect_pool manual-visual --method manual --modality visual
+inspect_pool manual-text --method manual --modality text
+inspect_pool fixed-balance --method fixed-balance --weights 0.75,0.25
+inspect_pool adpool-params --method adpool \
+    --params "$out/infonce-adaptive-adpool/params.bin"
 
 cd "$out"
 find . -type f ! -name exp.ini ! -path './*-flags/*' | LC_ALL=C sort \
