@@ -139,10 +139,9 @@ def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
     corpus = load_corpus(cfg.corpus_dir, "test", cfg.corpus)
     widths = {"visual.w_proj": (cfg.corpus.visual_dim, "corpus.visual_dim"),
               "text.w_proj": (cfg.corpus.text_dim, "corpus.text_dim")}
-    scores = ensemble_similarity([
-        split_scores(_load_model(path, cfg.visual_pooling, cfg.text_pooling,
-                                 widths), corpus)
-        for path in params_paths])
+    models = [_load_model(path, cfg.visual_pooling, cfg.text_pooling, widths)
+              for path in params_paths]
+    scores = ensemble_similarity([split_scores(m, corpus) for m in models])
     result = evaluate_scores_folds(scores, tuple(t.id for t in corpus.texts),
                                    tuple(i.id for i in corpus.images),
                                    ground_truth(corpus), cfg.eval_folds)
@@ -172,6 +171,10 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
     matrix, _ = cache_read(matrix_path)
     if matrix.shape[0] == 0:
         raise DataError(f"{matrix_path}: matrix has no rows to pool")
+    for flag, value, owner in (("--k", k, "kmax"),
+                               ("--weights", weights, "fixed-balance")):
+        if value is not None and method != owner:
+            raise ConfigError(f"{flag} is for --method {owner} only")
     spec = pooling_spec(method, modality, {"k": k, "weights": weights}.get)
     if params_path:
         model = _load_model(params_path, spec, spec, {

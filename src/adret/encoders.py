@@ -4,7 +4,7 @@ Each modality owns a projection (w_proj, b_proj) and pooling parameters; the
 encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 ``batch_forward``/``batch_vjp`` run the chain for a whole batch: one
 ``project`` call over every row, one ``pool_forward``/``pool_vjp`` call on
-the padded (B, M_max, d) stack (see ``pooling`` for the mask), and the
+the projected rows and their lengths (``pooling`` pads them), and the
 gradient of every feature row back. A batch row is bit-equal to encoding
 that instance alone, its B=1 batch; ``encode_all`` runs the kernel on
 blocks of instances of near-equal length. ``split_scores`` is the
@@ -80,7 +80,7 @@ class BiEncoder:
     @staticmethod
     def from_tensors(tensors: dict[str, Array], visual_spec: PoolingSpec,
                      text_spec: PoolingSpec) -> "BiEncoder":
-        """Rebuild from ``tensors()``'s layout; DataError names a missing tensor."""
+        """Rebuild from ``tensors()``'s layout; names a missing or misfit tensor."""
         def build(name: str, spec: PoolingSpec) -> EncoderParams:
             try:
                 return EncoderParams(
@@ -91,7 +91,11 @@ class BiEncoder:
                     spec=spec)
             except KeyError as exc:
                 raise DataError(f"missing tensor {exc} in parameter file")
-        return BiEncoder(build("visual", visual_spec), build("text", text_spec))
+        visual, text = build("visual", visual_spec), build("text", text_spec)
+        if visual.embed_dim != text.embed_dim:
+            raise DimensionError(f"visual.w_proj outputs {visual.embed_dim} "
+                                 f"columns, text.w_proj {text.embed_dim}")
+        return BiEncoder(visual, text)
 
 
 def init_encoder_params(rng: np.random.Generator, input_dim: int,
@@ -120,16 +124,12 @@ def batch_forward(features, params: EncoderParams):
     """Encode feature matrices (each M_b x d_in, M_b >= 1); returns
     (embedding matrix with a unit row per instance, cache for batch_vjp)."""
     rows = [as_matrix(f, "feature set") for f in features]
-    lengths = np.array([len(f) for f in rows])
-    valid = np.arange(lengths.max())[None, :] < lengths[:, None]
     flat = np.concatenate(rows)
-    projected = np.zeros(valid.shape + (params.embed_dim,))
-    projected[valid] = project(flat, params.w_proj, params.b_proj)
-    pooled, _, pool_cache = pool_forward(projected, params.spec, params.pool,
-                                         lengths)
+    pooled, _, pool_cache = pool_forward(
+        project(flat, params.w_proj, params.b_proj), params.spec, params.pool,
+        [len(f) for f in rows])
     embeddings = l2_normalize_rows(pooled)
-    return embeddings, (flat, lengths, valid, params, pool_cache, pooled,
-                        embeddings)
+    return embeddings, (flat, params, pool_cache, pooled, embeddings)
 
 
 def batch_vjp(cache, d_embeddings: Array):
@@ -137,13 +137,13 @@ def batch_vjp(cache, d_embeddings: Array):
 
     Returns (grads, d_features): grads is an EncoderParams with the
     parameters' own shapes and spec, each tensor summed over the batch;
-    d_features is the feature gradient of every instance's rows, stacked in
-    batch order as the features were (split it by their lengths).
+    d_features is the gradient of every feature row, back to back in batch
+    order as the features were (split it by their lengths).
     """
-    flat, lengths, valid, params, pool_cache, pooled, embeddings = cache
+    flat, params, pool_cache, pooled, embeddings = cache
     d_pooled = l2_normalize_rows_vjp(pooled, embeddings, d_embeddings)
     d_projected, d_w_tok, d_w_bal = pool_vjp(pool_cache, d_pooled)
-    d_product, d_b_proj = add_row_bias_vjp(d_projected[valid])
+    d_product, d_b_proj = add_row_bias_vjp(d_projected)
     d_flat, d_w_proj = matmul_vjp(flat, params.w_proj, d_product)
     return (EncoderParams(d_w_proj, d_b_proj, PoolParams(d_w_tok, d_w_bal),
                           params.spec), d_flat)

@@ -80,9 +80,9 @@ def _stage_op(name: str, forward, backward) -> DiffOp:
 
 
 def _padded(f):
-    """(stack, mask of real rows) of a padded stack with _STAGE_LENGTHS."""
-    stack, _, valid = pooling._stack(f, _STAGE_LENGTHS)
-    return stack, valid
+    """(stack, mask of real rows): ``pooling._pad`` of f's _STAGE_LENGTHS."""
+    real = np.arange(f.shape[1]) < np.array(_STAGE_LENGTHS)[:, None]
+    return pooling._pad(f[real], _STAGE_LENGTHS)[::2]
 
 
 def _top(f):

@@ -20,10 +20,11 @@ pooler makes the weighting learnable twice over:
 Outputs are deliberately not normalized here; the encoder applies a single
 L2 normalization at the end so the balance weights see raw magnitudes.
 
-Every kernel pools a batch: a padded (B, M, d) stack plus one length per
-instance. Padding is set to -0.0 (the additive identity), sorts below every
-real row (real ties keep their order), is masked to -inf in the softmax over
-ranks (theta) and the per-column softmax (delta), and gets a zero gradient.
+Every kernel pools a batch: ``_pad`` lays the rows of B instances into a
+(B, M, d) stack padded with -0.0 (the additive identity), which sorts below
+every real row (real ties keep their order), is masked to -inf in the
+softmax over ranks (theta) and the per-column softmax (delta), and gets a
+zero gradient.
 Rank sums add in rank order (``tensor.sum_rows``) and the sums over d of an
 M-row instance (theta's logits) run elementwise along the last axis, so each
 row of a batch result is bit-equal to pooling that instance alone, up to the
@@ -33,8 +34,8 @@ reaches an embedding: ``l2_normalize_rows`` rejects it.) One einsum or 3-D
 change with M, which padding raises. (A stacked product of one row at a
 time, as in ``tensor.matmul``, would keep it.)
 
-``pool_forward``/``pool_vjp`` are the pooling API. One M x d matrix is the
-B=1 stack: given one, they return unbatched shapes.
+``pool_forward``/``pool_vjp`` are the pooling API; rows without lengths
+are one instance, with unbatched results.
 """
 
 from __future__ import annotations
@@ -129,19 +130,20 @@ class PoolDiagnostics:
     omega: Optional[Array] = None
 
 
-def _stack(f: Array, lengths=None):
-    """(stack with -0.0 padding, lengths, (B, M, 1) mask of real rows)."""
-    if lengths is None:
-        f = as_matrix(f, "feature set")[None]
-        lengths = [f.shape[1]]
-    f, lengths = np.asarray(f, dtype=np.float64), np.asarray(lengths)
-    if f.ndim != 3 or lengths.shape != f.shape[:1] or (lengths > f.shape[1]).any():
-        raise DimensionError(f"padded features {f.shape} do not fit "
-                             f"{lengths.size} lengths up to {lengths.max()}")
+def _pad(rows: Array, lengths=None):
+    """(-0.0-padded (B, M, d) stack, lengths, (B, M, 1) mask of real rows) of
+    ``rows``, ``lengths[b]`` of them per instance; one instance without."""
+    rows = as_matrix(rows, "feature set")
+    lengths = np.asarray([len(rows)] if lengths is None else lengths)
     if lengths.size == 0 or lengths.min() < 1:
-        raise ValueError("feature set must contain at least one row")
-    valid = np.arange(f.shape[1])[None, :, None] < lengths[:, None, None]
-    return np.where(valid, f, -0.0), lengths, valid
+        raise ValueError("pooling needs an instance and at least one row in each")
+    if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.sum() != len(rows):
+        raise DimensionError(f"lengths {lengths} are not 1-D integers summing "
+                             f"to the {len(rows)} rows")
+    real = np.arange(lengths.max()) < lengths[:, None]
+    f = np.full(real.shape + rows.shape[1:], -0.0)
+    f[real] = rows
+    return f, lengths, real[:, :, None]
 
 
 def _rank(f: Array, valid: Array):
@@ -157,9 +159,8 @@ def _topk_forward(f: Array, lengths: Array, valid: Array, k):
     the length this is the mean in row order, so kmax with k = M equals
     mean bit for bit; elsewhere the top rows add in rank order."""
     k = np.broadcast_to(k, lengths.shape)
-    bad = (k < 1) | (k > lengths)
-    if bad.any():
-        b = int(bad.argmax())
+    if (k > lengths).any():
+        b = int((k > lengths).argmax())
         raise ValueError(f"kmax pooling: k={k[b]} outside [1, {lengths[b]}]")
     t = sum_rows(f)[:, 0] / lengths[:, None]
     part = k < lengths
@@ -237,8 +238,6 @@ def _embedding_vjp(cache, d_t: Array) -> Array:
 
 def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
     """Balance one pair of pooled vectors, or each row of two (B, d) stacks."""
-    t_tok = np.asarray(t_tok, dtype=np.float64)
-    t_emb = np.asarray(t_emb, dtype=np.float64)
     w = as_matrix(w_bal, "w_bal")
     if t_emb.shape != t_tok.shape or w.shape != (t_tok.shape[-1], 1):
         raise DimensionError(
@@ -288,16 +287,15 @@ def _adpool_vjp(cache, d_t: Array):
     return d_f_tok + _embedding_vjp(emb_cache, d_emb), d_w_tok, d_w_bal
 
 
-def pool_forward(f: Array, spec: PoolingSpec,
+def pool_forward(rows: Array, spec: PoolingSpec,
                  params: Optional[PoolParams] = None, lengths=None):
-    """Run a pooler on one M x d matrix, or on a padded (B, M, d) stack with
-    its ``lengths``, and keep what its VJP needs.
-
-    Returns (pooled, PoolDiagnostics, cache), batched for a stack; pass the
-    cache and a gradient shaped like ``pooled`` to pool_vjp.
+    """Run a pooler on ``rows``, each instance's M_b x d rows back to back
+    (one instance without ``lengths``). Returns (pooled, PoolDiagnostics,
+    cache): a row per instance, diagnostics padded with 0, unbatched without
+    ``lengths``; pool_vjp takes the cache and a gradient shaped like pooled.
     """
     single = lengths is None
-    f, lengths, valid = _stack(f, lengths)
+    f, lengths, valid = _pad(rows, lengths)
     method = spec.method
     if method in ("adpool", "fixed-balance"):
         if params is None:
@@ -314,19 +312,18 @@ def pool_forward(f: Array, spec: PoolingSpec,
     if single:
         t, diag = t[0], PoolDiagnostics(*(None if x is None else x[0] for x in
                                           (diag.theta, diag.delta, diag.omega)))
-    return t, diag, cache
+    return t, diag, (valid[:, :, 0], cache)
 
 
 def pool_vjp(cache, d_t: Array):
-    """Gradient w.r.t. (features, w_tok, w_bal) for a gradient ``d_t`` shaped
-    like the pooled value. The feature gradient is shaped like the features
-    and exactly 0 on padding; parameter gradients are d x 1, zeros for
-    poolers without that parameter."""
-    single = np.ndim(d_t) == 1
+    """Gradient w.r.t. (rows, w_tok, w_bal) for ``d_t`` shaped like pooled:
+    the row gradient in pool_forward's row order, d x 1 parameter gradients
+    (zeros for poolers without that parameter)."""
+    real, cache = cache
     d_t = np.atleast_2d(d_t)
     if cache[0] == "adpool":
         d_f, d_w_tok, d_w_bal = _adpool_vjp(cache, d_t)
     else:
         d_f = _topk_vjp(cache, d_t)
         d_w_tok, d_w_bal = np.zeros((2, d_t.shape[1], 1))
-    return (d_f[0] if single else d_f), d_w_tok, d_w_bal
+    return d_f[real], d_w_tok, d_w_bal

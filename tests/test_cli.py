@@ -321,6 +321,26 @@ class TestEval:
         assert main(["eval", "--config", cfg, "--ensemble", bad]) == 2
         assert f"{bad}: b_proj length 8 != d 6" in capsys.readouterr().err
 
+    def test_sides_of_other_widths_are_data_error(self, trained, tmp_path,
+                                                  capsys):
+        cfg, out = trained
+        params = os.path.join(out, "params.bin")
+        bad = str(tmp_path / "bad.bin")
+        tensors = load_tensors(params)  # both sides 8 wide
+        tensors.update({"visual.w_proj": np.ones((10, 16)),
+                        "visual.b_proj": np.zeros((1, 16)),
+                        "visual.w_tok": np.zeros((16, 1)),
+                        "visual.w_bal": np.zeros((16, 1))})
+        save_tensors(bad, tensors)
+        assert main(["eval", "--config", cfg, "--ensemble", params, bad]) == 2
+        assert (f"{bad}: visual.w_proj outputs 16 columns, text.w_proj 8"
+                in capsys.readouterr().err)
+        save_tensors(params, tensors)
+        assert main(["eval", "--config", cfg]) == 2
+        assert (f"{params}: visual.w_proj outputs 16 columns, text.w_proj 8"
+                in capsys.readouterr().err)
+        assert not os.path.exists(os.path.join(out, "results.json"))
+
     def test_params_lacking_a_tensor_is_data_error(self, trained, tmp_path,
                                                    capsys):
         cfg, out = trained
@@ -468,6 +488,19 @@ class TestInspectPool:
         assert main(["inspect-pool", path, "--method", "kmax", "--k", "10"]) == 1
         err = capsys.readouterr().err
         assert "kmax pooling: k=10 outside [1, 4]" in err
+
+    @pytest.mark.parametrize("method,flag,owner", [
+        ("mean", ["--k", "2"], "kmax"),
+        ("adpool", ["--k", "2"], "kmax"),
+        ("max", ["--weights", "0.5,0.5"], "fixed-balance"),
+        ("kmax", ["--k", "2", "--weights", "0.5,0.5"], "fixed-balance")])
+    def test_flag_its_method_does_not_read_is_config_error(
+            self, tmp_path, capsys, method, flag, owner):
+        path = str(tmp_path / "m.bin")
+        cache_write(path, np.ones((4, 3)), [])
+        assert main(["inspect-pool", path, "--method", method, *flag]) == 1
+        assert (f"{flag[-2]} is for --method {owner} only"
+                in capsys.readouterr().err)
 
     def test_missing_files_are_data_errors(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.bin")

@@ -83,22 +83,29 @@ class TestSimpleAggregators:
             assert np.isnan(t[0]) and np.isfinite(t[1])
 
     def test_kmax_range_errors(self):
-        f = np.ones((3, 2))
-        with pytest.raises(ValueError):
-            pooling._topk_forward(*pooling._stack(f), 0)
         with pytest.raises(ValueError, match=r"kmax pooling: k=4 outside \[1, 3\]"):
-            _kmax(f, 4)
+            _kmax(np.ones((3, 2)), 4)
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_empty_rejected(self, spec):
-        with pytest.raises(ValueError):
-            pool_forward(np.zeros((0, 3)), spec, PoolParams.zeros(3))
+        params = PoolParams.zeros(3)
+        for f, lengths in ((np.zeros((0, 3)), None),  # no rows
+                           (np.ones((4, 3)), [4, 0]),  # an instance without
+                           (np.zeros((0, 3)), [])):  # no instances
+            with pytest.raises(ValueError):
+                pool_forward(f, spec, params, lengths)
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_non_matrix_rejected(self, spec):
-        for f in (np.ones(3), np.ones((2, 4, 3))):  # 3-D needs lengths
+        params = PoolParams.zeros(3)
+        for f, lengths in ((np.ones(3), None), (np.ones((2, 4, 3)), None),
+                           (np.ones((2, 4, 3)), [4, 4]),  # a padded stack
+                           (np.ones((4, 3)), [[2, 2]]),  # 2-D lengths
+                           (np.ones((4, 3)), [2.0, 2.0]),  # not integers
+                           (np.ones((4, 3)), [2, 3]),  # sum above the rows
+                           (np.ones((4, 3)), [1, 2])):  # sum below
             with pytest.raises(DimensionError):
-                pool_forward(f, spec, PoolParams.zeros(3))
+                pool_forward(f, spec, params, lengths)
 
 
 class TestTokenLevel:
@@ -240,6 +247,8 @@ class TestDispatch:
         with pytest.raises(ConfigError):
             PoolingSpec("kmax")  # k missing
         with pytest.raises(ConfigError):
+            PoolingSpec("kmax", k=0)
+        with pytest.raises(ConfigError):
             PoolingSpec("fixed-balance", weights=(0.7, 0.2))
         with pytest.raises(ConfigError):
             pool_forward(np.ones((3, 2)), ADPOOL)  # params missing
@@ -258,28 +267,26 @@ class TestDispatch:
                                        pool_forward(f, spec, params)[0], atol=1e-12)
 
 
-class TestPaddedStack:
+class TestRaggedRows:
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
-    def test_padding_is_ignored_and_gets_zero_gradient(self, spec):
+    def test_each_instance_pools_as_alone(self, spec):
         rng = np.random.default_rng(15)
         lengths = np.array([max(m, spec.k or 1) for m in (7, 1, 4, 2, 6)])
-        f = 1e6 * rng.standard_normal((5, 7, 3))  # padding full of junk
-        for b, m in enumerate(lengths):
-            f[b, :m] = rng.standard_normal((m, 3))
-        f[2, 3] = f[2, 0]  # a tie in every column
+        parts = [rng.standard_normal((m, 3)) for m in lengths]
+        parts[2][3] = parts[2][0]  # a tie in every column
         params = PoolParams(rng.standard_normal((3, 1)),
                             rng.standard_normal((3, 1)))
-        t, diag, cache = pool_forward(f, spec, params, lengths)
-        for b, m in enumerate(lengths):
-            assert np.array_equal(t[b], pool_forward(f[b, :m], spec, params)[0])
-        d_f, d_w_tok, d_w_bal = pool_vjp(cache, rng.standard_normal(t.shape))
-        assert d_f.shape == f.shape
+        t, diag, cache = pool_forward(np.concatenate(parts), spec, params,
+                                      lengths)
+        d_t = rng.standard_normal(t.shape)
+        d_f, d_w_tok, d_w_bal = pool_vjp(cache, d_t)
+        assert d_f.shape == (lengths.sum(), 3)
         assert d_w_tok.shape == d_w_bal.shape == (3, 1)
-        for b, m in enumerate(lengths):
-            assert np.all(d_f[b, m:] == 0.0)
-            d_alone = pool_vjp(pool_forward(f[b, :m], spec, params)[2],
-                               np.zeros(3) + 1.0)[0]
-            assert d_alone.shape == (m, 3)
+        d_parts = np.split(d_f, np.cumsum(lengths)[:-1])
+        for f, t_b, d_t_b, d_f_b in zip(parts, t, d_t, d_parts):
+            t_alone, _, cache_alone = pool_forward(f, spec, params)
+            assert np.array_equal(t_b, t_alone)
+            assert np.array_equal(d_f_b, pool_vjp(cache_alone, d_t_b)[0])
         if diag.theta is not None:
             assert np.all(diag.theta[lengths[:, None] <= np.arange(7)] == 0.0)
             assert np.all(diag.delta[1, 1:] == 0.0)
@@ -289,17 +296,17 @@ GRID = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)  # few values: ties in most columns
 
 
 @st.composite
-def _ragged_stack(draw):
-    """(B, M, d) stack with lengths up to 8 (padding holds grid junk, NaN
-    included) and a (B, d) upstream gradient, both from GRID."""
+def _ragged_rows(draw):
+    """(rows, lengths up to 8, (B, d) upstream gradient): every instance's
+    rows back to back, from GRID and NaN; the gradient from GRID."""
     lengths = np.array(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
-    b, m, d = len(lengths), int(lengths.max()), draw(st.integers(1, 3))
+    n, d = int(lengths.sum()), draw(st.integers(1, 3))
     cells = st.lists(st.sampled_from(GRID + (math.nan,)),
-                     min_size=b * m * d, max_size=b * m * d)
-    f = np.array(draw(cells)).reshape(b, m, d)
-    d_t = np.array(draw(st.lists(st.sampled_from(GRID), min_size=b * d,
-                                 max_size=b * d))).reshape(b, d)
-    return f, lengths, d_t
+                     min_size=n * d, max_size=n * d)
+    rows = np.array(draw(cells)).reshape(n, d)
+    d_t = np.array(draw(st.lists(st.sampled_from(GRID), min_size=len(lengths) * d,
+                                 max_size=len(lengths) * d))).reshape(-1, d)
+    return rows, lengths, d_t
 
 
 class TestTopkGradientProperty:
@@ -307,22 +314,24 @@ class TestTopkGradientProperty:
     what a stable argsort scatter gives, ties to the smaller row included."""
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(_ragged_stack(), st.sampled_from(("max", "kmax", "manual")),
+    @given(_ragged_rows(), st.sampled_from(("max", "kmax", "manual")),
            st.integers(1, 8))
-    def test_equals_the_stable_scatter(self, stack, method, k):
-        f, lengths, d_t = stack
+    def test_equals_the_stable_scatter(self, ragged, method, k):
+        rows, lengths, d_t = ragged
         k = min(k, int(lengths.min()))
         spec, k = {"max": (PoolingSpec("max"), 1),
                    "kmax": (PoolingSpec("kmax", k=k), k),
                    "manual": (PoolingSpec("manual", manual_mode="visual"),
                               np.minimum(MANUAL_VISUAL_K, lengths))}[method]
         k = np.broadcast_to(k, lengths.shape)
-        d_f = pool_vjp(pool_forward(f, spec, lengths=lengths)[2], d_t)[0]
-        rows = np.arange(f.shape[1])[None, :, None]
-        keyed = np.where(rows < lengths[:, None, None], f, np.nan)
-        d_ranked = np.where(rows < k[:, None, None],
+        d_f = pool_vjp(pool_forward(rows, spec, lengths=lengths)[2], d_t)[0]
+        ranks = np.arange(lengths.max())
+        real = ranks < lengths[:, None]
+        keyed = np.full(real.shape + rows.shape[1:], np.nan)
+        keyed[real] = rows
+        d_ranked = np.where(ranks[None, :, None] < k[:, None, None],
                             (d_t / k[:, None])[:, None, :], 0.0)
-        oracle = sort_desc_per_column_vjp(keyed, d_ranked)
+        oracle = sort_desc_per_column_vjp(keyed, d_ranked)[real]
         assert d_f.tobytes() == oracle.tobytes()  # bit for bit, zero signs too
 
 
@@ -338,10 +347,10 @@ class TestAdpoolBitEquality:
     stages run apart, and of each instance pooled alone."""
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(_ragged_stack())
-    def test_shifted_embedding_softmax_equals_softmax_columns(self, stack):
-        f, lengths, _ = stack
-        f, _, valid = pooling._stack(f, lengths)
+    @given(_ragged_rows())
+    def test_shifted_embedding_softmax_equals_softmax_columns(self, ragged):
+        rows, lengths, _ = ragged
+        f, _, valid = pooling._pad(rows, lengths)
         top = pooling._rank(f, valid)[0][:, :1]
         delta = pooling._embedding_forward(f, valid, top)[1]
         # a NaN's sign may differ: np.sort may clear a NaN's sign bit, so
@@ -349,16 +358,17 @@ class TestAdpoolBitEquality:
         assert _bytes(delta) == _bytes(softmax_columns(np.where(valid, f, -np.inf)))
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(_ragged_stack(), st.sampled_from(
+    @given(_ragged_rows(), st.sampled_from(
         (PoolingSpec("adpool"), PoolingSpec("fixed-balance", weights=(0.25, 0.75)))))
-    def test_batch_rows_equal_pooling_alone(self, stack, spec):
-        f, lengths, d_t = stack
-        d = f.shape[2]
+    def test_batch_rows_equal_pooling_alone(self, ragged, spec):
+        rows, lengths, d_t = ragged
+        d = rows.shape[1]
         params = PoolParams(np.linspace(-1.0, 1.0, d)[:, None],
                             np.linspace(0.5, -0.5, d)[:, None])
-        t, diag, _ = pool_forward(f, spec, params, lengths)
-        for b, m in enumerate(lengths):
-            t_b, diag_b, _ = pool_forward(f[b, :m], spec, params)
+        t, diag, _ = pool_forward(rows, spec, params, lengths)
+        parts = np.split(rows, np.cumsum(lengths)[:-1])
+        for b, (f, m) in enumerate(zip(parts, lengths)):
+            t_b, diag_b, _ = pool_forward(f, spec, params)
             # np.sort may return a NaN with either sign, by the stack's size
             assert _bytes(t[b]) == _bytes(t_b)
             assert _bytes(diag.theta[b, :m]) == _bytes(diag_b.theta)
