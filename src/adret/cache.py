@@ -40,16 +40,19 @@ _U32_MAX = 0xFFFFFFFF
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    """Write ``data`` to ``path`` atomically; DataError if it cannot."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # a directory in the way, no permission, ...
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .cache import atomic_write_text, cache_read, load_tensors, save_tensors
 from .config import ExperimentConfig, load_config, parse_weights, pooling_spec
-from .data import generate_splits, ground_truth, load_corpus, save_corpus
-from .encoders import BiEncoder, init_encoder_params, split_scores
+from .data import generate_splits, load_corpus, save_corpus
+from .encoders import BiEncoder, evaluate_split, init_encoder_params
 from .errors import (
     ConfigError,
     DataError,
@@ -32,7 +32,6 @@ from .errors import (
     FormatError,
     TrainingDivergedError,
 )
-from .evaluation import ensemble_similarity, evaluate_scores_folds
 from .gradcheck import run_all
 from .objectives import LOSS_MODES
 from .pooling import POOL_METHODS, PoolParams, PoolingSpec, pool_forward
@@ -74,8 +73,15 @@ def build_model(cfg: ExperimentConfig) -> BiEncoder:
     return BiEncoder(visual, text)
 
 
+def _makedirs(directory: str) -> None:
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise DataError(f"cannot write {directory}: {exc.strerror}") from None
+
+
 def cmd_generate(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.corpus_dir, exist_ok=True)
+    _makedirs(cfg.corpus_dir)
     splits = generate_splits(cfg.corpus, cfg.train_groups, cfg.val_groups,
                              cfg.test_groups)
     for name, corpus in splits.items():  # train, val, test
@@ -95,7 +101,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     model = build_model(cfg)
     trained, train_log = train(train_corpus, model, cfg.train, val_corpus)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _makedirs(cfg.output_dir)
     atomic_write_text(os.path.join(cfg.output_dir, "train_log.csv"),
                       train_log.to_csv())
     save_tensors(os.path.join(cfg.output_dir, "params.bin"), trained.tensors())
@@ -141,11 +147,8 @@ def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
               "text.w_proj": (cfg.corpus.text_dim, "corpus.text_dim")}
     models = [_load_model(path, cfg.visual_pooling, cfg.text_pooling, widths)
               for path in params_paths]
-    scores = ensemble_similarity([split_scores(m, corpus) for m in models])
-    result = evaluate_scores_folds(scores, tuple(t.id for t in corpus.texts),
-                                   tuple(i.id for i in corpus.images),
-                                   ground_truth(corpus), cfg.eval_folds)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    result = evaluate_split(models, corpus, cfg.eval_folds)
+    _makedirs(cfg.output_dir)
     atomic_write_text(os.path.join(cfg.output_dir, "results.json"),
                       result.to_json() + "\n")
     atomic_write_text(os.path.join(cfg.output_dir, "results.csv"),

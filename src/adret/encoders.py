@@ -7,8 +7,9 @@ encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 the projected rows and their lengths (``pooling`` pads them), and the
 gradient of every feature row back. A batch row is bit-equal to encoding
 that instance alone, its B=1 batch; ``encode_all`` runs the kernel on
-blocks of instances of near-equal length. ``split_scores`` is the
-one way a corpus split is scored, for eval and validation alike.
+blocks of instances of near-equal length. ``evaluate_split`` is the one
+way trained models are scored on a split, for eval, validation and the
+acceptance gate alike.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, ground_truth
 from .errors import DataError, DimensionError
+from .evaluation import RetrievalResult, evaluate_scores_folds
 from .pooling import PoolingSpec, PoolParams, pool_forward, pool_vjp
 from .tensor import (
     Array,
@@ -168,3 +170,20 @@ def split_scores(model: BiEncoder, corpus: Corpus) -> Array:
     columns ``corpus.images``."""
     return cosine_sim_matrix(encode_all(corpus.texts, model.text),
                              encode_all(corpus.images, model.visual))
+
+
+def evaluate_split(models: list[BiEncoder], corpus: Corpus,
+                   folds: int = 1) -> RetrievalResult:
+    """Recall@K and RSUM of ``models`` on a split over ``folds`` image folds.
+    Members' ``split_scores`` add into the first one's matrix in model order,
+    then divide once: bit-equal to ``np.mean`` of the stack, without it."""
+    if not models:
+        raise ValueError("evaluate_split needs at least one model")
+    scores = split_scores(models[0], corpus)
+    for model in models[1:]:
+        scores += split_scores(model, corpus)
+    if len(models) > 1:
+        scores /= len(models)
+    return evaluate_scores_folds(scores, tuple(t.id for t in corpus.texts),
+                                 tuple(i.id for i in corpus.images),
+                                 ground_truth(corpus), folds)

@@ -1,4 +1,4 @@
-"""Retrieval metrics: Recall@K both ways, RSUM, and similarity ensembling.
+"""Retrieval metrics: Recall@K both ways and RSUM, from a score matrix.
 
 Direction naming: caption retrieval takes captions as queries and ranks
 images; image retrieval takes images as queries and ranks captions.
@@ -186,17 +186,3 @@ def evaluate_scores_folds(scores: Array, text_ids: Sequence[str],
             for name in ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10")}
     return RetrievalResult(rsum=float(sum(mean.values())), **mean)
 
-
-def ensemble_similarity(matrices: Sequence[Array]) -> Array:
-    """Element-wise mean of same-shaped similarity matrices, bit-equal to
-    ``np.mean(np.stack(matrices), axis=0)`` without the stacked copy; one
-    matrix comes back unchanged."""
-    if not matrices:
-        raise ValueError("ensemble_similarity needs at least one matrix")
-    mats = [as_matrix(m, f"similarity matrix {i}") for i, m in enumerate(matrices)]
-    shape = mats[0].shape
-    for i, m in enumerate(mats[1:], start=1):
-        if m.shape != shape:
-            raise DimensionError(f"matrix {i} has shape {m.shape}, expected {shape}")
-    total = sum(mats[1:], mats[0])  # (m0 + m1) + m2 ..., as np.mean adds
-    return total / len(mats) if len(mats) > 1 else total

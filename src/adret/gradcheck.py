@@ -5,13 +5,12 @@ the encoder chain under every pooling method, each batch loss, and one
 composed encode -> similarity -> loss pipeline per training loss mode, then
 runs them all against the central-difference oracle. The row normalise has
 no check of its own: every encoder and pipeline check ends in it. The
-pooling stages and the encoder checks run the batched kernels on ragged
-batches (a one-row instance next to padded ones); a stage check perturbs the
-padding too, whose gradient must be 0. The pipelines run the trainer's own
-``training.batch_step``, so the gradient checked is the one Adam applies;
-their batch holds a one-row instance and one with a repeated row, whose
-projected columns all tie. The CLI's gradcheck verb and the test suite both
-call ``run_all``.
+pooling stages run ``pool_forward``/``pool_vjp`` and the encoder checks the
+batched encoder, on ragged batches (a one-row instance next to longer ones).
+The pipelines run the trainer's own ``training.batch_step``, so the gradient
+checked is the one Adam applies; their batch holds a one-row instance and
+one with a repeated row, whose projected columns all tie. The CLI's
+gradcheck verb and the test suite both call ``run_all``.
 
 Discrete choices inside the losses (which negatives, which argmax) are not
 differentiable, so the checks pin them: InfoNCE variants hold the negative
@@ -33,7 +32,7 @@ from .objectives import (
     negatives_only_info_nce,
     select_negatives,
 )
-from .pooling import PoolParams, PoolingSpec
+from .pooling import PoolParams, PoolingSpec, pool_forward, pool_vjp
 from .tensor import (
     CORE_OPS,
     DiffOp,
@@ -57,7 +56,7 @@ _ENCODE_SPECS = (
     PoolingSpec("adpool"),
 )
 _ENCODE_LENGTHS = (1, 5, 6, 3)  # raised to k where kmax needs more rows
-_STAGE_LENGTHS = (5, 1, 3)  # of a (3, 5, d) padded stack
+_STAGE_LENGTHS = (5, 1, 3)  # rows per instance in the pooling stage checks
 
 
 def _project_op() -> DiffOp:
@@ -79,16 +78,11 @@ def _stage_op(name: str, forward, backward) -> DiffOp:
     return DiffOp(name, lambda *inputs: forward(*inputs)[0], vjp)
 
 
-def _padded(f):
-    """(stack, mask of real rows): ``pooling._pad`` of f's _STAGE_LENGTHS."""
-    real = np.arange(f.shape[1]) < np.array(_STAGE_LENGTHS)[:, None]
-    return pooling._pad(f[real], _STAGE_LENGTHS)[::2]
-
-
-def _top(f):
-    """Each column's largest real value, as the adpool forward takes it: the
-    first row the token branch ranks."""
-    return pooling._rank(*_padded(f))[0][:, :1]
+def _pool_op(name: str, spec: PoolingSpec) -> DiffOp:
+    """``pool_forward``/``pool_vjp`` on rows of _STAGE_LENGTHS, then w_tok and
+    w_bal; a weight the pooler does not read must get a zero gradient."""
+    return _stage_op(name, lambda rows, w_tok, w_bal: pool_forward(
+        rows, spec, PoolParams(w_tok, w_bal), _STAGE_LENGTHS), pool_vjp)
 
 
 def _encode_op(spec: PoolingSpec, batch: int) -> DiffOp:
@@ -194,24 +188,19 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
 
     checks.append((_project_op(), [normal((4, 3)), normal((3, 5)), normal(5)]))
     stage_shape = (len(_STAGE_LENGTHS), max(_STAGE_LENGTHS), 4)
-    checks.append((_stage_op(
-        "token_level_adpool",
-        lambda f, w_tok: pooling._token_forward(*_padded(f), w_tok),
-        pooling._token_vjp), [normal(stage_shape), normal((4, 1))]))
-    checks.append((_stage_op(
-        "embedding_level_adpool",
-        lambda f: pooling._embedding_forward(*_padded(f), _top(f)),
-        lambda cache, g: (pooling._embedding_vjp(cache, g),)),
-        [normal(stage_shape)]))
+    real = np.arange(stage_shape[1]) < np.array(_STAGE_LENGTHS)[:, None]
+    zeros = np.zeros((4, 1))
+    checks.append((_pool_op("token_level_adpool",
+                            PoolingSpec("fixed-balance", weights=(1.0, 0.0))),
+                   [normal(stage_shape)[real], normal((4, 1)), zeros]))
+    checks.append((_pool_op("embedding_level_adpool",
+                            PoolingSpec("fixed-balance", weights=(0.0, 1.0))),
+                   [normal(stage_shape)[real], zeros, zeros]))
     checks.append((_stage_op("balance_combine", pooling._balance_forward,
                              pooling._balance_vjp),
                    [normal((3, 4)), normal((3, 4)), normal((4, 1))]))
-    checks.append((_stage_op(
-        "adpool",
-        lambda f, w_tok, w_bal: pooling._adpool_forward(
-            *_padded(f), PoolParams(w_tok, w_bal)),
-        pooling._adpool_vjp),
-        [normal(stage_shape), normal((4, 1)), normal((4, 1))]))
+    checks.append((_pool_op("adpool", PoolingSpec("adpool")),
+                   [normal(stage_shape)[real], normal((4, 1)), normal((4, 1))]))
 
     for spec in _ENCODE_SPECS:
         features = [normal((max(m, spec.k or 1), 3)) for m in _ENCODE_LENGTHS]

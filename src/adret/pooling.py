@@ -21,10 +21,10 @@ Outputs are deliberately not normalized here; the encoder applies a single
 L2 normalization at the end so the balance weights see raw magnitudes.
 
 Every kernel pools a batch: ``_pad`` lays the rows of B instances into a
-(B, M, d) stack padded with -0.0 (the additive identity), which sorts below
-every real row (real ties keep their order), is masked to -inf in the
-softmax over ranks (theta) and the per-column softmax (delta), and gets a
-zero gradient.
+(B, M, d) stack padded with -0.0, the additive identity of the rank sums.
+``_rank`` keys the padding as NaN, so it ranks below every real row (real
+ties keep their order); it is masked to -inf in the softmax over ranks
+(theta) and the per-column softmax (delta), and gets a zero gradient.
 Rank sums add in rank order (``tensor.sum_rows``) and the sums over d of an
 M-row instance (theta's logits) run elementwise along the last axis, so each
 row of a batch result is bit-equal to pooling that instance alone, up to the
@@ -197,10 +197,7 @@ def _topk_vjp(cache, d_t: Array) -> Array:
 
 
 def _token_forward(f: Array, valid: Array, w_tok: Array):
-    w = as_matrix(w_tok, "w_tok")
-    if w.shape != (f.shape[2], 1):
-        raise DimensionError(f"w_tok must be {f.shape[2]} x 1, got {w.shape}")
-    w = w.ravel()
+    w = w_tok.ravel()
     ranked, keyed = _rank(f, valid)
     product = ranked * w  # reused below for the theta-weighted rows
     logits = np.where(valid, product.sum(axis=2, keepdims=True), -np.inf)
@@ -238,12 +235,7 @@ def _embedding_vjp(cache, d_t: Array) -> Array:
 
 def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
     """Balance one pair of pooled vectors, or each row of two (B, d) stacks."""
-    w = as_matrix(w_bal, "w_bal")
-    if t_emb.shape != t_tok.shape or w.shape != (t_tok.shape[-1], 1):
-        raise DimensionError(
-            f"balance: incompatible shapes t_tok {t_tok.shape}, "
-            f"t_emb {t_emb.shape}, w_bal {w.shape}")
-    wb = w.ravel()
+    wb = w_bal.ravel()
     omega = softmax_vector(np.stack([(t_tok * wb).sum(axis=-1),
                                      (t_emb * wb).sum(axis=-1)], axis=-1))
     t = omega[..., :1] * t_tok + omega[..., 1:] * t_emb
@@ -300,6 +292,9 @@ def pool_forward(rows: Array, spec: PoolingSpec,
     if method in ("adpool", "fixed-balance"):
         if params is None:
             raise ConfigError(f"{method} pooling requires PoolParams")
+        if len(params.w_tok) != f.shape[2]:
+            raise DimensionError(f"pooling weights are for d={len(params.w_tok)}, "
+                                 f"rows are {f.shape[2]}-dimensional")
         omega = None if method == "adpool" else np.array(spec.weights)
         t, diag, cache = _adpool_forward(f, valid, params, omega)
     else:

@@ -15,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Corpus, ground_truth
-from .encoders import BiEncoder, batch_forward, batch_vjp, split_scores
+from .data import Corpus
+from .encoders import BiEncoder, batch_forward, batch_vjp, evaluate_split
 from .errors import ConfigError, TrainingDivergedError
-from .evaluation import evaluate_scores
 from .objectives import LossConfig, batch_loss
 from .tensor import Array
 
@@ -204,7 +203,4 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
 
 
 def _validation_rsum(model: BiEncoder, val_corpus: Corpus) -> float:
-    return evaluate_scores(split_scores(model, val_corpus),
-                           tuple(t.id for t in val_corpus.texts),
-                           tuple(i.id for i in val_corpus.images),
-                           ground_truth(val_corpus)).rsum
+    return evaluate_split([model], val_corpus).rsum

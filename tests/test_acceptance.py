@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from adret.cli import main
-from adret.data import SyntheticCorpusConfig, generate_splits, ground_truth
-from adret.encoders import BiEncoder, init_encoder_params, split_scores
-from adret.evaluation import evaluate_scores, recall_at_k
+from adret.data import SyntheticCorpusConfig, generate_splits
+from adret.encoders import BiEncoder, evaluate_split, init_encoder_params
+from adret.evaluation import recall_at_k
 from adret.gradcheck import run_all
 from adret.objectives import (
     LossConfig,
@@ -47,8 +47,7 @@ def _pass(msg):
 def desk():
     cfg = SyntheticCorpusConfig(num_groups=1000, seed=DESK_CORPUS_SEED)
     splits = generate_splits(cfg, 1000, 200, 200)
-    return {"cfg": cfg, "splits": splits,
-            "test_truth": ground_truth(splits["test"])}
+    return {"cfg": cfg, "splits": splits}
 
 
 def _desk_model(seed, spec):
@@ -66,11 +65,7 @@ def _desk_train(desk, seed, mode, spec, validate=True):
 
 
 def _test_rsum(desk, model):
-    corpus = desk["splits"]["test"]
-    return evaluate_scores(split_scores(model, corpus),
-                           tuple(t.id for t in corpus.texts),
-                           tuple(i.id for i in corpus.images),
-                           desk["test_truth"]).rsum
+    return evaluate_split([model], desk["splits"]["test"]).rsum
 
 
 @pytest.fixture(scope="module")

@@ -101,6 +101,15 @@ class TestGenerate:
                             for name in sorted(os.listdir(corpus))})
         assert digests[0] == digests[1]
 
+    def test_output_dir_under_a_file_is_data_error(self, tmp_path, capsys):
+        cfg, _ = _write_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = str(blocker / "run")
+        assert main(["generate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {os.path.join(out, 'corpus')}: Not a directory" in err
+
     def test_missing_required_field_names_it(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[train]\nseed = 1\n\n[output]\ndir = x\n")
@@ -408,6 +417,15 @@ class TestEval:
         _regroup(path, {"t000050.0": "gZZZ"})
         assert main(["eval", "--config", cfg]) == 2
         assert f"{path}: caption 't000050.0' names group 'gZZZ'" in capsys.readouterr().err
+
+    def test_results_path_that_is_a_directory_is_data_error(self, trained,
+                                                             capsys):
+        cfg, out = trained
+        path = os.path.join(out, "results.json")
+        os.mkdir(path)
+        assert main(["eval", "--config", cfg]) == 2
+        assert f"cannot write {path}: Is a directory" in capsys.readouterr().err
+        assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
 
     def test_missing_params_is_data_error(self, tmp_path):
         cfg, out = _write_config(tmp_path)

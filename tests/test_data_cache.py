@@ -337,12 +337,20 @@ class TestAtomicWrites:
 
     def test_failed_replace_leaves_no_target(self, tmp_path, monkeypatch):
         def boom(src, dst):
-            raise OSError("simulated crash")
+            raise OSError(5, "simulated crash")
 
         monkeypatch.setattr(os, "replace", boom)
-        with pytest.raises(OSError):
-            atomic_write_bytes(str(tmp_path / "out.bin"), b"payload")
+        path = str(tmp_path / "out.bin")
+        with pytest.raises(DataError, match=f"cannot write {re.escape(path)}: "
+                                            "simulated crash"):
+            atomic_write_bytes(path, b"payload")
         assert os.listdir(tmp_path) == []
+
+    def test_unwritable_directory_is_data_error(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / "file" / "out.bin")
+        with pytest.raises(DataError, match="Not a directory"):
+            atomic_write_bytes(path, b"payload")
 
 
 class TestCorpusPersistence:

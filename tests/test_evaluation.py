@@ -5,16 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from adret import evaluation
+from adret import encoders, evaluation
+from adret.data import SyntheticCorpusConfig, generate_splits, ground_truth
+from adret.encoders import BiEncoder, evaluate_split, init_encoder_params, split_scores
 from adret.errors import DataError, DimensionError, EvaluationError
 from adret.evaluation import (
     RetrievalResult,
     _block_rows,
-    ensemble_similarity,
     evaluate_scores,
     evaluate_scores_folds,
     recall_at_k,
 )
+from adret.pooling import PoolingSpec
 from adret.tensor import cosine_sim_matrix, l2_normalize_rows
 
 
@@ -333,34 +335,60 @@ class TestCountingBlocks:
             recall_at_k(scores, ["t0", "t1"], ["i0", "i1"], truth, 1)
 
 
-class TestEnsemble:
-    def test_single_matrix_identity(self):
-        m = np.array([[0.5, 0.1]])
-        np.testing.assert_array_equal(ensemble_similarity([m]), m)
+def _tiny_split():
+    cfg = SyntheticCorpusConfig(num_groups=12, visual_dim=6, text_dim=5,
+                                embed_dim=4, seed=3)
+    return generate_splits(cfg, 1, 1, 12)["test"]
 
-    def test_duplicate_matrices(self):
-        m = np.random.default_rng(9).standard_normal((3, 3))
-        np.testing.assert_allclose(ensemble_similarity([m, m]), m, atol=1e-15)
 
-    def test_bit_equal_to_stacked_mean(self):
-        rng = np.random.default_rng(10)
+def _model(seed):
+    rng = np.random.default_rng([seed, 0])
+    return BiEncoder(init_encoder_params(rng, 6, 4, PoolingSpec("adpool")),
+                     init_encoder_params(rng, 5, 4, PoolingSpec("mean")))
+
+
+class TestEvaluateSplit:
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        """The (scores, folds) of each call evaluate_split makes to
+        evaluate_scores_folds, and the matrices split_scores returned."""
+        calls, scored = [], []
+
+        def capture(scores, text_ids, image_ids, truth, folds):
+            calls.append((scores, folds))
+
+        def record(model, corpus):
+            scored.append(split_scores(model, corpus))
+            return scored[-1]
+
+        monkeypatch.setattr(encoders, "evaluate_scores_folds", capture)
+        monkeypatch.setattr(encoders, "split_scores", record)
+        return calls, scored
+
+    def test_ranks_the_bit_exact_mean_of_the_members(self, ranked):
+        calls, scored = ranked
+        corpus = _tiny_split()
+        models = [_model(seed) for seed in range(5)]
         for n in (1, 2, 3, 5):
-            mats = [rng.standard_normal((37, 23)) for _ in range(n)]
-            assert ensemble_similarity(mats).tobytes() == \
-                np.mean(np.stack(mats), axis=0).tobytes()
-        assert ensemble_similarity(mats[:1]) is mats[0]
+            evaluate_split(models[:n], corpus)
+            mean = np.mean(np.stack([split_scores(m, corpus)
+                                     for m in models[:n]]), axis=0)
+            assert calls[-1][0].tobytes() == mean.tobytes()
+        assert calls[0][0] is scored[0]  # one model ranks by its own matrix
 
-    def test_mean_example(self):
-        out = ensemble_similarity([np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])])
-        np.testing.assert_array_equal(out, [[0.5, 0.5]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            ensemble_similarity([np.ones((2, 2)), np.ones((2, 3))])
+    def test_folds_are_passed_through(self, ranked):
+        evaluate_split([_model(0)], _tiny_split(), 3)
+        assert ranked[0][-1][1] == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ensemble_similarity([])
+            evaluate_split([], _tiny_split())
+
+    def test_one_model_is_evaluate_scores_of_its_split(self):
+        corpus, model = _tiny_split(), _model(1)
+        assert evaluate_split([model], corpus) == evaluate_scores(
+            split_scores(model, corpus), [t.id for t in corpus.texts],
+            [i.id for i in corpus.images], ground_truth(corpus))
 
 
 class TestSerialization:

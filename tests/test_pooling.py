@@ -188,9 +188,10 @@ class TestBalance:
         np.testing.assert_allclose(out, 0.75 * t_tok + 0.25 * t_emb, atol=1e-15)
         np.testing.assert_array_equal(diag.omega, [0.75, 0.25])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            pooling._balance_forward(np.ones(3), np.ones(4), np.ones((3, 1)))
+    @pytest.mark.parametrize("spec", [ADPOOL, TOKEN], ids=repr)
+    def test_weights_of_another_width_rejected(self, spec):
+        with pytest.raises(DimensionError, match="d=4, rows are 5"):
+            pool_forward(np.ones((3, 5)), spec, PoolParams.zeros(4))
 
 
 class TestAdpool:

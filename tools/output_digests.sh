@@ -8,7 +8,9 @@
 # whole training split: the wide shape, where K stays near B - 1. Then,
 # per loss, `adret eval --ensemble` scores the adpool and mean runs' parameter
 # files together under the adpool run's config, writing into LOSS-ensemble/
-# (a copy of the test split), so no run's results.json is overwritten. Per
+# (a copy of the test split), so no run's results.json is overwritten, and
+# the adpool, mean and max runs' files into LOSS-ensemble3/: past two
+# members, the order of the running sum shows in the digests too. Per
 # loss, LOSS-flags repeats the adpool run with --seed/--out/--loss/--k/--epochs
 # given on the command line over an INI that holds other values for them; the
 # script exits 1 unless its outputs are byte-equal to LOSS-adpool's, and
@@ -41,6 +43,18 @@ out=$(cd "$2" && pwd)
 export PYTHONPATH="$src" ADRET_LOG=error
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 adret() { python3 -m adret.cli "$@"; }
+
+# ensemble LOSS NAME POOL...: `adret eval --ensemble` of the LOSS-POOL runs'
+# parameter files under LOSS-adpool's config, into LOSS-NAME/
+ensemble() {
+    local loss=$1 dir="$out/$1-$2" params=() pool
+    shift 2
+    for pool in "$@"; do params+=("$out/$loss-$pool/params.bin"); done
+    mkdir -p "$dir/corpus"
+    cp "$out/$loss-adpool"/corpus/test_* "$dir/corpus/"
+    adret eval --config "$out/$loss-adpool/exp.ini" --out "$dir" \
+        --ensemble "${params[@]}" > "$dir/eval.out"
+}
 
 for loss in hard-triplet infonce-adaptive infonce-fixed; do
     for pool_batch in mean:32 max:32 kmax:32 adpool:32 manual:32 \
@@ -103,12 +117,8 @@ INI
         echo "$0: outputs of $flagged differ from $twin" >&2
         exit 1
     fi
-    ensemble="$out/$loss-ensemble"
-    mkdir -p "$ensemble/corpus"
-    cp "$out/$loss-adpool"/corpus/test_* "$ensemble/corpus/"
-    adret eval --config "$out/$loss-adpool/exp.ini" --out "$ensemble" \
-        --ensemble "$out/$loss-adpool/params.bin" "$out/$loss-mean/params.bin" \
-        > "$ensemble/eval.out"
+    ensemble "$loss" ensemble adpool mean
+    ensemble "$loss" ensemble3 adpool mean max
 done
 adret gradcheck --seed 3 > "$out/gradcheck.out"
 
