@@ -12,6 +12,7 @@ any other value is a configuration error).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -73,15 +74,22 @@ def build_model(cfg: ExperimentConfig) -> BiEncoder:
     return BiEncoder(visual, text)
 
 
-def _makedirs(directory: str) -> None:
+def _output_paths(directory: str, *names: str) -> list[str]:
+    """Make ``directory`` and return the paths of ``names`` in it, refusing
+    one that is a directory, so a verb fails before its work, not after."""
     try:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:  # a file in the way, no permission, ...
         raise DataError(f"cannot write {directory}: {exc.strerror}") from None
+    paths = [os.path.join(directory, name) for name in names]
+    for path in paths:
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    return paths
 
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
-    _makedirs(cfg.corpus_dir)
+    _output_paths(cfg.corpus_dir)
     splits = generate_splits(cfg.corpus, cfg.train_groups, cfg.val_groups,
                              cfg.test_groups)
     for name, corpus in splits.items():  # train, val, test
@@ -96,15 +104,15 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
+    log_path, params_path, metrics_path = _output_paths(
+        cfg.output_dir, "train_log.csv", "params.bin", "metrics.json")
     train_corpus = load_corpus(cfg.corpus_dir, "train", cfg.corpus)
     val_corpus = load_corpus(cfg.corpus_dir, "val", cfg.corpus)
     model = build_model(cfg)
     trained, train_log = train(train_corpus, model, cfg.train, val_corpus)
 
-    _makedirs(cfg.output_dir)
-    atomic_write_text(os.path.join(cfg.output_dir, "train_log.csv"),
-                      train_log.to_csv())
-    save_tensors(os.path.join(cfg.output_dir, "params.bin"), trained.tensors())
+    atomic_write_text(log_path, train_log.to_csv())
+    save_tensors(params_path, trained.tensors())
     metrics = {
         "loss_mode": cfg.train.loss.mode,
         "epochs": cfg.train.epochs,
@@ -112,8 +120,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         "val_rsum": [[epoch, rsum] for epoch, rsum in train_log.validation],
         "final_val_rsum": train_log.validation[-1][1] if train_log.validation else None,
     }
-    atomic_write_text(os.path.join(cfg.output_dir, "metrics.json"),
-                      json.dumps(metrics, sort_keys=True) + "\n")
+    atomic_write_text(metrics_path, json.dumps(metrics, sort_keys=True) + "\n")
     final = metrics["final_val_rsum"]
     print(f"trained {metrics['iterations']} iterations"
           + (f", final validation RSUM {final:.2f}" if final is not None else ""))
@@ -142,17 +149,16 @@ def _load_model(params_path: str, visual_spec: PoolingSpec,
 
 
 def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
+    json_path, csv_path = _output_paths(cfg.output_dir, "results.json",
+                                        "results.csv")
     corpus = load_corpus(cfg.corpus_dir, "test", cfg.corpus)
     widths = {"visual.w_proj": (cfg.corpus.visual_dim, "corpus.visual_dim"),
               "text.w_proj": (cfg.corpus.text_dim, "corpus.text_dim")}
     models = [_load_model(path, cfg.visual_pooling, cfg.text_pooling, widths)
               for path in params_paths]
     result = evaluate_split(models, corpus, cfg.eval_folds)
-    _makedirs(cfg.output_dir)
-    atomic_write_text(os.path.join(cfg.output_dir, "results.json"),
-                      result.to_json() + "\n")
-    atomic_write_text(os.path.join(cfg.output_dir, "results.csv"),
-                      result.to_csv())
+    atomic_write_text(json_path, result.to_json() + "\n")
+    atomic_write_text(csv_path, result.to_csv())
     print(result.to_json())
     return 0
 

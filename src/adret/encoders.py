@@ -4,9 +4,10 @@ Each modality owns a projection (w_proj, b_proj) and pooling parameters; the
 encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 ``batch_forward``/``batch_vjp`` run the chain for a whole batch: one
 ``project`` call over every row, one ``pool_forward``/``pool_vjp`` call on
-the projected rows and their lengths (``pooling`` pads them), and the
-gradient of every feature row back. A batch row is bit-equal to encoding
-that instance alone, its B=1 batch; ``encode_all`` runs the kernel on
+the projected rows and their lengths (``pooling`` pads them), and one
+``project_vjp`` back to the projection's parameters. The features are fixed
+data: no gradient is taken with respect to them. A batch row is bit-equal
+to encoding that instance alone, its B=1 batch; ``encode_all`` runs the kernel on
 blocks of instances of near-equal length. ``evaluate_split`` is the one
 way trained models are scored on a split, for eval, validation and the
 acceptance gate alike.
@@ -24,15 +25,12 @@ from .evaluation import RetrievalResult, evaluate_scores_folds
 from .pooling import PoolingSpec, PoolParams, pool_forward, pool_vjp
 from .tensor import (
     Array,
-    add_row_bias,
-    add_row_bias_vjp,
     as_matrix,
     as_vector,
     cosine_sim_matrix,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
     matmul,
-    matmul_vjp,
 )
 
 
@@ -116,7 +114,12 @@ def init_encoder_params(rng: np.random.Generator, input_dim: int,
 
 def project(raw: Array, w_proj: Array, b_proj: Array) -> Array:
     """Linear map into the joint space, one row per token."""
-    return add_row_bias(matmul(raw, w_proj), b_proj)
+    return matmul(raw, w_proj) + b_proj
+
+
+def project_vjp(raw: Array, grad: Array) -> tuple[Array, Array]:
+    """Gradients of ``project``'s weight and bias; ``raw`` is fixed data."""
+    return raw.T @ grad, grad.sum(axis=0)
 
 
 ENCODE_BLOCK = 64  # instances per kernel call in encode_all
@@ -125,11 +128,10 @@ ENCODE_BLOCK = 64  # instances per kernel call in encode_all
 def batch_forward(features, params: EncoderParams):
     """Encode feature matrices (each M_b x d_in, M_b >= 1); returns
     (embedding matrix with a unit row per instance, cache for batch_vjp)."""
-    rows = [as_matrix(f, "feature set") for f in features]
-    flat = np.concatenate(rows)
+    flat = np.concatenate(features)
     pooled, _, pool_cache = pool_forward(
         project(flat, params.w_proj, params.b_proj), params.spec, params.pool,
-        [len(f) for f in rows])
+        [len(f) for f in features])
     embeddings = l2_normalize_rows(pooled)
     return embeddings, (flat, params, pool_cache, pooled, embeddings)
 
@@ -137,18 +139,15 @@ def batch_forward(features, params: EncoderParams):
 def batch_vjp(cache, d_embeddings: Array):
     """Backward through normalize -> pool -> project for a whole batch.
 
-    Returns (grads, d_features): grads is an EncoderParams with the
-    parameters' own shapes and spec, each tensor summed over the batch;
-    d_features is the gradient of every feature row, back to back in batch
-    order as the features were (split it by their lengths).
+    Returns the parameters' gradient as an EncoderParams with their own
+    shapes and spec, each tensor summed over the batch.
     """
     flat, params, pool_cache, pooled, embeddings = cache
     d_pooled = l2_normalize_rows_vjp(pooled, embeddings, d_embeddings)
     d_projected, d_w_tok, d_w_bal = pool_vjp(pool_cache, d_pooled)
-    d_product, d_b_proj = add_row_bias_vjp(d_projected)
-    d_flat, d_w_proj = matmul_vjp(flat, params.w_proj, d_product)
-    return (EncoderParams(d_w_proj, d_b_proj, PoolParams(d_w_tok, d_w_bal),
-                          params.spec), d_flat)
+    d_w_proj, d_b_proj = project_vjp(flat, d_projected)
+    return EncoderParams(d_w_proj, d_b_proj, PoolParams(d_w_tok, d_w_bal),
+                         params.spec)
 
 
 def encode_all(instances, params: EncoderParams) -> Array:

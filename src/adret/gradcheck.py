@@ -1,12 +1,15 @@
 """Finite-difference verification of every differentiable operation training runs.
 
-Assembles a named check for each primitive op, each learned-pooling stage,
-the encoder chain under every pooling method, each batch loss, and one
-composed encode -> similarity -> loss pipeline per training loss mode, then
-runs them all against the central-difference oracle. The row normalise has
-no check of its own: every encoder and pipeline check ends in it. The
-pooling stages run ``pool_forward``/``pool_vjp`` and the encoder checks the
-batched encoder, on ragged batches (a one-row instance next to longer ones).
+Assembles a named check for each primitive op, the projection, each
+learned-pooling stage, the encoder chain under every pooling method, each
+batch loss, and one composed encode -> similarity -> loss pipeline per
+training loss mode, then runs them all against the central-difference
+oracle. The row normalise has no check of its own: every encoder and
+pipeline check ends in it. The pooling stages run ``pool_forward``/
+``pool_vjp``, rows included, and the encoder checks the batched encoder, on
+ragged batches (a one-row instance next to longer ones). The projection,
+encoder and pipeline checks hold the feature rows fixed, as training does:
+their inputs are the parameter tensors alone.
 The pipelines run the trainer's own ``training.batch_step``, so the gradient
 checked is the one Adam applies; their batch holds a one-row instance and
 one with a repeated row, whose projected columns all tie. The CLI's
@@ -24,7 +27,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import pooling
-from .encoders import BiEncoder, EncoderParams, batch_forward, batch_vjp, project
+from .encoders import (
+    BiEncoder,
+    EncoderParams,
+    batch_forward,
+    batch_vjp,
+    project,
+    project_vjp,
+)
 from .objectives import (
     adopt_loss,
     hard_triplet_loss,
@@ -33,14 +43,7 @@ from .objectives import (
     select_negatives,
 )
 from .pooling import PoolParams, PoolingSpec, pool_forward, pool_vjp
-from .tensor import (
-    CORE_OPS,
-    DiffOp,
-    GradCheckReport,
-    add_row_bias_vjp,
-    finite_diff_check,
-    matmul_vjp,
-)
+from .tensor import CORE_OPS, DiffOp, GradCheckReport, finite_diff_check
 from .training import batch_step
 
 _KINK_CLEARANCE = 1e-3  # required distance from hinge zeros and argmax ties
@@ -59,14 +62,10 @@ _ENCODE_LENGTHS = (1, 5, 6, 3)  # raised to k where kmax needs more rows
 _STAGE_LENGTHS = (5, 1, 3)  # rows per instance in the pooling stage checks
 
 
-def _project_op() -> DiffOp:
-    def vjp(inputs, out, grad):
-        raw, w, _ = inputs
-        d_m, d_b = add_row_bias_vjp(grad)
-        d_raw, d_w = matmul_vjp(raw, w, d_m)
-        return d_raw, d_w, d_b
-
-    return DiffOp("project", project, vjp)
+def _project_op(raw: np.ndarray) -> DiffOp:
+    """``project`` on the fixed rows ``raw`` as a function of (w_proj, b_proj)."""
+    return DiffOp("project", lambda w, b: project(raw, w, b),
+                  lambda inputs, out, grad: project_vjp(raw, grad))
 
 
 def _stage_op(name: str, forward, backward) -> DiffOp:
@@ -85,28 +84,22 @@ def _pool_op(name: str, spec: PoolingSpec) -> DiffOp:
         rows, spec, PoolParams(w_tok, w_bal), _STAGE_LENGTHS), pool_vjp)
 
 
-def _encode_op(spec: PoolingSpec, batch: int) -> DiffOp:
-    """The batched encoder on ``batch`` feature matrices, then the encoder
-    parameters (w_proj, b_proj, w_tok, w_bal)."""
-    def params_of(w_proj, b_proj, w_tok, w_bal):
-        return EncoderParams(w_proj=w_proj, b_proj=b_proj,
-                             pool=PoolParams(w_tok, w_bal), spec=spec)
-
-    def forward(*inputs):
-        return batch_forward(inputs[:batch], params_of(*inputs[batch:]))[0]
+def _encode_op(spec: PoolingSpec, features) -> DiffOp:
+    """The batched encoder on the fixed ``features`` as a function of the
+    encoder parameters (w_proj, b_proj, w_tok, w_bal)."""
+    def encode(w_proj, b_proj, w_tok, w_bal):
+        return batch_forward(features, EncoderParams(
+            w_proj=w_proj, b_proj=b_proj, pool=PoolParams(w_tok, w_bal),
+            spec=spec))
 
     def vjp(inputs, out, grad):
-        _, cache = batch_forward(inputs[:batch], params_of(*inputs[batch:]))
-        grads, d_flat = batch_vjp(cache, grad)
-        lengths = [len(f) for f in inputs[:batch]]
-        d_features = np.split(d_flat, np.cumsum(lengths)[:-1])
-        return (*d_features, grads.w_proj, grads.b_proj, grads.pool.w_tok,
-                grads.pool.w_bal)
+        grads = batch_vjp(encode(*inputs)[1], grad)
+        return grads.w_proj, grads.b_proj, grads.pool.w_tok, grads.pool.w_bal
 
     label = spec.method
     if spec.manual_mode:
         label += f"-{spec.manual_mode}"
-    return DiffOp(f"encode[{label}]", forward, vjp)
+    return DiffOp(f"encode[{label}]", lambda *inputs: encode(*inputs)[0], vjp)
 
 
 def _loss_op(name: str, loss_of) -> DiffOp:
@@ -177,8 +170,6 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
     checks: list[tuple[DiffOp, list[np.ndarray]]] = []
     normal = rng.standard_normal
     core_inputs = {
-        "matmul": [normal((3, 4)), normal((4, 2))],
-        "add_row_bias": [normal((3, 4)), normal(4)],
         "softmax_columns": [normal((4, 3))],
         "softmax_vector": [normal(5)],
         "sort_desc_per_column": [normal((5, 3))],
@@ -186,7 +177,7 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
     for op in CORE_OPS:
         checks.append((op, core_inputs[op.name]))
 
-    checks.append((_project_op(), [normal((4, 3)), normal((3, 5)), normal(5)]))
+    checks.append((_project_op(normal((4, 3))), [normal((3, 5)), normal(5)]))
     stage_shape = (len(_STAGE_LENGTHS), max(_STAGE_LENGTHS), 4)
     real = np.arange(stage_shape[1]) < np.array(_STAGE_LENGTHS)[:, None]
     zeros = np.zeros((4, 1))
@@ -204,9 +195,9 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
 
     for spec in _ENCODE_SPECS:
         features = [normal((max(m, spec.k or 1), 3)) for m in _ENCODE_LENGTHS]
-        checks.append((_encode_op(spec, len(features)),
-                       features + [normal((3, 5)), normal(5), normal((5, 1)),
-                                   normal((5, 1))]))
+        checks.append((_encode_op(spec, features),
+                       [normal((3, 5)), normal(5), normal((5, 1)),
+                        normal((5, 1))]))
 
     margin = 0.2
     checks.append((_loss_op("hard_triplet_loss",

@@ -125,9 +125,6 @@ def select_negatives(s: Array, k: int) -> NegativeSelection:
     if not 1 <= k <= b - 1:
         raise ValueError(f"select_negatives: k={k} outside [1, {b - 1}]")
     masked = np.where(np.eye(b, dtype=bool), -np.inf, s)
-    if k == 1:  # the stable order's first column, ties included, unsorted
-        return NegativeSelection(masked.argmax(axis=1)[:, None],
-                                 masked.argmax(axis=0)[:, None])
     return NegativeSelection(_stable_head(-masked, k), _stable_head(-masked.T, k))
 
 
@@ -250,14 +247,8 @@ def adopt_loss(s: Array, temperature: float) -> tuple[float, BatchMaturity, Arra
     negatives-only ratio: in matched-seed comparisons the saturating form
     loses its early-convergence advantage over the hard triplet loss, while
     this form keeps it.
-
-    Shape and finiteness of ``s`` are checked by the two public steps it
-    runs, select_negatives and the loss; the statistics computed before
-    them only pick K, so a bad ``s`` still raises before any loss returns.
     """
     s = as_matrix(s, "similarity matrix")
-    if s.shape[0] < 2:
-        raise ValueError("adopt_loss needs a batch of at least 2")
     gamma_a = clamp01(alignment(s))
     gamma_u = clamp01(uniformity(s))
     k = adaptive_k(gamma_a, gamma_u, s.shape[0])

@@ -1,10 +1,13 @@
 """Dense float64 matrix operations with hand-written vector-Jacobian products.
 
-Every operation used by the trainable pipeline comes in two parts: a pure
-forward function and a matching ``*_vjp`` that maps an upstream gradient back
-onto the inputs. There is no graph or tape; downstream modules chain the VJPs
-by hand in reverse order. ``finite_diff_check`` is the independent oracle used
-to verify every analytic gradient against central finite differences.
+Every differentiable operation here comes in two parts: a pure forward
+function and a matching ``*_vjp`` that maps an upstream gradient back onto
+the inputs. ``matmul`` is forward only: it is the kernel of
+``encoders.project``, whose pair ``encoders.project_vjp`` returns the
+parameter gradients training applies. There is no graph or tape; downstream
+modules chain the VJPs by hand in reverse order. ``finite_diff_check`` is the
+independent oracle used to verify every analytic gradient against central
+finite differences.
 
 Conventions:
   - matrices are 2-D C-order float64 ndarrays, rows x cols
@@ -78,24 +81,6 @@ def matmul(a: Array, b: Array) -> Array:
     # ``a @ b``, whose gemm picks kernels by shape (edge tiles for the last
     # rows), so a row's bits would depend on its neighbours
     return np.matmul(a[:, None, :], b)[:, 0]
-
-
-def matmul_vjp(a: Array, b: Array, grad: Array) -> tuple[Array, Array]:
-    return grad @ b.T, a.T @ grad
-
-
-def add_row_bias(m: Array, bias: Array) -> Array:
-    """Add a row vector to every row of ``m``."""
-    m = as_matrix(m, "add_row_bias input")
-    bias = as_vector(bias)
-    if bias.shape[0] != m.shape[1]:
-        raise DimensionError(
-            f"add_row_bias: bias length {bias.shape[0]} != cols {m.shape[1]}")
-    return m + bias[None, :]
-
-
-def add_row_bias_vjp(grad: Array) -> tuple[Array, Array]:
-    return grad, grad.sum(axis=0)
 
 
 def sum_rows(m: Array) -> Array:
@@ -182,12 +167,11 @@ def l2_normalize_rows_vjp(m: Array, out: Array, grad: Array) -> Array:
 
 def cosine_sim_matrix(t: Array, v: Array) -> Array:
     """Pairwise cosine similarities; rows of the result index rows of ``t``."""
-    t = as_matrix(t, "similarity lhs")
-    v = as_matrix(v, "similarity rhs")
+    t, v = l2_normalize_rows(t), l2_normalize_rows(v)
     if t.shape[1] != v.shape[1]:
         raise DimensionError(
             f"cosine_sim_matrix: column counts differ, {t.shape} vs {v.shape}")
-    return l2_normalize_rows(t) @ l2_normalize_rows(v).T
+    return t @ v.T
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +252,6 @@ def finite_diff_check(op: DiffOp, inputs: Sequence[Array],
 
 # DiffOp wrappers for the primitive operations, mainly consumed by the
 # gradient-check suite. Downstream code calls the plain functions directly.
-MATMUL_OP = DiffOp("matmul", matmul, lambda xs, out, g: matmul_vjp(*xs, g))
-ADD_ROW_BIAS_OP = DiffOp("add_row_bias", add_row_bias,
-                         lambda xs, out, g: add_row_bias_vjp(g))
 SOFTMAX_COLUMNS_OP = DiffOp("softmax_columns", softmax_columns,
                             lambda xs, out, g: (softmax_columns_vjp(out, g),))
 SOFTMAX_VECTOR_OP = DiffOp("softmax_vector", softmax_vector,
@@ -278,5 +259,4 @@ SOFTMAX_VECTOR_OP = DiffOp("softmax_vector", softmax_vector,
 SORT_DESC_OP = DiffOp("sort_desc_per_column", sort_desc_per_column,
                       lambda xs, out, g: (sort_desc_per_column_vjp(xs[0], g),))
 
-CORE_OPS = (MATMUL_OP, ADD_ROW_BIAS_OP, SOFTMAX_COLUMNS_OP, SOFTMAX_VECTOR_OP,
-            SORT_DESC_OP)
+CORE_OPS = (SOFTMAX_COLUMNS_OP, SOFTMAX_VECTOR_OP, SORT_DESC_OP)

@@ -140,8 +140,8 @@ def batch_step(model: BiEncoder, text_features, image_features, loss_of):
     t_mat, t_cache = batch_forward(text_features, model.text)
     v_mat, v_cache = batch_forward(image_features, model.visual)
     loss, d_s, aux = loss_of(t_mat @ v_mat.T)
-    grads = BiEncoder(text=batch_vjp(t_cache, d_s @ v_mat)[0],
-                      visual=batch_vjp(v_cache, d_s.T @ t_mat)[0])
+    grads = BiEncoder(text=batch_vjp(t_cache, d_s @ v_mat),
+                      visual=batch_vjp(v_cache, d_s.T @ t_mat))
     return loss, aux, grads.tensors()
 
 

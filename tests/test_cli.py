@@ -284,6 +284,22 @@ class TestTrain:
         assert not os.path.exists(os.path.join(out, "params.bin"))
 
 
+    def test_params_path_that_is_a_directory_is_data_error(
+            self, tmp_path, capsys, monkeypatch):
+        cfg, out = _write_config(tmp_path)
+        assert main(["generate", "--config", cfg]) == 0
+        path = os.path.join(out, "params.bin")
+        os.mkdir(path)
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr("adret.cli.train", never)
+        assert main(["train", "--config", cfg]) == 2
+        assert f"cannot write {path}: Is a directory" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "train_log.csv"))
+
+
 class TestEval:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -418,14 +434,21 @@ class TestEval:
         assert main(["eval", "--config", cfg]) == 2
         assert f"{path}: caption 't000050.0' names group 'gZZZ'" in capsys.readouterr().err
 
-    def test_results_path_that_is_a_directory_is_data_error(self, trained,
-                                                             capsys):
+    @pytest.mark.parametrize("name", ["results.json", "results.csv"])
+    def test_results_path_that_is_a_directory_is_data_error(
+            self, trained, capsys, monkeypatch, name):
         cfg, out = trained
-        path = os.path.join(out, "results.json")
+        path = os.path.join(out, name)
         os.mkdir(path)
+
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated before checking the output paths")
+
+        monkeypatch.setattr("adret.cli.evaluate_split", never)
         assert main(["eval", "--config", cfg]) == 2
         assert f"cannot write {path}: Is a directory" in capsys.readouterr().err
         assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
+        assert not os.path.isfile(os.path.join(out, "results.json"))
 
     def test_missing_params_is_data_error(self, tmp_path):
         cfg, out = _write_config(tmp_path)

@@ -38,3 +38,14 @@ def test_every_pooler_and_loss_mode_is_checked_through_the_encoder():
     assert set(pipeline_of) == set(LOSS_MODES)
     for loss in pipeline_of.values():
         assert f"pipeline[encode->{loss}]" in names
+
+
+def test_encoder_checks_take_the_parameters_alone():
+    # the features are fixed data: a check with more inputs would be
+    # differentiating with respect to them
+    arity = {op.name: len(inputs)
+             for op, inputs in build_checks(np.random.default_rng(0))}
+    assert arity["project"] == 2
+    encode = [name for name in arity if name.startswith("encode[")]
+    assert len(encode) == 7
+    assert all(arity[name] == 4 for name in encode)

@@ -10,7 +10,10 @@
 # files together under the adpool run's config, writing into LOSS-ensemble/
 # (a copy of the test split), so no run's results.json is overwritten, and
 # the adpool, mean and max runs' files into LOSS-ensemble3/: past two
-# members, the order of the running sum shows in the digests too. Per
+# members, the order of the running sum shows in the digests too. Each
+# ensemble directory also holds scores.sha256, the sha256 of the averaged
+# score matrix that `evaluate_split` ranks, so a change in how the members
+# combine shows even where Recall@K cannot separate it. Per
 # loss, LOSS-flags repeats the adpool run with --seed/--out/--loss/--k/--epochs
 # given on the command line over an INI that holds other values for them; the
 # script exits 1 unless its outputs are byte-equal to LOSS-adpool's, and
@@ -45,14 +48,24 @@ export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 adret() { python3 -m adret.cli "$@"; }
 
 # ensemble LOSS NAME POOL...: `adret eval --ensemble` of the LOSS-POOL runs'
-# parameter files under LOSS-adpool's config, into LOSS-NAME/
+# parameter files under LOSS-adpool's config, into LOSS-NAME/, with the
+# averaged score matrix's sha256 in LOSS-NAME/scores.sha256
 ensemble() {
     local loss=$1 dir="$out/$1-$2" params=() pool
     shift 2
     for pool in "$@"; do params+=("$out/$loss-$pool/params.bin"); done
     mkdir -p "$dir/corpus"
     cp "$out/$loss-adpool"/corpus/test_* "$dir/corpus/"
-    adret eval --config "$out/$loss-adpool/exp.ini" --out "$dir" \
+    python3 -c 'import hashlib, sys
+from adret import cli, encoders
+rank = encoders.evaluate_scores_folds
+def digest(scores, *args):
+    with open(sys.argv[1], "w") as fh:
+        fh.write(hashlib.sha256(scores.tobytes()).hexdigest() + "\n")
+    return rank(scores, *args)
+encoders.evaluate_scores_folds = digest
+sys.exit(cli.main(sys.argv[2:]))' "$dir/scores.sha256" \
+        eval --config "$out/$loss-adpool/exp.ini" --out "$dir" \
         --ensemble "${params[@]}" > "$dir/eval.out"
 }
 
