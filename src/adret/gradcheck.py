@@ -115,11 +115,10 @@ def _loss_op(name: str, loss_of) -> DiffOp:
 
 def _triplet_safe(s: np.ndarray, margin: float) -> bool:
     """True when every hinge argument and argmax gap clears the kink zone."""
-    sel = select_negatives(s, 2)
-    top = np.concatenate([np.take_along_axis(s, sel.text_to_image, axis=1),
-                          np.take_along_axis(s.T, sel.image_to_text, axis=1)])
-    hinge = margin - np.tile(np.diag(s), 2) + top[:, 0]
-    return (float((top[:, 0] - top[:, 1]).min()) > _KINK_CLEARANCE
+    masked = np.where(np.eye(len(s), dtype=bool), -np.inf, s)
+    second, first = np.sort(np.concatenate([masked, masked.T]), axis=1)[:, -2:].T
+    hinge = margin - np.tile(np.diag(s), 2) + first
+    return (float((first - second).min()) > _KINK_CLEARANCE
             and float(np.abs(hinge).min()) > _KINK_CLEARANCE)
 
 

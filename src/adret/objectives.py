@@ -2,14 +2,15 @@
 
 The similarity matrix S is square with text anchors on rows, images on
 columns, and positives on the diagonal. Every loss contrasts each anchor,
-in both retrieval directions, with its K hardest in-batch negatives, picked
-by one ranking (``select_negatives``: an unstable argsort, re-sorted stably
-only in rows with a tie among their K + 1 hardest, so ties go to the
-smaller index); one kernel gathers them through flat indices, runs the
-loss's per-anchor term and scatters the gradient back. The hard triplet is
-the K = 1 hinge with margin, summed over the batch; InfoNCE is averaged
-over the batch, and its saturating form puts the positive in the
-denominator next to the negatives, which keeps it nonnegative.
+in both retrieval directions, with its K hardest in-batch negatives.
+``select_negatives`` marks them in two B x B masks without a ranking: the
+values above each row's K-th largest, then, as ties go to the smaller
+index, the first ones equal to it. One kernel runs the loss's per-anchor
+term on each direction's similarities and mask as dense array ops, so every
+sum runs in column order. The hard triplet is the K = 1 hinge with margin,
+summed over the batch; InfoNCE is a masked logsumexp averaged over the
+batch, and its saturating form puts the positive in the denominator next to
+the negatives, which keeps it nonnegative.
 
 The adaptive variant re-derives the negative-set size K every batch from two
 batch statistics: alignment (mean positive similarity) and uniformity
@@ -64,11 +65,12 @@ class BatchMaturity:
 
 @dataclass(frozen=True)
 class NegativeSelection:
-    """Per-anchor negative indices as two ``(B, K)`` integer arrays.
+    """Per-anchor negatives as two ``(B, B)`` boolean masks.
 
-    Row i of ``text_to_image`` holds column (image) indices for text anchor
-    i; row j of ``image_to_text`` holds row (text) indices for image anchor
-    j. A row never contains the anchor's own index or a repeat.
+    Row i of ``text_to_image`` marks the columns (images) selected for text
+    anchor i; row j of ``image_to_text``, a mask over S transposed, marks
+    the rows (texts) selected for image anchor j. A row marks K cells and
+    never the anchor's own index.
     """
 
     text_to_image: np.ndarray
@@ -117,58 +119,52 @@ def adaptive_k(gamma_align: float, gamma_uniform: float, batch_size: int) -> int
 def select_negatives(s: Array, k: int) -> NegativeSelection:
     """Hardest-K in-batch negatives per anchor, both directions.
 
-    Candidates are ranked by similarity descending with ties broken by the
-    smaller index; the anchor's own positive, masked to -inf, sorts last.
+    Each mask row marks what a stable descending sort of the row, with the
+    anchor's own positive masked to -inf, puts first: its k largest
+    similarities, ties broken by the smaller index.
     """
     s = _square(s, "similarity matrix")
     b = s.shape[0]
     if not 1 <= k <= b - 1:
         raise ValueError(f"select_negatives: k={k} outside [1, {b - 1}]")
-    masked = np.where(np.eye(b, dtype=bool), -np.inf, s)
-    return NegativeSelection(_stable_head(-masked, k), _stable_head(-masked.T, k))
+    masked = s.copy()
+    np.fill_diagonal(masked, -np.inf)
+    return NegativeSelection(_hardest(masked, k), _hardest(masked.T, k))
 
 
-def _stable_head(keys: Array, k: int) -> Array:
-    """The first k columns of each row's stable ascending argsort of ``keys``.
-
-    The default (unstable) argsort ranks every row. Where the k + 1 smallest
-    keys of a row are all distinct, its first k positions are the same in
-    any sorted order; only the rows with a tie there are ranked again, stably.
-    """
-    order = np.argsort(keys, axis=1)
-    head = np.take_along_axis(keys, order[:, :k + 1], axis=1)
-    tied = (head[:, 1:] == head[:, :-1]).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
-    return order[:, :k]
+def _hardest(masked: Array, k: int) -> Array:
+    """Mask of each row's k largest values, found without a sort: those at
+    or above the k-th largest value ``kth``. Only in rows where more than k
+    reach it do the ties at ``kth`` go, in index order, to the places left
+    by the values above it."""
+    kth = np.partition(masked, masked.shape[1] - k, axis=1)[:, -k, None]
+    top = masked >= kth
+    surplus = top.sum(axis=1, dtype=np.int32) > k
+    if surplus.any():
+        rows, kth = masked[surplus], kth[surplus]
+        above, tie = rows > kth, rows == kth
+        need = k - above.sum(axis=1, keepdims=True, dtype=np.int32)
+        top[surplus] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
+                                       <= need))
+    return top
 
 
 def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:
-    """Sum ``term(pos, negs) -> (summed loss, d_pos, d_negs)`` over text
-    anchors (row i, columns ``text_to_image[i]``) and image anchors (column
-    j, rows ``image_to_text[j]``), where ``negs`` holds the selected
-    similarities. Both are gathered and scattered through flat indices into
-    ``s`` and its gradient; a row of indices has no repeats, so the
-    scatter-add is exact."""
+    """Sum ``term(side, pos, mask) -> (summed loss, d_pos, d_side)`` over text
+    anchors (rows of ``s`` under ``text_to_image``) and image anchors (rows
+    of ``s.T`` under ``image_to_text``); ``pos`` is the diagonal, ``d_side``
+    the dense gradient with respect to ``side`` and ``d_pos`` more of it on
+    the diagonal."""
     s = _square(s, "similarity matrix")
-    b = s.shape[0]
-    if len(sel.text_to_image) != b or len(sel.image_to_text) != b:
-        raise DimensionError(
-            f"selection covers {len(sel.text_to_image)} anchors, batch is {b}")
-    idx = np.arange(b)
-    diag = idx * (b + 1)
-    flat_s = s.ravel()
-    grad = np.zeros((b, b))
-    flat_g = grad.reshape(-1)
-    pos = flat_s[diag]
-    loss = 0.0
-    for at in (idx[:, None] * b + sel.text_to_image,
-               sel.image_to_text * b + idx[:, None]):
-        value, d_pos, d_negs = term(pos, flat_s[at])
-        loss += value
-        flat_g[diag] += d_pos
-        flat_g[at] += d_negs
-    return loss, grad
+    if sel.text_to_image.shape != s.shape or sel.image_to_text.shape != s.shape:
+        raise DimensionError(f"selection masks are {sel.text_to_image.shape} "
+                             f"and {sel.image_to_text.shape}, batch is {s.shape}")
+    pos = np.diag(s)
+    loss, d_pos, grad = term(s, pos, sel.text_to_image)
+    value, d_pos_t, d_side = term(s.T, pos, sel.image_to_text)
+    grad += d_side.T
+    grad.flat[::len(s) + 1] += d_pos + d_pos_t
+    return loss + value, grad
 
 
 def hard_triplet_loss(s: Array, margin: float) -> tuple[float, Array]:
@@ -180,34 +176,38 @@ def hard_triplet_loss(s: Array, margin: float) -> tuple[float, Array]:
     if s.shape[0] < 2:
         raise ValueError("hard_triplet_loss needs a batch of at least 2")
 
-    def hinge(pos, negs):
-        h = margin - pos + negs[:, 0]
+    def hinge(side, pos, mask):
+        h = margin - pos + side[mask]
         act = h > 0
-        return float(h[act].sum()), -1.0 * act, 1.0 * act[:, None]
+        return float(h[act].sum()), -1.0 * act, 1.0 * (mask & act[:, None])
 
     return _contrastive(s, select_negatives(s, 1), hinge)
 
 
 def _logsumexp(temperature: float, positive_in_denominator: bool):
-    """The InfoNCE term: per anchor logsumexp(z) - pos/tau, z = selected
-    negatives / tau with pos/tau in front for the saturating form."""
+    """The InfoNCE term: per anchor logsumexp(z) - pos/tau over z = the row
+    / tau under its mask, which the saturating form extends to the diagonal
+    (the positive). The shift is the largest such z, the hardest negative's
+    (always selected) or the positive's; every cell is exponentiated, then
+    masked."""
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
 
-    def term(pos, negs):
+    def term(side, pos, mask):
         scale = len(pos) * temperature
-        pos = pos / temperature
-        z = negs / temperature
+        z = side / temperature  # then shifted, exponentiated and masked in place
         if positive_in_denominator:
-            z = np.concatenate((pos[:, None], z), axis=1)
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        total = e.sum(axis=1, keepdims=True)
-        loss = float(np.sum(zmax[:, 0] + np.log(total[:, 0]) - pos))
-        p = e / total
-        if positive_in_denominator:
-            return loss, (p[:, 0] - 1.0) / scale, p[:, 1:] / scale
-        return loss, -1.0 / scale, p / scale
+            mask = mask | np.eye(len(pos), dtype=bool)
+        else:
+            np.fill_diagonal(z, -np.inf)
+        zmax = z.max(axis=1)
+        z -= zmax[:, None]
+        e = np.exp(z, out=z)
+        e *= mask
+        total = e.sum(axis=1)
+        loss = float(np.sum(zmax + np.log(total) - pos / temperature))
+        e /= (total * scale)[:, None]
+        return loss, -1.0 / scale, e
 
     return term
 

@@ -172,10 +172,12 @@ def test_loss_oracles():
         total = 0.0
         for i in range(b):
             denom = math.exp(s[i][i] / tau) + sum(
-                math.exp(s[i][j] / tau) for j in sel.text_to_image[i])
+                math.exp(s[i][j] / tau) for j in range(b)
+                if sel.text_to_image[i][j])
             total -= math.log(math.exp(s[i][i] / tau) / denom) / b
             denom = math.exp(s[i][i] / tau) + sum(
-                math.exp(s[j][i] / tau) for j in sel.image_to_text[i])
+                math.exp(s[j][i] / tau) for j in range(b)
+                if sel.image_to_text[i][j])
             total -= math.log(math.exp(s[i][i] / tau) / denom) / b
         return total
 

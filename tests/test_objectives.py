@@ -72,6 +72,14 @@ def _select_oracle(s, k):
     return t2i, i2t
 
 
+def _as_mask(rows, b):
+    """The (b, b) boolean mask marking row i's indices ``rows[i]``."""
+    mask = np.zeros((b, b), dtype=bool)
+    for i, cols in enumerate(rows):
+        mask[i, list(cols)] = True
+    return mask
+
+
 def _infonce_oracle(s, t2i, i2t, tau):
     b = len(s)
     loss = 0.0
@@ -236,14 +244,13 @@ class TestSelectNegatives:
         rng = np.random.default_rng(4)
         s = rng.uniform(-1, 1, size=(5, 5))
         sel = select_negatives(s, 4)
-        for i in range(5):
-            assert set(sel.text_to_image[i]) == set(range(5)) - {i}
-            assert set(sel.image_to_text[i]) == set(range(5)) - {i}
+        assert np.array_equal(sel.text_to_image, ~np.eye(5, dtype=bool))
+        assert np.array_equal(sel.image_to_text, ~np.eye(5, dtype=bool))
 
     def test_argmax_case(self):
         s = np.array([[0.5, 0.6, 0.1], [0.0, 0.9, 0.2], [0.3, 0.2, 0.8]])
         sel = select_negatives(s, 1)
-        assert sel.text_to_image[0] == (1,)
+        assert np.flatnonzero(sel.text_to_image[0]).tolist() == [1]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(5)
@@ -251,28 +258,28 @@ class TestSelectNegatives:
             s = rng.uniform(-1, 1, size=(6, 6))
             sel = select_negatives(s, 3)
             t2i, i2t = _select_oracle(s.tolist(), 3)
-            assert np.array_equal(sel.text_to_image, t2i)
-            assert np.array_equal(sel.image_to_text, i2t)
+            assert np.array_equal(sel.text_to_image, _as_mask(t2i, 6))
+            assert np.array_equal(sel.image_to_text, _as_mask(i2t, 6))
         s = np.round(rng.uniform(-1, 1, size=(250, 250)), 2)  # many ties
         hardest = select_negatives(s, 1)
         for k in (1, 2, 249):
             sel = select_negatives(s, k)
             t2i, i2t = _select_oracle(s.tolist(), k)
-            assert sel.text_to_image.shape == sel.image_to_text.shape == (250, k)
-            assert np.array_equal(sel.text_to_image, t2i)
-            assert np.array_equal(sel.image_to_text, i2t)
-            # k = 1 takes an unsorted path: it must be every ranking's head
-            assert np.array_equal(sel.text_to_image[:, :1], hardest.text_to_image)
-            assert np.array_equal(sel.image_to_text[:, :1], hardest.image_to_text)
+            assert sel.text_to_image.shape == sel.image_to_text.shape == (250, 250)
+            assert np.array_equal(sel.text_to_image, _as_mask(t2i, 250))
+            assert np.array_equal(sel.image_to_text, _as_mask(i2t, 250))
+            # every k's set holds the hardest negative
+            assert not (hardest.text_to_image & ~sel.text_to_image).any()
+            assert not (hardest.image_to_text & ~sel.image_to_text).any()
 
-    def test_never_contains_positive_and_no_duplicates(self):
+    def test_never_contains_positive_and_marks_k(self):
         rng = np.random.default_rng(6)
         s = rng.uniform(-1, 1, size=(7, 7))
         sel = select_negatives(s, 5)
-        for i in range(7):
-            for lst in (sel.text_to_image[i], sel.image_to_text[i]):
-                assert i not in lst
-                assert len(set(lst)) == len(lst) == 5
+        for mask in (sel.text_to_image, sel.image_to_text):
+            assert mask.dtype == bool
+            assert not np.diag(mask).any()
+            assert mask.sum(axis=1).tolist() == [5] * 7
 
     def test_k_out_of_range(self):
         s = np.zeros((4, 4))
@@ -282,8 +289,9 @@ class TestSelectNegatives:
 
 
 class TestSelectNegativesProperty:
-    """The fast ranking re-sorts only rows with a tie in their head; for
-    every k it must pick what a stable argsort picks."""
+    """The threshold selection counts ties only in rows with more than k
+    values at or above the k-th largest; for every k it must mark the set a
+    stable argsort puts first."""
 
     LEVELS = (0.0, -0.0, 0.5, -0.5, 0.25, 1.0, -1.0, 0.75)
 
@@ -304,10 +312,10 @@ class TestSelectNegativesProperty:
             s = rng.choice(self.LEVELS[:levels], size=(b, b))
         masked = np.where(np.eye(b, dtype=bool), -np.inf, s)
         sel = select_negatives(s, k)
-        assert np.array_equal(sel.text_to_image,
-                              np.argsort(-masked, axis=1, kind="stable")[:, :k])
-        assert np.array_equal(sel.image_to_text,
-                              np.argsort(-masked.T, axis=1, kind="stable")[:, :k])
+        for mask, keys in ((sel.text_to_image, -masked),
+                           (sel.image_to_text, -masked.T)):
+            head = np.argsort(keys, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(mask, _as_mask(head, b))
 
 
 class TestInfoNCE:
@@ -325,10 +333,9 @@ class TestInfoNCE:
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = rng.uniform(-1, 1, size=(8, 8))
-            sel = select_negatives(s, 4)
-            loss, _ = info_nce_loss(s, sel, 0.05)
-            ref = _infonce_oracle(s.tolist(), sel.text_to_image,
-                                  sel.image_to_text, 0.05)
+            loss, _ = info_nce_loss(s, select_negatives(s, 4), 0.05)
+            ref = _infonce_oracle(s.tolist(), *_select_oracle(s.tolist(), 4),
+                                  0.05)
             assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_direction_of_change(self):
@@ -340,7 +347,7 @@ class TestInfoNCE:
         up[2, 2] += 1e-3
         assert info_nce_loss(up, sel, 0.1)[0] < base
         worse = s.copy()
-        worse[2, sel.text_to_image[2][0]] += 1e-3
+        worse[2, np.flatnonzero(sel.text_to_image[2])[0]] += 1e-3
         assert info_nce_loss(worse, sel, 0.1)[0] > base
 
     def test_bad_temperature(self):
@@ -356,14 +363,14 @@ class TestNegativesOnlyInfoNCE:
         rng = np.random.default_rng(9)
         for _ in range(20):
             s = rng.uniform(-1, 1, size=(6, 6))
-            sel = select_negatives(s, 3)
-            loss, _ = negatives_only_info_nce(s, sel, 0.05)
+            loss, _ = negatives_only_info_nce(s, select_negatives(s, 3), 0.05)
+            t2i, i2t = _select_oracle(s.tolist(), 3)
             ref = 0.0
             for i in range(6):
                 ref += math.log(sum(math.exp(s[i][j] / 0.05)
-                                    for j in sel.text_to_image[i])) / 6
+                                    for j in t2i[i])) / 6
                 ref += math.log(sum(math.exp(s[j][i] / 0.05)
-                                    for j in sel.image_to_text[i])) / 6
+                                    for j in i2t[i])) / 6
                 ref -= 2 * s[i][i] / 0.05 / 6
             assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -382,13 +389,20 @@ class TestNegativesOnlyInfoNCE:
 
 
 class TestWideBatch:
-    """Both InfoNCE forms at B=250, at both ends of K, against the oracles."""
+    """Every loss at B=250 against the oracles: both InfoNCE forms at both
+    ends of K and in between, where the threshold and its tie count decide
+    the set, and the hinge; on distinct and on rounded, tied similarities."""
 
-    @pytest.mark.parametrize("k", [1, 249])
+    @staticmethod
+    def similarity(tied):
+        s = np.random.default_rng(13).uniform(-1, 1, size=(250, 250))
+        return np.round(s, 2) if tied else s
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 125, 248, 249])
     @pytest.mark.parametrize("with_positive", [True, False])
-    def test_loss_and_gradient_match_oracles(self, k, with_positive):
-        rng = np.random.default_rng(13)
-        s = rng.uniform(-1, 1, size=(250, 250))
+    def test_loss_and_gradient_match_oracles(self, k, with_positive, tied):
+        s = self.similarity(tied)
         sel = select_negatives(s, k)
         t2i, i2t = _select_oracle(s.tolist(), k)
         if with_positive:
@@ -401,6 +415,15 @@ class TestWideBatch:
         ref_grad = _contrastive_grad_oracle(s.tolist(), t2i, i2t, 0.05,
                                             with_positive)
         np.testing.assert_allclose(grad, ref_grad, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_hard_triplet_matches_oracles(self, tied):
+        s = self.similarity(tied)
+        loss, grad = hard_triplet_loss(s, 0.2)
+        ref = _triplet_oracle(s.tolist(), 0.2)
+        assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
+        np.testing.assert_allclose(grad, _triplet_grad_oracle(s.tolist(), 0.2),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestAdoptLoss:

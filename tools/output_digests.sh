@@ -3,7 +3,11 @@
 # `adret gradcheck --seed 3`, and print one `sha256  path` line per output.
 #
 # Each of the 18 runs (3 losses x 6 poolers) generates a 120/30/30-group
-# corpus, trains 3 epochs at batch size 32 and evaluates with 2 folds. Per
+# corpus, trains 3 epochs at batch size 32 and lr 2e-3 and evaluates with 2
+# folds. At that lr the test RSUM lands mid-range (about 410-430 of 600 for
+# the adpool and mean runs), so results.json can show a ranking change: at the
+# default lr of 5e-4 the runs stay near chance (RSUM 133-135), and at 5e-3
+# they reach 600. Per
 # loss, one more `manual` run, LOSS-manual-b120, trains at batch size 120, the
 # whole training split: the wide shape, where K stays near B - 1. Then,
 # per loss, `adret eval --ensemble` scores the adpool and mean runs' parameter
@@ -100,6 +104,7 @@ $option
 seed = 7
 batch_size = $batch
 epochs = 3
+lr = 2e-3
 loss = $loss
 fixed_k = 10
 
