@@ -18,12 +18,10 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .cache import atomic_write_text, cache_read, load_tensors, save_tensors
 from .config import ExperimentConfig, load_config, parse_weights, pooling_spec
 from .data import generate_splits, load_corpus, save_corpus
-from .encoders import BiEncoder, evaluate_split, init_encoder_params
+from .encoders import BiEncoder, evaluate_split
 from .errors import (
     ConfigError,
     DataError,
@@ -36,7 +34,7 @@ from .errors import (
 from .gradcheck import run_all
 from .objectives import LOSS_MODES
 from .pooling import POOL_METHODS, PoolParams, PoolingSpec, pool_forward
-from .training import train
+from .training import build_model, train
 
 log = logging.getLogger("adret")
 
@@ -64,16 +62,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def build_model(cfg: ExperimentConfig) -> BiEncoder:
-    """Seeded initialization; a separate stream from the training shuffle."""
-    rng = np.random.default_rng([cfg.train.seed, 0])
-    visual = init_encoder_params(rng, cfg.corpus.visual_dim,
-                                 cfg.corpus.embed_dim, cfg.visual_pooling)
-    text = init_encoder_params(rng, cfg.corpus.text_dim,
-                               cfg.corpus.embed_dim, cfg.text_pooling)
-    return BiEncoder(visual, text)
-
-
 def _output_paths(directory: str, *names: str) -> list[str]:
     """Make ``directory`` and return the paths of ``names`` in it, refusing
     one that is a directory, so a verb fails before its work, not after."""
@@ -90,8 +78,8 @@ def _output_paths(directory: str, *names: str) -> list[str]:
 
 def cmd_generate(cfg: ExperimentConfig) -> int:
     _output_paths(cfg.corpus_dir)
-    splits = generate_splits(cfg.corpus, cfg.train_groups, cfg.val_groups,
-                             cfg.test_groups)
+    splits = generate_splits(cfg.corpus, cfg.corpus.num_groups,
+                             cfg.val_groups, cfg.test_groups)
     for name, corpus in splits.items():  # train, val, test
         try:
             save_corpus(cfg.corpus_dir, name, corpus)
@@ -108,8 +96,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         cfg.output_dir, "train_log.csv", "params.bin", "metrics.json")
     train_corpus = load_corpus(cfg.corpus_dir, "train", cfg.corpus)
     val_corpus = load_corpus(cfg.corpus_dir, "val", cfg.corpus)
-    model = build_model(cfg)
-    trained, train_log = train(train_corpus, model, cfg.train, val_corpus)
+    trained, train_log = train(train_corpus, build_model(cfg), cfg.train,
+                               val_corpus)
 
     atomic_write_text(log_path, train_log.to_csv())
     save_tensors(params_path, trained.tensors())
@@ -178,8 +166,8 @@ def cmd_gradcheck(seed: int) -> int:
 def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
                      params_path) -> int:
     matrix, _ = cache_read(matrix_path)
-    if matrix.shape[0] == 0:
-        raise DataError(f"{matrix_path}: matrix has no rows to pool")
+    if matrix.size == 0:
+        raise DataError(f"{matrix_path}: matrix has no rows or columns to pool")
     for flag, value, owner in (("--k", k, "kmax"),
                                ("--weights", weights, "fixed-balance")):
         if value is not None and method != owner:

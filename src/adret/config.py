@@ -28,7 +28,6 @@ REQUIRED = object()  # the default of a key that must be given
 @dataclass(frozen=True)
 class ExperimentConfig:
     corpus: SyntheticCorpusConfig
-    train_groups: int
     val_groups: int
     test_groups: int
     train: TrainConfig
@@ -210,7 +209,6 @@ def load_config(path: str,
 
     return ExperimentConfig(
         corpus=corpus,
-        train_groups=corpus.num_groups,
         val_groups=from_corpus("val_groups"),
         test_groups=from_corpus("test_groups"),
         train=train,

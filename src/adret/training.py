@@ -11,15 +11,19 @@ values and never carry gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .data import Corpus
-from .encoders import BiEncoder, batch_forward, batch_vjp, evaluate_split
+from .encoders import (BiEncoder, batch_forward, batch_vjp, evaluate_split,
+                       init_encoder_params)
 from .errors import ConfigError, TrainingDivergedError
 from .objectives import LossConfig, batch_loss
 from .tensor import Array
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -143,6 +147,16 @@ def batch_step(model: BiEncoder, text_features, image_features, loss_of):
     grads = BiEncoder(text=batch_vjp(t_cache, d_s @ v_mat),
                       visual=batch_vjp(v_cache, d_s.T @ t_mat))
     return loss, aux, grads.tensors()
+
+
+def build_model(cfg: ExperimentConfig) -> BiEncoder:
+    """A run's initial model: stream ``[train.seed, 0]``, visual then text."""
+    rng = np.random.default_rng([cfg.train.seed, 0])
+    visual = init_encoder_params(rng, cfg.corpus.visual_dim,
+                                 cfg.corpus.embed_dim, cfg.visual_pooling)
+    text = init_encoder_params(rng, cfg.corpus.text_dim,
+                               cfg.corpus.embed_dim, cfg.text_pooling)
+    return BiEncoder(visual, text)
 
 
 def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,

@@ -15,19 +15,19 @@ import numpy as np
 import pytest
 
 from adret.cli import main
-from adret.data import SyntheticCorpusConfig, generate_splits
-from adret.encoders import BiEncoder, evaluate_split, init_encoder_params
+from adret.config import load_config
+from adret.data import generate_splits
+from adret.encoders import evaluate_split
 from adret.evaluation import recall_at_k
 from adret.gradcheck import run_all
 from adret.objectives import (
-    LossConfig,
     adaptive_k,
     hard_triplet_loss,
     info_nce_loss,
     select_negatives,
 )
 from adret.pooling import PoolingSpec, PoolParams, _balance_forward, pool_forward
-from adret.training import TrainConfig, train
+from adret.training import build_model, train
 
 DESK_CORPUS_SEED = 1234
 MATCHED_SEEDS = (1, 2, 3, 4, 5)
@@ -44,23 +44,29 @@ def _pass(msg):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def desk():
-    cfg = SyntheticCorpusConfig(num_groups=1000, seed=DESK_CORPUS_SEED)
-    splits = generate_splits(cfg, 1000, 200, 200)
-    return {"cfg": cfg, "splits": splits}
+def desk(tmp_path_factory):
+    """The desk INI, whose unwritten keys take their defaults, and the
+    splits `adret generate` draws from it."""
+    out = tmp_path_factory.mktemp("desk")
+    ini = out / "desk.ini"
+    ini.write_text(f"[corpus]\nseed = {DESK_CORPUS_SEED}\n\n"
+                   f"[train]\nepochs = {DESK_EPOCHS}\n\n[output]\ndir = {out}\n")
+    cfg = load_config(str(ini), {"train.seed": "0"})  # the corpus ignores it
+    splits = generate_splits(cfg.corpus, cfg.corpus.num_groups, cfg.val_groups,
+                             cfg.test_groups)
+    return {"ini": str(ini), "splits": splits}
 
 
-def _desk_model(seed, spec):
-    rng = np.random.default_rng([seed, 0])
-    return BiEncoder(init_encoder_params(rng, 32, 32, spec),
-                     init_encoder_params(rng, 32, 32, spec))
-
-
-def _desk_train(desk, seed, mode, spec, validate=True):
-    model = _desk_model(seed, spec)
-    cfg = TrainConfig(loss=LossConfig(mode=mode), seed=seed, batch_size=64,
-                      epochs=DESK_EPOCHS)
-    return train(desk["splits"]["train"], model, cfg,
+def _desk_train(desk, seed, mode, method="adpool", weights=None,
+                validate=True):
+    """What `adret train` computes on the desk INI with these keys set."""
+    overrides = {"train.seed": str(seed), "train.loss": mode}
+    for side in ("visual", "text"):
+        overrides[f"pooling.{side}.method"] = method
+        if weights is not None:
+            overrides[f"pooling.{side}.weights"] = weights
+    cfg = load_config(desk["ini"], overrides)
+    return train(desk["splits"]["train"], build_model(cfg), cfg.train,
                  desk["splits"]["val"] if validate else None)
 
 
@@ -72,11 +78,10 @@ def _test_rsum(desk, model):
 def matched_runs(desk):
     """Adaptive vs hard-triplet, matched init and shuffling per seed."""
     start = time.monotonic()
-    spec = PoolingSpec("adpool")
     runs = {}
     for seed in MATCHED_SEEDS:
         for mode in ("infonce-adaptive", "hard-triplet"):
-            runs[(mode, seed)] = _desk_train(desk, seed, mode, spec)
+            runs[(mode, seed)] = _desk_train(desk, seed, mode)
     runs["elapsed"] = time.monotonic() - start
     return runs
 
@@ -259,7 +264,7 @@ def test_retrieval_metric_oracle():
 
 
 def test_balance_ablation(desk, matched_runs):
-    grids = ((0.25, 0.75), (0.5, 0.5), (0.75, 0.25))
+    grids = ("0.25,0.75", "0.5,0.5", "0.75,0.25")
     wins = 0
     rows = []
     for seed in MATCHED_SEEDS:
@@ -267,11 +272,10 @@ def test_balance_ablation(desk, matched_runs):
         learned = _test_rsum(desk, learned_model)
         fixed_scores = []
         for weights in grids:
-            spec = PoolingSpec("fixed-balance", weights=weights)
             # no criterion reads a fixed run's validation RSUM, and
             # validation is pure, so skipping it leaves the model unchanged
-            model, _ = _desk_train(desk, seed, "infonce-adaptive", spec,
-                                   validate=False)
+            model, _ = _desk_train(desk, seed, "infonce-adaptive",
+                                   "fixed-balance", weights, validate=False)
             fixed_scores.append(_test_rsum(desk, model))
         best_fixed = max(fixed_scores)
         rows.append((seed, round(learned, 1), round(best_fixed, 1)))

@@ -9,6 +9,9 @@ import pytest
 
 from adret.cache import cache_write, load_tensors, save_tensors
 from adret.cli import main
+from adret.config import load_config
+from adret.data import load_corpus
+from adret.training import build_model, train
 
 
 SMALL_CONFIG = """\
@@ -147,19 +150,22 @@ class TestTrain:
         assert metrics["iterations"] == 8  # 4 batches/epoch x 2 epochs
         assert len(metrics["val_rsum"]) == 2
 
-    def test_zero_epochs_keeps_initialization(self, tmp_path):
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_writes_what_the_in_memory_run_returns(self, tmp_path, epochs):
         cfg, out = _write_config(tmp_path)
         assert main(["generate", "--config", cfg]) == 0
-        assert main(["train", "--config", cfg, "--epochs", "0"]) == 0
-        from adret.cli import build_model
-        from adret.config import load_config
-        init = build_model(load_config(cfg)).tensors()
-        saved = load_tensors(os.path.join(out, "params.bin"))
-        assert init.keys() == saved.keys()
-        for name in init:
-            assert np.array_equal(init[name], saved[name])
-        log = _read_bytes(os.path.join(out, "train_log.csv")).decode()
-        assert log.strip() == "epoch,iter,loss,gamma_align,gamma_uniform,k,lr"
+        assert main(["train", "--config", cfg, "--epochs", str(epochs)]) == 0
+        config = load_config(cfg, {"train.epochs": str(epochs)})
+        model, log = train(load_corpus(config.corpus_dir, "train", config.corpus),
+                           build_model(config), config.train,
+                           load_corpus(config.corpus_dir, "val", config.corpus))
+        expected = str(tmp_path / "expected.bin")
+        save_tensors(expected, model.tensors())
+        assert (_read_bytes(os.path.join(out, "params.bin"))
+                == _read_bytes(expected))
+        assert (_read_bytes(os.path.join(out, "train_log.csv")).decode()
+                == log.to_csv())
+        assert len(log.records) == 4 * epochs  # 4 batches per epoch
 
     def test_loss_override_changes_log_schema(self, tmp_path):
         cfg, out = _write_config(tmp_path)
@@ -553,10 +559,16 @@ class TestInspectPool:
                      "--params", missing]) == 2
         assert missing in capsys.readouterr().err
 
-    def test_zero_row_matrix_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    @pytest.mark.parametrize("method", [
+        ["mean"], ["max"], ["kmax", "--k", "1"], ["adpool"],
+        ["manual", "--modality", "visual"], ["manual", "--modality", "text"],
+        ["fixed-balance", "--weights", "1,0"]])
+    def test_zero_row_matrix_is_data_error(self, tmp_path, capsys, shape,
+                                           method):
         path = str(tmp_path / "empty.bin")
-        cache_write(path, np.zeros((0, 3)), [])
-        assert main(["inspect-pool", path]) == 2
+        cache_write(path, np.zeros(shape), [])
+        assert main(["inspect-pool", path, "--method", *method]) == 2
         assert path in capsys.readouterr().err
 
     def test_invalid_utf8_id_is_format_error(self, tmp_path, capsys):

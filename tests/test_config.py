@@ -31,7 +31,7 @@ def _load(tmp_path, text, overrides=None):
 
 def test_desk_defaults(tmp_path):
     cfg = _load(tmp_path, BASE)
-    assert cfg.train_groups == 1000 and cfg.val_groups == 200
+    assert cfg.corpus.num_groups == 1000 and cfg.val_groups == 200
     assert cfg.corpus.latent_dim == 16 and cfg.corpus.noise_scale == 0.1
     assert cfg.corpus.visual_len == (4, 12) and cfg.corpus.text_len == (5, 15)
     assert cfg.train.batch_size == 64 and cfg.train.epochs == 25

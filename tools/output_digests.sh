@@ -9,7 +9,9 @@
 # default lr of 5e-4 the runs stay near chance (RSUM 133-135), and at 5e-3
 # they reach 600. Per
 # loss, one more `manual` run, LOSS-manual-b120, trains at batch size 120, the
-# whole training split: the wide shape, where K stays near B - 1. Then,
+# whole training split: the wide shape, where K stays near B - 1. That is one
+# Adam step per epoch, so these runs train 10 epochs: after 3 they end near
+# chance (test RSUM 139-143), after 10 mid-range (421-433). Then,
 # per loss, `adret eval --ensemble` scores the adpool and mean runs' parameter
 # files together under the adpool run's config, writing into LOSS-ensemble/
 # (a copy of the test split), so no run's results.json is overwritten, and
@@ -77,8 +79,8 @@ for loss in hard-triplet infonce-adaptive infonce-fixed; do
     for pool_batch in mean:32 max:32 kmax:32 adpool:32 manual:32 \
                       fixed-balance:32 manual:120; do
         pool=${pool_batch%:*} batch=${pool_batch#*:}
-        run="$out/$loss-$pool"
-        [ "$batch" = 32 ] || run="$run-b$batch"
+        run="$out/$loss-$pool" epochs=3
+        [ "$batch" = 32 ] || run="$run-b$batch" epochs=10
         mkdir "$run"
         case $pool in
             kmax) option="k = 3" ;;
@@ -103,7 +105,7 @@ $option
 [train]
 seed = 7
 batch_size = $batch
-epochs = 3
+epochs = $epochs
 lr = 2e-3
 loss = $loss
 fixed_k = 10
