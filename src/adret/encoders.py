@@ -4,13 +4,13 @@ Each modality owns a projection (w_proj, b_proj) and pooling parameters; the
 encoder is project -> pool -> ``l2_normalize_rows``, leaf to unit vector.
 ``batch_forward``/``batch_vjp`` run the chain for a whole batch: one
 ``project`` call over every row, one ``pool_forward``/``pool_vjp`` call on
-the projected rows and their lengths (``pooling`` pads them), and one
-``project_vjp`` back to the projection's parameters. The features are fixed
-data: no gradient is taken with respect to them. A batch row is bit-equal
-to encoding that instance alone, its B=1 batch; ``encode_all`` runs the kernel on
-blocks of instances of near-equal length. ``evaluate_split`` is the one
-way trained models are scored on a split, for eval, validation and the
-acceptance gate alike.
+the projected rows and their lengths (``pooling`` pads a ragged batch), and
+one ``project_vjp`` back to the projection's parameters. The features are
+fixed data: no gradient is taken with respect to them. A batch row is
+bit-equal to encoding that instance alone, its B=1 batch; ``encode_all``
+runs the kernel on blocks of instances of one length. ``evaluate_split``
+is the one way trained models are scored on a split, for eval, validation
+and the acceptance gate alike.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def init_encoder_params(rng: np.random.Generator, input_dim: int,
 
 def project(raw: Array, w_proj: Array, b_proj: Array) -> Array:
     """Linear map into the joint space, one row per token."""
-    return matmul(raw, w_proj) + b_proj
+    out = matmul(raw, w_proj)
+    return np.add(out, b_proj, out=out)
 
 
 def project_vjp(raw: Array, grad: Array) -> tuple[Array, Array]:
@@ -152,15 +153,18 @@ def batch_vjp(cache, d_embeddings: Array):
 
 def encode_all(instances, params: EncoderParams) -> Array:
     """Stack encodings of an instance sequence into a matrix, row per
-    instance. Instances go to the kernel ENCODE_BLOCK at a time in stable
-    length order, so a block pads little, and each row lands at its
-    instance's position; rows do not depend on their block."""
+    instance. The instances of each length, in their order, go to the
+    kernel ENCODE_BLOCK at a time, so no block mixes lengths and the pooler
+    pads nothing; each row lands at its instance's position, and rows do
+    not depend on their block."""
     features = [inst.features for inst in instances]
-    order = np.argsort([len(f) for f in features], kind="stable")
+    lengths = np.array([len(f) for f in features])
     out = np.empty((len(features), params.embed_dim))
-    for i in range(0, len(order), ENCODE_BLOCK):
-        block = order[i:i + ENCODE_BLOCK]
-        out[block] = batch_forward([features[j] for j in block], params)[0]
+    for length in sorted(set(lengths.tolist())):  # np.unique loads numpy.ma
+        run = np.flatnonzero(lengths == length)
+        for i in range(0, len(run), ENCODE_BLOCK):
+            block = run[i:i + ENCODE_BLOCK]
+            out[block] = batch_forward([features[j] for j in block], params)[0]
     return out
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence, Set
 
 import numpy as np
@@ -59,23 +58,20 @@ def _best_relevant(scores: Array, query_ids: Sequence[str],
                    candidate_ids: Sequence[str],
                    truth: Mapping[str, Set[str]]) -> np.ndarray:
     """Index of each query's best relevant candidate (highest score, then
-    smaller index) from one sort of the (query, relevant) pairs. ``scores``
-    may be a transposed view."""
+    smaller index) from one sort of the (query, relevant) pairs, built in
+    one pass over the truth sets. ``scores`` may be a transposed view."""
     if scores.shape != (len(query_ids), len(candidate_ids)):
         raise DimensionError(f"score matrix {scores.shape} does not match "
                              f"{len(query_ids)} queries x {len(candidate_ids)} candidates")
     column_of = {cid: j for j, cid in enumerate(candidate_ids)}
-    relevant = []
-    for qid in query_ids:
-        if qid not in truth:
-            raise DataError(f"query {qid!r} missing from ground truth")
-        relevant.append([column_of[cid] for cid in truth[qid] if cid in column_of])
-        if not relevant[-1]:
-            raise DataError(f"query {qid!r} has no relevant candidate in the index")
-    counts = np.array([len(r) for r in relevant], dtype=np.intp)
-    queries = np.repeat(np.arange(len(relevant)), counts)
-    candidates = np.fromiter(chain.from_iterable(relevant), dtype=np.intp,
-                             count=len(queries))
+    pairs = [x for q, qid in enumerate(query_ids) for cid in truth.get(qid, ())
+             if cid in column_of for x in (q, column_of[cid])]
+    queries, candidates = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    counts = np.bincount(queries, minlength=len(query_ids))
+    if not counts.all():  # argmin: the first query without a pair
+        qid = query_ids[int(counts.argmin())]
+        raise DataError(f"query {qid!r} missing from ground truth" if qid not in truth
+                        else f"query {qid!r} has no relevant candidate in the index")
     order = np.lexsort((candidates, -scores[queries, candidates], queries))
     return candidates[order[np.cumsum(counts) - counts]]
 

@@ -20,15 +20,17 @@ pooler makes the weighting learnable twice over:
 Outputs are deliberately not normalized here; the encoder applies a single
 L2 normalization at the end so the balance weights see raw magnitudes.
 
-Every kernel pools a batch: ``_pad`` lays the rows of B instances into a
-(B, M, d) stack padded with -0.0, the additive identity of the rank sums.
-``_rank`` keys the padding as NaN, so it ranks below every real row (real
-ties keep their order); it is masked to -inf in the softmax over ranks
-(theta) and the per-column softmax (delta), and gets a zero gradient.
-Rank sums add in rank order (``tensor.sum_rows``) and the sums over d of an
-M-row instance (theta's logits) run elementwise along the last axis, so each
-row of a batch result is bit-equal to pooling that instance alone, up to the
-sign bit of a NaN: ``np.sort`` may flip it, by the stack's size. (No NaN
+Every kernel pools a batch of B instances as a (B, M, d) stack. Instances
+of one length (each ``encoders.encode_all`` block) are the rows reshaped:
+no padding, no mask. A ragged batch (nearly every training batch) is
+padded with -0.0, the additive identity of the rank sums. ``_rank`` keys
+the padding as NaN, so it ranks below every real row (real ties keep their
+order); it is masked to -inf in the softmax over ranks (theta) and the
+per-column softmax (delta), and gets a zero gradient. Rank sums add in
+rank order (``tensor.sum_rows``) and the sums over d of an M-row instance
+(theta's logits) run elementwise along the last axis, so each row of a
+batch result is bit-equal to pooling that instance alone, up to the sign
+bit of a NaN: ``np.sort`` may flip it, by the stack's size. (No NaN
 reaches an embedding: ``l2_normalize_rows`` rejects it.) One einsum or 3-D
 ``@`` over the padded M x d rows would not promise this: its kernel may
 change with M, which padding raises. (A stacked product of one row at a
@@ -132,7 +134,8 @@ class PoolDiagnostics:
 
 def _pad(rows: Array, lengths=None):
     """(-0.0-padded (B, M, d) stack, lengths, (B, M, 1) mask of real rows) of
-    ``rows``, ``lengths[b]`` of them per instance; one instance without."""
+    ``rows``, ``lengths[b]`` of them per instance; one instance without.
+    Instances of one length are not padded: ``rows`` reshaped, mask None."""
     rows = as_matrix(rows, "feature set")
     lengths = np.asarray([len(rows)] if lengths is None else lengths)
     if lengths.size == 0 or lengths.min() < 1:
@@ -140,21 +143,25 @@ def _pad(rows: Array, lengths=None):
     if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.sum() != len(rows):
         raise DimensionError(f"lengths {lengths} are not 1-D integers summing "
                              f"to the {len(rows)} rows")
+    if (lengths == lengths[0]).all():
+        return rows.reshape(len(lengths), lengths[0], rows.shape[1]), lengths, None
     real = np.arange(lengths.max()) < lengths[:, None]
     f = np.full(real.shape + rows.shape[1:], -0.0)
     f[real] = rows
     return f, lengths, real[:, :, None]
 
 
-def _rank(f: Array, valid: Array):
-    """(columns sorted descending, padding -0.0; the NaN-padded stack)."""
+def _rank(f: Array, valid: Optional[Array]):
+    """(columns sorted descending, padding -0.0; the sort key, padding NaN)."""
+    if valid is None:
+        return sort_desc_per_column(f), f
     keyed = np.where(valid, f, np.nan)
     ranked = sort_desc_per_column(keyed)
     np.copyto(ranked, -0.0, where=~valid)
     return ranked, keyed
 
 
-def _topk_forward(f: Array, lengths: Array, valid: Array, k):
+def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
     """Per-column mean of instance b's ``k[b]`` largest values. Where k[b] is
     the length this is the mean in row order, so kmax with k = M equals
     mean bit for bit; elsewhere the top rows add in rank order."""
@@ -185,7 +192,9 @@ def _topk_vjp(cache, d_t: Array) -> Array:
     the real rows."""
     _, lengths, valid, k, keyed, kth = cache
     if keyed is None:
-        return np.where(valid, (d_t / lengths[:, None])[:, None, :], 0.0)
+        d_f = (d_t / lengths[:, None])[:, None, :]
+        return (np.where(valid, d_f, 0.0) if valid is not None else
+                np.broadcast_to(d_f, (len(d_f), lengths[0], d_f.shape[2])))
     above, tie = keyed > kth, keyed == kth
     nan_kth = np.isnan(kth)
     if nan_kth.any():
@@ -196,11 +205,12 @@ def _topk_vjp(cache, d_t: Array) -> Array:
     return np.where(top, (d_t / k[:, None])[:, None, :], 0.0)
 
 
-def _token_forward(f: Array, valid: Array, w_tok: Array):
+def _token_forward(f: Array, valid: Optional[Array], w_tok: Array):
     w = w_tok.ravel()
     ranked, keyed = _rank(f, valid)
     product = ranked * w  # reused below for the theta-weighted rows
-    logits = np.where(valid, product.sum(axis=2, keepdims=True), -np.inf)
+    logits = product.sum(axis=2, keepdims=True)
+    logits = logits if valid is None else np.where(valid, logits, -np.inf)
     theta = softmax_columns(logits)  # (B, M, 1): a softmax down the ranks
     t_tok = sum_rows(np.multiply(theta, ranked, out=product))[:, 0]
     return t_tok, theta[:, :, 0], (ranked, keyed, theta, w)
@@ -214,14 +224,17 @@ def _token_vjp(cache, d_t: Array):
     return sort_desc_per_column_vjp(keyed, theta * d_t + d_logits * w), d_w
 
 
-def _embedding_forward(f: Array, valid: Array, top: Array):
+def _embedding_forward(f: Array, valid: Optional[Array], top: Array):
     """``top`` is each column's largest real value, the token branch's first
     ranked row. Shifting by it instead of by the column max gives
-    ``softmax_columns(np.where(valid, f, -np.inf))`` bit for bit: the two
+    ``softmax_columns`` of ``f``, its padding -inf, bit for bit: the two
     differ at most in a zero's sign, and exp(+-0) = 1. A NaN makes the
     column's sum, so the whole column, NaN either way (of either sign)."""
-    delta = np.where(valid, f, -np.inf)
-    np.subtract(delta, top, out=delta)
+    if valid is None:
+        delta = f - top
+    else:
+        delta = np.where(valid, f, -np.inf)
+        np.subtract(delta, top, out=delta)
     np.exp(delta, out=delta)
     np.divide(delta, sum_rows(delta), out=delta)
     return sum_rows(delta * f)[:, 0], delta, (delta, f)
@@ -252,7 +265,7 @@ def _balance_vjp(cache, d_t: Array):
     return d_tok, d_emb, d_w.reshape(-1, wb.size).sum(axis=0)[:, None]
 
 
-def _adpool_forward(f: Array, valid: Array, params: PoolParams,
+def _adpool_forward(f: Array, valid: Optional[Array], params: PoolParams,
                     omega: Optional[Array] = None):
     """Adaptive pooler; a given ``omega`` replaces the learned balance
     (fixed-balance), so w_bal is unused and gets no gradient."""
@@ -307,7 +320,7 @@ def pool_forward(rows: Array, spec: PoolingSpec,
     if single:
         t, diag = t[0], PoolDiagnostics(*(None if x is None else x[0] for x in
                                           (diag.theta, diag.delta, diag.omega)))
-    return t, diag, (valid[:, :, 0], cache)
+    return t, diag, (valid, cache)
 
 
 def pool_vjp(cache, d_t: Array):
@@ -321,4 +334,5 @@ def pool_vjp(cache, d_t: Array):
     else:
         d_f = _topk_vjp(cache, d_t)
         d_w_tok, d_w_bal = np.zeros((2, d_t.shape[1], 1))
-    return d_f[real], d_w_tok, d_w_bal
+    d_f = d_f.reshape(-1, d_f.shape[2]) if real is None else d_f[real[:, :, 0]]
+    return d_f, d_w_tok, d_w_bal

@@ -135,7 +135,7 @@ def sort_desc_per_column(m: Array) -> Array:
 def sort_desc_per_column_vjp(m: Array, grad: Array) -> Array:
     """Scatter the upstream gradient back to the rows of ``m`` it was sorted
     from; a stable argsort keeps tied rows in their original order."""
-    out = np.zeros_like(grad)
+    out = np.empty_like(grad)  # the permutation writes every slot
     perm = np.argsort(-np.asarray(m, dtype=np.float64), axis=-2, kind="stable")
     np.put_along_axis(out, perm, grad, axis=-2)
     return out

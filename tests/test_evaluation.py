@@ -191,6 +191,14 @@ class TestRecallAtK:
             recall_at_k(np.ones((1, 2)), ["q0"], ["c0", "c1"],
                         {"q0": {"elsewhere"}}, 1)
 
+    @pytest.mark.parametrize("queries,message", [
+        (["q0", "q1", "q2"], "'q1' has no relevant candidate in the index"),
+        (["q0", "q2", "q1"], "'q2' missing from ground truth")])
+    def test_first_bad_query_is_named(self, queries, message):
+        truth = {"q0": {"c0"}, "q1": {"elsewhere"}}  # no entry for q2
+        with pytest.raises(DataError, match=message):
+            recall_at_k(np.ones((3, 2)), queries, ["c0", "c1"], truth, 1)
+
 
 class TestEvaluate:
     def _toy(self, rng, n_images=20, captions=3):

@@ -292,15 +292,47 @@ class TestRaggedRows:
             assert np.all(diag.theta[lengths[:, None] <= np.arange(7)] == 0.0)
             assert np.all(diag.delta[1, 1:] == 0.0)
 
+    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_one_length_batch_pools_as_inside_a_ragged_batch(self, spec, nan):
+        """Instances of one length pool unpadded and unmasked; with a longer
+        instance appended they are padded. Both give the same bits."""
+        rng = np.random.default_rng(16)
+        m = max(4, spec.k or 1)
+        rows = rng.standard_normal((3 * m + m + 2, 3))
+        rows[m + 1] = rows[m]  # a tie in every column
+        if nan:
+            rows[m + 2, 0] = np.nan  # below kmax's top 2, which keeps it
+        params = PoolParams(rng.standard_normal((3, 1)),
+                            rng.standard_normal((3, 1)))
+        d_t = rng.standard_normal((4, 3))
+        d_t[3] = 0.0  # the appended instance adds nothing to the gradients
+        one = pool_forward(rows[:3 * m], spec, params, [m] * 3)
+        ragged = pool_forward(rows, spec, params, [m] * 3 + [m + 2])
+        assert one[2][0] is None and ragged[2][0] is not None
+        assert _bytes(one[0]) == _bytes(ragged[0][:3])
+        for x, y in zip(one[1].__dict__.values(), ragged[1].__dict__.values()):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert _bytes(x) == _bytes(y[:3, :x.shape[1]])
+        grads_one = pool_vjp(one[2], d_t[:3])
+        grads_ragged = pool_vjp(ragged[2], d_t)
+        assert _bytes(grads_one[0]) == _bytes(grads_ragged[0][:3 * m])
+        for x, y in zip(grads_one[1:], grads_ragged[1:]):
+            assert _bytes(x) == _bytes(y)
+
 
 GRID = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)  # few values: ties in most columns
 
 
 @st.composite
 def _ragged_rows(draw):
-    """(rows, lengths up to 8, (B, d) upstream gradient): every instance's
-    rows back to back, from GRID and NaN; the gradient from GRID."""
+    """(rows, lengths up to 8, all equal in about half the draws, (B, d)
+    upstream gradient): every instance's rows back to back, from GRID and
+    NaN; the gradient from GRID."""
     lengths = np.array(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
+    if draw(st.booleans()):  # one length: pooled without padding
+        lengths[:] = lengths[0]
     n, d = int(lengths.sum()), draw(st.integers(1, 3))
     cells = st.lists(st.sampled_from(GRID + (math.nan,)),
                      min_size=n * d, max_size=n * d)
@@ -351,12 +383,13 @@ class TestAdpoolBitEquality:
     @given(_ragged_rows())
     def test_shifted_embedding_softmax_equals_softmax_columns(self, ragged):
         rows, lengths, _ = ragged
-        f, _, valid = pooling._pad(rows, lengths)
+        f, _, valid = pooling._pad(rows, lengths)  # no mask for one length
         top = pooling._rank(f, valid)[0][:, :1]
         delta = pooling._embedding_forward(f, valid, top)[1]
+        real = (np.arange(lengths.max()) < lengths[:, None])[:, :, None]
         # a NaN's sign may differ: np.sort may clear a NaN's sign bit, so
         # the ranked rows can hold the NaN negated, where max returns it
-        assert _bytes(delta) == _bytes(softmax_columns(np.where(valid, f, -np.inf)))
+        assert _bytes(delta) == _bytes(softmax_columns(np.where(real, f, -np.inf)))
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(_ragged_rows(), st.sampled_from(

@@ -26,6 +26,10 @@
 # prints no digests for it. Last, inspect-pool/ holds `adret inspect-pool` on
 # one fixed 7 x 32 matrix (rng seed 0) for every pooling method, both manual
 # modalities, and adpool once more with infonce-adaptive-adpool's weights.
+# Before gradcheck, fixed-length-POOL runs each pooler once more under
+# infonce-adaptive on a corpus whose images all have 6 rows and captions 8:
+# every training batch then has one length, so the digests cover the
+# pooler's unpadded path in training (VJP included), not only in eval.
 # Paths are printed relative to OUT_DIR, so two source trees compare with diff:
 #
 #   tools/output_digests.sh old/src /tmp/old > old.txt
@@ -36,7 +40,7 @@
 # prints how far each tensor moved.
 #
 # SRC_DIR is the directory that holds the adret package (a checkout's src/).
-# OUT_DIR must not exist yet or be empty. Takes about a minute on 2 cores.
+# OUT_DIR must not exist yet or be empty. Takes about 50 s on 2 vCPUs.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -75,24 +79,23 @@ sys.exit(cli.main(sys.argv[2:]))' "$dir/scores.sha256" \
         --ensemble "${params[@]}" > "$dir/eval.out"
 }
 
-for loss in hard-triplet infonce-adaptive infonce-fixed; do
-    for pool_batch in mean:32 max:32 kmax:32 adpool:32 manual:32 \
-                      fixed-balance:32 manual:120; do
-        pool=${pool_batch%:*} batch=${pool_batch#*:}
-        run="$out/$loss-$pool" epochs=3
-        [ "$batch" = 32 ] || run="$run-b$batch" epochs=10
-        mkdir "$run"
-        case $pool in
-            kmax) option="k = 3" ;;
-            fixed-balance) option="weights = 0.75, 0.25" ;;
-            *) option="" ;;
-        esac
-        cat > "$run/exp.ini" <<INI
+# run_case RUN POOL LOSS BATCH EPOCHS [CORPUS_LINES]: write RUN/exp.ini (the
+# 120/30/30-group corpus, plus CORPUS_LINES in its [corpus] section), then
+# generate, train and evaluate into RUN/
+run_case() {
+    local run=$1 pool=$2 loss=$3 batch=$4 epochs=$5 corpus=${6:-} option=""
+    mkdir "$run"
+    case $pool in
+        kmax) option="k = 3" ;;
+        fixed-balance) option="weights = 0.75, 0.25" ;;
+    esac
+    cat > "$run/exp.ini" <<INI
 [corpus]
 seed = 1234
 train_groups = 120
 val_groups = 30
 test_groups = 30
+$corpus
 
 [pooling.visual]
 method = $pool
@@ -116,10 +119,16 @@ folds = 2
 [output]
 dir = $run
 INI
-        adret generate --config "$run/exp.ini" > "$run/generate.out"
-        adret train --config "$run/exp.ini" > "$run/train.out"
-        adret eval --config "$run/exp.ini" > "$run/eval.out"
+    adret generate --config "$run/exp.ini" > "$run/generate.out"
+    adret train --config "$run/exp.ini" > "$run/train.out"
+    adret eval --config "$run/exp.ini" > "$run/eval.out"
+}
+
+for loss in hard-triplet infonce-adaptive infonce-fixed; do
+    for pool in mean max kmax adpool manual fixed-balance; do
+        run_case "$out/$loss-$pool" "$pool" "$loss" 32 3
     done
+    run_case "$out/$loss-manual-b120" manual "$loss" 120 10
     # The adpool run again, but with --seed/--out/--loss/--k/--epochs set
     # over an INI that says otherwise: every output must equal its twin's.
     twin="$out/$loss-adpool" flagged="$out/$loss-flags"
@@ -139,6 +148,14 @@ INI
     fi
     ensemble "$loss" ensemble adpool mean
     ensemble "$loss" ensemble3 adpool mean max
+done
+# Every image 6 rows, every caption 8: each batch has one length, so the
+# pooler runs unpadded, in training (its VJP too) as in eval.
+for pool in mean max kmax adpool manual fixed-balance; do
+    run_case "$out/fixed-length-$pool" "$pool" infonce-adaptive 32 3 "visual_len_min = 6
+visual_len_max = 6
+text_len_min = 8
+text_len_max = 8"
 done
 adret gradcheck --seed 3 > "$out/gradcheck.out"
 
