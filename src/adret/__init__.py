@@ -19,7 +19,7 @@ from .objectives import (
     uniformity,
 )
 from .pooling import PoolDiagnostics, PoolParams, PoolingSpec
-from .tensor import DiffOp, GradCheckReport, finite_diff_check
+from .tensor import GradCheckReport, finite_diff_check
 from .training import AdamState, TrainConfig, TrainLog, adam_step, lr_at, train
 
 __version__ = "0.1.0"

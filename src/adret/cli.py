@@ -92,12 +92,12 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
+    model = build_model(cfg)  # first: it refuses a missing train.seed
     log_path, params_path, metrics_path = _output_paths(
         cfg.output_dir, "train_log.csv", "params.bin", "metrics.json")
     train_corpus = load_corpus(cfg.corpus_dir, "train", cfg.corpus)
     val_corpus = load_corpus(cfg.corpus_dir, "val", cfg.corpus)
-    trained, train_log = train(train_corpus, build_model(cfg), cfg.train,
-                               val_corpus)
+    trained, train_log = train(train_corpus, model, cfg.train, val_corpus)
 
     atomic_write_text(log_path, train_log.to_csv())
     save_tensors(params_path, trained.tensors())
@@ -202,7 +202,6 @@ def _build_parser() -> _Parser:
 
     def add_config_flags(p):
         p.add_argument("--config", required=True, help="experiment INI file")
-        p.add_argument("--seed", help="set train.seed")
         p.add_argument("--out", help="set output.dir")
 
     p = sub.add_parser("generate", help="synthesize and persist corpus splits")
@@ -210,6 +209,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train the bi-encoder")
     add_config_flags(p)
+    p.add_argument("--seed", help="set train.seed")
     p.add_argument("--loss", choices=LOSS_MODES, help="set train.loss")
     p.add_argument("--k", help="set train.fixed_k, the infonce-fixed "
                                "negative count")

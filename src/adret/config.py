@@ -107,7 +107,7 @@ KEYS = {
     "pooling.visual": _POOLING,
     "pooling.text": _POOLING,
     "train": {
-        "seed": (_integer, REQUIRED),
+        "seed": (_integer, None),  # required by `adret train` alone
         "batch_size": (_integer, 64),
         "epochs": (_integer, 25),
         "lr": (_number, 5e-4),

@@ -15,6 +15,11 @@ checked is the one Adam applies; their batch holds a one-row instance and
 one with a repeated row, whose projected columns all tie. The CLI's
 gradcheck verb and the test suite both call ``run_all``.
 
+A check is a (name, op, inputs) triple; ``op(*inputs)`` returns (value,
+pullback), and the pullback reads only what that call computed (a package
+pair's cache, or the gradient a loss or ``batch_step`` returns), so no check
+runs its forward again to get a gradient.
+
 Discrete choices inside the losses (which negatives, which argmax) are not
 differentiable, so the checks pin them: InfoNCE variants hold the negative
 selection fixed, and triplet checks redraw their random inputs until every
@@ -43,7 +48,9 @@ from .objectives import (
     select_negatives,
 )
 from .pooling import PoolParams, PoolingSpec, pool_forward, pool_vjp
-from .tensor import CORE_OPS, DiffOp, GradCheckReport, finite_diff_check
+from .tensor import (GradCheckReport, finite_diff_check, softmax_columns,
+                     softmax_columns_vjp, softmax_vector, softmax_vector_vjp,
+                     sort_desc_per_column, sort_desc_per_column_vjp)
 from .training import batch_step
 
 _KINK_CLEARANCE = 1e-3  # required distance from hinge zeros and argmax ties
@@ -62,29 +69,39 @@ _ENCODE_LENGTHS = (1, 5, 6, 3)  # raised to k where kmax needs more rows
 _STAGE_LENGTHS = (5, 1, 3)  # rows per instance in the pooling stage checks
 
 
-def _project_op(raw: np.ndarray) -> DiffOp:
-    """``project`` on the fixed rows ``raw`` as a function of (w_proj, b_proj)."""
-    return DiffOp("project", lambda w, b: project(raw, w, b),
-                  lambda inputs, out, grad: project_vjp(raw, grad))
+def _softmax_columns(m):
+    out = softmax_columns(m)
+    return out, lambda grad: (softmax_columns_vjp(out, grad),)
 
 
-def _stage_op(name: str, forward, backward) -> DiffOp:
-    """A pooling stage whose ``forward(*inputs)`` returns (value, ..., cache)
-    and whose ``backward(cache, grad)`` returns the input gradients."""
-    def vjp(inputs, out, grad):
-        return backward(forward(*inputs)[-1], grad)
-
-    return DiffOp(name, lambda *inputs: forward(*inputs)[0], vjp)
+def _softmax_vector(v):
+    out = softmax_vector(v)
+    return out, lambda grad: (softmax_vector_vjp(out, grad),)
 
 
-def _pool_op(name: str, spec: PoolingSpec) -> DiffOp:
+def _sort_desc(m):
+    return (sort_desc_per_column(m),
+            lambda grad: (sort_desc_per_column_vjp(m, grad),))
+
+
+def _cached(forward, backward):
+    """The op of a package pair: ``forward(*inputs)`` returns (value, ...,
+    cache) and ``backward(cache, grad)`` the input gradients."""
+    def op(*inputs):
+        out = forward(*inputs)
+        return out[0], lambda grad: backward(out[-1], grad)
+
+    return op
+
+
+def _pool_op(spec: PoolingSpec):
     """``pool_forward``/``pool_vjp`` on rows of _STAGE_LENGTHS, then w_tok and
     w_bal; a weight the pooler does not read must get a zero gradient."""
-    return _stage_op(name, lambda rows, w_tok, w_bal: pool_forward(
+    return _cached(lambda rows, w_tok, w_bal: pool_forward(
         rows, spec, PoolParams(w_tok, w_bal), _STAGE_LENGTHS), pool_vjp)
 
 
-def _encode_op(spec: PoolingSpec, features) -> DiffOp:
+def _encode_op(spec: PoolingSpec, features):
     """The batched encoder on the fixed ``features`` as a function of the
     encoder parameters (w_proj, b_proj, w_tok, w_bal)."""
     def encode(w_proj, b_proj, w_tok, w_bal):
@@ -92,25 +109,20 @@ def _encode_op(spec: PoolingSpec, features) -> DiffOp:
             w_proj=w_proj, b_proj=b_proj, pool=PoolParams(w_tok, w_bal),
             spec=spec))
 
-    def vjp(inputs, out, grad):
-        grads = batch_vjp(encode(*inputs)[1], grad)
-        return grads.w_proj, grads.b_proj, grads.pool.w_tok, grads.pool.w_bal
+    def grads(cache, d_embeddings):
+        g = batch_vjp(cache, d_embeddings)
+        return g.w_proj, g.b_proj, g.pool.w_tok, g.pool.w_bal
 
-    label = spec.method
-    if spec.manual_mode:
-        label += f"-{spec.manual_mode}"
-    return DiffOp(f"encode[{label}]", lambda *inputs: encode(*inputs)[0], vjp)
+    return _cached(encode, grads)
 
 
-def _loss_op(name: str, loss_of) -> DiffOp:
-    """A batch loss ``loss_of(s) -> (value, d_value/d_s)`` as a DiffOp on s."""
-    def forward(s):
-        return np.float64(loss_of(s)[0])
+def _loss_op(loss_of):
+    """A batch loss ``loss_of(s) -> (value, d_value/d_s)`` as an op on s."""
+    def op(s):
+        value, d_s = loss_of(s)
+        return np.float64(value), lambda grad: (d_s * float(grad),)
 
-    def vjp(inputs, out, grad):
-        return (loss_of(inputs[0])[1] * float(grad),)
-
-    return DiffOp(name, forward, vjp)
+    return op
 
 
 def _triplet_safe(s: np.ndarray, margin: float) -> bool:
@@ -135,27 +147,22 @@ def _pipeline_check(name: str, loss_of, texts, images, model: BiEncoder):
     """encode both sides -> similarity -> loss through the trainer's own
     ``batch_step``, as a function of every parameter tensor.
 
-    Returns (op, inputs): the inputs are ``model.tensors()``' values in
-    order; the feature matrices are fixed data. ``loss_of(s)`` has the
+    Returns (name, op, inputs): the inputs are ``model.tensors()``' values
+    in order; the feature matrices are fixed data. ``loss_of(s)`` has the
     trainer's loss signature, (value, d_loss/d_s, aux), and must be smooth
     at the evaluation point.
     """
     tensors = model.tensors()
     keys = list(tensors)
 
-    def step(inputs):
-        return batch_step(BiEncoder.from_tensors(
+    def op(*inputs):
+        loss, _, grads = batch_step(BiEncoder.from_tensors(
             dict(zip(keys, inputs)), model.visual.spec, model.text.spec),
             texts, images, loss_of)
+        return np.float64(loss), lambda grad: [grads[k] * float(grad)
+                                               for k in keys]
 
-    def forward(*inputs):
-        return np.float64(step(inputs)[0])
-
-    def vjp(inputs, out, grad):
-        grads = step(inputs)[2]
-        return [grads[k] * float(grad) for k in keys]
-
-    return DiffOp(name, forward, vjp), [tensors[k].copy() for k in keys]
+    return name, op, [tensors[k].copy() for k in keys]
 
 
 def _similarity(model: BiEncoder, texts, images) -> np.ndarray:
@@ -164,54 +171,56 @@ def _similarity(model: BiEncoder, texts, images) -> np.ndarray:
                       lambda s: (0.0, np.zeros_like(s), s))[1]
 
 
-def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray]]]:
-    """One (op, inputs) pair per differentiable surface, freshly randomized."""
-    checks: list[tuple[DiffOp, list[np.ndarray]]] = []
+def build_checks(rng: np.random.Generator) -> list[tuple]:
+    """One (name, op, inputs) check per differentiable surface, freshly
+    randomized."""
     normal = rng.standard_normal
-    core_inputs = {
-        "softmax_columns": [normal((4, 3))],
-        "softmax_vector": [normal(5)],
-        "sort_desc_per_column": [normal((5, 3))],
-    }
-    for op in CORE_OPS:
-        checks.append((op, core_inputs[op.name]))
+    checks = [
+        ("softmax_columns", _softmax_columns, [normal((4, 3))]),
+        ("softmax_vector", _softmax_vector, [normal(5)]),
+        ("sort_desc_per_column", _sort_desc, [normal((5, 3))]),
+    ]
 
-    checks.append((_project_op(normal((4, 3))), [normal((3, 5)), normal(5)]))
+    raw = normal((4, 3))
+    checks.append(("project", lambda w, b: (
+        project(raw, w, b), lambda grad: project_vjp(raw, grad)),
+        [normal((3, 5)), normal(5)]))
     stage_shape = (len(_STAGE_LENGTHS), max(_STAGE_LENGTHS), 4)
     real = np.arange(stage_shape[1]) < np.array(_STAGE_LENGTHS)[:, None]
     zeros = np.zeros((4, 1))
-    checks.append((_pool_op("token_level_adpool",
-                            PoolingSpec("fixed-balance", weights=(1.0, 0.0))),
+    checks.append(("token_level_adpool",
+                   _pool_op(PoolingSpec("fixed-balance", weights=(1.0, 0.0))),
                    [normal(stage_shape)[real], normal((4, 1)), zeros]))
-    checks.append((_pool_op("embedding_level_adpool",
-                            PoolingSpec("fixed-balance", weights=(0.0, 1.0))),
+    checks.append(("embedding_level_adpool",
+                   _pool_op(PoolingSpec("fixed-balance", weights=(0.0, 1.0))),
                    [normal(stage_shape)[real], zeros, zeros]))
-    checks.append((_stage_op("balance_combine", pooling._balance_forward,
-                             pooling._balance_vjp),
+    checks.append(("balance_combine",
+                   _cached(pooling._balance_forward, pooling._balance_vjp),
                    [normal((3, 4)), normal((3, 4)), normal((4, 1))]))
-    checks.append((_pool_op("adpool", PoolingSpec("adpool")),
+    checks.append(("adpool", _pool_op(PoolingSpec("adpool")),
                    [normal(stage_shape)[real], normal((4, 1)), normal((4, 1))]))
 
     for spec in _ENCODE_SPECS:
         features = [normal((max(m, spec.k or 1), 3)) for m in _ENCODE_LENGTHS]
-        checks.append((_encode_op(spec, features),
+        label = "-".join(filter(None, (spec.method, spec.manual_mode)))
+        checks.append((f"encode[{label}]", _encode_op(spec, features),
                        [normal((3, 5)), normal(5), normal((5, 1)),
                         normal((5, 1))]))
 
     margin = 0.2
-    checks.append((_loss_op("hard_triplet_loss",
-                            lambda sm: hard_triplet_loss(sm, margin)),
+    checks.append(("hard_triplet_loss",
+                   _loss_op(lambda sm: hard_triplet_loss(sm, margin)),
                    [_kink_free(lambda: rng.uniform(-1.0, 1.0, size=(5, 5)),
                                lambda s: s, margin)]))
 
     s = rng.uniform(-1.0, 1.0, size=(6, 6))
     sel = select_negatives(s, 3)
-    checks.append((_loss_op("info_nce_loss",
-                            lambda sm: info_nce_loss(sm, sel, 0.5)), [s]))
+    checks.append(("info_nce_loss",
+                   _loss_op(lambda sm: info_nce_loss(sm, sel, 0.5)), [s]))
     s2 = rng.uniform(-1.0, 1.0, size=(6, 6))
     sel2 = select_negatives(s2, 3)
-    checks.append((_loss_op("negatives_only_info_nce",
-                            lambda sm: negatives_only_info_nce(sm, sel2, 0.5)),
+    checks.append(("negatives_only_info_nce",
+                   _loss_op(lambda sm: negatives_only_info_nce(sm, sel2, 0.5)),
                    [s2]))
 
     # composed pipelines over a small batch of variable-length instances
@@ -259,7 +268,7 @@ def build_checks(rng: np.random.Generator) -> list[tuple[DiffOp, list[np.ndarray
 def run_all(seed: int = 0, tolerance: float = 1e-4) -> list[GradCheckReport]:
     rng = np.random.default_rng([seed, 0x6AD])
     reports = []
-    for op, inputs in build_checks(rng):
-        reports.append(finite_diff_check(op, inputs, tolerance=tolerance,
+    for name, op, inputs in build_checks(rng):
+        reports.append(finite_diff_check(name, op, inputs, tolerance=tolerance,
                                          rng=np.random.default_rng([seed, 1])))
     return reports

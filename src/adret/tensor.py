@@ -7,7 +7,10 @@ the inputs. ``matmul`` is forward only: it is the kernel of
 parameter gradients training applies. There is no graph or tape; downstream
 modules chain the VJPs by hand in reverse order. ``finite_diff_check`` is the
 independent oracle used to verify every analytic gradient against central
-finite differences.
+finite differences. It takes an op of one shape: ``op(*inputs)`` returns
+``(value, pullback)``, and ``pullback(grad)`` returns one gradient per input,
+from what that call already computed; ``gradcheck`` builds one such op per
+checked surface from these pairs.
 
 Conventions:
   - matrices are 2-D C-order float64 ndarrays, rows x cols
@@ -175,22 +178,8 @@ def cosine_sim_matrix(t: Array, v: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# differentiable-operation contract and the finite-difference oracle
+# the finite-difference oracle
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiffOp:
-    """A forward function paired with its vector-Jacobian product.
-
-    ``forward(*inputs)`` returns an ndarray (any shape, scalars included).
-    ``vjp(inputs, output, grad)`` returns one gradient per input, each with
-    the shape of the corresponding input, and must be linear in ``grad``.
-    """
-
-    name: str
-    forward: Callable[..., Array]
-    vjp: Callable[[Sequence[Array], Array, Array], Sequence[Array]]
-
 
 @dataclass(frozen=True)
 class GradCheckReport:
@@ -205,58 +194,50 @@ class GradCheckReport:
                 f"(tol {self.tolerance:.1e})")
 
 
-def finite_diff_check(op: DiffOp, inputs: Sequence[Array],
+def finite_diff_check(name: str, op: Callable, inputs: Sequence[Array],
                       tolerance: float = 1e-4, h: float = 1e-5,
                       rng: np.random.Generator | None = None) -> GradCheckReport:
-    """Compare ``op.vjp`` against central finite differences.
+    """Compare ``op``'s pullback against central finite differences.
 
-    Perturbs every entry of every input by +-h and differentiates the scalar
-    <g, forward(x)> for a random upstream gradient g. The reported error is
+    ``op(*inputs)`` returns (value, pullback), a value of any shape and a
+    map from a gradient shaped like it to one gradient per input, shaped
+    like that input. For a random upstream gradient g the pullback runs
+    once, before any input entry is perturbed; then <g, value> is
+    differentiated by perturbing each entry by +-h, two more ``op`` calls
+    per entry. The reported error is
     ``|analytic - numeric| / max(|analytic|, |numeric|, 1)``, maximized over
     all entries (the unit floor keeps near-zero gradients from inflating a
     ratio finite differences cannot resolve anyway).
     """
     rng = np.random.default_rng(0) if rng is None else rng
     work = [np.array(x, dtype=np.float64) for x in inputs]
-    out = np.asarray(op.forward(*work), dtype=np.float64)
+    value, pullback = op(*work)
+    out = np.asarray(value, dtype=np.float64)
     if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"{op.name}: forward produced non-finite values")
+        raise EvaluationError(f"{name}: forward produced non-finite values")
     g = rng.standard_normal(out.shape)
 
-    analytic = op.vjp(work, out, g)
+    analytic = [np.asarray(a, dtype=np.float64) for a in pullback(g)]
     if len(analytic) != len(work):
-        raise EvaluationError(f"{op.name}: vjp returned {len(analytic)} grads "
-                              f"for {len(work)} inputs")
+        raise EvaluationError(f"{name}: pullback returned {len(analytic)} "
+                              f"grads for {len(work)} inputs")
 
     max_err = 0.0
-    for k, x in enumerate(work):
-        a = np.asarray(analytic[k], dtype=np.float64)
+    for k, (a, x) in enumerate(zip(analytic, work)):
         if a.shape != x.shape:
             raise EvaluationError(
-                f"{op.name}: vjp grad {k} has shape {a.shape}, input {x.shape}")
+                f"{name}: pullback grad {k} has shape {a.shape}, input {x.shape}")
         numeric = np.empty_like(x)
         flat = x.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            fp = float(np.sum(g * op.forward(*work)))
+            fp = float(np.sum(g * op(*work)[0]))
             flat[i] = orig - h
-            fm = float(np.sum(g * op.forward(*work)))
+            fm = float(np.sum(g * op(*work)[0]))
             flat[i] = orig
             numeric.reshape(-1)[i] = (fp - fm) / (2.0 * h)
         if x.size:
             denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1.0)
             max_err = max(max_err, float((np.abs(a - numeric) / denom).max()))
-    return GradCheckReport(op.name, max_err, tolerance, max_err <= tolerance)
-
-
-# DiffOp wrappers for the primitive operations, mainly consumed by the
-# gradient-check suite. Downstream code calls the plain functions directly.
-SOFTMAX_COLUMNS_OP = DiffOp("softmax_columns", softmax_columns,
-                            lambda xs, out, g: (softmax_columns_vjp(out, g),))
-SOFTMAX_VECTOR_OP = DiffOp("softmax_vector", softmax_vector,
-                           lambda xs, out, g: (softmax_vector_vjp(out, g),))
-SORT_DESC_OP = DiffOp("sort_desc_per_column", sort_desc_per_column,
-                      lambda xs, out, g: (sort_desc_per_column_vjp(xs[0], g),))
-
-CORE_OPS = (SOFTMAX_COLUMNS_OP, SOFTMAX_VECTOR_OP, SORT_DESC_OP)
+    return GradCheckReport(name, max_err, tolerance, max_err <= tolerance)

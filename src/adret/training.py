@@ -33,7 +33,7 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     loss: LossConfig
-    seed: int
+    seed: Optional[int]  # None only where nothing is trained
     batch_size: int = 64
     epochs: int = 25
     lr: float = 5e-4
@@ -149,9 +149,16 @@ def batch_step(model: BiEncoder, text_features, image_features, loss_of):
     return loss, aux, grads.tensors()
 
 
+def _seed(cfg: TrainConfig) -> int:
+    """``cfg.seed``; a ConfigError, not OS entropy, when it is unset."""
+    if cfg.seed is None:
+        raise ConfigError("missing required field train.seed")
+    return cfg.seed
+
+
 def build_model(cfg: ExperimentConfig) -> BiEncoder:
     """A run's initial model: stream ``[train.seed, 0]``, visual then text."""
-    rng = np.random.default_rng([cfg.train.seed, 0])
+    rng = np.random.default_rng([_seed(cfg.train), 0])
     visual = init_encoder_params(rng, cfg.corpus.visual_dim,
                                  cfg.corpus.embed_dim, cfg.visual_pooling)
     text = init_encoder_params(rng, cfg.corpus.text_dim,
@@ -164,9 +171,11 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
     """Train the bi-encoder on (image, caption) pairs.
 
     If a validation corpus is given, its RSUM is computed after every epoch
-    and appended to the log. Raises TrainingDivergedError (with the
-    iteration index) on a non-finite loss.
+    and appended to the log. Raises ConfigError when ``cfg.seed`` is unset
+    and TrainingDivergedError (with the iteration index) on a non-finite
+    loss.
     """
+    rng = np.random.default_rng(_seed(cfg))
     if not corpus.images:
         raise ValueError("training corpus is empty")
     if cfg.batch_size > len(corpus.images):
@@ -177,7 +186,6 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
         captions_of[txt.group_id].append(txt)
 
     state = AdamState.for_tensors(model.tensors())
-    rng = np.random.default_rng(cfg.seed)
     log = TrainLog(mode=cfg.loss.mode)
     iteration = 0
 

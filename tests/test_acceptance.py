@@ -51,7 +51,7 @@ def desk(tmp_path_factory):
     ini = out / "desk.ini"
     ini.write_text(f"[corpus]\nseed = {DESK_CORPUS_SEED}\n\n"
                    f"[train]\nepochs = {DESK_EPOCHS}\n\n[output]\ndir = {out}\n")
-    cfg = load_config(str(ini), {"train.seed": "0"})  # the corpus ignores it
+    cfg = load_config(str(ini))
     splits = generate_splits(cfg.corpus, cfg.corpus.num_groups, cfg.val_groups,
                              cfg.test_groups)
     return {"ini": str(ini), "splits": splits}

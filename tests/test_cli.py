@@ -2,7 +2,9 @@
 
 import json
 import os
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,18 @@ class TestTrain:
             assert (f"{path}: rows are 10-dimensional, corpus.visual_dim "
                     f"is 12") in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "params.bin"))
+
+    def test_train_seed_is_required_by_train_alone(self, tmp_path, capsys):
+        cfg, out = _write_config(tmp_path)
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("[train]\nseed = 7\n", "[train]\n"))
+        assert main(["generate", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 1
+        assert "missing required field train.seed" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
+        assert main(["train", "--config", cfg, "--seed", "7"]) == 0
+        assert main(["eval", "--config", cfg]) == 0
 
     def test_flags_are_parsed_as_config_values(self, tmp_path, capsys):
         cfg, out = _write_config(tmp_path)
@@ -589,6 +603,11 @@ class TestUsageErrors:
         assert main(["eval", "--config", "cfg.ini", "--cache-embeddings"]) == 1
         assert "--cache-embeddings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["generate", "eval"])
+    def test_seed_flag_is_for_train_alone(self, verb, capsys):
+        assert main([verb, "--config", "cfg.ini", "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent.ini"]) == 1
 
@@ -597,3 +616,20 @@ class TestUsageErrors:
         assert main(["gradcheck"]) == 1
         err = capsys.readouterr().err
         assert "ADRET_LOG" in err and "error|info|debug" in err
+
+
+def test_readme_typical_experiment_runs_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A typical experiment:\n\n```\n", 1)[1]
+    commands = [shlex.split(line) for line in block.split("```", 1)[0].splitlines()]
+    assert commands and all(words[0] == "adret" for words in commands)
+    (tmp_path / "exp.ini").write_text(SMALL_CONFIG.format(out="unused"))
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert main(words[1:]) == 0, " ".join(words)
+    corpora = [tmp_path / "runs" / run / "corpus" for run in ("ad", "tri")]
+    assert sorted(os.listdir(corpora[0])) == sorted(os.listdir(corpora[1]))
+    for name in os.listdir(corpora[0]):
+        assert (_read_bytes(corpora[0] / name) == _read_bytes(corpora[1] / name))
+    for run in ("ad", "tri"):
+        assert (tmp_path / "runs" / run / "results.json").exists()

@@ -8,7 +8,7 @@ from adret.config import KEYS, REQUIRED, load_config
 from adret.data import SyntheticCorpusConfig
 from adret.errors import ConfigError
 from adret.objectives import LossConfig
-from adret.training import TrainConfig
+from adret.training import TrainConfig, build_model, train
 
 
 BASE = """\
@@ -49,6 +49,17 @@ def test_overrides(tmp_path):
     assert cfg.train.loss.mode == "hard-triplet"
     assert cfg.output_dir == "/tmp/y"
     assert cfg.train.epochs == 3
+
+
+def test_train_seed_is_required_by_training_alone(tmp_path):
+    # the corpus and eval do not read train.seed; building or training a
+    # model refuses to seed from OS entropy without it
+    cfg = _load(tmp_path, BASE.replace("[train]\nseed = 9\n", ""))
+    assert cfg.train.seed is None
+    with pytest.raises(ConfigError, match="missing required field train.seed"):
+        build_model(cfg)
+    with pytest.raises(ConfigError, match="missing required field train.seed"):
+        train(None, None, cfg.train)
 
 
 def test_overrides_are_parsed_and_checked_like_file_values(tmp_path):

@@ -18,7 +18,7 @@ from adret.encoders import (
 )
 from adret.errors import DataError, DegenerateVectorError, DimensionError
 from adret.pooling import PoolParams, PoolingSpec
-from adret.tensor import DiffOp, cosine_sim_matrix, finite_diff_check
+from adret.tensor import cosine_sim_matrix, finite_diff_check
 from adret.training import batch_step
 
 
@@ -61,10 +61,10 @@ class TestProject:
         d_w, d_b = project_vjp(raw, grad)
         assert np.array_equal(d_w, raw.T @ grad)
         assert np.array_equal(d_b, grad.sum(axis=0))
-        op = DiffOp("project", lambda w, b: project(raw, w, b),
-                    lambda inputs, out, g: project_vjp(raw, g))
         report = finite_diff_check(
-            op, [rng.standard_normal((3, 4)), rng.standard_normal(4)],
+            "project", lambda w, b: (project(raw, w, b),
+                                     lambda g: project_vjp(raw, g)),
+            [rng.standard_normal((3, 4)), rng.standard_normal(4)],
             tolerance=1e-6, rng=rng)
         assert report.passed, report
 

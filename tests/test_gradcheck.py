@@ -1,11 +1,22 @@
 """The gradient-check suite's coverage and determinism. That every check
 passes on ten seeds is the acceptance gate's ``test_gradient_suite``."""
 
+import numpy as np
+
+from adret import gradcheck, pooling
 from adret.gradcheck import build_checks, run_all
 from adret.objectives import LOSS_MODES
 from adret.pooling import POOL_METHODS
 
-import numpy as np
+# every forward a check's op runs, by the name the op looks it up under
+_FORWARDS = (
+    (gradcheck, "softmax_columns"), (gradcheck, "softmax_vector"),
+    (gradcheck, "sort_desc_per_column"), (gradcheck, "project"),
+    (gradcheck, "pool_forward"), (pooling, "_balance_forward"),
+    (gradcheck, "batch_forward"), (gradcheck, "batch_step"),
+    (gradcheck, "hard_triplet_loss"), (gradcheck, "info_nce_loss"),
+    (gradcheck, "negatives_only_info_nce"),
+)
 
 
 def test_suite_covers_at_least_ten_operations():
@@ -21,13 +32,13 @@ def test_checks_are_seed_deterministic():
 
 
 def test_build_checks_inputs_are_finite():
-    for op, inputs in build_checks(np.random.default_rng(1)):
+    for name, _, inputs in build_checks(np.random.default_rng(1)):
         for x in inputs:
-            assert np.all(np.isfinite(x)), op.name
+            assert np.all(np.isfinite(x)), name
 
 
 def test_every_pooler_and_loss_mode_is_checked_through_the_encoder():
-    names = {op.name for op, _ in build_checks(np.random.default_rng(0))}
+    names = {name for name, _, _ in build_checks(np.random.default_rng(0))}
     for method in POOL_METHODS:
         labels = ([f"{method}-visual", f"{method}-text"] if method == "manual"
                   else [method])
@@ -43,9 +54,34 @@ def test_every_pooler_and_loss_mode_is_checked_through_the_encoder():
 def test_encoder_checks_take_the_parameters_alone():
     # the features are fixed data: a check with more inputs would be
     # differentiating with respect to them
-    arity = {op.name: len(inputs)
-             for op, inputs in build_checks(np.random.default_rng(0))}
+    arity = {name: len(inputs)
+             for name, _, inputs in build_checks(np.random.default_rng(0))}
     assert arity["project"] == 2
     encode = [name for name in arity if name.startswith("encode[")]
     assert len(encode) == 7
     assert all(arity[name] == 4 for name in encode)
+
+
+def test_no_pullback_runs_a_forward(monkeypatch):
+    # each op computes its gradient with its value; its pullback only reads
+    # what that call computed
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in _FORWARDS:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    checks = build_checks(np.random.default_rng(2))
+    assert len(checks) == 21
+    for name, op, inputs in checks:
+        calls.clear()
+        value, pullback = op(*inputs)
+        assert calls, f"{name} runs no counted forward"
+        calls.clear()
+        grads = pullback(np.ones(np.shape(value)))
+        assert calls == [], f"{name}'s pullback runs {calls}"
+        assert [np.shape(g) for g in grads] == [x.shape for x in inputs], name

@@ -7,16 +7,15 @@ import pytest
 
 from adret.errors import DegenerateVectorError, DimensionError, EvaluationError
 from adret.tensor import (
-    SOFTMAX_COLUMNS_OP,
-    SOFTMAX_VECTOR_OP,
-    DiffOp,
     cosine_sim_matrix,
     finite_diff_check,
     finite_matrix,
     l2_normalize_rows,
     matmul,
     softmax_columns,
+    softmax_columns_vjp,
     softmax_vector,
+    softmax_vector_vjp,
     sort_desc_per_column,
     sort_desc_per_column_vjp,
 )
@@ -212,26 +211,71 @@ class TestCosineSimMatrix:
 
 class TestFiniteDiffCheck:
     def test_softmax_passes(self):
+        def op(m):
+            out = softmax_columns(m)
+            return out, lambda grad: (softmax_columns_vjp(out, grad),)
+
         rng = np.random.default_rng(9)
-        report = finite_diff_check(SOFTMAX_COLUMNS_OP,
+        report = finite_diff_check("softmax_columns", op,
                                    [rng.standard_normal((4, 3))],
                                    tolerance=1e-4, rng=rng)
         assert report.passed
+        assert report.op_name == "softmax_columns"
 
     def test_corrupted_vjp_fails(self):
-        def bad_vjp(inputs, out, grad):
-            return (SOFTMAX_VECTOR_OP.vjp(inputs, out, grad)[0] * 1.01,)
+        def bad(v):
+            out = softmax_vector(v)
+            return out, lambda grad: (softmax_vector_vjp(out, grad) * 1.01,)
 
-        bad = DiffOp("softmax-corrupted", SOFTMAX_VECTOR_OP.forward, bad_vjp)
         rng = np.random.default_rng(10)
-        report = finite_diff_check(bad, [rng.standard_normal(5)],
+        report = finite_diff_check("softmax-corrupted", bad,
+                                   [rng.standard_normal(5)],
                                    tolerance=1e-4, rng=rng)
         assert not report.passed
 
     def test_non_finite_forward_raises(self):
-        nan_op = DiffOp("nan", lambda x: x * np.nan, lambda i, o, g: (g,))
+        def nan_op(x):
+            return x * np.nan, lambda grad: (grad,)
+
         with pytest.raises(EvaluationError):
-            finite_diff_check(nan_op, [np.ones((2, 2))])
+            finite_diff_check("nan", nan_op, [np.ones((2, 2))])
+
+    def test_pullback_runs_once_on_the_unperturbed_inputs(self):
+        # the pullback reads x lazily, so it must run before the oracle
+        # perturbs x: once, right after the first op call
+        x0 = np.random.default_rng(11).standard_normal((3, 2))
+        calls, seen = [], []
+
+        def square(x):
+            def pullback(grad):
+                seen.append((len(calls), x.copy()))
+                return (2.0 * x * grad,)
+
+            calls.append(None)
+            return x * x, pullback
+
+        report = finite_diff_check("square", square, [x0], tolerance=1e-6)
+        assert report.passed, report
+        assert len(seen) == 1
+        calls_before, x_seen = seen[0]
+        assert calls_before == 1
+        assert np.array_equal(x_seen, x0)
+
+    @pytest.mark.parametrize("shapes", [[(4, 3)], [(2,), (3, 1)], [(0, 2), (2,)]])
+    def test_op_runs_once_then_twice_per_input_entry(self, shapes):
+        calls = []
+
+        def op(*xs):
+            calls.append(None)
+            value = sum(float(np.sum(np.sin(x))) for x in xs)
+            return np.float64(value), lambda grad: tuple(
+                np.cos(x) * float(grad) for x in xs)
+
+        rng = np.random.default_rng(13)
+        inputs = [rng.standard_normal(shape) for shape in shapes]
+        report = finite_diff_check("sum_sin", op, inputs, tolerance=1e-6)
+        assert report.passed, report
+        assert len(calls) == 1 + 2 * sum(x.size for x in inputs)
 
 
 class TestFiniteMatrix:

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run the adret CLI end to end for every loss mode and pooling method, then
-# `adret gradcheck --seed 3`, and print one `sha256  path` line per output.
+# `adret gradcheck` at seeds 0-4, and print one `sha256  path` line per output.
 #
 # Each of the 18 runs (3 losses x 6 poolers) generates a 120/30/30-group
 # corpus, trains 3 epochs at batch size 32 and lr 2e-3 and evaluates with 2
@@ -21,8 +21,9 @@
 # score matrix that `evaluate_split` ranks, so a change in how the members
 # combine shows even where Recall@K cannot separate it. Per
 # loss, LOSS-flags repeats the adpool run with --seed/--out/--loss/--k/--epochs
-# given on the command line over an INI that holds other values for them; the
-# script exits 1 unless its outputs are byte-equal to LOSS-adpool's, and
+# given on the command line over an INI that holds other values for them
+# (--out to every verb, the rest to `train`, the one verb that takes them);
+# the script exits 1 unless its outputs are byte-equal to LOSS-adpool's, and
 # prints no digests for it. Last, inspect-pool/ holds `adret inspect-pool` on
 # one fixed 7 x 32 matrix (rng seed 0) for every pooling method, both manual
 # modalities, and adpool once more with infonce-adaptive-adpool's weights.
@@ -138,9 +139,10 @@ for loss in hard-triplet infonce-adaptive infonce-fixed; do
     sed -e 's/^seed = 7$/seed = 99/' -e "s/^loss = .*/loss = $other/" \
         -e 's/^fixed_k = 10$/fixed_k = 4/' -e 's/^epochs = 3$/epochs = 1/' \
         -e "s|^dir = .*|dir = $out/unused|" "$twin/exp.ini" > "$flagged/exp.ini"
-    flags=(--config "$flagged/exp.ini" --seed 7 --out "$flagged")
+    flags=(--config "$flagged/exp.ini" --out "$flagged")
     adret generate "${flags[@]}" > "$flagged/generate.out"
-    adret train "${flags[@]}" --loss "$loss" --k 10 --epochs 3 > "$flagged/train.out"
+    adret train "${flags[@]}" --seed 7 --loss "$loss" --k 10 --epochs 3 \
+        > "$flagged/train.out"
     adret eval "${flags[@]}" > "$flagged/eval.out"
     if ! diff -r -x exp.ini "$twin" "$flagged" > /dev/null; then
         echo "$0: outputs of $flagged differ from $twin" >&2
@@ -157,7 +159,9 @@ visual_len_max = 6
 text_len_min = 8
 text_len_max = 8"
 done
-adret gradcheck --seed 3 > "$out/gradcheck.out"
+for seed in 0 1 2 3 4; do
+    adret gradcheck --seed "$seed" > "$out/gradcheck-$seed.out"
+done
 
 inspect="$out/inspect-pool"
 mkdir "$inspect"
