@@ -91,8 +91,12 @@ def generate_splits(cfg: SyntheticCorpusConfig, train_groups: int,
     """Train/val/test corpora sharing one latent world (same mixing matrices).
 
     Groups are drawn sequentially from a single seeded stream, so any prefix
-    of the splits is stable under changes to the later ones.
+    of the splits is stable under changes to the later ones. ``train_groups``
+    must equal ``cfg.num_groups``.
     """
+    if train_groups != cfg.num_groups:
+        raise ConfigError(f"train_groups = {train_groups} disagrees with "
+                          f"corpus.num_groups = {cfg.num_groups}")
     rng = np.random.default_rng(cfg.seed)
     mix_v = rng.standard_normal((cfg.latent_dim, cfg.visual_dim))
     mix_t = rng.standard_normal((cfg.latent_dim, cfg.text_dim))

@@ -23,18 +23,22 @@ L2 normalization at the end so the balance weights see raw magnitudes.
 Every kernel pools a batch of B instances as a (B, M, d) stack. Instances
 of one length (each ``encoders.encode_all`` block) are the rows reshaped:
 no padding, no mask. A ragged batch (nearly every training batch) is
-padded with -0.0, the additive identity of the rank sums. ``_rank`` keys
-the padding as NaN, so it ranks below every real row (real ties keep their
-order); it is masked to -inf in the softmax over ranks (theta) and the
-per-column softmax (delta), and gets a zero gradient. Rank sums add in
-rank order (``tensor.sum_rows``) and the sums over d of an M-row instance
-(theta's logits) run elementwise along the last axis, so each row of a
-batch result is bit-equal to pooling that instance alone, up to the sign
-bit of a NaN: ``np.sort`` may flip it, by the stack's size. (No NaN
-reaches an embedding: ``l2_normalize_rows`` rejects it.) One einsum or 3-D
-``@`` over the padded M x d rows would not promise this: its kernel may
-change with M, which padding raises. (A stacked product of one row at a
-time, as in ``tensor.matmul``, would keep it.)
+padded with -0.0, the additive identity of the rank sums. The padding
+ranks below every real row, is masked to -inf in the softmax over ranks
+(theta) and the per-column softmax (delta), and gets a zero gradient. The
+token branch ranks a ragged batch with one argsort (``_argrank``, the
+padding keyed -inf), and its VJP scatters through that permutation, the
+stable one if no real values of a column tie and all are finite. Else, as
+in the top-k poolers and for one length, ``_rank`` sorts values only (the
+padding keyed NaN) and the token VJP ranks again with a stable argsort.
+Rank sums add in rank order (``tensor.sum_rows``) and the sums over d of
+an M-row instance (theta's logits) run elementwise along the last axis, so
+each row of a batch result is bit-equal to pooling that instance alone, up
+to the sign bit of a NaN: ``np.sort`` may flip it, by the stack's size.
+(No NaN reaches an embedding: ``l2_normalize_rows`` rejects it.) One
+einsum or 3-D ``@`` over the padded M x d rows would not promise this: its
+kernel may change with M, which padding raises. (A stacked product of one
+row at a time, as in ``tensor.matmul``, would keep it.)
 
 ``pool_forward``/``pool_vjp`` are the pooling API; rows without lengths
 are one instance, with unbatched results.
@@ -161,6 +165,27 @@ def _rank(f: Array, valid: Optional[Array]):
     return ranked, keyed
 
 
+def _argrank(f: Array, valid: Optional[Array]):
+    """(columns sorted descending, padding -0.0; the flat index in ``f`` of
+    each ranked entry, or None; the sort key for
+    ``sort_desc_per_column_vjp``, or None). A padded ``f`` takes one
+    argsort, the padding keyed -inf so it ranks last. Its permutation is
+    the stable one, which the VJP needs, if no two real ranks tie and every
+    value is finite; else, and for one length, ``_rank`` sorts the values."""
+    if valid is not None:
+        key = np.where(valid, f, -np.inf)
+        at = np.argsort(np.negative(key, out=key), axis=-2)
+        _, m, d = f.shape
+        at *= d  # row index -> flat index
+        at += np.arange(0, f.size, m * d)[:, None, None] + np.arange(d)
+        ranked = f.reshape(-1)[at]
+        tied = (ranked[:, 1:] == ranked[:, :-1]) & valid[:, 1:]
+        if np.isfinite(ranked).all() and not tied.any():
+            return ranked, at, None
+    ranked, keyed = _rank(f, valid)
+    return ranked, None, keyed
+
+
 def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
     """Per-column mean of instance b's ``k[b]`` largest values. Where k[b] is
     the length this is the mean in row order, so kmax with k = M equals
@@ -206,27 +231,37 @@ def _topk_vjp(cache, d_t: Array) -> Array:
 
 
 def _token_forward(f: Array, valid: Optional[Array], w_tok: Array):
+    """(pooled, theta, cache, a spare buffer shaped like ``f``)."""
     w = w_tok.ravel()
-    ranked, keyed = _rank(f, valid)
+    ranked, at, keyed = _argrank(f, valid)
     product = ranked * w  # reused below for the theta-weighted rows
     logits = product.sum(axis=2, keepdims=True)
     logits = logits if valid is None else np.where(valid, logits, -np.inf)
     theta = softmax_columns(logits)  # (B, M, 1): a softmax down the ranks
     t_tok = sum_rows(np.multiply(theta, ranked, out=product))[:, 0]
-    return t_tok, theta[:, :, 0], (ranked, keyed, theta, w)
+    return t_tok, theta[:, :, 0], (ranked, at, keyed, theta, w), product
 
 
 def _token_vjp(cache, d_t: Array):
-    ranked, keyed, theta, w = cache
+    ranked, at, keyed, theta, w = cache
     d_t = d_t[:, None, :]
-    d_logits = softmax_columns_vjp(theta, (ranked * d_t).sum(axis=2, keepdims=True))
-    d_w = (ranked * d_logits).sum(axis=(0, 1))[:, None]
-    return sort_desc_per_column_vjp(keyed, theta * d_t + d_logits * w), d_w
+    d_ranked = ranked * d_t  # reused below for each full-size product
+    d_logits = softmax_columns_vjp(theta, d_ranked.sum(axis=2, keepdims=True))
+    d_w = np.multiply(ranked, d_logits, out=d_ranked).sum(axis=(0, 1))[:, None]
+    d_f = d_logits * w  # then the rows' gradient, scattered from the ranks
+    d_ranked = np.multiply(theta, d_t, out=d_ranked)
+    d_ranked += d_f
+    if at is None:
+        return sort_desc_per_column_vjp(keyed, d_ranked), d_w
+    d_f.reshape(-1)[at] = d_ranked
+    return d_f, d_w
 
 
-def _embedding_forward(f: Array, valid: Optional[Array], top: Array):
-    """``top`` is each column's largest real value, the token branch's first
-    ranked row. Shifting by it instead of by the column max gives
+def _embedding_forward(f: Array, valid: Optional[Array], top: Array,
+                       spare: Array):
+    """``top`` is each column's largest real value, the token branch's
+    first ranked row, and ``spare`` its dead buffer, shaped like ``f``.
+    Shifting by ``top`` instead of by the column max gives
     ``softmax_columns`` of ``f``, its padding -inf, bit for bit: the two
     differ at most in a zero's sign, and exp(+-0) = 1. A NaN makes the
     column's sum, so the whole column, NaN either way (of either sign)."""
@@ -237,13 +272,16 @@ def _embedding_forward(f: Array, valid: Optional[Array], top: Array):
         np.subtract(delta, top, out=delta)
     np.exp(delta, out=delta)
     np.divide(delta, sum_rows(delta), out=delta)
-    return sum_rows(delta * f)[:, 0], delta, (delta, f)
+    return sum_rows(np.multiply(delta, f, out=spare))[:, 0], delta, (delta, f)
 
 
 def _embedding_vjp(cache, d_t: Array) -> Array:
     delta, f = cache
     d_t = d_t[:, None, :]
-    return delta * d_t + softmax_columns_vjp(delta, f * d_t)
+    spare = f * d_t
+    d_f = softmax_columns_vjp(delta, spare)
+    d_f += np.multiply(delta, d_t, out=spare)
+    return d_f
 
 
 def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
@@ -269,9 +307,9 @@ def _adpool_forward(f: Array, valid: Optional[Array], params: PoolParams,
                     omega: Optional[Array] = None):
     """Adaptive pooler; a given ``omega`` replaces the learned balance
     (fixed-balance), so w_bal is unused and gets no gradient."""
-    t_tok, theta, tok_cache = _token_forward(f, valid, params.w_tok)
+    t_tok, theta, tok_cache, spare = _token_forward(f, valid, params.w_tok)
     ranked = tok_cache[0]
-    t_emb, delta, emb_cache = _embedding_forward(f, valid, ranked[:, :1])
+    t_emb, delta, emb_cache = _embedding_forward(f, valid, ranked[:, :1], spare)
     if omega is None:
         t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
     else:
@@ -288,8 +326,9 @@ def _adpool_vjp(cache, d_t: Array):
         d_w_bal = np.zeros((d_t.shape[1], 1))
     else:
         d_tok, d_emb, d_w_bal = _balance_vjp(bal_cache, d_t)
-    d_f_tok, d_w_tok = _token_vjp(tok_cache, d_tok)
-    return d_f_tok + _embedding_vjp(emb_cache, d_emb), d_w_tok, d_w_bal
+    d_f, d_w_tok = _token_vjp(tok_cache, d_tok)
+    d_f += _embedding_vjp(emb_cache, d_emb)
+    return d_f, d_w_tok, d_w_bal
 
 
 def pool_forward(rows: Array, spec: PoolingSpec,

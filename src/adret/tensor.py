@@ -18,7 +18,9 @@ Conventions:
     or of each matrix in a (B, M, d) stack; ``softmax_vector`` acts on the
     last axis, of one vector or of each row of a matrix
   - sorting is descending; the forward returns values only, and its VJP
-    ranks again, breaking ties by original row index (stable)
+    ranks again, breaking ties by original row index (stable). ``pooling``
+    calls the VJP only where it cannot scatter through its own forward's
+    permutation: a ragged batch with no ties and no NaN or inf ranks once
   - softmax is stabilized by max subtraction
   - ``matmul`` runs one BLAS gemv per row, so row ``i`` of ``matmul(a, b)``
     is bit-equal to ``a[i] @ b``: a row's bits do not depend on how many
@@ -108,7 +110,9 @@ def softmax_columns(m: Array) -> Array:
 
 def softmax_columns_vjp(out: Array, grad: Array) -> Array:
     # d/dm of sum(g * softmax(m)) = s * (g - sum_i g_i s_i), per column
-    return out * (grad - sum_rows(grad * out))
+    d = grad - sum_rows(grad * out)
+    d *= out
+    return d
 
 
 def softmax_vector(v: Array) -> Array:

@@ -90,6 +90,12 @@ class TestCorpusGeneration:
         with pytest.raises(ConfigError, match="num_groups"):
             SyntheticCorpusConfig(num_groups=0, seed=0)
 
+    def test_train_groups_must_equal_num_groups(self):
+        cfg = SyntheticCorpusConfig(num_groups=12, seed=3)
+        with pytest.raises(ConfigError, match=r"train_groups = 1 disagrees "
+                                              r"with corpus.num_groups = 12"):
+            generate_splits(cfg, 1, 1, 12)
+
 
 def _read(path):
     with open(path, "rb") as fh:

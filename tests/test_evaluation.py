@@ -344,7 +344,7 @@ class TestCountingBlocks:
 
 
 def _tiny_split():
-    cfg = SyntheticCorpusConfig(num_groups=12, visual_dim=6, text_dim=5,
+    cfg = SyntheticCorpusConfig(num_groups=1, visual_dim=6, text_dim=5,
                                 embed_dim=4, seed=3)
     return generate_splits(cfg, 1, 1, 12)["test"]
 

@@ -1,6 +1,8 @@
 """Pooling family: simple-aggregator algebra, the adaptive pooler, dispatch."""
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -385,7 +387,7 @@ class TestAdpoolBitEquality:
         rows, lengths, _ = ragged
         f, _, valid = pooling._pad(rows, lengths)  # no mask for one length
         top = pooling._rank(f, valid)[0][:, :1]
-        delta = pooling._embedding_forward(f, valid, top)[1]
+        delta = pooling._embedding_forward(f, valid, top, np.empty_like(f))[1]
         real = (np.arange(lengths.max()) < lengths[:, None])[:, :, None]
         # a NaN's sign may differ: np.sort may clear a NaN's sign bit, so
         # the ranked rows can hold the NaN negated, where max returns it
@@ -407,3 +409,93 @@ class TestAdpoolBitEquality:
             assert _bytes(t[b]) == _bytes(t_b)
             assert _bytes(diag.theta[b, :m]) == _bytes(diag_b.theta)
             assert _bytes(diag.delta[b, :m]) == _bytes(diag_b.delta)
+
+
+@st.composite
+def _tie_free_ragged_rows(draw):
+    """(rows, lengths up to 8, never all equal, (B, d) upstream gradient),
+    continuous normal draws: no two rows tie in a column (almost surely), so
+    the padded batch takes the one-argsort path."""
+    lengths = np.array(draw(st.lists(st.integers(1, 8), min_size=2, max_size=5)))
+    if (lengths == lengths[0]).all():
+        lengths[-1] = lengths[0] % 8 + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    rows = draw(st.sampled_from((1e-3, 1.0, 1e3))) * rng.standard_normal(
+        (int(lengths.sum()), d))
+    return rows, lengths, rng.standard_normal((len(lengths), d))
+
+
+@contextmanager
+def _fallback_calls():
+    """Count the calls ``pooling`` makes to the values-only sort and to the
+    VJP's stable argsort, which a padded batch makes only on the fallback."""
+    calls = {"sort": 0, "stable argsort": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    with mock.patch.object(pooling, "sort_desc_per_column", counted(
+            "sort", pooling.sort_desc_per_column)), \
+            mock.patch.object(pooling, "sort_desc_per_column_vjp", counted(
+                "stable argsort", pooling.sort_desc_per_column_vjp)):
+        yield calls
+
+
+def _stable_argrank(f, valid):
+    """The token branch's ranking as the fallback does it: the NaN-keyed
+    values-only sort, and in the VJP a stable argsort of the key."""
+    ranked, keyed = pooling._rank(f, valid)
+    return ranked, None, keyed
+
+
+class TestTieFreeRaggedPath:
+    """A padded batch without ties ranks each column once, and the token
+    VJP scatters through the forward's permutation. It must give the bytes
+    of each instance pooled alone, and the row gradient of the stable
+    argsort scatter."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_tie_free_ragged_rows(), st.sampled_from(
+        (ADPOOL, PoolingSpec("fixed-balance", weights=(0.25, 0.75)))))
+    def test_equals_pooling_alone_and_the_stable_scatter(self, ragged, spec):
+        rows, lengths, d_t = ragged
+        d = rows.shape[1]
+        params = PoolParams(np.linspace(-1.0, 1.0, d)[:, None],
+                            np.linspace(0.5, -0.5, d)[:, None])
+        with _fallback_calls() as calls:
+            t, diag, cache = pool_forward(rows, spec, params, lengths)
+            grads = pool_vjp(cache, d_t)
+        assert calls == {"sort": 0, "stable argsort": 0}
+        parts = np.split(rows, np.cumsum(lengths)[:-1])
+        for b, (f, m) in enumerate(zip(parts, lengths)):
+            t_b, diag_b, _ = pool_forward(f, spec, params)
+            assert t[b].tobytes() == t_b.tobytes()
+            assert diag.theta[b, :m].tobytes() == diag_b.theta.tobytes()
+            assert diag.delta[b, :m].tobytes() == diag_b.delta.tobytes()
+        with mock.patch.object(pooling, "_argrank", _stable_argrank):
+            oracle = pool_vjp(pool_forward(rows, spec, params, lengths)[2], d_t)
+        for x, y in zip(grads, oracle):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("spec", [ADPOOL, TOKEN], ids=repr)
+    def test_a_tie_or_a_nan_falls_back(self, spec):
+        """A batch with a tie between real rows, or a NaN, takes the stable
+        argsort; without either it never does. A change that fell back on
+        every batch would pass every other test."""
+        rng = np.random.default_rng(17)
+        lengths = [5, 3, 7]
+        rows = rng.standard_normal((15, 4))
+        params = PoolParams(rng.standard_normal((4, 1)),
+                            rng.standard_normal((4, 1)))
+        d_t = rng.standard_normal((3, 4))
+        tied, nan = rows.copy(), rows.copy()
+        tied[7, 2] = tied[5, 2]  # instance 1, one column
+        nan[14, 0] = np.nan
+        for f, fallbacks in ((rows, 0), (tied, 1), (nan, 1)):
+            with _fallback_calls() as calls:
+                pool_vjp(pool_forward(f, spec, params, lengths)[2], d_t)
+            assert calls == {"sort": fallbacks, "stable argsort": fallbacks}

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two source checkouts.
 
-    tools/bench_pairs.py OLD NEW --workload W --seeds A-B --seconds S
+    tools/bench_pairs.py OLD NEW --workload W [--workload W2 ...] \
+        --seeds A-B --seconds S [--json PATH]
 
 OLD and NEW are source checkouts, each with its own ``perfbench/run.py``.
-For each seed from A to B, the benchmark runs once in each checkout, as
+For each workload in turn and each seed from A to B, the benchmark runs
+once in each checkout, as
 ``perfbench/run.py --workload W --seed N --seconds S --trace 0``; the
 checkout that runs first alternates from seed to seed, so a drift in the
 machine's speed falls on both sides. Each run's result is the last line
@@ -12,8 +14,9 @@ of its standard output.
 
 For every end-to-end metric that NEW's ``BENCHMARK.json`` lists, the
 script prints OLD's and NEW's median and quartiles and the number of
-pairs that NEW wins (strictly better, in the metric's direction). The
-exit code is 1 if any run failed or was not ``correct``, else 0.
+pairs that NEW wins (strictly better, in the metric's direction). With
+``--json PATH`` it also writes those numbers, per workload and metric, to
+PATH. The exit code is 1 if any run failed or was not ``correct``, else 0.
 """
 
 import argparse
@@ -49,24 +52,16 @@ def _quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("old", type=Path)
-    p.add_argument("new", type=Path)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", type=_seeds, required=True, help="A-B, inclusive")
-    p.add_argument("--seconds", type=float, required=True)
-    args = p.parse_args(argv)
-
-    spec = json.loads((args.new / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+def _pairs(args, workload: str, metrics: dict):
+    """({"old": {metric: values}, "new": ...} over the pairs where both
+    runs are correct, whether every run was)."""
     values = {side: {name: [] for name in metrics} for side in ("old", "new")}
     ok = True
     for i, seed in enumerate(args.seeds):
         sides = ("old", "new") if i % 2 == 0 else ("new", "old")
         results = {}
         for side in sides:
-            result = _run(getattr(args, side), args.workload, seed, args.seconds)
+            result = _run(getattr(args, side), workload, seed, args.seconds)
             if result is None or not result["correct"]:
                 print(f"seed {seed}: {side} run failed or is not correct",
                       file=sys.stderr)
@@ -81,21 +76,61 @@ def main(argv=None) -> int:
         for side, result in results.items():
             for name in metrics:
                 values[side][name].append(result["metrics"][name]["value"])
+    return values, ok
 
-    pairs = len(values["old"][next(iter(metrics))])
-    if pairs:
-        print(f"\n{args.workload}, {pairs} pairs: median [q1, q3], NEW wins")
+
+def _summary(values, metrics: dict) -> dict:
+    """Per metric: each side's median and quartiles, NEW's change of the
+    median in percent and its wins."""
+    summary = {}
     for name, better in metrics.items():
         old, new = values["old"][name], values["new"][name]
         if not old:
             continue
         sign = -1 if better == "lower" else 1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         (o1, o2, o3), (n1, n2, n3) = _quartiles(old), _quartiles(new)
-        print(f"{name:12s} old {o2:.4g} [{o1:.4g}, {o3:.4g}]  "
-              f"new {n2:.4g} [{n1:.4g}, {n3:.4g}]  "
-              f"change {100 * (n2 / o2 - 1) if o2 else 0.0:+.1f}%  "
-              f"wins {wins}/{pairs}")
+        summary[name] = {
+            "better": better,
+            "old": {"q1": o1, "median": o2, "q3": o3},
+            "new": {"q1": n1, "median": n2, "q3": n3},
+            "change_pct": 100 * (n2 / o2 - 1) if o2 else 0.0,
+            "wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old", type=Path)
+    p.add_argument("new", type=Path)
+    p.add_argument("--workload", action="append", required=True,
+                   help="repeat for several workloads, run one after another")
+    p.add_argument("--seeds", type=_seeds, required=True, help="A-B, inclusive")
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--json", type=Path, help="also write the summary here")
+    args = p.parse_args(argv)
+
+    spec = json.loads((args.new / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    report = {"seeds": f"{args.seeds.start}-{args.seeds.stop - 1}",
+              "seconds": args.seconds, "workloads": {}}
+    ok = True
+    for workload in args.workload:
+        values, workload_ok = _pairs(args, workload, metrics)
+        ok &= workload_ok
+        pairs = len(values["old"][next(iter(metrics))])
+        summary = _summary(values, metrics)
+        report["workloads"][workload] = {"pairs": pairs, "metrics": summary}
+        if pairs:
+            print(f"\n{workload}, {pairs} pairs: median [q1, q3], NEW wins")
+        for name, m in summary.items():
+            old, new = m["old"], m["new"]
+            print(f"{name:12s} old {old['median']:.4g} [{old['q1']:.4g}, "
+                  f"{old['q3']:.4g}]  new {new['median']:.4g} [{new['q1']:.4g}, "
+                  f"{new['q3']:.4g}]  change {m['change_pct']:+.1f}%  "
+                  f"wins {m['wins']}/{pairs}", flush=True)
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=2) + "\n")
     return 0 if ok else 1
 
 

@@ -31,6 +31,11 @@
 # infonce-adaptive on a corpus whose images all have 6 rows and captions 8:
 # every training batch then has one length, so the digests cover the
 # pooler's unpadded path in training (VJP included), not only in eval.
+# Next, tied-rows-POOL runs adpool and fixed-balance once more under
+# infonce-adaptive with corpus.noise_scale = 0: every row of an instance is
+# the same, so every column of a ragged batch ties, and the token branch
+# takes its fallback sort (a stable argsort in the VJP) on every ragged
+# training batch. The desk corpus never ties, so never takes it.
 # Paths are printed relative to OUT_DIR, so two source trees compare with diff:
 #
 #   tools/output_digests.sh old/src /tmp/old > old.txt
@@ -41,7 +46,7 @@
 # prints how far each tensor moved.
 #
 # SRC_DIR is the directory that holds the adret package (a checkout's src/).
-# OUT_DIR must not exist yet or be empty. Takes about 50 s on 2 vCPUs.
+# OUT_DIR must not exist yet or be empty. Takes about 55 s on 2 vCPUs.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -158,6 +163,10 @@ for pool in mean max kmax adpool manual fixed-balance; do
 visual_len_max = 6
 text_len_min = 8
 text_len_max = 8"
+done
+# Every row of an instance equal: each ragged batch ties in every column.
+for pool in adpool fixed-balance; do
+    run_case "$out/tied-rows-$pool" "$pool" infonce-adaptive 32 3 "noise_scale = 0"
 done
 for seed in 0 1 2 3 4; do
     adret gradcheck --seed "$seed" > "$out/gradcheck-$seed.out"
