@@ -173,6 +173,11 @@ def load_corpus(directory: str, split: str,
         return tuple(instances.values())
 
     images, texts = read("visual"), read("text")
+    shared = {img.id for img in images}.intersection(txt.id for txt in texts)
+    if shared:
+        raise DataError(f"instance {min(shared)!r} is both an image in "
+                        f"{os.path.join(directory, split + '_visual.bin')} and a "
+                        f"caption in {os.path.join(directory, split + '_text.bin')}")
     image_of: dict[str, str] = {}
     for img in images:
         if image_of.setdefault(img.group_id, img.id) != img.id:

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluation
 from .data import Corpus, ground_truth
 from .errors import DataError, DimensionError
-from .evaluation import RetrievalResult, evaluate_scores_folds
 from .pooling import PoolingSpec, PoolParams, pool_forward, pool_vjp
 from .tensor import (
     Array,
     as_matrix,
-    as_vector,
     cosine_sim_matrix,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
@@ -43,7 +42,7 @@ class EncoderParams:
 
     def __post_init__(self):
         w = as_matrix(self.w_proj, "w_proj")
-        b = as_vector(self.b_proj)
+        b = np.asarray(self.b_proj, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "w_proj", w)
         object.__setattr__(self, "b_proj", b)
         d = w.shape[1]
@@ -176,7 +175,7 @@ def split_scores(model: BiEncoder, corpus: Corpus) -> Array:
 
 
 def evaluate_split(models: list[BiEncoder], corpus: Corpus,
-                   folds: int = 1) -> RetrievalResult:
+                   folds: int = 1) -> evaluation.RetrievalResult:
     """Recall@K and RSUM of ``models`` on a split over ``folds`` image folds.
     Members' ``split_scores`` add into the first one's matrix in model order,
     then divide once: bit-equal to ``np.mean`` of the stack, without it."""
@@ -187,6 +186,6 @@ def evaluate_split(models: list[BiEncoder], corpus: Corpus,
         scores += split_scores(model, corpus)
     if len(models) > 1:
         scores /= len(models)
-    return evaluate_scores_folds(scores, tuple(t.id for t in corpus.texts),
-                                 tuple(i.id for i in corpus.images),
-                                 ground_truth(corpus), folds)
+    return evaluation.evaluate_scores(
+        scores, tuple(t.id for t in corpus.texts),
+        tuple(i.id for i in corpus.images), ground_truth(corpus), folds)

@@ -141,10 +141,28 @@ def recall_at_k(scores: Array, query_ids: Sequence[str],
 
 
 def evaluate_scores(scores: Array, text_ids: Sequence[str],
-                    image_ids: Sequence[str],
-                    truth: Mapping[str, Set[str]]) -> RetrievalResult:
-    """Both directions' R@{1,5,10} from a text-by-image score matrix."""
+                    image_ids: Sequence[str], truth: Mapping[str, Set[str]],
+                    folds: int = 1) -> RetrievalResult:
+    """Both directions' R@{1,5,10} from a text-by-image score matrix,
+    averaged over ``folds`` contiguous image folds, each with its captions.
+    The averaged result's RSUM is the sum of the six averaged metrics."""
+    if not 1 <= folds <= len(image_ids):
+        raise ValueError(f"folds must be in [1, {len(image_ids)}] for "
+                         f"{len(image_ids)} test images, got {folds}")
     scores = as_matrix(scores, "score matrix")
+    if folds > 1:
+        text_row = {tid: i for i, tid in enumerate(text_ids)}
+        parts = []
+        for img_idx in np.array_split(np.arange(len(image_ids)), folds):
+            fold_image_ids = [image_ids[i] for i in img_idx]
+            caption_ids = [tid for iid in fold_image_ids
+                           for tid in sorted(truth[iid])]
+            rows = [text_row[tid] for tid in caption_ids]
+            parts.append(evaluate_scores(scores[np.ix_(rows, img_idx)],
+                                         caption_ids, fold_image_ids, truth))
+        mean = {name: float(np.mean([getattr(p, name) for p in parts])) for name
+                in ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10")}
+        return RetrievalResult(rsum=float(sum(mean.values())), **mean)
     cr_ranks, ir_ranks = _rank_counts(
         scores, _best_relevant(scores, text_ids, image_ids, truth),
         _best_relevant(scores.T, image_ids, text_ids, truth))
@@ -153,32 +171,3 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
     return RetrievalResult(ir_r1=ir[0], ir_r5=ir[1], ir_r10=ir[2],
                            cr_r1=cr[0], cr_r5=cr[1], cr_r10=cr[2],
                            rsum=float(sum(ir) + sum(cr)))
-
-
-def evaluate_scores_folds(scores: Array, text_ids: Sequence[str],
-                          image_ids: Sequence[str],
-                          truth: Mapping[str, Set[str]],
-                          folds: int) -> RetrievalResult:
-    """Average metrics over contiguous image folds, each with its captions.
-
-    folds=1 is plain evaluate_scores. The averaged result's RSUM is the sum
-    of the six averaged metrics.
-    """
-    if not 1 <= folds <= len(image_ids):
-        raise ValueError(f"folds must be in [1, {len(image_ids)}] for "
-                         f"{len(image_ids)} test images, got {folds}")
-    if folds == 1:
-        return evaluate_scores(scores, text_ids, image_ids, truth)
-    scores = as_matrix(scores, "score matrix")
-    text_row = {tid: i for i, tid in enumerate(text_ids)}
-    parts = []
-    for img_idx in np.array_split(np.arange(len(image_ids)), folds):
-        fold_image_ids = [image_ids[i] for i in img_idx]
-        caption_ids = [tid for iid in fold_image_ids for tid in sorted(truth[iid])]
-        rows = [text_row[tid] for tid in caption_ids]
-        sub = scores[np.ix_(rows, img_idx)]
-        parts.append(evaluate_scores(sub, caption_ids, fold_image_ids, truth))
-    mean = {name: float(np.mean([getattr(p, name) for p in parts]))
-            for name in ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10")}
-    return RetrievalResult(rsum=float(sum(mean.values())), **mean)
-

@@ -49,8 +49,8 @@ from .objectives import (
 )
 from .pooling import PoolParams, PoolingSpec, pool_forward, pool_vjp
 from .tensor import (GradCheckReport, finite_diff_check, softmax_columns,
-                     softmax_columns_vjp, softmax_vector, softmax_vector_vjp,
-                     sort_desc_per_column, sort_desc_per_column_vjp)
+                     softmax_columns_vjp, sort_desc_per_column,
+                     sort_desc_per_column_vjp)
 from .training import batch_step
 
 _KINK_CLEARANCE = 1e-3  # required distance from hinge zeros and argmax ties
@@ -72,11 +72,6 @@ _STAGE_LENGTHS = (5, 1, 3)  # rows per instance in the pooling stage checks
 def _softmax_columns(m):
     out = softmax_columns(m)
     return out, lambda grad: (softmax_columns_vjp(out, grad),)
-
-
-def _softmax_vector(v):
-    out = softmax_vector(v)
-    return out, lambda grad: (softmax_vector_vjp(out, grad),)
 
 
 def _sort_desc(m):
@@ -177,7 +172,6 @@ def build_checks(rng: np.random.Generator) -> list[tuple]:
     normal = rng.standard_normal
     checks = [
         ("softmax_columns", _softmax_columns, [normal((4, 3))]),
-        ("softmax_vector", _softmax_vector, [normal(5)]),
         ("sort_desc_per_column", _sort_desc, [normal((5, 3))]),
     ]
 

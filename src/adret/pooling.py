@@ -14,8 +14,9 @@ pooler makes the weighting learnable twice over:
     recovers max pooling.
   - embedding level: parameter-free soft maximum; each column is weighted by
     its own softmax, so large entries dominate their dimension.
-  - balance: a learned convex combination of the two pooled vectors, with the
-    two mixing weights produced by a softmax over learned projections.
+  - balance: the token level's shape over two rows. Stack the two pooled
+    vectors, score each with a learned d x 1 weight vector, softmax the two
+    scores (omega) and weight-sum the pair: a learned convex combination.
 
 Outputs are deliberately not normalized here; the encoder applies a single
 L2 normalization at the end so the balance weights see raw magnitudes.
@@ -57,8 +58,6 @@ from .tensor import (
     as_matrix,
     softmax_columns,
     softmax_columns_vjp,
-    softmax_vector,
-    softmax_vector_vjp,
     sort_desc_per_column,
     sort_desc_per_column_vjp,
     sum_rows,
@@ -285,22 +284,22 @@ def _embedding_vjp(cache, d_t: Array) -> Array:
 
 
 def _balance_forward(t_tok: Array, t_emb: Array, w_bal: Array):
-    """Balance one pair of pooled vectors, or each row of two (B, d) stacks."""
+    """Balance one pair of pooled vectors, or each row of two (B, d) stacks,
+    by a softmax (omega) down the pair's two rows, stacked on axis -2."""
+    rows = np.stack([t_tok, t_emb], axis=-2)
     wb = w_bal.ravel()
-    omega = softmax_vector(np.stack([(t_tok * wb).sum(axis=-1),
-                                     (t_emb * wb).sum(axis=-1)], axis=-1))
-    t = omega[..., :1] * t_tok + omega[..., 1:] * t_emb
-    return t, omega, (t_tok, t_emb, wb, omega)
+    omega = softmax_columns((rows * wb).sum(axis=-1, keepdims=True))
+    t = sum_rows(omega * rows)[..., 0, :]
+    return t, omega[..., 0], (rows, wb, omega)
 
 
 def _balance_vjp(cache, d_t: Array):
-    t_tok, t_emb, wb, omega = cache
-    d_logits = softmax_vector_vjp(omega, np.stack(
-        [(t_tok * d_t).sum(axis=-1), (t_emb * d_t).sum(axis=-1)], axis=-1))
-    d_tok = omega[..., :1] * d_t + d_logits[..., :1] * wb
-    d_emb = omega[..., 1:] * d_t + d_logits[..., 1:] * wb
-    d_w = d_logits[..., :1] * t_tok + d_logits[..., 1:] * t_emb
-    return d_tok, d_emb, d_w.reshape(-1, wb.size).sum(axis=0)[:, None]
+    rows, wb, omega = cache
+    d_t = d_t[..., None, :]
+    d_logits = softmax_columns_vjp(omega, (rows * d_t).sum(axis=-1, keepdims=True))
+    d_rows = omega * d_t + d_logits * wb
+    d_w = sum_rows(d_logits * rows).reshape(-1, wb.size).sum(axis=0)[:, None]
+    return d_rows[..., 0, :], d_rows[..., 1, :], d_w
 
 
 def _adpool_forward(f: Array, valid: Optional[Array], params: PoolParams,

@@ -14,9 +14,10 @@ checked surface from these pairs.
 
 Conventions:
   - matrices are 2-D C-order float64 ndarrays, rows x cols
-  - sorting and the column softmax act on the row axis (-2), of one matrix
-    or of each matrix in a (B, M, d) stack; ``softmax_vector`` acts on the
-    last axis, of one vector or of each row of a matrix
+  - sorting and the softmax act on the row axis (-2), of one matrix or of
+    each matrix in a (B, M, d) stack; ``pooling`` runs both of its learned
+    weightings on ``softmax_columns``: theta down the ranks, omega down the
+    balance's two rows
   - sorting is descending; the forward returns values only, and its VJP
     ranks again, breaking ties by original row index (stable). ``pooling``
     calls the VJP only where it cannot scatter through its own forward's
@@ -69,10 +70,6 @@ def finite_matrix(x, name: str = "matrix") -> Array:
     return m
 
 
-def as_vector(x) -> Array:
-    return np.asarray(x, dtype=np.float64).reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # forward / vjp pairs
 # ---------------------------------------------------------------------------
@@ -113,19 +110,6 @@ def softmax_columns_vjp(out: Array, grad: Array) -> Array:
     d = grad - sum_rows(grad * out)
     d *= out
     return d
-
-
-def softmax_vector(v: Array) -> Array:
-    """Softmax of a vector, or of each row of a matrix."""
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if v.size == 0:
-        raise ValueError("softmax_vector: empty vector")
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_vector_vjp(out: Array, grad: Array) -> Array:
-    return out * (grad - (grad * out).sum(axis=-1, keepdims=True))
 
 
 def sort_desc_per_column(m: Array) -> Array:

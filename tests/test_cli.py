@@ -4,6 +4,7 @@ import json
 import os
 import shlex
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from adret.cache import cache_write, load_tensors, save_tensors
 from adret.cli import main
 from adret.config import load_config
-from adret.data import load_corpus
+from adret.data import load_corpus, save_corpus
 from adret.training import build_model, train
 
 
@@ -453,6 +454,21 @@ class TestEval:
         _regroup(path, {"t000050.0": "gZZZ"})
         assert main(["eval", "--config", cfg]) == 2
         assert f"{path}: caption 't000050.0' names group 'gZZZ'" in capsys.readouterr().err
+
+    def test_id_of_an_image_and_a_caption_is_data_error(self, trained, capsys):
+        # ground truth keys both by id: the image's relevant set would be
+        # overwritten by the caption's, so Recall@K would rank the wrong set
+        cfg, out = trained
+        corpus_dir = os.path.join(out, "corpus")
+        test = load_corpus(corpus_dir, "test")
+        texts = tuple(replace(t, id="i000050") if t.id == "t000050.0" else t
+                      for t in test.texts)
+        save_corpus(corpus_dir, "test", replace(test, texts=texts))
+        assert main(["eval", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "instance 'i000050' is both an image in" in err
+        for name in ("test_visual.bin", "test_text.bin"):
+            assert os.path.join(corpus_dir, name) in err
 
     @pytest.mark.parametrize("name", ["results.json", "results.csv"])
     def test_results_path_that_is_a_directory_is_data_error(

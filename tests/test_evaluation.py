@@ -13,7 +13,6 @@ from adret.evaluation import (
     RetrievalResult,
     _block_rows,
     evaluate_scores,
-    evaluate_scores_folds,
     recall_at_k,
 )
 from adret.pooling import PoolingSpec
@@ -263,14 +262,31 @@ class TestEvaluate:
         texts, tids, images, iids, truth = self._toy(rng)
         scores = texts @ images.T
         a = evaluate_scores(scores, tids, iids, truth)
-        b = evaluate_scores_folds(scores, tids, iids, truth, 1)
+        b = evaluate_scores(scores, tids, iids, truth, folds=1)
         assert a == b
+
+    def test_folds_average_each_fold_scored_alone(self):
+        # 20 images, 3 captions each, in image order: fold k is images
+        # 5k..5k+4 and caption rows 15k..15k+14; noisy scores, so a query
+        # ranks differently among 5 candidates than among all 20
+        rng = np.random.default_rng(10)
+        texts, tids, images, iids, truth = self._toy(rng)
+        scores = texts @ images.T + rng.standard_normal((60, 20))
+        parts = [evaluate_scores(scores[15 * k:15 * k + 15, 5 * k:5 * k + 5],
+                                 tids[15 * k:15 * k + 15], iids[5 * k:5 * k + 5],
+                                 truth) for k in range(4)]
+        r = evaluate_scores(scores, tids, iids, truth, folds=4)
+        names = ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10")
+        for name in names:
+            assert getattr(r, name) == np.mean([getattr(p, name) for p in parts])
+        assert r.rsum == sum(getattr(r, name) for name in names)
+        assert r != evaluate_scores(scores, tids, iids, truth)
 
     def test_five_folds_average(self):
         rng = np.random.default_rng(8)
         texts, tids, images, iids, truth = self._toy(rng, n_images=25)
         scores = texts @ images.T
-        r = evaluate_scores_folds(scores, tids, iids, truth, 5)
+        r = evaluate_scores(scores, tids, iids, truth, 5)
         assert 0.0 <= r.rsum <= 600.0
         assert abs(r.rsum - (r.ir_r1 + r.ir_r5 + r.ir_r10
                              + r.cr_r1 + r.cr_r5 + r.cr_r10)) <= 1e-12
@@ -280,7 +296,7 @@ class TestEvaluate:
         texts, tids, images, iids, truth = self._toy(rng, n_images=4)
         scores = texts @ images.T
         with pytest.raises(ValueError, match=r"\[1, 4\].*got 6"):
-            evaluate_scores_folds(scores, tids, iids, truth, 6)
+            evaluate_scores(scores, tids, iids, truth, 6)
 
 
 def _grouped(n_images, captions):
@@ -317,7 +333,7 @@ class TestCountingBlocks:
         scores[-1, -1] = value
         for score in (lambda: evaluate_scores(scores, tids, iids, truth),
                       lambda: recall_at_k(scores, tids, iids, truth, 5),
-                      lambda: evaluate_scores_folds(scores, tids, iids, truth, 2)):
+                      lambda: evaluate_scores(scores, tids, iids, truth, 2)):
             with pytest.raises(EvaluationError, match="score matrix"):
                 score()
 
@@ -359,7 +375,7 @@ class TestEvaluateSplit:
     @pytest.fixture
     def ranked(self, monkeypatch):
         """The (scores, folds) of each call evaluate_split makes to
-        evaluate_scores_folds, and the matrices split_scores returned."""
+        evaluation.evaluate_scores, and the matrices split_scores returned."""
         calls, scored = [], []
 
         def capture(scores, text_ids, image_ids, truth, folds):
@@ -369,7 +385,7 @@ class TestEvaluateSplit:
             scored.append(split_scores(model, corpus))
             return scored[-1]
 
-        monkeypatch.setattr(encoders, "evaluate_scores_folds", capture)
+        monkeypatch.setattr(evaluation, "evaluate_scores", capture)
         monkeypatch.setattr(encoders, "split_scores", record)
         return calls, scored
 

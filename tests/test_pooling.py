@@ -164,7 +164,49 @@ class TestEmbeddingLevel:
                                        atol=1e-6)
 
 
+@st.composite
+def _balance_inputs(draw):
+    """(t_tok, t_emb, w_bal, upstream gradient): one pair of d-vectors or a
+    (B, d) stack of pairs, d from 1, t_emb a copy of t_tok (tied) in about
+    half the draws, at scales 1e-3 to 1e2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    shape = (d,) if draw(st.booleans()) else (draw(st.integers(1, 4)), d)
+    t_tok = draw(st.sampled_from((1e-3, 1.0, 1e2))) * rng.standard_normal(shape)
+    t_emb = t_tok.copy() if draw(st.booleans()) else (
+        draw(st.sampled_from((1e-3, 1.0, 1e2))) * rng.standard_normal(shape))
+    return t_tok, t_emb, rng.standard_normal((d, 1)), rng.standard_normal(shape)
+
+
+def _two_way_balance(t_tok, t_emb, w_bal, d_t):
+    """The balance and its VJP written out for two entries: logits l_i,
+    e_i = exp(l_i - max), omega_i = e_i / (e_0 + e_1). Returns (pooled,
+    omega, d_tok, d_emb, d_w_bal)."""
+    wb = w_bal.ravel()
+    l0, l1 = (t_tok * wb).sum(axis=-1), (t_emb * wb).sum(axis=-1)
+    top = np.maximum(l0, l1)
+    e0, e1 = np.exp(l0 - top), np.exp(l1 - top)
+    o0, o1 = e0 / (e0 + e1), e1 / (e0 + e1)
+    g0, g1 = (t_tok * d_t).sum(axis=-1), (t_emb * d_t).sum(axis=-1)
+    dl0, dl1 = (g0 - (g0 * o0 + g1 * o1)) * o0, (g1 - (g0 * o0 + g1 * o1)) * o1
+    o0, o1, dl0, dl1 = (x[..., None] for x in (o0, o1, dl0, dl1))
+    d_w = (dl0 * t_tok + dl1 * t_emb).reshape(-1, wb.size).sum(axis=0)[:, None]
+    return (o0 * t_tok + o1 * t_emb, np.concatenate([o0, o1], axis=-1),
+            o0 * d_t + dl0 * wb, o1 * d_t + dl1 * wb, d_w)
+
+
 class TestBalance:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_balance_inputs())
+    def test_equals_a_straight_line_two_way_softmax(self, inputs):
+        # the balance runs softmax_columns down a two-row stack; it must
+        # give the bytes of the two-entry softmax spelled out
+        t, omega, cache = pooling._balance_forward(*inputs[:3])
+        got = (t, omega, *pooling._balance_vjp(cache, inputs[3]))
+        for name, a, b in zip(("t", "omega", "d_tok", "d_emb", "d_w_bal"), got,
+                              _two_way_balance(*inputs)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
     def test_equal_inputs_are_fixed_point(self):
         rng = np.random.default_rng(4)
         for _ in range(10):

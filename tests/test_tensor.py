@@ -14,8 +14,6 @@ from adret.tensor import (
     matmul,
     softmax_columns,
     softmax_columns_vjp,
-    softmax_vector,
-    softmax_vector_vjp,
     sort_desc_per_column,
     sort_desc_per_column_vjp,
 )
@@ -69,22 +67,23 @@ class TestSoftmax:
             assert np.all(np.isfinite(out))
             np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_vector_examples(self):
-        np.testing.assert_allclose(softmax_vector([0.0, 0.0]), [0.5, 0.5])
-        np.testing.assert_allclose(softmax_vector([math.log(3), 0.0]),
-                                   [0.75, 0.25], atol=1e-12)
+    def test_two_row_examples(self):
+        # one pair, then a stack of pairs, as the pooler's balance runs it
+        np.testing.assert_allclose(softmax_columns([[0.0], [0.0]]), [[0.5], [0.5]])
+        np.testing.assert_allclose(
+            softmax_columns([[[0.0], [0.0]], [[math.log(3)], [0.0]]])[..., 0],
+            [[0.5, 0.5], [0.75, 0.25]], atol=1e-12)
 
-    def test_vector_sums_to_one(self):
+    def test_nine_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            out = softmax_vector(rng.uniform(-50, 50, size=9))
+            out = softmax_columns(rng.uniform(-50, 50, size=(9, 1)))
             assert abs(out.sum() - 1.0) <= 1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            softmax_columns(np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            softmax_vector(np.zeros(0))
+        for empty in (np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((3, 0, 1))):
+            with pytest.raises(ValueError):
+                softmax_columns(empty)
 
 
 def _ranks(m):
@@ -223,13 +222,13 @@ class TestFiniteDiffCheck:
         assert report.op_name == "softmax_columns"
 
     def test_corrupted_vjp_fails(self):
-        def bad(v):
-            out = softmax_vector(v)
-            return out, lambda grad: (softmax_vector_vjp(out, grad) * 1.01,)
+        def bad(m):
+            out = softmax_columns(m)
+            return out, lambda grad: (softmax_columns_vjp(out, grad) * 1.01,)
 
         rng = np.random.default_rng(10)
         report = finite_diff_check("softmax-corrupted", bad,
-                                   [rng.standard_normal(5)],
+                                   [rng.standard_normal((2, 5))],
                                    tolerance=1e-4, rng=rng)
         assert not report.passed
 

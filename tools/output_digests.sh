@@ -19,7 +19,9 @@
 # members, the order of the running sum shows in the digests too. Each
 # ensemble directory also holds scores.sha256, the sha256 of the averaged
 # score matrix that `evaluate_split` ranks, so a change in how the members
-# combine shows even where Recall@K cannot separate it. Per
+# combine shows even where Recall@K cannot separate it. It is taken in the
+# outermost `evaluation.evaluate_scores` call, the whole matrix, not in the
+# per-fold calls that recurse into it. Per
 # loss, LOSS-flags repeats the adpool run with --seed/--out/--loss/--k/--epochs
 # given on the command line over an INI that holds other values for them
 # (--out to every verb, the rest to `train`, the one verb that takes them);
@@ -73,13 +75,14 @@ ensemble() {
     mkdir -p "$dir/corpus"
     cp "$out/$loss-adpool"/corpus/test_* "$dir/corpus/"
     python3 -c 'import hashlib, sys
-from adret import cli, encoders
-rank = encoders.evaluate_scores_folds
+from adret import cli, evaluation
+rank = evaluation.evaluate_scores
 def digest(scores, *args):
+    evaluation.evaluate_scores = rank  # the fold calls recurse: digest once
     with open(sys.argv[1], "w") as fh:
         fh.write(hashlib.sha256(scores.tobytes()).hexdigest() + "\n")
     return rank(scores, *args)
-encoders.evaluate_scores_folds = digest
+evaluation.evaluate_scores = digest
 sys.exit(cli.main(sys.argv[2:]))' "$dir/scores.sha256" \
         eval --config "$out/$loss-adpool/exp.ini" --out "$dir" \
         --ensemble "${params[@]}" > "$dir/eval.out"
