@@ -3,7 +3,8 @@
 ``KEYS`` declares every section and key once, with the parser that reads
 its value and its default (``REQUIRED`` for a key that has none). Neither the
 file nor a ``section.key`` override given to ``load_config`` may name a key
-outside it, so typos fail loudly with the offending name in the message.
+outside it, so typos fail loudly with the offending name in the message,
+and every value given is parsed, whether the run reads it or not.
 README's Configuration section shows a complete file.
 """
 
@@ -163,14 +164,15 @@ def load_config(path: str,
     for section, entries in given.items():
         if section not in KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in entries:
+        for key, raw in entries.items():
             if key not in KEYS[section]:
                 raise ConfigError(f"unknown config field {section}.{key}")
+            entries[key] = KEYS[section][key][0](raw, f"{section}.{key}")
 
     def get(section: str, key: str):
-        parse, default = KEYS[section][key]
+        default = KEYS[section][key][1]
         if key in given.get(section, {}):
-            return parse(given[section][key], f"{section}.{key}")
+            return given[section][key]
         if default is REQUIRED:
             raise ConfigError(f"missing required field {section}.{key}")
         return default

@@ -3,14 +3,13 @@
 The similarity matrix S is square with text anchors on rows, images on
 columns, and positives on the diagonal. Every loss contrasts each anchor,
 in both retrieval directions, with its K hardest in-batch negatives.
-``select_negatives`` marks them in two B x B masks without a ranking: the
-values above each row's K-th largest, then, as ties go to the smaller
-index, the first ones equal to it. One kernel runs the loss's per-anchor
-term on each direction's similarities and mask as dense array ops, so every
-sum runs in column order. The hard triplet is the K = 1 hinge with margin,
-summed over the batch; InfoNCE is a masked logsumexp averaged over the
-batch, and its saturating form puts the positive in the denominator next to
-the negatives, which keeps it nonnegative.
+``select_negatives`` marks them in two B x B masks, ``tensor.top_k_mask``
+at each row's K-th largest value, without a ranking. One kernel runs the
+loss's per-anchor term on each direction's similarities and mask as dense
+array ops, so every sum runs in column order. The hard triplet is the K = 1
+hinge with margin, summed over the batch; InfoNCE is a masked logsumexp
+averaged over the batch, and its saturating form puts the positive in the
+denominator next to the negatives, which keeps it nonnegative.
 
 The adaptive variant re-derives the negative-set size K every batch from two
 batch statistics: alignment (mean positive similarity) and uniformity
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Array, as_matrix, finite_matrix
+from .tensor import Array, as_matrix, finite_matrix, top_k_mask
 
 LOSS_MODES = ("hard-triplet", "infonce-adaptive", "infonce-fixed")
 
@@ -119,9 +118,9 @@ def adaptive_k(gamma_align: float, gamma_uniform: float, batch_size: int) -> int
 def select_negatives(s: Array, k: int) -> NegativeSelection:
     """Hardest-K in-batch negatives per anchor, both directions.
 
-    Each mask row marks what a stable descending sort of the row, with the
-    anchor's own positive masked to -inf, puts first: its k largest
-    similarities, ties broken by the smaller index.
+    Each mask row is ``tensor.top_k_mask`` of the row, the anchor's own
+    positive masked to -inf, at the k-th largest value ``np.partition``
+    finds: its k largest similarities, ties broken by the smaller index.
     """
     s = _square(s, "similarity matrix")
     b = s.shape[0]
@@ -129,24 +128,9 @@ def select_negatives(s: Array, k: int) -> NegativeSelection:
         raise ValueError(f"select_negatives: k={k} outside [1, {b - 1}]")
     masked = s.copy()
     np.fill_diagonal(masked, -np.inf)
-    return NegativeSelection(_hardest(masked, k), _hardest(masked.T, k))
-
-
-def _hardest(masked: Array, k: int) -> Array:
-    """Mask of each row's k largest values, found without a sort: those at
-    or above the k-th largest value ``kth``. Only in rows where more than k
-    reach it do the ties at ``kth`` go, in index order, to the places left
-    by the values above it."""
-    kth = np.partition(masked, masked.shape[1] - k, axis=1)[:, -k, None]
-    top = masked >= kth
-    surplus = top.sum(axis=1, dtype=np.int32) > k
-    if surplus.any():
-        rows, kth = masked[surplus], kth[surplus]
-        above, tie = rows > kth, rows == kth
-        need = k - above.sum(axis=1, keepdims=True, dtype=np.int32)
-        top[surplus] = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32)
-                                       <= need))
-    return top
+    return NegativeSelection(*(
+        top_k_mask(m, np.partition(m, b - k, axis=1)[:, -k, None], k, axis=1)
+        for m in (masked, masked.T)))
 
 
 def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:

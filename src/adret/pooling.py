@@ -3,9 +3,8 @@
 All poolers collapse an M x d feature matrix into a single d-vector. Three
 fixed aggregators (mean, max, k-max) follow the sort-then-weight view of
 pooling: sort each column descending, then take a fixed weighting of the
-ranked rows. Their gradient needs no second sort: a row is in a column's
-top k if it beats the k-th largest value, or ties it and is among the first
-such rows (ties go to the smaller row, as in a stable sort). The adaptive
+ranked rows. Their gradient needs no second sort: ``tensor.top_k_mask``
+picks the rows a stable sort puts in each column's top k. The adaptive
 pooler makes the weighting learnable twice over:
 
   - token level: sort columns descending, score each ranked row with a
@@ -29,14 +28,14 @@ ranks below every real row, is masked to -inf in the softmax over ranks
 (theta) and the per-column softmax (delta), and gets a zero gradient. The
 token branch ranks a ragged batch with one argsort (``_argrank``, the
 padding keyed -inf), and its VJP scatters through that permutation, the
-stable one if no real values of a column tie and all are finite. Else, as
-in the top-k poolers and for one length, ``_rank`` sorts values only (the
-padding keyed NaN) and the token VJP ranks again with a stable argsort.
-Rank sums add in rank order (``tensor.sum_rows``) and the sums over d of
-an M-row instance (theta's logits) run elementwise along the last axis, so
-each row of a batch result is bit-equal to pooling that instance alone, up
-to the sign bit of a NaN: ``np.sort`` may flip it, by the stack's size.
-(No NaN reaches an embedding: ``l2_normalize_rows`` rejects it.) One
+stable one if no real values of a column tie. Else, as in the top-k
+poolers and for one length, ``_rank`` sorts values only (the padding keyed
+NaN) and the token VJP ranks again with a stable argsort. Rank sums add in
+rank order (``tensor.sum_rows``) and the sums over d of an M-row instance
+(theta's logits) run elementwise along the last axis, so each row of a
+batch result is bit-equal to pooling that instance alone. A NaN or
+infinite row makes its instance's pooled vector non-finite, which
+``l2_normalize_rows`` rejects, so the VJPs take finite rows only. One
 einsum or 3-D ``@`` over the padded M x d rows would not promise this: its
 kernel may change with M, which padding raises. (A stacked product of one
 row at a time, as in ``tensor.matmul``, would keep it.)
@@ -61,6 +60,7 @@ from .tensor import (
     sort_desc_per_column,
     sort_desc_per_column_vjp,
     sum_rows,
+    top_k_mask,
 )
 
 POOL_METHODS = ("mean", "max", "kmax", "adpool", "manual", "fixed-balance")
@@ -169,8 +169,8 @@ def _argrank(f: Array, valid: Optional[Array]):
     each ranked entry, or None; the sort key for
     ``sort_desc_per_column_vjp``, or None). A padded ``f`` takes one
     argsort, the padding keyed -inf so it ranks last. Its permutation is
-    the stable one, which the VJP needs, if no two real ranks tie and every
-    value is finite; else, and for one length, ``_rank`` sorts the values."""
+    the stable one, which the VJP needs, if no two real ranks tie; else,
+    and for one length, ``_rank`` sorts the values."""
     if valid is not None:
         key = np.where(valid, f, -np.inf)
         at = np.argsort(np.negative(key, out=key), axis=-2)
@@ -179,7 +179,7 @@ def _argrank(f: Array, valid: Optional[Array]):
         at += np.arange(0, f.size, m * d)[:, None, None] + np.arange(d)
         ranked = f.reshape(-1)[at]
         tied = (ranked[:, 1:] == ranked[:, :-1]) & valid[:, 1:]
-        if np.isfinite(ranked).all() and not tied.any():
+        if not tied.any():
             return ranked, at, None
     ranked, keyed = _rank(f, valid)
     return ranked, None, keyed
@@ -200,8 +200,8 @@ def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
     ranked, keyed = _rank(f, valid)
     top = np.arange(f.shape[1])[None, :, None] < k[:, None, None]
     t_top = sum_rows(np.where(top, ranked, -0.0))[:, 0] / k[:, None]
-    # a NaN sorts last; keep it, as max does
-    t_top[np.isnan(ranked[np.arange(len(f)), lengths - 1])] = np.nan
+    # a NaN or -inf sorts last; keep the column non-finite, as mean does
+    t_top[~np.isfinite(ranked[np.arange(len(f)), lengths - 1])] = np.nan
     t = np.where(part[:, None], t_top, t)
     kth = ranked[np.arange(len(f)), k - 1][:, None, :]
     return t, PoolDiagnostics(), ("topk", lengths, valid, k, keyed, kth)
@@ -209,23 +209,14 @@ def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
 
 def _topk_vjp(cache, d_t: Array) -> Array:
     """d_t / k[b] on the rows a stable descending sort puts in instance b's
-    top k[b], found without a sort: the rows above the k-th largest value
-    ``kth``, then, as ties go to the smaller row, the first rows equal to it,
-    up to k[b] in all. A NaN sorts last, so every number is above a NaN
-    ``kth`` and every NaN ties with it. Where k[b] is the length these are
-    the real rows."""
+    top k[b]: ``top_k_mask`` of the sort key at the k-th largest value
+    ``kth``. Where k[b] is the length these are the real rows."""
     _, lengths, valid, k, keyed, kth = cache
     if keyed is None:
         d_f = (d_t / lengths[:, None])[:, None, :]
         return (np.where(valid, d_f, 0.0) if valid is not None else
                 np.broadcast_to(d_f, (len(d_f), lengths[0], d_f.shape[2])))
-    above, tie = keyed > kth, keyed == kth
-    nan_kth = np.isnan(kth)
-    if nan_kth.any():
-        nan = np.isnan(keyed)
-        above, tie = np.where(nan_kth, ~nan, above), np.where(nan_kth, nan, tie)
-    need = k[:, None, None] - above.sum(axis=1, keepdims=True, dtype=np.int32)
-    top = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need))
+    top = top_k_mask(keyed, kth, k[:, None, None], axis=1)
     return np.where(top, (d_t / k[:, None])[:, None, :], 0.0)
 
 

@@ -21,7 +21,9 @@ Conventions:
   - sorting is descending; the forward returns values only, and its VJP
     ranks again, breaking ties by original row index (stable). ``pooling``
     calls the VJP only where it cannot scatter through its own forward's
-    permutation: a ragged batch with no ties and no NaN or inf ranks once
+    permutation: a ragged batch with no ties ranks once
+  - ``top_k_mask`` is the one "k largest" rule, without a sort: the
+    hardest negatives and the top-k poolers' gradient
   - softmax is stabilized by max subtraction
   - ``matmul`` runs one BLAS gemv per row, so row ``i`` of ``matmul(a, b)``
     is bit-equal to ``a[i] @ b``: a row's bits do not depend on how many
@@ -32,8 +34,9 @@ file reads and writes (``cache``), config values, loss matrices
 (``finite_matrix``), score matrices (``finite_matrix`` on each block of rows
 as ``evaluation`` ranks it, not in a pass of their own), the row norms in
 ``l2_normalize_rows`` (the encoder's last step), and the trainer's loss,
-gradient and update guards. On NaN input the primitives and pooling kernels
-do what numpy does: NaN propagates, and a sort ranks it below every number.
+gradient and update guards. A NaN or infinite feature row makes its pooled
+vector non-finite, so ``l2_normalize_rows`` rejects it before any VJP runs:
+the VJPs take finite rows only.
 """
 
 from __future__ import annotations
@@ -130,6 +133,20 @@ def sort_desc_per_column_vjp(m: Array, grad: Array) -> Array:
     perm = np.argsort(-np.asarray(m, dtype=np.float64), axis=-2, kind="stable")
     np.put_along_axis(out, perm, grad, axis=-2)
     return out
+
+
+def top_k_mask(values: Array, kth: Array, k, axis: int) -> Array:
+    """Mask of the ``k`` largest entries of each lane along ``axis``, what a
+    stable descending argsort puts first, found without a sort: the entries
+    above the k-th largest value ``kth`` (its ``axis`` of length 1), then,
+    as ties go to the smaller index, the first ones equal to it. ``k``
+    broadcasts like ``kth``; a NaN entry is never taken."""
+    top = values >= kth
+    if (top.sum(axis=axis, keepdims=True, dtype=np.int32) == k).all():
+        return top
+    above, tie = values > kth, values == kth
+    need = k - above.sum(axis=axis, keepdims=True, dtype=np.int32)
+    return above | (tie & (np.cumsum(tie, axis=axis, dtype=np.int32) <= need))
 
 
 def l2_normalize_rows(m: Array) -> Array:

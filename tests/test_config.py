@@ -8,6 +8,7 @@ from adret.config import KEYS, REQUIRED, load_config
 from adret.data import SyntheticCorpusConfig
 from adret.errors import ConfigError
 from adret.objectives import LossConfig
+from adret.pooling import PoolingSpec
 from adret.training import TrainConfig, build_model, train
 
 
@@ -106,6 +107,17 @@ def test_pooling_sections(tmp_path):
     assert cfg.visual_pooling.method == "manual"
     assert cfg.visual_pooling.manual_mode == "visual"
     assert cfg.text_pooling.weights == (0.75, 0.25)
+
+
+def test_keys_a_method_does_not_read_are_parsed(tmp_path):
+    for method in ("max", "adpool"):
+        section = f"\n[pooling.visual]\nmethod = {method}\n"
+        with pytest.raises(ConfigError, match=r"pooling\.visual\.weights"):
+            _load(tmp_path, BASE + section + "weights = banana\n")
+        with pytest.raises(ConfigError, match=r"pooling\.visual\.k must"):
+            _load(tmp_path, BASE + section, {"pooling.visual.k": "three"})
+        cfg = _load(tmp_path, BASE + section + "k = 3\nweights = 1, 0\n")
+        assert cfg.visual_pooling == PoolingSpec(method)
 
 
 def test_kmax_requires_k(tmp_path):

@@ -1,5 +1,7 @@
 """Encoder chain: projection, pooling dispatch, normalization, persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,14 +104,19 @@ class TestEncode:
         PoolingSpec("manual", manual_mode="text"),
         PoolingSpec("fixed-balance", weights=(0.25, 0.75)),
         PoolingSpec("kmax", k=2), PoolingSpec("manual", manual_mode="visual")])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "-inf projection"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN/inf arithmetic
     def test_non_finite_features_raise(self, spec, value):
         rng = np.random.default_rng(7)
         f = rng.standard_normal((7, 6))  # more rows than either top-k keeps
-        f[1, 2] = value
+        params = _params(rng, spec=spec)
+        if isinstance(value, str):  # finite features, a row projected to -inf
+            params = dataclasses.replace(params, w_proj=np.ones((6, 4)))
+            f[1] = -1e308  # each column's sum overflows to -inf
+        else:
+            f[1, 2] = value
         with pytest.raises(DegenerateVectorError, match="non-finite"):
-            _encode(f, _params(rng, spec=spec))
+            _encode(f, params)
 
     def test_encode_all_stacks_rows(self):
         rng = np.random.default_rng(4)

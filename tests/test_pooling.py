@@ -79,10 +79,12 @@ class TestSimpleAggregators:
             assert np.array_equal(_kmax(f, m), pool_forward(f, MEAN)[0])
 
     def test_kmax_keeps_a_nan_it_does_not_select(self):
-        f = np.array([[5.0, 1.0], [np.nan, 2.0], [3.0, 3.0], [1.0, 4.0]])
         manual = PoolingSpec("manual", manual_mode="visual")
-        for t in (_kmax(f, 2), pool_forward(np.vstack([f, f]), manual)[0]):
-            assert np.isnan(t[0]) and np.isfinite(t[1])
+        for value in (np.nan, -np.inf):  # both sort last
+            f = np.array([[5.0, 1.0], [value, 2.0], [3.0, 3.0], [1.0, 4.0]])
+            for t in (_kmax(f, 2), pool_forward(np.vstack([f, f]), manual)[0],
+                      pool_forward(f, MAX)[0]):
+                assert np.isnan(t[0]) and np.isfinite(t[1])
 
     def test_kmax_range_errors(self):
         with pytest.raises(ValueError, match=r"kmax pooling: k=4 outside \[1, 3\]"):
@@ -336,17 +338,14 @@ class TestRaggedRows:
             assert np.all(diag.theta[lengths[:, None] <= np.arange(7)] == 0.0)
             assert np.all(diag.delta[1, 1:] == 0.0)
 
-    @pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
-    def test_one_length_batch_pools_as_inside_a_ragged_batch(self, spec, nan):
+    def test_one_length_batch_pools_as_inside_a_ragged_batch(self, spec):
         """Instances of one length pool unpadded and unmasked; with a longer
         instance appended they are padded. Both give the same bits."""
         rng = np.random.default_rng(16)
         m = max(4, spec.k or 1)
         rows = rng.standard_normal((3 * m + m + 2, 3))
         rows[m + 1] = rows[m]  # a tie in every column
-        if nan:
-            rows[m + 2, 0] = np.nan  # below kmax's top 2, which keeps it
         params = PoolParams(rng.standard_normal((3, 1)),
                             rng.standard_normal((3, 1)))
         d_t = rng.standard_normal((4, 3))
@@ -354,16 +353,42 @@ class TestRaggedRows:
         one = pool_forward(rows[:3 * m], spec, params, [m] * 3)
         ragged = pool_forward(rows, spec, params, [m] * 3 + [m + 2])
         assert one[2][0] is None and ragged[2][0] is not None
-        assert _bytes(one[0]) == _bytes(ragged[0][:3])
+        assert one[0].tobytes() == ragged[0][:3].tobytes()
         for x, y in zip(one[1].__dict__.values(), ragged[1].__dict__.values()):
             assert (x is None) == (y is None)
             if x is not None:
-                assert _bytes(x) == _bytes(y[:3, :x.shape[1]])
+                assert x.tobytes() == y[:3, :x.shape[1]].tobytes()
         grads_one = pool_vjp(one[2], d_t[:3])
         grads_ragged = pool_vjp(ragged[2], d_t)
-        assert _bytes(grads_one[0]) == _bytes(grads_ragged[0][:3 * m])
+        assert grads_one[0].tobytes() == grads_ragged[0][:3 * m].tobytes()
         for x, y in zip(grads_one[1:], grads_ragged[1:]):
-            assert _bytes(x) == _bytes(y)
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("lengths", [[5, 5, 5], [5, 3, 7]],
+                             ids=["one-length", "ragged"])
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN/inf arithmetic
+    def test_a_non_finite_row_makes_only_its_instance_non_finite(
+            self, spec, lengths, value):
+        """A NaN or infinite entry makes its instance's pooled row
+        non-finite, which ``l2_normalize_rows`` rejects before any VJP
+        runs; every other instance pools as alone."""
+        rng = np.random.default_rng(18)
+        rows = rng.standard_normal((sum(lengths), 3))
+        params = PoolParams(rng.standard_normal((3, 1)),
+                            rng.standard_normal((3, 1)))
+        starts = np.cumsum([0] + lengths[:-1])
+        alone = [pool_forward(f, spec, params)[0]
+                 for f in np.split(rows, starts[1:])]
+        for b, (start, m) in enumerate(zip(starts, lengths)):
+            for r in range(start, start + m):  # each row of instance b
+                bad = rows.copy()
+                bad[r, r % 3] = value
+                t = pool_forward(bad, spec, params, lengths)[0]
+                assert not np.isfinite(t[b]).all(), (b, r)
+                for c in set(range(len(lengths))) - {b}:
+                    assert t[c].tobytes() == alone[c].tobytes(), (b, r, c)
 
 
 GRID = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)  # few values: ties in most columns
@@ -372,14 +397,13 @@ GRID = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)  # few values: ties in most columns
 @st.composite
 def _ragged_rows(draw):
     """(rows, lengths up to 8, all equal in about half the draws, (B, d)
-    upstream gradient): every instance's rows back to back, from GRID and
-    NaN; the gradient from GRID."""
+    upstream gradient): every instance's rows back to back, and the
+    gradient, from GRID."""
     lengths = np.array(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)))
     if draw(st.booleans()):  # one length: pooled without padding
         lengths[:] = lengths[0]
     n, d = int(lengths.sum()), draw(st.integers(1, 3))
-    cells = st.lists(st.sampled_from(GRID + (math.nan,)),
-                     min_size=n * d, max_size=n * d)
+    cells = st.lists(st.sampled_from(GRID), min_size=n * d, max_size=n * d)
     rows = np.array(draw(cells)).reshape(n, d)
     d_t = np.array(draw(st.lists(st.sampled_from(GRID), min_size=len(lengths) * d,
                                  max_size=len(lengths) * d))).reshape(-1, d)
@@ -412,15 +436,9 @@ class TestTopkGradientProperty:
         assert d_f.tobytes() == oracle.tobytes()  # bit for bit, zero signs too
 
 
-def _bytes(a):
-    """The bytes of ``a`` with every NaN made np.nan: equal for arrays equal
-    bit for bit, zero signs included, up to the signs of their NaNs."""
-    return np.where(np.isnan(a), np.nan, a).tobytes()
-
-
 class TestAdpoolBitEquality:
     """The adpool forward shares buffers between its stages; on stacks full
-    of ties, zeros of both signs and NaN it must give the bytes of the
+    of ties and zeros of both signs it must give the bytes of the
     stages run apart, and of each instance pooled alone."""
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -431,9 +449,7 @@ class TestAdpoolBitEquality:
         top = pooling._rank(f, valid)[0][:, :1]
         delta = pooling._embedding_forward(f, valid, top, np.empty_like(f))[1]
         real = (np.arange(lengths.max()) < lengths[:, None])[:, :, None]
-        # a NaN's sign may differ: np.sort may clear a NaN's sign bit, so
-        # the ranked rows can hold the NaN negated, where max returns it
-        assert _bytes(delta) == _bytes(softmax_columns(np.where(real, f, -np.inf)))
+        assert delta.tobytes() == softmax_columns(np.where(real, f, -np.inf)).tobytes()
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(_ragged_rows(), st.sampled_from(
@@ -447,10 +463,9 @@ class TestAdpoolBitEquality:
         parts = np.split(rows, np.cumsum(lengths)[:-1])
         for b, (f, m) in enumerate(zip(parts, lengths)):
             t_b, diag_b, _ = pool_forward(f, spec, params)
-            # np.sort may return a NaN with either sign, by the stack's size
-            assert _bytes(t[b]) == _bytes(t_b)
-            assert _bytes(diag.theta[b, :m]) == _bytes(diag_b.theta)
-            assert _bytes(diag.delta[b, :m]) == _bytes(diag_b.delta)
+            assert t[b].tobytes() == t_b.tobytes()
+            assert diag.theta[b, :m].tobytes() == diag_b.theta.tobytes()
+            assert diag.delta[b, :m].tobytes() == diag_b.delta.tobytes()
 
 
 @st.composite
@@ -524,20 +539,19 @@ class TestTieFreeRaggedPath:
             assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("spec", [ADPOOL, TOKEN], ids=repr)
-    def test_a_tie_or_a_nan_falls_back(self, spec):
-        """A batch with a tie between real rows, or a NaN, takes the stable
-        argsort; without either it never does. A change that fell back on
-        every batch would pass every other test."""
+    def test_a_tie_falls_back(self, spec):
+        """A batch with a tie between real rows takes the stable argsort;
+        without one it never does. A change that fell back on every batch
+        would pass every other test."""
         rng = np.random.default_rng(17)
         lengths = [5, 3, 7]
         rows = rng.standard_normal((15, 4))
         params = PoolParams(rng.standard_normal((4, 1)),
                             rng.standard_normal((4, 1)))
         d_t = rng.standard_normal((3, 4))
-        tied, nan = rows.copy(), rows.copy()
+        tied = rows.copy()
         tied[7, 2] = tied[5, 2]  # instance 1, one column
-        nan[14, 0] = np.nan
-        for f, fallbacks in ((rows, 0), (tied, 1), (nan, 1)):
+        for f, fallbacks in ((rows, 0), (tied, 1)):
             with _fallback_calls() as calls:
                 pool_vjp(pool_forward(f, spec, params, lengths)[2], d_t)
             assert calls == {"sort": fallbacks, "stable argsort": fallbacks}
