@@ -14,11 +14,13 @@ with a FormatError naming the byte offset. Round-trips are bit-exact.
 Multi-tensor files (model parameters) are a plain concatenation of blobs,
 each carrying its tensor name as the single id. A corpus file repeats each
 instance's id on all of its rows, so the writer and reader work by runs of
-equal ids: each distinct id record is built, or decoded, once.
+equal ids: each distinct id record is built, or decoded, once. No blob is
+held whole: it is written as its header, payload chunks of up to about
+1 MB, each finite-checked as it is made, and its id table.
 
 All writes in this package go through ``atomic_write_bytes``: data lands in a
 temp file in the target directory and is renamed into place, so a killed
-process never leaves a partially-written file under the final name.
+process, or a chunk that fails its check, leaves no file under that name.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import os
 import struct
 import tempfile
 from contextlib import contextmanager
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,16 +40,28 @@ from .tensor import Array, finite_matrix
 MAGIC = b"ADRET1\n"
 _U32 = struct.Struct("<I")
 _U32_MAX = 0xFFFFFFFF
+_CHUNK = 1 << 20  # payload bytes per chunk, at most about
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically; DataError if it cannot."""
+class Parts:
+    """A file's bytes as buffers written in turn, each valid only until the
+    next is drawn, and their byte count, which ``len`` gives as for bytes."""
+
+    def __init__(self, size: int, buffers: Iterable):
+        self.size, self.buffers = size, buffers
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def atomic_write_bytes(path: str, parts: Parts) -> None:
+    """Write ``parts`` to ``path`` atomically; DataError if it cannot."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts.buffers)
         os.replace(tmp, path)
     except OSError as exc:  # a directory in the way, no permission, ...
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
@@ -56,29 +71,36 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    data = text.encode("utf-8")
+    atomic_write_bytes(path, Parts(len(data), [data]))
 
 
 def encode_blob(blocks: Sequence[Array], ids: Sequence[str],
-                repeats: Sequence[int]) -> bytearray:
+                repeats: Sequence[int]) -> Parts:
     """One blob of the 2-D ``blocks`` stacked in row order, its id table
-    listing ``ids[i]`` ``repeats[i]`` times; each id record is built once,
-    and the blocks are copied straight into the one output buffer."""
-    rows, cols = sum(map(len, blocks)), np.shape(blocks[0])[1]
+    listing ``ids[i]`` ``repeats[i]`` times; each id record is built once, and
+    runs of whole blocks are copied into one reused '<f8' buffer of up to about
+    ``_CHUNK`` bytes, each chunk finite-checked before it is drawn."""
+    lengths = list(map(len, blocks))
+    rows, cols = sum(lengths), np.shape(blocks[0])[1]
     if rows > _U32_MAX or cols > _U32_MAX:
         raise FormatError(f"matrix shape {(rows, cols)} overflows the u32 "
                           "dimension fields at byte 7")
     records = (name.encode("utf-8") for name in ids)
     table = b"".join([_U32.pack(sum(repeats))] + [
         (_U32.pack(len(raw)) + raw) * n for raw, n in zip(records, repeats)])
-    start = len(MAGIC) + 8
-    end = start + 8 * rows * cols
-    out = bytearray(end + len(table))
-    out[:start] = MAGIC + _U32.pack(rows) + _U32.pack(cols)
-    out[end:] = table
-    payload = np.frombuffer(out, "<f8", rows * cols, start).reshape(rows, cols)
-    finite_matrix(np.concatenate(blocks, out=payload), "cache matrix")
-    return out
+    header = MAGIC + _U32.pack(rows) + _U32.pack(cols)
+
+    def payload():
+        per = max(1, _CHUNK // (8 * cols * max(lengths)))  # blocks per chunk
+        buffer = np.empty((per * max(lengths), cols), "<f8")
+        for a in range(0, len(blocks), per):
+            chunk = buffer[:sum(lengths[a:a + per])]
+            finite_matrix(np.concatenate(blocks[a:a + per], out=chunk), "cache matrix")
+            yield chunk
+
+    return Parts(len(header) + 8 * rows * cols + len(table),
+                 chain([header], payload() if rows * cols else [], [table]))
 
 
 def decode_runs(data: bytes, offset: int = 0) -> tuple[Array, list, int]:
@@ -171,8 +193,9 @@ def cache_read(path: str) -> tuple[Array, list[str]]:
 
 def save_tensors(path: str, tensors: dict[str, Array]) -> None:
     """Write named 2-D tensors as concatenated blobs, sorted by name."""
-    parts = [encode_blob([tensors[name]], [name], [1]) for name in sorted(tensors)]
-    atomic_write_bytes(path, b"".join(parts))
+    blobs = [encode_blob([tensors[name]], [name], [1]) for name in sorted(tensors)]
+    atomic_write_bytes(path, Parts(sum(map(len, blobs)),
+                                   chain(*(blob.buffers for blob in blobs))))
 
 
 def load_tensors(path: str) -> dict[str, Array]:

@@ -18,6 +18,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .cache import atomic_write_text, cache_read, load_tensors, save_tensors
 from .config import ExperimentConfig, load_config, parse_weights, pooling_spec
 from .data import generate_splits, load_corpus, save_corpus
@@ -180,7 +182,10 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
         params = getattr(model, modality).pool
     else:
         params = PoolParams.zeros(matrix.shape[1])
-    pooled, diag, _ = pool_forward(matrix, spec, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        pooled, diag, _ = pool_forward(matrix, spec, params)
+    if not np.isfinite(pooled).all():
+        raise EvaluationError(f"{matrix_path}: the {method} pooled vector is not finite")
     dump = {
         "method": method,
         "pooled": [float(x) for x in pooled],

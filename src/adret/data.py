@@ -8,7 +8,9 @@ latent direction that a linear projection can recover, which is all the
 structure the trainable pipeline needs.
 
 Generation is fully deterministic given the seed: a single PCG64 generator
-drives the mixing matrices first, then the groups in order.
+drives the mixing matrices first, then the groups in order. Each group draws
+z, n, the image's noise, then m and the noise for each caption in turn (into
+the next rows of one scratch buffer: a group's captions are views of one array).
 """
 
 from __future__ import annotations
@@ -72,17 +74,24 @@ def _draw_groups(rng: np.random.Generator, cfg: SyntheticCorpusConfig,
                  mix_v: Array, mix_t: Array, start: int, count: int) -> Corpus:
     images = []
     texts = []
+    noise = np.empty((cfg.captions_per_image * cfg.text_len[1], cfg.text_dim))
     for g in range(start, start + count):
         gid = f"g{g:06d}"
         z = rng.standard_normal(cfg.latent_dim)
         n = int(rng.integers(cfg.visual_len[0], cfg.visual_len[1] + 1))
-        feats = z @ mix_v + cfg.noise_scale * rng.standard_normal((n, cfg.visual_dim))
+        feats = rng.standard_normal((n, cfg.visual_dim))
+        feats *= cfg.noise_scale
+        feats += z @ mix_v
         images.append(RawInstance("visual", feats, f"i{g:06d}", gid))
-        zt = z @ mix_t
-        for c in range(cfg.captions_per_image):
+        ends = [0]
+        for _ in range(cfg.captions_per_image):
             m = int(rng.integers(cfg.text_len[0], cfg.text_len[1] + 1))
-            feats = zt + cfg.noise_scale * rng.standard_normal((m, cfg.text_dim))
-            texts.append(RawInstance("text", feats, f"t{g:06d}.{c}", gid))
+            rng.standard_normal(out=noise[ends[-1]:ends[-1] + m])
+            ends.append(ends[-1] + m)
+        feats = np.multiply(noise[:ends[-1]], cfg.noise_scale)
+        feats += z @ mix_t
+        texts.extend(RawInstance("text", feats[a:b], f"t{g:06d}.{c}", gid)
+                     for c, (a, b) in enumerate(zip(ends, ends[1:])))
     return Corpus(tuple(images), tuple(texts))
 
 

@@ -166,23 +166,25 @@ def _rank(f: Array, valid: Optional[Array]):
 
 def _argrank(f: Array, valid: Optional[Array]):
     """(columns sorted descending, padding -0.0; the flat index in ``f`` of
-    each ranked entry, or None; the sort key for
-    ``sort_desc_per_column_vjp``, or None). A padded ``f`` takes one
-    argsort, the padding keyed -inf so it ranks last. Its permutation is
-    the stable one, which the VJP needs, if no two real ranks tie; else,
-    and for one length, ``_rank`` sorts the values."""
+    each ranked entry, or None; the sort key for ``sort_desc_per_column_vjp``,
+    or None; ``f`` padded with -inf, or None for one length). A padded ``f``
+    takes one argsort of that, negated. Its permutation is the stable one,
+    which the VJP needs, if no two real ranks tie; else, and for one length,
+    ``_rank`` sorts the values."""
+    masked = None
     if valid is not None:
-        key = np.where(valid, f, -np.inf)
-        at = np.argsort(np.negative(key, out=key), axis=-2)
+        masked = np.where(valid, f, -np.inf)
+        at = np.argsort(np.negative(masked, out=masked), axis=-2)
+        np.negative(masked, out=masked)  # back again: negation is exact
         _, m, d = f.shape
         at *= d  # row index -> flat index
         at += np.arange(0, f.size, m * d)[:, None, None] + np.arange(d)
         ranked = f.reshape(-1)[at]
         tied = (ranked[:, 1:] == ranked[:, :-1]) & valid[:, 1:]
         if not tied.any():
-            return ranked, at, None
+            return ranked, at, None, masked
     ranked, keyed = _rank(f, valid)
-    return ranked, None, keyed
+    return ranked, None, keyed, masked
 
 
 def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
@@ -193,16 +195,17 @@ def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
     if (k > lengths).any():
         b = int((k > lengths).argmax())
         raise ValueError(f"kmax pooling: k={k[b]} outside [1, {lengths[b]}]")
-    t = sum_rows(f)[:, 0] / lengths[:, None]
-    part = k < lengths
-    if not part.any():
+    whole = k == lengths
+    if whole.all():
+        t = sum_rows(f)[:, 0] / lengths[:, None]
         return t, PoolDiagnostics(), ("topk", lengths, valid, k, None, None)
     ranked, keyed = _rank(f, valid)
     top = np.arange(f.shape[1])[None, :, None] < k[:, None, None]
-    t_top = sum_rows(np.where(top, ranked, -0.0))[:, 0] / k[:, None]
+    t = sum_rows(np.where(top, ranked, -0.0))[:, 0] / k[:, None]
     # a NaN or -inf sorts last; keep the column non-finite, as mean does
-    t_top[~np.isfinite(ranked[np.arange(len(f)), lengths - 1])] = np.nan
-    t = np.where(part[:, None], t_top, t)
+    t[~np.isfinite(ranked[np.arange(len(f)), lengths - 1])] = np.nan
+    if whole.any():
+        t[whole] = sum_rows(f[whole])[:, 0] / lengths[whole, None]
     kth = ranked[np.arange(len(f)), k - 1][:, None, :]
     return t, PoolDiagnostics(), ("topk", lengths, valid, k, keyed, kth)
 
@@ -221,15 +224,16 @@ def _topk_vjp(cache, d_t: Array) -> Array:
 
 
 def _token_forward(f: Array, valid: Optional[Array], w_tok: Array):
-    """(pooled, theta, cache, a spare buffer shaped like ``f``)."""
+    """(pooled, theta, cache, a spare buffer shaped like ``f``, ``f`` padded
+    with -inf or None)."""
     w = w_tok.ravel()
-    ranked, at, keyed = _argrank(f, valid)
+    ranked, at, keyed, masked = _argrank(f, valid)
     product = ranked * w  # reused below for the theta-weighted rows
     logits = product.sum(axis=2, keepdims=True)
     logits = logits if valid is None else np.where(valid, logits, -np.inf)
     theta = softmax_columns(logits)  # (B, M, 1): a softmax down the ranks
     t_tok = sum_rows(np.multiply(theta, ranked, out=product))[:, 0]
-    return t_tok, theta[:, :, 0], (ranked, at, keyed, theta, w), product
+    return t_tok, theta[:, :, 0], (ranked, at, keyed, theta, w), product, masked
 
 
 def _token_vjp(cache, d_t: Array):
@@ -247,19 +251,16 @@ def _token_vjp(cache, d_t: Array):
     return d_f, d_w
 
 
-def _embedding_forward(f: Array, valid: Optional[Array], top: Array,
+def _embedding_forward(f: Array, masked: Optional[Array], top: Array,
                        spare: Array):
-    """``top`` is each column's largest real value, the token branch's
+    """``masked``, a buffer taken over, is ``f`` padded with -inf (None for one
+    length); ``top`` is each column's largest real value, the token branch's
     first ranked row, and ``spare`` its dead buffer, shaped like ``f``.
     Shifting by ``top`` instead of by the column max gives
     ``softmax_columns`` of ``f``, its padding -inf, bit for bit: the two
     differ at most in a zero's sign, and exp(+-0) = 1. A NaN makes the
     column's sum, so the whole column, NaN either way (of either sign)."""
-    if valid is None:
-        delta = f - top
-    else:
-        delta = np.where(valid, f, -np.inf)
-        np.subtract(delta, top, out=delta)
+    delta = f - top if masked is None else np.subtract(masked, top, out=masked)
     np.exp(delta, out=delta)
     np.divide(delta, sum_rows(delta), out=delta)
     return sum_rows(np.multiply(delta, f, out=spare))[:, 0], delta, (delta, f)
@@ -297,9 +298,9 @@ def _adpool_forward(f: Array, valid: Optional[Array], params: PoolParams,
                     omega: Optional[Array] = None):
     """Adaptive pooler; a given ``omega`` replaces the learned balance
     (fixed-balance), so w_bal is unused and gets no gradient."""
-    t_tok, theta, tok_cache, spare = _token_forward(f, valid, params.w_tok)
+    t_tok, theta, tok_cache, spare, masked = _token_forward(f, valid, params.w_tok)
     ranked = tok_cache[0]
-    t_emb, delta, emb_cache = _embedding_forward(f, valid, ranked[:, :1], spare)
+    t_emb, delta, emb_cache = _embedding_forward(f, masked, ranked[:, :1], spare)
     if omega is None:
         t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
     else:

@@ -601,6 +601,28 @@ class TestInspectPool:
         assert main(["inspect-pool", path, "--method", *method]) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", [
+        ["mean"], ["kmax", "--k", "2"], ["manual", "--modality", "visual"]])
+    def test_finite_matrix_pooled_to_inf_is_numerical_error(self, tmp_path,
+                                                            capsys, method):
+        path = str(tmp_path / "huge.bin")
+        cache_write(path, np.array([[1e308, 1.0], [1e308, 2.0]]), [])
+        assert main(["inspect-pool", path, "--method", *method]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path}: the {method[0]} pooled vector is "
+                       "not finite\n")
+
+    @pytest.mark.filterwarnings("error")  # the max needs no sum to overflow
+    @pytest.mark.parametrize("method", [["max"], ["kmax", "--k", "1"]])
+    def test_max_of_a_huge_matrix_sums_nothing(self, tmp_path, capsys, method):
+        path = str(tmp_path / "huge.bin")
+        cache_write(path, np.array([[1e308, 1.0], [1e308, 2.0]]), [])
+        assert main(["inspect-pool", path, "--method", *method]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["pooled"] == [1e308, 2.0] and err == ""
+
     def test_invalid_utf8_id_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "badid.bin"
         cache_write(str(path), np.ones((2, 3)), ["ab"])

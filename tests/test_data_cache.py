@@ -4,11 +4,14 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from adret import cache
 from adret.cache import (
+    Parts,
     atomic_write_bytes,
     cache_read,
     cache_write,
@@ -18,6 +21,7 @@ from adret.cache import (
     save_tensors,
 )
 from adret.data import (
+    RawInstance,
     SyntheticCorpusConfig,
     generate_splits,
     ground_truth,
@@ -97,14 +101,65 @@ class TestCorpusGeneration:
             generate_splits(cfg, 1, 1, 12)
 
 
+def _reference_splits(cfg, *counts):
+    """The per-caption generator the group-wise one replaced, kept as the
+    draw's oracle: (images, texts) of ``counts`` groups drawn in turn, each
+    caption its own array, the latent added to the scaled noise."""
+    rng = np.random.default_rng(cfg.seed)
+    mix_v = rng.standard_normal((cfg.latent_dim, cfg.visual_dim))
+    mix_t = rng.standard_normal((cfg.latent_dim, cfg.text_dim))
+    images, texts = [], []
+    with np.errstate(over="ignore"):
+        for g in range(sum(counts)):
+            gid = f"g{g:06d}"
+            z = rng.standard_normal(cfg.latent_dim)
+            n = int(rng.integers(cfg.visual_len[0], cfg.visual_len[1] + 1))
+            feats = z @ mix_v + cfg.noise_scale * rng.standard_normal(
+                (n, cfg.visual_dim))
+            images.append(RawInstance("visual", feats, f"i{g:06d}", gid))
+            zt = z @ mix_t
+            for c in range(cfg.captions_per_image):
+                m = int(rng.integers(cfg.text_len[0], cfg.text_len[1] + 1))
+                feats = zt + cfg.noise_scale * rng.standard_normal(
+                    (m, cfg.text_dim))
+                texts.append(RawInstance("text", feats, f"t{g:06d}.{c}", gid))
+    return images, texts
+
+
+class TestGenerationOracle:
+    """The group-wise draw against the per-caption reference, byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"noise_scale": 0.0}, {"noise_scale": 1e308},
+        {"visual_len": (1, 1), "text_len": (1, 1)},
+        {"text_len": (15, 15), "captions_per_image": 1}], ids=repr)
+    def test_equals_the_per_caption_draw(self, kwargs, seed):
+        cfg = SyntheticCorpusConfig(num_groups=30, seed=seed, **kwargs)
+        splits = generate_splits(cfg, 30, 7, 9)
+        images, texts = _reference_splits(cfg, 30, 7, 9)
+
+        def key(instances):
+            return [(i.modality, i.id, i.group_id, i.features.tobytes())
+                    for i in instances]
+        assert key(sum((c.images for c in splits.values()), ())) == key(images)
+        assert key(sum((c.texts for c in splits.values()), ())) == key(texts)
+
+
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
 
 
+def _joined(parts):
+    """The bytes ``encode_blob``'s parts write; each part is copied as it
+    is drawn, since a payload chunk is only valid until the next."""
+    return b"".join(bytes(part) for part in parts.buffers)
+
+
 def _blob(matrix, ids):
     """The package writer with one id record per listed id."""
-    return encode_blob([matrix], ids, [1] * len(ids))
+    return _joined(encode_blob([matrix], ids, [1] * len(ids)))
 
 
 def _reference_blob(matrix, ids):
@@ -247,7 +302,11 @@ class TestCacheFormat:
 class TestWriterOracle:
     """The run-based writer against the per-row reference, byte for byte."""
 
-    def test_save_corpus_matches_per_row_writer(self, tmp_path):
+    # a chunk per block, per 3 blocks of up to 15 rows, one chunk in all
+    @pytest.mark.parametrize("chunk", [1, 8 * 32 * 15 * 3, 1 << 20])
+    def test_save_corpus_matches_per_row_writer(self, tmp_path, monkeypatch,
+                                                chunk):
+        monkeypatch.setattr(cache, "_CHUNK", chunk)
         cfg = SyntheticCorpusConfig(num_groups=7, captions_per_image=3, seed=10)
         corpus = _corpus(cfg)
         save_corpus(str(tmp_path), "s", corpus)
@@ -271,8 +330,8 @@ class TestWriterOracle:
         starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
         stops = starts[1:] + [len(ids)]
         blocks = [m[a:b] for a, b in zip(starts, stops)]
-        assert encode_blob(blocks, [ids[a] for a in starts],
-                           [b - a for a, b in zip(starts, stops)]) == expected
+        assert _joined(encode_blob(blocks, [ids[a] for a in starts],
+                                   [b - a for a, b in zip(starts, stops)])) == expected
         matrix, runs, end = decode_runs(expected)
         assert end == len(expected) and np.array_equal(matrix, m)
         assert runs == [(ids[a], b - a) for a, b in zip(starts, stops)]
@@ -280,6 +339,28 @@ class TestWriterOracle:
     def test_zero_row_matrix(self):
         m = np.zeros((0, 4))
         assert _blob(m, []) == _reference_blob(m, [])
+
+    def test_nan_in_the_last_chunk_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache, "_CHUNK", 8 * 3 * 2)  # two rows a chunk
+        blocks = [np.ones((2, 3)) for _ in range(5)]
+        blocks[-1][1, 2] = np.nan
+        blob = encode_blob(blocks, list("abcde"), [2] * 5)
+        with pytest.raises(EvaluationError,
+                           match="^cache matrix contains non-finite values$"):
+            atomic_write_bytes(str(tmp_path / "nan.bin"), blob)
+        assert os.listdir(tmp_path) == []
+
+    def test_save_corpus_holds_no_whole_file(self, tmp_path):
+        cfg = SyntheticCorpusConfig(num_groups=1000, seed=11)
+        corpus = _corpus(cfg)
+        text_bytes = sum(t.features.nbytes for t in corpus.texts)
+        tracemalloc.start()
+        try:
+            save_corpus(str(tmp_path), "test", corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text_bytes > 12e6 and peak < 4e6, (text_bytes, peak)
 
     def test_tensor_blobs(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -338,7 +419,7 @@ class TestRunReader:
 
 class TestAtomicWrites:
     def test_no_temp_files_remain(self, tmp_path):
-        atomic_write_bytes(str(tmp_path / "out.bin"), b"payload")
+        atomic_write_bytes(str(tmp_path / "out.bin"), Parts(7, [b"payload"]))
         assert sorted(os.listdir(tmp_path)) == ["out.bin"]
 
     def test_failed_replace_leaves_no_target(self, tmp_path, monkeypatch):
@@ -349,14 +430,14 @@ class TestAtomicWrites:
         path = str(tmp_path / "out.bin")
         with pytest.raises(DataError, match=f"cannot write {re.escape(path)}: "
                                             "simulated crash"):
-            atomic_write_bytes(path, b"payload")
+            atomic_write_bytes(path, Parts(7, [b"payload"]))
         assert os.listdir(tmp_path) == []
 
     def test_unwritable_directory_is_data_error(self, tmp_path):
         (tmp_path / "file").write_text("")
         path = str(tmp_path / "file" / "out.bin")
         with pytest.raises(DataError, match="Not a directory"):
-            atomic_write_bytes(path, b"payload")
+            atomic_write_bytes(path, Parts(7, [b"payload"]))
 
 
 class TestCorpusPersistence:

@@ -447,7 +447,8 @@ class TestAdpoolBitEquality:
         rows, lengths, _ = ragged
         f, _, valid = pooling._pad(rows, lengths)  # no mask for one length
         top = pooling._rank(f, valid)[0][:, :1]
-        delta = pooling._embedding_forward(f, valid, top, np.empty_like(f))[1]
+        masked = None if valid is None else np.where(valid, f, -np.inf)
+        delta = pooling._embedding_forward(f, masked, top, np.empty_like(f))[1]
         real = (np.arange(lengths.max()) < lengths[:, None])[:, :, None]
         assert delta.tobytes() == softmax_columns(np.where(real, f, -np.inf)).tobytes()
 
@@ -506,7 +507,8 @@ def _stable_argrank(f, valid):
     """The token branch's ranking as the fallback does it: the NaN-keyed
     values-only sort, and in the VJP a stable argsort of the key."""
     ranked, keyed = pooling._rank(f, valid)
-    return ranked, None, keyed
+    return ranked, None, keyed, (None if valid is None else
+                                 np.where(valid, f, -np.inf))
 
 
 class TestTieFreeRaggedPath:
