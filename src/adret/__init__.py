@@ -2,8 +2,8 @@
 negative sampling, runnable end to end on a synthetic paired corpus."""
 
 from .data import Corpus, RawInstance, SyntheticCorpusConfig, ground_truth
-from .encoders import (BiEncoder, EncoderParams, evaluate_split, init_encoder_params,
-                       project, split_scores)
+from .encoders import (BiEncoder, EncoderParams, PreparedSplit, evaluate_split,
+                       init_encoder_params, project, split_scores)
 from .evaluation import RetrievalResult, evaluate_scores, recall_at_k
 from .objectives import (
     BatchMaturity,

@@ -23,7 +23,7 @@ import numpy as np
 from .cache import atomic_write_text, cache_read, load_tensors, save_tensors
 from .config import ExperimentConfig, load_config, parse_weights, pooling_spec
 from .data import generate_splits, load_corpus, save_corpus
-from .encoders import BiEncoder, evaluate_split
+from .encoders import BiEncoder, evaluate_split, PreparedSplit
 from .errors import (
     ConfigError,
     DataError,
@@ -146,7 +146,7 @@ def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
               "text.w_proj": (cfg.corpus.text_dim, "corpus.text_dim")}
     models = [_load_model(path, cfg.visual_pooling, cfg.text_pooling, widths)
               for path in params_paths]
-    result = evaluate_split(models, corpus, cfg.eval_folds)
+    result = evaluate_split(models, PreparedSplit(corpus), cfg.eval_folds)
     atomic_write_text(json_path, result.to_json() + "\n")
     atomic_write_text(csv_path, result.to_csv())
     print(result.to_json())

@@ -9,8 +9,8 @@ one ``project_vjp`` back to the projection's parameters. The features are
 fixed data: no gradient is taken with respect to them. A batch row is
 bit-equal to encoding that instance alone, its B=1 batch; ``encode_all``
 runs the kernel on blocks of instances of one length. ``evaluate_split``
-is the one way trained models are scored on a split, for eval, validation
-and the acceptance gate alike.
+is the one way trained models are scored on a split, a ``PreparedSplit``
+built once, for eval, validation and the acceptance gate alike.
 """
 
 from __future__ import annotations
@@ -128,10 +128,13 @@ ENCODE_BLOCK = 64  # instances per kernel call in encode_all
 def batch_forward(features, params: EncoderParams):
     """Encode feature matrices (each M_b x d_in, M_b >= 1); returns
     (embedding matrix with a unit row per instance, cache for batch_vjp)."""
-    flat = np.concatenate(features)
-    pooled, _, pool_cache = pool_forward(
-        project(flat, params.w_proj, params.b_proj), params.spec, params.pool,
-        [len(f) for f in features])
+    return _forward(np.concatenate(features), [len(f) for f in features], params)
+
+
+def _forward(flat: Array, lengths, params: EncoderParams):
+    """``batch_forward`` of features already stacked, ``lengths`` rows each."""
+    pooled, _, pool_cache = pool_forward(project(flat, params.w_proj, params.b_proj),
+                                         params.spec, params.pool, lengths)
     embeddings = l2_normalize_rows(pooled)
     return embeddings, (flat, params, pool_cache, pooled, embeddings)
 
@@ -150,42 +153,69 @@ def batch_vjp(cache, d_embeddings: Array):
                          params.spec)
 
 
-def encode_all(instances, params: EncoderParams) -> Array:
-    """Stack encodings of an instance sequence into a matrix, row per
-    instance. The instances of each length, in their order, go to the
-    kernel ENCODE_BLOCK at a time, so no block mixes lengths and the pooler
-    pads nothing; each row lands at its instance's position, and rows do
-    not depend on their block."""
+def _blocks(instances):
+    """The block plan: up to ENCODE_BLOCK instances of one length at a time, in
+    order, as (indices, features stacked, lengths); the pooler pads nothing."""
     features = [inst.features for inst in instances]
     lengths = np.array([len(f) for f in features])
-    out = np.empty((len(features), params.embed_dim))
     for length in sorted(set(lengths.tolist())):  # np.unique loads numpy.ma
         run = np.flatnonzero(lengths == length)
         for i in range(0, len(run), ENCODE_BLOCK):
-            block = run[i:i + ENCODE_BLOCK]
-            out[block] = batch_forward([features[j] for j in block], params)[0]
+            rows = run[i:i + ENCODE_BLOCK]
+            yield (rows, np.concatenate([features[j] for j in rows.tolist()]),
+                   [length] * len(rows))
+
+
+def _encode_blocks(blocks, n_rows: int, params: EncoderParams) -> Array:
+    """Encode a block plan, each row at its instance's position."""
+    out = np.empty((n_rows, params.embed_dim))
+    for rows, flat, lengths in blocks:
+        out[rows] = _forward(flat, lengths, params)[0]
     return out
 
 
-def split_scores(model: BiEncoder, corpus: Corpus) -> Array:
-    """Text-by-image cosine scores of a split: rows follow ``corpus.texts``,
-    columns ``corpus.images``."""
-    return cosine_sim_matrix(encode_all(corpus.texts, model.text),
-                             encode_all(corpus.images, model.visual))
+def encode_all(instances, params: EncoderParams) -> Array:
+    """Stack encodings of an instance sequence into a matrix, row per
+    instance. Each of its ``_blocks`` is stacked only when its turn comes."""
+    return _encode_blocks(_blocks(instances), len(instances), params)
 
 
-def evaluate_split(models: list[BiEncoder], corpus: Corpus,
+class PreparedSplit:
+    """What scoring a split needs of the split alone, built once: each side's
+    stacked ``_blocks``, ids and ``evaluation.relevant_pairs``, and the truth."""
+
+    def __init__(self, corpus: Corpus):
+        if not corpus.images:
+            raise ValueError("cannot score a split with no images")
+        self.text_blocks = tuple(_blocks(corpus.texts))
+        self.image_blocks = tuple(_blocks(corpus.images))
+        texts = self.text_ids = tuple(t.id for t in corpus.texts)
+        images = self.image_ids = tuple(i.id for i in corpus.images)
+        truth = self.truth = ground_truth(corpus)
+        self.text_pairs = evaluation.relevant_pairs(texts, images, truth)
+        self.image_pairs = evaluation.relevant_pairs(images, texts, truth)
+
+
+def split_scores(model: BiEncoder, split: PreparedSplit) -> Array:
+    """Text-by-image cosine scores of a prepared split."""
+    return cosine_sim_matrix(
+        _encode_blocks(split.text_blocks, len(split.text_ids), model.text),
+        _encode_blocks(split.image_blocks, len(split.image_ids), model.visual))
+
+
+def evaluate_split(models: list[BiEncoder], split: PreparedSplit,
                    folds: int = 1) -> evaluation.RetrievalResult:
-    """Recall@K and RSUM of ``models`` on a split over ``folds`` image folds.
-    Members' ``split_scores`` add into the first one's matrix in model order,
-    then divide once: bit-equal to ``np.mean`` of the stack, without it."""
+    """Recall@K and RSUM of ``models`` over ``folds`` image folds. Members'
+    ``split_scores`` add into the first one's matrix in model order, then
+    divide once: bit-equal to ``np.mean`` of the stack, without it."""
     if not models:
         raise ValueError("evaluate_split needs at least one model")
-    scores = split_scores(models[0], corpus)
+    scores = split_scores(models[0], split)
     for model in models[1:]:
-        scores += split_scores(model, corpus)
+        scores += split_scores(model, split)
     if len(models) > 1:
         scores /= len(models)
-    return evaluation.evaluate_scores(
-        scores, tuple(t.id for t in corpus.texts),
-        tuple(i.id for i in corpus.images), ground_truth(corpus), folds)
+    if folds == 1:
+        return evaluation.rank_pairs(scores, split.text_pairs, split.image_pairs)
+    return evaluation.evaluate_scores(scores, split.text_ids, split.image_ids,
+                                      split.truth, folds)

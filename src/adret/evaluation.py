@@ -10,8 +10,8 @@ no sort: one pass over contiguous blocks of score-matrix rows gives both
 directions' ranks, so every K comes from that pass. The pass also checks
 each block's finiteness before it counts it, while the block is in cache,
 so no separate scan reads the whole matrix. A NaN or inf score raises
-EvaluationError; the ground truth is read first, so a query missing from
-it raises DataError even then.
+EvaluationError, but the ground truth is read first, as ``relevant_pairs``
+(which a split builds once), so a query missing from it raises DataError.
 """
 
 from __future__ import annotations
@@ -54,15 +54,10 @@ class RetrievalResult:
         return f"{','.join(self.__dict__)}\n{row}\n"
 
 
-def _best_relevant(scores: Array, query_ids: Sequence[str],
-                   candidate_ids: Sequence[str],
-                   truth: Mapping[str, Set[str]]) -> np.ndarray:
-    """Index of each query's best relevant candidate (highest score, then
-    smaller index) from one sort of the (query, relevant) pairs, built in
-    one pass over the truth sets. ``scores`` may be a transposed view."""
-    if scores.shape != (len(query_ids), len(candidate_ids)):
-        raise DimensionError(f"score matrix {scores.shape} does not match "
-                             f"{len(query_ids)} queries x {len(candidate_ids)} candidates")
+def relevant_pairs(query_ids: Sequence[str], candidate_ids: Sequence[str],
+                   truth: Mapping[str, Set[str]]):
+    """(query, relevant candidate) index pairs in query order, from one pass
+    over the truth sets, and each query's first pair: what ranking reads."""
     column_of = {cid: j for j, cid in enumerate(candidate_ids)}
     pairs = [x for q, qid in enumerate(query_ids) for cid in truth.get(qid, ())
              if cid in column_of for x in (q, column_of[cid])]
@@ -72,8 +67,22 @@ def _best_relevant(scores: Array, query_ids: Sequence[str],
         qid = query_ids[int(counts.argmin())]
         raise DataError(f"query {qid!r} missing from ground truth" if qid not in truth
                         else f"query {qid!r} has no relevant candidate in the index")
+    return queries, candidates, np.cumsum(counts) - counts
+
+
+def _best_relevant(scores: Array, pairs) -> np.ndarray:
+    """Each query's best relevant candidate: highest score, then smaller index."""
+    queries, candidates, first = pairs
     order = np.lexsort((candidates, -scores[queries, candidates], queries))
-    return candidates[order[np.cumsum(counts) - counts]]
+    return candidates[order[first]]
+
+
+def _score_matrix(scores, query_ids: Sequence[str], candidate_ids: Sequence[str]):
+    scores = as_matrix(scores, "score matrix")
+    if scores.shape != (len(query_ids), len(candidate_ids)):
+        raise DimensionError(f"score matrix {scores.shape} does not match "
+                             f"{len(query_ids)} queries x {len(candidate_ids)} candidates")
+    return scores
 
 
 def _rank_counts(scores: Array, row_best: np.ndarray, col_best=None):
@@ -134,9 +143,9 @@ def recall_at_k(scores: Array, query_ids: Sequence[str],
     ``scores[q, c]`` ranks candidate c for query q, higher is better."""
     if k < 1:
         raise ValueError(f"recall_at_k: k must be >= 1, got {k}")
-    scores = as_matrix(scores, "score matrix")
-    ranks, _ = _rank_counts(
-        scores, _best_relevant(scores, query_ids, candidate_ids, truth))
+    scores = _score_matrix(scores, query_ids, candidate_ids)
+    ranks, _ = _rank_counts(scores, _best_relevant(
+        scores, relevant_pairs(query_ids, candidate_ids, truth)))
     return _recall(ranks, k)
 
 
@@ -149,7 +158,7 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
     if not 1 <= folds <= len(image_ids):
         raise ValueError(f"folds must be in [1, {len(image_ids)}] for "
                          f"{len(image_ids)} test images, got {folds}")
-    scores = as_matrix(scores, "score matrix")
+    scores = _score_matrix(scores, text_ids, image_ids)
     if folds > 1:
         text_row = {tid: i for i, tid in enumerate(text_ids)}
         parts = []
@@ -163,9 +172,14 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
         mean = {name: float(np.mean([getattr(p, name) for p in parts])) for name
                 in ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10")}
         return RetrievalResult(rsum=float(sum(mean.values())), **mean)
-    cr_ranks, ir_ranks = _rank_counts(
-        scores, _best_relevant(scores, text_ids, image_ids, truth),
-        _best_relevant(scores.T, image_ids, text_ids, truth))
+    return rank_pairs(scores, relevant_pairs(text_ids, image_ids, truth),
+                      relevant_pairs(image_ids, text_ids, truth))
+
+
+def rank_pairs(scores: Array, text_pairs, image_pairs) -> RetrievalResult:
+    """Both directions' R@{1,5,10} of a text-by-image matrix, by ``relevant_pairs``."""
+    cr_ranks, ir_ranks = _rank_counts(scores, _best_relevant(scores, text_pairs),
+                                      _best_relevant(scores.T, image_pairs))
     cr = [_recall(cr_ranks, k) for k in RECALL_KS]
     ir = [_recall(ir_ranks, k) for k in RECALL_KS]
     return RetrievalResult(ir_r1=ir[0], ir_r5=ir[1], ir_r10=ir[2],

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .data import Corpus
-from .encoders import (BiEncoder, batch_forward, batch_vjp, evaluate_split,
-                       init_encoder_params)
+from .encoders import (BiEncoder, PreparedSplit, batch_forward, batch_vjp,
+                       evaluate_split, init_encoder_params)
 from .errors import ConfigError, TrainingDivergedError
 from .objectives import LossConfig, batch_loss
 from .tensor import Array
@@ -170,10 +170,10 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
           val_corpus: Optional[Corpus] = None) -> tuple[BiEncoder, TrainLog]:
     """Train the bi-encoder on (image, caption) pairs.
 
-    If a validation corpus is given, its RSUM is computed after every epoch
-    and appended to the log. Raises ConfigError when ``cfg.seed`` is unset
-    and TrainingDivergedError (with the iteration index) on a non-finite
-    loss.
+    A validation corpus is prepared once, before the first epoch, and its
+    RSUM is computed after every epoch and appended to the log. Raises
+    ConfigError when ``cfg.seed`` is unset and TrainingDivergedError (with
+    the iteration index) on a non-finite loss.
     """
     rng = np.random.default_rng(_seed(cfg))
     if not corpus.images:
@@ -184,6 +184,7 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
     captions_of: dict[str, list] = {img.group_id: [] for img in corpus.images}
     for txt in corpus.texts:
         captions_of[txt.group_id].append(txt)
+    val_split = None if val_corpus is None else PreparedSplit(val_corpus)
 
     state = AdamState.for_tensors(model.tensors())
     log = TrainLog(mode=cfg.loss.mode)
@@ -191,9 +192,9 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
 
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        order = rng.permutation(len(corpus.images))
+        order = rng.permutation(len(corpus.images)).tolist()
         pick = rng.integers(0, [len(captions_of[corpus.images[i].group_id])
-                                for i in order])
+                                for i in order]).tolist()
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             if len(batch) < 2:
@@ -218,11 +219,11 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
                 lr=lr))
             iteration += 1
 
-        if val_corpus is not None:
-            log.validation.append((epoch, _validation_rsum(model, val_corpus)))
+        if val_split is not None:
+            log.validation.append((epoch, _validation_rsum(model, val_split)))
 
     return model, log
 
 
-def _validation_rsum(model: BiEncoder, val_corpus: Corpus) -> float:
-    return evaluate_split([model], val_corpus).rsum
+def _validation_rsum(model: BiEncoder, val_split: PreparedSplit) -> float:
+    return evaluate_split([model], val_split).rsum

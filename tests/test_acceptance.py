@@ -17,7 +17,7 @@ import pytest
 from adret.cli import main
 from adret.config import load_config
 from adret.data import generate_splits
-from adret.encoders import evaluate_split
+from adret.encoders import evaluate_split, PreparedSplit
 from adret.evaluation import recall_at_k
 from adret.gradcheck import run_all
 from adret.objectives import (
@@ -45,8 +45,9 @@ def _pass(msg):
 
 @pytest.fixture(scope="module")
 def desk(tmp_path_factory):
-    """The desk INI, whose unwritten keys take their defaults, and the
-    splits `adret generate` draws from it."""
+    """The desk INI, whose unwritten keys take their defaults, the splits
+    `adret generate` draws from it, and the test split prepared once for
+    every `_test_rsum`."""
     out = tmp_path_factory.mktemp("desk")
     ini = out / "desk.ini"
     ini.write_text(f"[corpus]\nseed = {DESK_CORPUS_SEED}\n\n"
@@ -54,7 +55,8 @@ def desk(tmp_path_factory):
     cfg = load_config(str(ini))
     splits = generate_splits(cfg.corpus, cfg.corpus.num_groups, cfg.val_groups,
                              cfg.test_groups)
-    return {"ini": str(ini), "splits": splits}
+    return {"ini": str(ini), "splits": splits,
+            "test": PreparedSplit(splits["test"])}
 
 
 def _desk_train(desk, seed, mode, method="adpool", weights=None,
@@ -71,7 +73,7 @@ def _desk_train(desk, seed, mode, method="adpool", weights=None,
 
 
 def _test_rsum(desk, model):
-    return evaluate_split([model], desk["splits"]["test"]).rsum
+    return evaluate_split([model], desk["test"]).rsum
 
 
 @pytest.fixture(scope="module")

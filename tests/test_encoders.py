@@ -10,6 +10,7 @@ from adret.encoders import (
     ENCODE_BLOCK,
     BiEncoder,
     EncoderParams,
+    PreparedSplit,
     batch_forward,
     batch_vjp,
     encode_all,
@@ -135,7 +136,8 @@ class TestEncode:
         texts = tuple(RawInstance("text", rng.standard_normal((3, 6)),
                                   f"t{j}.{c}", f"g{j}")
                       for j in range(3) for c in range(2))
-        scores = split_scores(model, Corpus(images=images, texts=texts))
+        scores = split_scores(model, PreparedSplit(Corpus(images=images,
+                                                          texts=texts)))
         assert scores.shape == (6, 3)
         np.testing.assert_array_equal(
             scores, cosine_sim_matrix(encode_all(texts, model.text),

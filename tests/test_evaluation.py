@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from adret import encoders, evaluation
-from adret.data import SyntheticCorpusConfig, generate_splits, ground_truth
-from adret.encoders import BiEncoder, evaluate_split, init_encoder_params, split_scores
+from adret.data import Corpus, SyntheticCorpusConfig, generate_splits, ground_truth
+from adret.encoders import (BiEncoder, PreparedSplit, encode_all, evaluate_split,
+                            init_encoder_params, split_scores)
 from adret.errors import DataError, DimensionError, EvaluationError
 from adret.evaluation import (
     RetrievalResult,
@@ -371,48 +372,97 @@ def _model(seed):
                      init_encoder_params(rng, 5, 4, PoolingSpec("mean")))
 
 
+def _ragged_split(seed, groups):
+    """A test split whose instances vary in length and whose groups keep 1 to
+    3 of their captions."""
+    cfg = SyntheticCorpusConfig(num_groups=1, visual_dim=6, text_dim=5,
+                                embed_dim=4, captions_per_image=3,
+                                visual_len=(1, 4), text_len=(1, 3), seed=seed)
+    split = generate_splits(cfg, 1, 1, groups)["test"]
+    keep = np.random.default_rng(seed).integers(1, 4, size=groups)
+    texts = tuple(t for img, n in zip(split.images, keep) for t in
+                  [t for t in split.texts if t.group_id == img.group_id][:n])
+    return Corpus(images=split.images, texts=texts)
+
+
 class TestEvaluateSplit:
     @pytest.fixture
     def ranked(self, monkeypatch):
-        """The (scores, folds) of each call evaluate_split makes to
-        evaluation.evaluate_scores, and the matrices split_scores returned."""
+        """The (scores, folds) of each call evaluate_split makes to its
+        ranking, evaluation.rank_pairs for one fold and
+        evaluation.evaluate_scores for more, and the matrices split_scores
+        returned."""
         calls, scored = [], []
 
         def capture(scores, text_ids, image_ids, truth, folds):
             calls.append((scores, folds))
 
-        def record(model, corpus):
-            scored.append(split_scores(model, corpus))
+        def capture_one_fold(scores, text_pairs, image_pairs):
+            calls.append((scores, 1))
+
+        def record(model, split):
+            scored.append(split_scores(model, split))
             return scored[-1]
 
         monkeypatch.setattr(evaluation, "evaluate_scores", capture)
+        monkeypatch.setattr(evaluation, "rank_pairs", capture_one_fold)
         monkeypatch.setattr(encoders, "split_scores", record)
         return calls, scored
 
     def test_ranks_the_bit_exact_mean_of_the_members(self, ranked):
         calls, scored = ranked
-        corpus = _tiny_split()
+        split = PreparedSplit(_tiny_split())
         models = [_model(seed) for seed in range(5)]
         for n in (1, 2, 3, 5):
-            evaluate_split(models[:n], corpus)
-            mean = np.mean(np.stack([split_scores(m, corpus)
+            mean = np.mean(np.stack([split_scores(m, split)
                                      for m in models[:n]]), axis=0)
-            assert calls[-1][0].tobytes() == mean.tobytes()
+            for folds in (1, 2):
+                evaluate_split(models[:n], split, folds)
+                assert calls[-1][1] == folds
+                assert calls[-1][0].tobytes() == mean.tobytes()
         assert calls[0][0] is scored[0]  # one model ranks by its own matrix
 
     def test_folds_are_passed_through(self, ranked):
-        evaluate_split([_model(0)], _tiny_split(), 3)
+        evaluate_split([_model(0)], PreparedSplit(_tiny_split()), 3)
         assert ranked[0][-1][1] == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_split([], _tiny_split())
+            evaluate_split([], PreparedSplit(_tiny_split()))
+        with pytest.raises(ValueError, match="no images"):
+            PreparedSplit(Corpus(images=(), texts=()))
 
     def test_one_model_is_evaluate_scores_of_its_split(self):
         corpus, model = _tiny_split(), _model(1)
-        assert evaluate_split([model], corpus) == evaluate_scores(
-            split_scores(model, corpus), [t.id for t in corpus.texts],
+        split = PreparedSplit(corpus)
+        assert evaluate_split([model], split) == evaluate_scores(
+            split_scores(model, split), [t.id for t in corpus.texts],
             [i.id for i in corpus.images], ground_truth(corpus))
+
+    @pytest.mark.parametrize("seed, groups", [(3, 12), (4, 7), (5, 150)])
+    def test_equals_evaluate_scores_of_the_member_mean(self, seed, groups):
+        # 150 groups give more than ENCODE_BLOCK captions of one length, so
+        # the text side's plan holds more than one block of that length
+        corpus = _ragged_split(seed, groups)
+        split = PreparedSplit(corpus)
+        models = [_model(s) for s in range(3)]
+        for n in (1, 2, 3):
+            mean = np.mean(np.stack([cosine_sim_matrix(
+                encode_all(corpus.texts, m.text),
+                encode_all(corpus.images, m.visual)) for m in models[:n]]), axis=0)
+            for folds in (1, 2, 3):
+                assert evaluate_split(models[:n], split, folds) == evaluate_scores(
+                    mean, tuple(t.id for t in corpus.texts),
+                    tuple(i.id for i in corpus.images), ground_truth(corpus),
+                    folds)
+
+    def test_query_without_relevant_candidate_is_data_error(self):
+        corpus = _tiny_split()
+        orphan = Corpus(images=corpus.images,
+                        texts=tuple(t for t in corpus.texts
+                                    if t.group_id != corpus.images[0].group_id))
+        with pytest.raises(DataError, match="no relevant candidate"):
+            PreparedSplit(orphan)
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adret import training
+from adret import encoders, training
 from adret.data import SyntheticCorpusConfig, generate_splits
 from adret.encoders import BiEncoder, init_encoder_params
 from adret.errors import ConfigError, TrainingDivergedError
@@ -161,13 +161,17 @@ class TestBenchmarkHooks:
         # perfbench cuts each epoch at the module-global training.lr_at and
         # times validation through training._validation_rsum; without these
         # calls it would split epoch time evenly and stop timing validation
+        # The validation split's ground truth is built once, before the
+        # first epoch, not by every validation pass.
         calls = []
         for name in ("lr_at", "_validation_rsum"):
             monkeypatch.setattr(training, name,
                                 _counting(calls, name, getattr(training, name)))
+        monkeypatch.setattr(encoders, "ground_truth", _counting(
+            calls, "ground_truth", encoders.ground_truth))
         splits, model, cfg = _small_setup(epochs=3)
         train(splits["train"], model, cfg, splits["val"])
-        assert calls == ["lr_at", "_validation_rsum"] * 3
+        assert calls == ["ground_truth"] + ["lr_at", "_validation_rsum"] * 3
         calls.clear()
         train(splits["train"], model, cfg)
         assert calls == ["lr_at"] * 3
