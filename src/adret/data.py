@@ -11,6 +11,8 @@ Generation is fully deterministic given the seed: a single PCG64 generator
 drives the mixing matrices first, then the groups in order. Each group draws
 z, n, the image's noise, then m and the noise for each caption in turn (into
 the next rows of one scratch buffer: a group's captions are views of one array).
+Each instance is a ``RawInstance`` named tuple; group g is ``g`` + ``f"{g:06d}"``
+(``g000042``), its image ``i000042`` and its c-th caption ``t000042.c``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +32,7 @@ from .tensor import Array
 GroundTruth = Dict[str, FrozenSet[str]]
 
 
-@dataclass(frozen=True)
-class RawInstance:
+class RawInstance(NamedTuple):
     modality: str  # "visual" or "text"
     features: Array  # length x dim
     id: str
@@ -75,14 +76,16 @@ def _draw_groups(rng: np.random.Generator, cfg: SyntheticCorpusConfig,
     images = []
     texts = []
     noise = np.empty((cfg.captions_per_image * cfg.text_len[1], cfg.text_dim))
+    suffixes = [f".{c}" for c in range(cfg.captions_per_image)]
     for g in range(start, start + count):
-        gid = f"g{g:06d}"
+        number = f"{g:06d}"
+        gid = "g" + number
         z = rng.standard_normal(cfg.latent_dim)
         n = int(rng.integers(cfg.visual_len[0], cfg.visual_len[1] + 1))
         feats = rng.standard_normal((n, cfg.visual_dim))
         feats *= cfg.noise_scale
         feats += z @ mix_v
-        images.append(RawInstance("visual", feats, f"i{g:06d}", gid))
+        images.append(RawInstance("visual", feats, "i" + number, gid))
         ends = [0]
         for _ in range(cfg.captions_per_image):
             m = int(rng.integers(cfg.text_len[0], cfg.text_len[1] + 1))
@@ -90,8 +93,9 @@ def _draw_groups(rng: np.random.Generator, cfg: SyntheticCorpusConfig,
             ends.append(ends[-1] + m)
         feats = np.multiply(noise[:ends[-1]], cfg.noise_scale)
         feats += z @ mix_t
-        texts.extend(RawInstance("text", feats[a:b], f"t{g:06d}.{c}", gid)
-                     for c, (a, b) in enumerate(zip(ends, ends[1:])))
+        caption = "t" + number
+        texts.extend(RawInstance("text", feats[a:b], caption + suffix, gid)
+                     for suffix, a, b in zip(suffixes, ends, ends[1:]))
     return Corpus(tuple(images), tuple(texts))
 
 

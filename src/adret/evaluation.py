@@ -143,6 +143,8 @@ def recall_at_k(scores: Array, query_ids: Sequence[str],
     ``scores[q, c]`` ranks candidate c for query q, higher is better."""
     if k < 1:
         raise ValueError(f"recall_at_k: k must be >= 1, got {k}")
+    if len(query_ids) == 0:
+        raise ValueError("recall_at_k: query_ids is empty, no query to score")
     scores = _score_matrix(scores, query_ids, candidate_ids)
     ranks, _ = _rank_counts(scores, _best_relevant(
         scores, relevant_pairs(query_ids, candidate_ids, truth)))

@@ -461,7 +461,7 @@ class TestEval:
         cfg, out = trained
         corpus_dir = os.path.join(out, "corpus")
         test = load_corpus(corpus_dir, "test")
-        texts = tuple(replace(t, id="i000050") if t.id == "t000050.0" else t
+        texts = tuple(t._replace(id="i000050") if t.id == "t000050.0" else t
                       for t in test.texts)
         save_corpus(corpus_dir, "test", replace(test, texts=texts))
         assert main(["eval", "--config", cfg]) == 2

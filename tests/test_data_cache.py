@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adret import cache
+from adret import cache, data
 from adret.cache import (
     Parts,
     atomic_write_bytes,
@@ -88,6 +88,17 @@ class TestCorpusGeneration:
         ids = {i.id for split in a.values() for i in split.images}
         assert len(ids) == 18  # group ids disjoint across splits
 
+    def test_instance_is_immutable_with_fields_in_order(self):
+        f = np.zeros((2, 3))
+        for inst in (RawInstance("text", f, "t0", "g0"),
+                     RawInstance(group_id="g0", id="t0", features=f,
+                                 modality="text")):
+            assert inst.modality == "text" and inst.features is f
+            assert inst.id == "t0" and inst.group_id == "g0"
+            with pytest.raises(AttributeError):
+                inst.id = "t1"
+            assert inst.id == "t0"
+
     def test_config_validation_names_field(self):
         with pytest.raises(ConfigError, match="noise_scale"):
             SyntheticCorpusConfig(num_groups=1, noise_scale=-0.1, seed=0)
@@ -144,6 +155,29 @@ class TestGenerationOracle:
                     for i in instances]
         assert key(sum((c.images for c in splits.values()), ())) == key(images)
         assert key(sum((c.texts for c in splits.values()), ())) == key(texts)
+
+    def test_ids_past_six_digits(self):
+        # the id rule is f"{g:06d}", which grows a digit at g = 10**6; the
+        # draw does not depend on start, so the features equal start=0's
+        cfg = SyntheticCorpusConfig(num_groups=3, seed=6)
+        rng = np.random.default_rng(cfg.seed)
+        mix_v = rng.standard_normal((cfg.latent_dim, cfg.visual_dim))
+        mix_t = rng.standard_normal((cfg.latent_dim, cfg.text_dim))
+        state = rng.bit_generator.state
+        far = data._draw_groups(rng, cfg, mix_v, mix_t, start=999_998, count=3)
+        rng.bit_generator.state = state
+        near = data._draw_groups(rng, cfg, mix_v, mix_t, start=0, count=3)
+        groups = range(999_998, 1_000_001)
+        assert [(i.id, i.group_id) for i in far.images] == [
+            (f"i{g:06d}", f"g{g:06d}") for g in groups]
+        assert [(t.id, t.group_id) for t in far.texts] == [
+            (f"t{g:06d}.{c}", f"g{g:06d}") for g in groups for c in range(5)]
+        assert far.images[-1].id == "i1000000"
+        assert [t.id for t in far.texts[-5:]] == [f"t1000000.{c}" for c in range(5)]
+        assert far.texts[-1].group_id == "g1000000"
+        for a, b in zip(far.images + far.texts, near.images + near.texts):
+            assert a.modality == b.modality
+            assert a.features.tobytes() == b.features.tobytes()
 
 
 def _read(path):

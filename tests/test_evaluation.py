@@ -182,6 +182,11 @@ class TestRecallAtK:
         with pytest.raises(EvaluationError, match="score matrix"):
             recall_at_k(scores, ["q0", "q1", "q2"], ["c0", "c1", "c2"], truth, 1)
 
+    def test_no_queries_raise(self):
+        # a recall over no queries is 0/0: refused, as a split with no images is
+        with pytest.raises(ValueError, match="query_ids is empty"):
+            recall_at_k(np.zeros((0, 2)), [], ["a", "b"], {}, 1)
+
     def test_missing_query_raises(self):
         with pytest.raises(DataError, match="q0"):
             recall_at_k(np.ones((1, 2)), ["q0"], ["c0", "c1"], {}, 1)

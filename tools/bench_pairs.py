@@ -13,10 +13,18 @@ machine's speed falls on both sides. Each run's result is the last line
 of its standard output.
 
 For every end-to-end metric that NEW's ``BENCHMARK.json`` lists, the
-script prints OLD's and NEW's median and quartiles and the number of
-pairs that NEW wins (strictly better, in the metric's direction). With
-``--json PATH`` it also writes those numbers, per workload and metric, to
-PATH. The exit code is 1 if any run failed or was not ``correct``, else 0.
+script prints OLD's and NEW's median and quartiles, the number of pairs
+that NEW wins (strictly better, in the metric's direction; ties count for
+neither side) and two verdicts:
+
+- ``claim``: NEW wins at least 9 of every 10 pairs and its median is
+  better than OLD's by more than OLD's interquartile spread (q3 - q1);
+- ``regression``: NEW's median is worse than OLD's by more than the
+  metric's ``bound``, a fraction of OLD's median.
+
+With ``--json PATH`` it also writes those numbers and verdicts, per
+workload and metric, to PATH. The exit code is 1 if any run failed or was
+not ``correct``, else 0.
 """
 
 import argparse
@@ -80,21 +88,27 @@ def _pairs(args, workload: str, metrics: dict):
 
 
 def _summary(values, metrics: dict) -> dict:
-    """Per metric: each side's median and quartiles, NEW's change of the
-    median in percent and its wins."""
+    """Per metric (``metrics`` maps each name to its ``BENCHMARK.json``
+    entry): each side's median and quartiles, NEW's change of the median in
+    percent, its wins and the claim and regression verdicts."""
     summary = {}
-    for name, better in metrics.items():
+    for name, spec in metrics.items():
         old, new = values["old"][name], values["new"][name]
         if not old:
             continue
-        sign = -1 if better == "lower" else 1
+        sign = -1 if spec["better"] == "lower" else 1
         (o1, o2, o3), (n1, n2, n3) = _quartiles(old), _quartiles(new)
+        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        gain = sign * (n2 - o2)  # > 0 where NEW's median is better
         summary[name] = {
-            "better": better,
+            "better": spec["better"],
+            "bound": spec["bound"],
             "old": {"q1": o1, "median": o2, "q3": o3},
             "new": {"q1": n1, "median": n2, "q3": n3},
             "change_pct": 100 * (n2 / o2 - 1) if o2 else 0.0,
-            "wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
+            "wins": wins,
+            "claim": 10 * wins >= 9 * len(old) and gain > o3 - o1,
+            "regression": -gain > spec["bound"] * abs(o2),
         }
     return summary
 
@@ -111,7 +125,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     spec = json.loads((args.new / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     report = {"seeds": f"{args.seeds.start}-{args.seeds.stop - 1}",
               "seconds": args.seconds, "workloads": {}}
     ok = True
@@ -128,7 +142,10 @@ def main(argv=None) -> int:
             print(f"{name:12s} old {old['median']:.4g} [{old['q1']:.4g}, "
                   f"{old['q3']:.4g}]  new {new['median']:.4g} [{new['q1']:.4g}, "
                   f"{new['q3']:.4g}]  change {m['change_pct']:+.1f}%  "
-                  f"wins {m['wins']}/{pairs}", flush=True)
+                  f"wins {m['wins']}/{pairs}  claim "
+                  f"{'holds' if m['claim'] else 'fails'}  worse past "
+                  f"{100 * m['bound']:g}%: {'YES' if m['regression'] else 'no'}",
+                  flush=True)
     if args.json:
         args.json.write_text(json.dumps(report, indent=2) + "\n")
     return 0 if ok else 1
