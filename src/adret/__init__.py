@@ -10,11 +10,10 @@ from .objectives import (
     LossConfig,
     NegativeSelection,
     adaptive_k,
-    adopt_loss,
     alignment,
-    hard_triplet_loss,
-    info_nce_loss,
-    negatives_only_info_nce,
+    batch_loss,
+    contrastive_loss,
+    negative_count,
     select_negatives,
     uniformity,
 )

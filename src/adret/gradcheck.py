@@ -1,15 +1,15 @@
 """Finite-difference verification of every differentiable operation training runs.
 
 Assembles a named check for each primitive op, the projection, each
-learned-pooling stage, the encoder chain under every pooling method, each
-batch loss, and one composed encode -> similarity -> loss pipeline per
-training loss mode, then runs them all against the central-difference
-oracle. The row normalise has no check of its own: every encoder and
-pipeline check ends in it. The pooling stages run ``pool_forward``/
-``pool_vjp``, rows included, and the encoder checks the batched encoder, on
-ragged batches (a one-row instance next to longer ones). The projection,
-encoder and pipeline checks hold the feature rows fixed, as training does:
-their inputs are the parameter tensors alone.
+learned-pooling stage, the encoder chain under every pooling method, and
+per loss mode in ``LOSS_MODES`` its term and one composed encode ->
+similarity -> loss pipeline, then runs them all against the
+central-difference oracle. The row normalise has no check of its own:
+every encoder and pipeline check ends in it. The pooling stages run
+``pool_forward``/``pool_vjp``, rows included, and the encoder checks the
+batched encoder, on ragged batches (a one-row instance next to longer
+ones). The projection, encoder and pipeline checks hold the feature rows
+fixed, as training does: their inputs are the parameter tensors alone.
 The pipelines run the trainer's own ``training.batch_step``, so the gradient
 checked is the one Adam applies; their batch holds a one-row instance and
 one with a repeated row, whose projected columns all tie. The CLI's
@@ -20,11 +20,12 @@ pullback), and the pullback reads only what that call computed (a package
 pair's cache, or the gradient a loss or ``batch_step`` returns), so no check
 runs its forward again to get a gradient.
 
-Discrete choices inside the losses (which negatives, which argmax) are not
-differentiable, so the checks pin them: InfoNCE variants hold the negative
-selection fixed, and triplet checks redraw their random inputs until every
-hinge argument and every argmax gap clears the perturbation size by a wide
-margin.
+Which negatives a loss takes is not differentiable, so every loss check
+pins it: the mode's term runs through ``contrastive_loss`` on the selection
+its K rule (``negative_count``) makes at the evaluation point, and a new
+mode is checked with no new code. The hinge has kinks of its own, so
+hard-triplet checks redraw their random inputs until every hinge argument
+and every argmax gap clears the perturbation size by a wide margin.
 """
 
 from __future__ import annotations
@@ -40,13 +41,8 @@ from .encoders import (
     project,
     project_vjp,
 )
-from .objectives import (
-    adopt_loss,
-    hard_triplet_loss,
-    info_nce_loss,
-    negatives_only_info_nce,
-    select_negatives,
-)
+from .objectives import (LOSS_MODES, LossConfig, contrastive_loss,
+                         negative_count, select_negatives)
 from .pooling import PoolParams, PoolingSpec, pool_forward, pool_vjp
 from .tensor import (GradCheckReport, finite_diff_check, softmax_columns,
                      softmax_columns_vjp, sort_desc_per_column,
@@ -111,10 +107,15 @@ def _encode_op(spec: PoolingSpec, features):
     return _cached(encode, grads)
 
 
-def _loss_op(loss_of):
-    """A batch loss ``loss_of(s) -> (value, d_value/d_s)`` as an op on s."""
+def _pinned(s: np.ndarray, cfg: LossConfig):
+    """The negatives cfg's mode selects at ``s``, to hold fixed around it."""
+    return select_negatives(s, negative_count(s, cfg)[0])
+
+
+def _loss_op(sel, cfg: LossConfig):
+    """cfg's term under the pinned selection ``sel`` as an op on s."""
     def op(s):
-        value, d_s = loss_of(s)
+        value, d_s = contrastive_loss(s, sel, cfg)
         return np.float64(value), lambda grad: (d_s * float(grad),)
 
     return op
@@ -129,35 +130,38 @@ def _triplet_safe(s: np.ndarray, margin: float) -> bool:
             and float(np.abs(hinge).min()) > _KINK_CLEARANCE)
 
 
-def _kink_free(draw, similarity, margin: float):
-    """The first of up to 100 ``draw()``s whose similarity is triplet-safe."""
+def _kink_free(draw, similarity, cfg: LossConfig):
+    """The first of up to 100 ``draw()``s where cfg's loss is smooth: any
+    draw under a pinned InfoNCE selection, a triplet-safe one for the hinge."""
     for _ in range(100):
         x = draw()
-        if _triplet_safe(similarity(x), margin):
+        if cfg.mode != "hard-triplet" or _triplet_safe(similarity(x), cfg.margin):
             return x
     raise RuntimeError("could not draw a kink-free triplet test point")
 
 
-def _pipeline_check(name: str, loss_of, texts, images, model: BiEncoder):
-    """encode both sides -> similarity -> loss through the trainer's own
-    ``batch_step``, as a function of every parameter tensor.
+def _pipeline_check(cfg: LossConfig, texts, images, model: BiEncoder):
+    """encode both sides -> similarity -> cfg's term through the trainer's
+    own ``batch_step``, as a function of every parameter tensor, with the
+    selection pinned where the model's similarity puts it.
 
     Returns (name, op, inputs): the inputs are ``model.tensors()``' values
-    in order; the feature matrices are fixed data. ``loss_of(s)`` has the
-    trainer's loss signature, (value, d_loss/d_s, aux), and must be smooth
-    at the evaluation point.
+    in order; the feature matrices are fixed data. cfg's loss must be
+    smooth at the evaluation point.
     """
     tensors = model.tensors()
     keys = list(tensors)
+    sel = _pinned(_similarity(model, texts, images), cfg)
 
     def op(*inputs):
         loss, _, grads = batch_step(BiEncoder.from_tensors(
             dict(zip(keys, inputs)), model.visual.spec, model.text.spec),
-            texts, images, loss_of)
+            texts, images, lambda s: (*contrastive_loss(s, sel, cfg), None))
         return np.float64(loss), lambda grad: [grads[k] * float(grad)
                                                for k in keys]
 
-    return name, op, [tensors[k].copy() for k in keys]
+    return (f"pipeline[encode->{cfg.mode}]", op,
+            [tensors[k].copy() for k in keys])
 
 
 def _similarity(model: BiEncoder, texts, images) -> np.ndarray:
@@ -201,22 +205,6 @@ def build_checks(rng: np.random.Generator) -> list[tuple]:
                        [normal((3, 5)), normal(5), normal((5, 1)),
                         normal((5, 1))]))
 
-    margin = 0.2
-    checks.append(("hard_triplet_loss",
-                   _loss_op(lambda sm: hard_triplet_loss(sm, margin)),
-                   [_kink_free(lambda: rng.uniform(-1.0, 1.0, size=(5, 5)),
-                               lambda s: s, margin)]))
-
-    s = rng.uniform(-1.0, 1.0, size=(6, 6))
-    sel = select_negatives(s, 3)
-    checks.append(("info_nce_loss",
-                   _loss_op(lambda sm: info_nce_loss(sm, sel, 0.5)), [s]))
-    s2 = rng.uniform(-1.0, 1.0, size=(6, 6))
-    sel2 = select_negatives(s2, 3)
-    checks.append(("negatives_only_info_nce",
-                   _loss_op(lambda sm: negatives_only_info_nce(sm, sel2, 0.5)),
-                   [s2]))
-
     # composed pipelines over a small batch of variable-length instances
     b, d_in, d = 6, 3, 4
 
@@ -234,28 +222,15 @@ def build_checks(rng: np.random.Generator) -> list[tuple]:
             0.5 * normal((d, 1)), 0.5 * normal((d, 1))), spec) for _ in range(2)]
         return BiEncoder(visual, text)
 
-    model = draw_model()
-    frozen_sel = select_negatives(_similarity(model, texts, images), 2)
-    checks.append(_pipeline_check(
-        "pipeline[encode->infonce]",
-        lambda sm: (*info_nce_loss(sm, frozen_sel, 0.5), None),
-        texts, images, model))
-
-    # the adaptive objective at the K its schedule picks for this batch
-    model = draw_model()
-    s0 = _similarity(model, texts, images)
-    adaptive_sel = select_negatives(s0, adopt_loss(s0, 0.5)[1].k_selected)
-    checks.append(_pipeline_check(
-        "pipeline[encode->adopt]",
-        lambda sm: (*negatives_only_info_nce(sm, adaptive_sel, 0.5), None),
-        texts, images, model))
-
-    model = _kink_free(draw_model, lambda m: _similarity(m, texts, images),
-                       margin)
-    checks.append(_pipeline_check(
-        "pipeline[encode->hard_triplet]",
-        lambda sm: (*hard_triplet_loss(sm, margin), None),
-        texts, images, model))
+    # per loss mode, its term on a random batch, then the pipeline
+    for mode in LOSS_MODES:
+        cfg = LossConfig(mode, margin=0.2, temperature=0.5, fixed_k=3)
+        s = _kink_free(lambda: rng.uniform(-1.0, 1.0, size=(b, b)),
+                       lambda s: s, cfg)
+        checks.append((f"loss[{mode}]", _loss_op(_pinned(s, cfg), cfg), [s]))
+        model = _kink_free(draw_model, lambda m: _similarity(m, texts, images),
+                           cfg)
+        checks.append(_pipeline_check(cfg, texts, images, model))
     return checks
 
 

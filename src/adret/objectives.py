@@ -3,22 +3,22 @@
 The similarity matrix S is square with text anchors on rows, images on
 columns, and positives on the diagonal. Every loss contrasts each anchor,
 in both retrieval directions, with its K hardest in-batch negatives.
-``select_negatives`` marks them in two B x B masks, ``tensor.top_k_mask``
-at each row's K-th largest value, without a ranking. One kernel runs the
-loss's per-anchor term on each direction's similarities and mask as dense
-array ops, so every sum runs in column order. The hard triplet is the K = 1
-hinge with margin, summed over the batch; InfoNCE is a masked logsumexp
-averaged over the batch, and its saturating form puts the positive in the
-denominator next to the negatives, which keeps it nonnegative.
+``batch_loss``, the one loss path, checks S once, takes K from
+``negative_count``, marks the negatives as ``select_negatives`` does (two
+B x B masks, ``tensor.top_k_mask`` at each row's K-th largest value) and
+applies the mode's term, which ``contrastive_loss`` applies to a pinned
+selection. One kernel runs the term on each direction's similarities and
+mask as dense array ops, so every sum runs in column order: the K = 1
+hinge with margin, summed over the batch, or a masked InfoNCE logsumexp,
+averaged, with the positive in the denominator (saturating) or not. Each
+returns its gradient with respect to S alongside the value.
 
-The adaptive variant re-derives the negative-set size K every batch from two
-batch statistics: alignment (mean positive similarity) and uniformity
-(log-mean-exp of all pairwise similarities). Both are clamped to [0, 1] and
-treated as plain numbers; no gradient flows through the schedule. A cosine
-ramp maps their sum onto K, so an untrained batch (sum near 0) uses nearly
-all in-batch negatives and a mature one (sum near 2) only the hardest one.
-``batch_loss`` maps each loss mode onto its K. Each loss returns its
-gradient with respect to S alongside the value.
+The adaptive mode re-derives K every batch from two batch statistics:
+alignment (mean positive similarity) and uniformity (log-mean-exp of all
+pairwise similarities). Both are clamped to [0, 1] and treated as plain
+numbers; no gradient flows through the schedule. A cosine ramp maps their
+sum onto K, so an untrained batch (sum near 0) uses nearly all in-batch
+negatives and a mature one (sum near 2) only the hardest one.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Array, as_matrix, finite_matrix, top_k_mask
+from .tensor import Array, finite_matrix, top_k_mask
 
 LOSS_MODES = ("hard-triplet", "infonce-adaptive", "infonce-fixed")
 
@@ -89,7 +89,8 @@ def alignment(s: Array) -> float:
 
 
 def uniformity(s: Array) -> float:
-    """log of the mean of e^{s_ij} over all pairs.
+    """log of the mean of e^{s_ij} over all pairs: the log-mean-exp of the
+    batch's cosine similarities, in [-1, 1].
 
     0 when similarities hover around zero (well spread), approaching 1 as
     the batch collapses toward all-similar embeddings.
@@ -104,25 +105,33 @@ def clamp01(x: float) -> float:
 def adaptive_k(gamma_align: float, gamma_uniform: float, batch_size: int) -> int:
     """Map batch maturity onto a negative count via a cosine ramp.
 
-    Both statistics are clamped to [0, 1]; their sum in [0, 2] is scaled to
+    The statistics come clamped to [0, 1]; their sum in [0, 2] is scaled to
     [0, pi/2], cosined down to [1, 0], multiplied by the batch size and
     floored. The result is clamped to [1, batch_size - 1].
     """
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    total = clamp01(gamma_align) + clamp01(gamma_uniform)
+    total = gamma_align + gamma_uniform
     k_raw = math.floor(batch_size * math.cos(total * math.pi / 4.0))
     return max(1, min(k_raw, batch_size - 1))
 
 
-def select_negatives(s: Array, k: int) -> NegativeSelection:
-    """Hardest-K in-batch negatives per anchor, both directions.
+def negative_count(s: Array, cfg: LossConfig) -> tuple[int, Optional[BatchMaturity]]:
+    """(K, maturity or None), K the negatives per anchor of cfg's mode on
+    the batch ``s``: 1, min(fixed_k, B - 1), or for infonce-adaptive
+    ``adaptive_k`` of the clamped statistics, recorded in the maturity."""
+    if cfg.mode == "hard-triplet":
+        return 1, None
+    if cfg.mode == "infonce-fixed":
+        return min(cfg.fixed_k, len(s) - 1), None
+    gamma_a = clamp01(alignment(s))
+    gamma_u = clamp01(uniformity(s))
+    k = adaptive_k(gamma_a, gamma_u, len(s))
+    return k, BatchMaturity(gamma_a, gamma_u, k)
 
-    Each mask row is ``tensor.top_k_mask`` of the row, the anchor's own
-    positive masked to -inf, at the k-th largest value ``np.partition``
-    finds: its k largest similarities, ties broken by the smaller index.
-    """
-    s = _square(s, "similarity matrix")
+
+def _select(s: Array, k: int) -> NegativeSelection:
+    """``select_negatives`` on an ``s`` already checked."""
     b = s.shape[0]
     if not 1 <= k <= b - 1:
         raise ValueError(f"select_negatives: k={k} outside [1, {b - 1}]")
@@ -133,16 +142,22 @@ def select_negatives(s: Array, k: int) -> NegativeSelection:
         for m in (masked, masked.T)))
 
 
+def select_negatives(s: Array, k: int) -> NegativeSelection:
+    """Hardest-K in-batch negatives per anchor, both directions.
+
+    Each mask row is ``tensor.top_k_mask`` of the row, the anchor's own
+    positive masked to -inf, at the k-th largest value ``np.partition``
+    finds: its k largest similarities, ties broken by the smaller index.
+    """
+    return _select(_square(s, "similarity matrix"), k)
+
+
 def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:
     """Sum ``term(side, pos, mask) -> (summed loss, d_pos, d_side)`` over text
     anchors (rows of ``s`` under ``text_to_image``) and image anchors (rows
     of ``s.T`` under ``image_to_text``); ``pos`` is the diagonal, ``d_side``
     the dense gradient with respect to ``side`` and ``d_pos`` more of it on
     the diagonal."""
-    s = _square(s, "similarity matrix")
-    if sel.text_to_image.shape != s.shape or sel.image_to_text.shape != s.shape:
-        raise DimensionError(f"selection masks are {sel.text_to_image.shape} "
-                             f"and {sel.image_to_text.shape}, batch is {s.shape}")
     pos = np.diag(s)
     loss, d_pos, grad = term(s, pos, sel.text_to_image)
     value, d_pos_t, d_side = term(s.T, pos, sel.image_to_text)
@@ -151,21 +166,15 @@ def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:
     return loss + value, grad
 
 
-def hard_triplet_loss(s: Array, margin: float) -> tuple[float, Array]:
-    """Hinge against the hardest in-batch negative, both directions, summed.
-
-    Subgradient convention: an exactly-zero hinge contributes no gradient.
-    """
-    s = as_matrix(s, "similarity matrix")
-    if s.shape[0] < 2:
-        raise ValueError("hard_triplet_loss needs a batch of at least 2")
-
-    def hinge(side, pos, mask):
+def _hinge(margin: float):
+    """The hard triplet's term: per anchor margin - pos + its one negative,
+    where positive. An exactly-zero hinge contributes no gradient."""
+    def term(side, pos, mask):
         h = margin - pos + side[mask]
         act = h > 0
         return float(h[act].sum()), -1.0 * act, 1.0 * (mask & act[:, None])
 
-    return _contrastive(s, select_negatives(s, 1), hinge)
+    return term
 
 
 def _logsumexp(temperature: float, positive_in_denominator: bool):
@@ -174,9 +183,6 @@ def _logsumexp(temperature: float, positive_in_denominator: bool):
     (the positive). The shift is the largest such z, the hardest negative's
     (always selected) or the positive's; every cell is exponentiated, then
     masked."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-
     def term(side, pos, mask):
         scale = len(pos) * temperature
         z = side / temperature  # then shifted, exponentiated and masked in place
@@ -196,58 +202,38 @@ def _logsumexp(temperature: float, positive_in_denominator: bool):
     return term
 
 
-def info_nce_loss(s: Array, sel: NegativeSelection,
-                  temperature: float) -> tuple[float, Array]:
-    """Temperature-scaled contrastive loss over the selected negatives.
-
-    Per anchor: -log(e^{pos/tau} / (e^{pos/tau} + sum_k e^{neg_k/tau})),
-    computed via logsumexp. Each direction is averaged over the batch and the
-    two directions are summed.
-    """
-    loss, grad = _contrastive(s, sel, _logsumexp(temperature, True))
+def _loss(s: Array, sel: NegativeSelection, cfg: LossConfig) -> tuple[float, Array]:
+    """cfg's term over both directions of the checked ``s`` under ``sel``:
+    the hinge, summed; infonce-fixed's saturating logsumexp, averaged; or
+    infonce-adaptive's negatives-only one, which never saturates: however
+    far a positive clears its negatives, it keeps a constant -1/tau pull."""
+    if cfg.mode == "hard-triplet":
+        return _contrastive(s, sel, _hinge(cfg.margin))
+    loss, grad = _contrastive(
+        s, sel, _logsumexp(cfg.temperature, cfg.mode == "infonce-fixed"))
     return loss / len(grad), grad
 
 
-def negatives_only_info_nce(s: Array, sel: NegativeSelection,
-                            temperature: float) -> tuple[float, Array]:
-    """Contrastive ratio with only the selected negatives in the denominator.
-
-    Per anchor: -pos/tau + logsumexp(negs/tau). Unlike info_nce_loss this
-    never saturates and can go negative: the positive keeps receiving a
-    constant -1/tau pull however far it already clears the negatives. That
-    sustained pull is what makes the adaptive objective keep tightening
-    positive pairs after the hinge-style losses have gone quiet.
-    """
-    loss, grad = _contrastive(s, sel, _logsumexp(temperature, False))
-    return loss / len(grad), grad
-
-
-def adopt_loss(s: Array, temperature: float) -> tuple[float, BatchMaturity, Array]:
-    """Adaptive contrastive objective: derive K from the batch, then contrast
-    each positive against its K hardest negatives.
-
-    The maturity statistics are computed once per batch from the similarity
-    values themselves and carry no gradient. The contrastive term is the
-    negatives-only ratio: in matched-seed comparisons the saturating form
-    loses its early-convergence advantage over the hard triplet loss, while
-    this form keeps it.
-    """
-    s = as_matrix(s, "similarity matrix")
-    gamma_a = clamp01(alignment(s))
-    gamma_u = clamp01(uniformity(s))
-    k = adaptive_k(gamma_a, gamma_u, s.shape[0])
-    sel = select_negatives(s, k)
-    loss, grad = negatives_only_info_nce(s, sel, temperature)
-    return loss, BatchMaturity(gamma_a, gamma_u, k), grad
+def contrastive_loss(s: Array, sel: NegativeSelection,
+                     cfg: LossConfig) -> tuple[float, Array]:
+    """(loss, d_loss/d_s) of cfg's term against the pinned selection ``sel``;
+    the hard triplet takes exactly one negative per anchor."""
+    s = _square(s, "similarity matrix")
+    masks = (sel.text_to_image, sel.image_to_text)
+    if any(m.shape != s.shape for m in masks):
+        raise DimensionError(f"selection masks are {masks[0].shape} "
+                             f"and {masks[1].shape}, batch is {s.shape}")
+    if cfg.mode == "hard-triplet":
+        counts = np.unique([m.sum(axis=1) for m in masks]).tolist()
+        if counts != [1]:
+            raise ValueError("hard-triplet takes K = 1 negative per anchor, "
+                             f"the selection marks K in {counts}")
+    return _loss(s, sel, cfg)
 
 
 def batch_loss(s: Array, cfg: LossConfig) -> tuple[float, Array, Optional[BatchMaturity]]:
-    """(loss, d_loss/d_s, maturity or None) of the configured loss, whose K
-    is 1 (hard-triplet), min(fixed_k, B - 1) or adaptive_k's pick."""
-    if cfg.mode == "infonce-adaptive":
-        loss, maturity, grad = adopt_loss(s, cfg.temperature)
-        return loss, grad, maturity
-    if cfg.mode == "hard-triplet":
-        return (*hard_triplet_loss(s, cfg.margin), None)
-    sel = select_negatives(s, min(cfg.fixed_k, len(s) - 1))
-    return (*info_nce_loss(s, sel, cfg.temperature), None)
+    """(loss, d_loss/d_s, maturity or None) of cfg's loss: ``s`` checked
+    once, K from ``negative_count``, K hardest negatives, then cfg's term."""
+    s = _square(s, "similarity matrix")
+    k, maturity = negative_count(s, cfg)
+    return (*_loss(s, _select(s, k), cfg), maturity)

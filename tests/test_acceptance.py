@@ -21,9 +21,9 @@ from adret.encoders import evaluate_split, PreparedSplit
 from adret.evaluation import recall_at_k
 from adret.gradcheck import run_all
 from adret.objectives import (
+    LossConfig,
     adaptive_k,
-    hard_triplet_loss,
-    info_nce_loss,
+    batch_loss,
     select_negatives,
 )
 from adret.pooling import PoolingSpec, PoolParams, _balance_forward, pool_forward
@@ -155,13 +155,15 @@ def test_schedule_suite():
 
 def test_loss_oracles():
     # worked 2x2 examples, exact
-    loss, _ = hard_triplet_loss([[0.9, 0.2], [0.3, 0.8]], 0.2)
+    triplet = LossConfig("hard-triplet", margin=0.2)
+    loss, _, _ = batch_loss([[0.9, 0.2], [0.3, 0.8]], triplet)
     assert loss == 0.0
-    loss, _ = hard_triplet_loss([[0.5, 0.6], [0.4, 0.7]], 0.2)
+    loss, _, _ = batch_loss([[0.5, 0.6], [0.4, 0.7]], triplet)
     assert loss == 0.5
 
     s = np.eye(2)
-    loss, _ = info_nce_loss(s, select_negatives(s, 1), 1.0)
+    loss, _, _ = batch_loss(s, LossConfig("infonce-fixed", temperature=1.0,
+                                          fixed_k=1))
     assert abs(loss - 2 * math.log(1 + math.exp(-1))) <= 1e-12
 
     def triplet_oracle(s, margin):
@@ -191,11 +193,12 @@ def test_loss_oracles():
     rng = np.random.default_rng(1)
     for _ in range(25):
         s = rng.uniform(-1, 1, size=(8, 8))
-        loss, _ = hard_triplet_loss(s, 0.2)
+        loss, _, _ = batch_loss(s, triplet)
         ref = triplet_oracle(s.tolist(), 0.2)
         assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
         sel = select_negatives(s, 4)
-        loss, _ = info_nce_loss(s, sel, 0.05)
+        loss, _, _ = batch_loss(s, LossConfig("infonce-fixed", temperature=0.05,
+                                              fixed_k=4))
         ref = infonce_oracle(s.tolist(), sel, 0.05)
         assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
     _pass("loss oracles: worked examples exact, straight-line re-derivations "

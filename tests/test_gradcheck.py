@@ -14,8 +14,7 @@ _FORWARDS = (
     (gradcheck, "project"),
     (gradcheck, "pool_forward"), (pooling, "_balance_forward"),
     (gradcheck, "batch_forward"), (gradcheck, "batch_step"),
-    (gradcheck, "hard_triplet_loss"), (gradcheck, "info_nce_loss"),
-    (gradcheck, "negatives_only_info_nce"),
+    (gradcheck, "contrastive_loss"),
 )
 
 
@@ -44,11 +43,9 @@ def test_every_pooler_and_loss_mode_is_checked_through_the_encoder():
                   else [method])
         for label in labels:
             assert f"encode[{label}]" in names
-    pipeline_of = {"hard-triplet": "hard_triplet", "infonce-fixed": "infonce",
-                   "infonce-adaptive": "adopt"}
-    assert set(pipeline_of) == set(LOSS_MODES)
-    for loss in pipeline_of.values():
-        assert f"pipeline[encode->{loss}]" in names
+    for mode in LOSS_MODES:
+        assert f"loss[{mode}]" in names
+        assert f"pipeline[encode->{mode}]" in names
 
 
 def test_encoder_checks_take_the_parameters_alone():

@@ -13,18 +13,34 @@ from hypothesis import example, given, settings, strategies as st
 from adret import objectives
 from adret.errors import ConfigError, EvaluationError
 from adret.objectives import (
+    LOSS_MODES,
     BatchMaturity,
     LossConfig,
     adaptive_k,
-    adopt_loss,
     alignment,
     batch_loss,
-    hard_triplet_loss,
-    info_nce_loss,
-    negatives_only_info_nce,
+    contrastive_loss,
+    negative_count,
     select_negatives,
     uniformity,
 )
+
+
+def _triplet(s, margin):
+    """(loss, grad) of the hard-triplet mode through the training path."""
+    loss, grad, maturity = batch_loss(s, LossConfig("hard-triplet", margin=margin))
+    assert maturity is None
+    return loss, grad
+
+
+def _infonce(tau, k=1):
+    """The saturating InfoNCE term's config."""
+    return LossConfig("infonce-fixed", temperature=tau, fixed_k=k)
+
+
+def _negatives_only(tau):
+    """The adaptive mode's negatives-only term's config."""
+    return LossConfig("infonce-adaptive", temperature=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -138,56 +154,68 @@ def _adopt_oracle(s, tau):
 
 class TestHardTriplet:
     def test_all_hinges_inactive(self):
-        loss, grad = hard_triplet_loss([[0.9, 0.2], [0.3, 0.8]], 0.2)
+        loss, grad = _triplet([[0.9, 0.2], [0.3, 0.8]], 0.2)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros((2, 2)))
 
     def test_worked_example(self):
-        loss, _ = hard_triplet_loss([[0.5, 0.6], [0.4, 0.7]], 0.2)
+        loss, _ = _triplet([[0.5, 0.6], [0.4, 0.7]], 0.2)
         assert loss == 0.5  # 0.3 + 0.1 + 0 + 0.1
 
     def test_zero_margin_separated(self):
-        loss, _ = hard_triplet_loss(np.eye(3), 0.0)
+        loss, _ = _triplet(np.eye(3), 0.0)
         assert loss == 0.0
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             s = rng.uniform(-1, 1, size=(8, 8))
-            loss, _ = hard_triplet_loss(s, 0.2)
+            loss, _ = _triplet(s, 0.2)
             assert abs(loss - _triplet_oracle(s.tolist(), 0.2)) <= 1e-12
 
     def test_nonnegative_and_zero_iff_inactive(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             s = rng.uniform(-1, 1, size=(5, 5))
-            loss, grad = hard_triplet_loss(s, 0.2)
+            loss, grad = _triplet(s, 0.2)
             assert loss >= 0.0
             assert (loss == 0.0) == np.array_equal(grad, np.zeros_like(grad))
 
     def test_tied_hardest_negatives_pick_the_smaller_index(self):
         # row 0 ties columns 1 and 2, column 0 ties rows 1 and 2
         s = np.array([[0.5, 0.6, 0.6], [0.6, 0.5, 0.1], [0.6, 0.1, 0.5]])
-        _, grad = hard_triplet_loss(s, 0.2)
+        _, grad = _triplet(s, 0.2)
         assert np.array_equal(grad, [[-2.0, 2.0, 1.0],
                                      [2.0, -2.0, 0.0],
                                      [1.0, 0.0, -2.0]])
 
     def test_gradient_matches_oracle_on_ties(self):
         s = np.round(np.random.default_rng(14).uniform(-1, 1, size=(64, 64)), 1)
-        loss, grad = hard_triplet_loss(s, 0.2)
+        loss, grad = _triplet(s, 0.2)
         assert abs(loss - _triplet_oracle(s.tolist(), 0.2)) <= 1e-12
         assert np.array_equal(grad, _triplet_grad_oracle(s.tolist(), 0.2))
 
     def test_tiny_batch_rejected(self):
         with pytest.raises(ValueError):
-            hard_triplet_loss([[1.0]], 0.2)
+            _triplet([[1.0]], 0.2)
 
     def test_non_finite_similarity_raises(self):
         with pytest.raises(EvaluationError, match="similarity matrix"):
-            hard_triplet_loss([[0.5, np.nan], [0.4, 0.7]], 0.2)
+            _triplet([[0.5, np.nan], [0.4, 0.7]], 0.2)
         with pytest.raises(EvaluationError, match="similarity matrix"):
-            adopt_loss([[0.5, 0.1], [np.inf, 0.7]], 0.05)
+            batch_loss([[0.5, 0.1], [np.inf, 0.7]], _negatives_only(0.05))
+        s = [[0.5, np.nan], [0.4, 0.7]]
+        with pytest.raises(EvaluationError, match="similarity matrix"):
+            contrastive_loss(s, select_negatives(np.eye(2), 1), _infonce(0.05))
+
+    def test_pinned_selection_must_mark_one_negative_per_anchor(self):
+        s = np.random.default_rng(15).uniform(-1, 1, size=(4, 4))
+        cfg = LossConfig("hard-triplet", margin=0.2)
+        loss, grad = contrastive_loss(s, select_negatives(s, 1), cfg)
+        ref_loss, ref_grad = _triplet(s, 0.2)
+        assert loss == ref_loss and np.array_equal(grad, ref_grad)
+        with pytest.raises(ValueError, match="K = 1"):
+            contrastive_loss(s, select_negatives(s, 2), cfg)
 
 
 class TestBatchStatistics:
@@ -321,19 +349,19 @@ class TestSelectNegativesProperty:
 class TestInfoNCE:
     def test_identity_matrix_value(self):
         s = np.eye(2)
-        loss, _ = info_nce_loss(s, select_negatives(s, 1), 1.0)
+        loss, _, _ = batch_loss(s, _infonce(1.0))
         assert abs(loss - 2 * math.log(1 + math.exp(-1))) <= 1e-12
 
     def test_saturation(self):
         s = np.full((3, 3), 1.0) + np.eye(3) * 41.0  # gap/tau >= 40
-        loss, _ = info_nce_loss(s, select_negatives(s, 2), 1.0)
+        loss, _, _ = batch_loss(s, _infonce(1.0, 2))
         assert 0.0 <= loss <= 1e-12
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = rng.uniform(-1, 1, size=(8, 8))
-            loss, _ = info_nce_loss(s, select_negatives(s, 4), 0.05)
+            loss, _, _ = batch_loss(s, _infonce(0.05, 4))
             ref = _infonce_oracle(s.tolist(), *_select_oracle(s.tolist(), 4),
                                   0.05)
             assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -342,18 +370,17 @@ class TestInfoNCE:
         rng = np.random.default_rng(8)
         s = rng.uniform(-0.5, 0.5, size=(5, 5))
         sel = select_negatives(s, 2)
-        base, _ = info_nce_loss(s, sel, 0.1)
+        base, _ = contrastive_loss(s, sel, _infonce(0.1))
         up = s.copy()
         up[2, 2] += 1e-3
-        assert info_nce_loss(up, sel, 0.1)[0] < base
+        assert contrastive_loss(up, sel, _infonce(0.1))[0] < base
         worse = s.copy()
         worse[2, np.flatnonzero(sel.text_to_image[2])[0]] += 1e-3
-        assert info_nce_loss(worse, sel, 0.1)[0] > base
+        assert contrastive_loss(worse, sel, _infonce(0.1))[0] > base
 
     def test_bad_temperature(self):
-        s = np.eye(2)
         with pytest.raises(ConfigError):
-            info_nce_loss(s, select_negatives(s, 1), 0.0)
+            _infonce(0.0)
         with pytest.raises(ConfigError):
             LossConfig(mode="infonce-adaptive", temperature=-1.0)
 
@@ -363,7 +390,8 @@ class TestNegativesOnlyInfoNCE:
         rng = np.random.default_rng(9)
         for _ in range(20):
             s = rng.uniform(-1, 1, size=(6, 6))
-            loss, _ = negatives_only_info_nce(s, select_negatives(s, 3), 0.05)
+            loss, _ = contrastive_loss(s, select_negatives(s, 3),
+                                       _negatives_only(0.05))
             t2i, i2t = _select_oracle(s.tolist(), 3)
             ref = 0.0
             for i in range(6):
@@ -378,13 +406,13 @@ class TestNegativesOnlyInfoNCE:
         rng = np.random.default_rng(10)
         s = rng.uniform(-0.5, 0.5, size=(4, 4))
         sel = select_negatives(s, 2)
-        _, grad = negatives_only_info_nce(s, sel, 0.1)
+        _, grad = contrastive_loss(s, sel, _negatives_only(0.1))
         np.testing.assert_allclose(np.diag(grad), -2.0 / (4 * 0.1), atol=1e-12)
 
     def test_can_go_negative_once_separated(self):
         s = np.full((3, 3), -0.9) + np.eye(3) * 1.8
         sel = select_negatives(s, 1)
-        loss, _ = negatives_only_info_nce(s, sel, 0.05)
+        loss, _ = contrastive_loss(s, sel, _negatives_only(0.05))
         assert loss < 0.0
 
 
@@ -406,10 +434,10 @@ class TestWideBatch:
         sel = select_negatives(s, k)
         t2i, i2t = _select_oracle(s.tolist(), k)
         if with_positive:
-            loss, grad = info_nce_loss(s, sel, 0.05)
+            loss, grad = contrastive_loss(s, sel, _infonce(0.05))
             ref = _infonce_oracle(s.tolist(), t2i, i2t, 0.05)
         else:
-            loss, grad = negatives_only_info_nce(s, sel, 0.05)
+            loss, grad = contrastive_loss(s, sel, _negatives_only(0.05))
             ref = _negatives_only_oracle(s.tolist(), t2i, i2t, 0.05)
         assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
         ref_grad = _contrastive_grad_oracle(s.tolist(), t2i, i2t, 0.05,
@@ -419,19 +447,19 @@ class TestWideBatch:
     @pytest.mark.parametrize("tied", [False, True])
     def test_hard_triplet_matches_oracles(self, tied):
         s = self.similarity(tied)
-        loss, grad = hard_triplet_loss(s, 0.2)
+        loss, grad = _triplet(s, 0.2)
         ref = _triplet_oracle(s.tolist(), 0.2)
         assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
         np.testing.assert_allclose(grad, _triplet_grad_oracle(s.tolist(), 0.2),
                                    rtol=0.0, atol=1e-12)
 
 
-class TestAdoptLoss:
+class TestAdaptiveMode:
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             s = rng.uniform(-1, 1, size=(8, 8))
-            loss, maturity, _ = adopt_loss(s, 0.05)
+            loss, _, maturity = batch_loss(s, _negatives_only(0.05))
             ref_loss, ga, gu, k = _adopt_oracle(s.tolist(), 0.05)
             assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
             assert maturity.k_selected == k
@@ -439,13 +467,13 @@ class TestAdoptLoss:
             assert abs(maturity.gamma_uniform - gu) <= 1e-12
 
     def test_all_zero_similarities(self):
-        loss, maturity, _ = adopt_loss(np.zeros((6, 6)), 0.05)
+        loss, _, maturity = batch_loss(np.zeros((6, 6)), _negatives_only(0.05))
         assert maturity.gamma_align == 0.0
         assert maturity.gamma_uniform == 0.0
         assert maturity.k_selected == 5
 
     def test_perfectly_trained_batch(self):
-        loss, maturity, _ = adopt_loss(np.eye(4), 0.05)
+        loss, _, maturity = batch_loss(np.eye(4), _negatives_only(0.05))
         assert maturity.gamma_align == 1.0
         expected_gu = math.log((4 * math.e + 12) / 16)
         assert abs(maturity.gamma_uniform - expected_gu) <= 1e-12
@@ -453,46 +481,44 @@ class TestAdoptLoss:
         assert maturity.k_selected == 1
         assert loss < 0.0  # positives already clear the negatives
 
-    def test_batch_is_scanned_once_per_public_step(self, monkeypatch):
-        # select_negatives and the loss each check s; nothing else rescans it
-        calls = []
-        real = objectives.finite_matrix
-        monkeypatch.setattr(objectives, "finite_matrix",
-                            lambda m, name: calls.append(name) or real(m, name))
-        adopt_loss(np.random.default_rng(13).uniform(-1, 1, (6, 6)), 0.05)
-        assert len(calls) == 2
-
     def test_gammas_always_clamped(self):
         rng = np.random.default_rng(12)
         s = rng.uniform(-1, 1, size=(5, 5)) * 0.99
-        _, maturity, _ = adopt_loss(s, 0.05)
+        _, maturity = negative_count(s, _negatives_only(0.05))
         assert 0.0 <= maturity.gamma_align <= 1.0
         assert 0.0 <= maturity.gamma_uniform <= 1.0
 
 
 class TestBatchLoss:
-    def test_each_mode_equals_its_direct_call(self):
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_equals_its_term_at_the_pinned_selection(self, mode):
+        # the gradient checks run contrastive_loss on the selection
+        # negative_count picks; training runs batch_loss
         s = np.random.default_rng(16).uniform(-1, 1, size=(6, 6))
-        loss, grad, maturity = batch_loss(s, LossConfig("hard-triplet", margin=0.3))
-        assert (loss, maturity) == (hard_triplet_loss(s, 0.3)[0], None)
-        assert np.array_equal(grad, hard_triplet_loss(s, 0.3)[1])
-        loss, grad, maturity = batch_loss(
-            s, LossConfig("infonce-fixed", temperature=0.1, fixed_k=3))
-        ref_loss, ref_grad = info_nce_loss(s, select_negatives(s, 3), 0.1)
-        assert (loss, maturity) == (ref_loss, None)
-        assert np.array_equal(grad, ref_grad)
-        loss, grad, maturity = batch_loss(
-            s, LossConfig("infonce-adaptive", temperature=0.1))
-        ref_loss, ref_maturity, ref_grad = adopt_loss(s, 0.1)
+        cfg = LossConfig(mode, margin=0.3, temperature=0.1, fixed_k=3)
+        k, ref_maturity = negative_count(s, cfg)
+        ref_loss, ref_grad = contrastive_loss(s, select_negatives(s, k), cfg)
+        loss, grad, maturity = batch_loss(s, cfg)
         assert (loss, maturity) == (ref_loss, ref_maturity)
-        assert isinstance(maturity, BatchMaturity)
         assert np.array_equal(grad, ref_grad)
+        assert isinstance(maturity, BatchMaturity) == (mode == "infonce-adaptive")
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_batch_is_scanned_once_per_public_step(self, mode, monkeypatch):
+        # batch_loss checks s; its K rule, selection and term reuse it
+        calls = []
+        real = objectives.finite_matrix
+        monkeypatch.setattr(objectives, "finite_matrix",
+                            lambda m, name: calls.append(name) or real(m, name))
+        batch_loss(np.random.default_rng(13).uniform(-1, 1, (6, 6)),
+                   LossConfig(mode, fixed_k=3))
+        assert len(calls) == 1
 
     def test_fixed_k_is_clamped_to_the_batch(self):
         s = np.random.default_rng(17).uniform(-1, 1, size=(3, 3))
-        loss, grad, _ = batch_loss(
-            s, LossConfig("infonce-fixed", temperature=0.1, fixed_k=10))
-        ref_loss, ref_grad = info_nce_loss(s, select_negatives(s, 2), 0.1)
+        loss, grad, _ = batch_loss(s, _infonce(0.1, 10))
+        ref_loss, ref_grad = contrastive_loss(s, select_negatives(s, 2),
+                                              _infonce(0.1, 10))
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
 

@@ -7,7 +7,7 @@ from adret import encoders, training
 from adret.data import SyntheticCorpusConfig, generate_splits
 from adret.encoders import BiEncoder, init_encoder_params
 from adret.errors import ConfigError, TrainingDivergedError
-from adret.objectives import LossConfig, hard_triplet_loss
+from adret.objectives import LossConfig, batch_loss
 from adret.pooling import PoolingSpec
 from adret.training import (
     AdamState,
@@ -144,7 +144,7 @@ class TestTrainLoop:
         # perfectly separated batch at zero margin: loss and gradient vanish,
         # so Adam holds every parameter fixed
         s = np.eye(4) * 0.9
-        loss, grad = hard_triplet_loss(s, 0.0)
+        loss, grad, _ = batch_loss(s, LossConfig("hard-triplet", margin=0.0))
         assert loss == 0.0 and np.array_equal(grad, np.zeros((4, 4)))
 
 
