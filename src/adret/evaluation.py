@@ -3,15 +3,17 @@
 Direction naming: caption retrieval takes captions as queries and ranks
 images; image retrieval takes images as queries and ranks captions.
 
-Candidates rank by descending score, ties toward the smaller index. A
-query hits at K when its best relevant candidate has 0-based rank < K, where
-rank = #(score > best) + #(score == best at a smaller index), counted with
-no sort: one pass over contiguous blocks of score-matrix rows gives both
-directions' ranks, so every K comes from that pass. The pass also checks
-each block's finiteness before it counts it, while the block is in cache,
-so no separate scan reads the whole matrix. A NaN or inf score raises
-EvaluationError, but the ground truth is read first, as ``relevant_pairs``
-(which a split builds once), so a query missing from it raises DataError.
+Candidates rank by descending score, ties toward the smaller index. A query
+hits at K when its best relevant candidate has 0-based rank < K, where rank =
+#(score > best) + #(score == best at a smaller index), counted with no sort:
+one pass over contiguous blocks of score-matrix rows gives both directions'
+ranks, so every K comes from that pass. Each block's maxima first skip the
+queries that no score beats: fast when most rank first, one extra pass when
+few do. The pass also checks each block's finiteness before it counts it,
+while the block is in cache, so no separate scan reads the whole matrix. A NaN
+or inf score raises EvaluationError, but the ground truth is read first, as
+``relevant_pairs`` (which a split builds once), so a query missing from it
+raises DataError.
 """
 
 from __future__ import annotations
@@ -94,13 +96,17 @@ def _rank_counts(scores: Array, row_best: np.ndarray, col_best=None):
     A row counts #(s > best), plus its ties at smaller columns where its
     best value occurs twice or more. A column adds #(s >= best), as
     ``s > nextafter(best, -inf)``, in blocks above its best row, then
-    #(s > best), plus the ties above it in its own block. Each comparison
-    goes into one reused boolean buffer and is counted as a byte sum."""
+    #(s > best), plus the ties above it in its own block. Max first: a row
+    whose argmax (first maximum) is its best column has rank 0, a column
+    whose block maximum is not above its threshold adds 0, and the rest
+    are gathered and counted. A block with over half its rows left counts
+    whole in place, with no column maxima; so do the columns of one with
+    over half its columns left."""
     n_rows, n_columns = scores.shape
     step = _block_rows(n_columns)
     columns = np.arange(n_columns)
     row_top = scores[np.arange(n_rows), row_best]
-    row_ranks = np.empty(n_rows, dtype=np.intp)
+    row_ranks = np.zeros(n_rows, dtype=np.intp)
     col_ranks = None if col_best is None else np.zeros(n_columns, dtype=np.intp)
     if col_best is not None:
         col_top = scores[col_best, columns]
@@ -109,27 +115,36 @@ def _rank_counts(scores: Array, row_best: np.ndarray, col_best=None):
     for lo in range(0, n_rows, step):
         block = finite_matrix(scores[lo:lo + step], "score matrix")
         hi = lo + len(block)
-        mask = buffer[:hi - lo]
-        top = row_top[lo:hi, None]
-        row_ranks[lo:hi] = _count(np.greater(block, top, out=mask), axis=1)
-        tied = np.flatnonzero(_count(np.equal(block, top, out=mask), axis=1) > 1)
-        row_ranks[lo + tied] += _count(
-            mask[tied] & (columns < row_best[lo + tied, None]), axis=1)
+        rows = _failing(block.argmax(axis=1) != row_best[lo:hi])
+        sub, best = block[rows], row_best[lo:hi][rows]
+        top, mask = row_top[lo:hi, None][rows], buffer[:len(sub)]
+        ranks = _count(np.greater(sub, top, out=mask), axis=1)
+        tied = np.flatnonzero(_count(np.equal(sub, top, out=mask), axis=1) > 1)
+        ranks[tied] += _count(mask[tied] & (columns < best[tied, None]), axis=1)
+        row_ranks[lo:hi][rows] = ranks
         if col_best is not None:
-            after = col_best >= hi
-            col_ranks += _count(np.greater(
-                block, np.where(after, col_ge, col_top), out=mask), axis=0)
-            inside = np.flatnonzero((col_best >= lo) & ~after)
+            bound = np.where(col_best >= hi, col_ge, col_top)
+            cols = rows if isinstance(rows, slice) else _failing(block.max(0) > bound)
+            sub = block[:, cols]
+            col_ranks[cols] += _count(np.greater(
+                sub, bound[cols], out=buffer[:hi - lo, :sub.shape[1]]), axis=0)
+            inside = np.flatnonzero((col_best >= lo) & (col_best < hi))
             col_ranks[inside] += _count(
                 (block[:, inside] == col_top[inside])
                 & (np.arange(lo, hi)[:, None] < col_best[inside]), axis=0)
     return row_ranks, col_ranks
 
 
+def _failing(fails: np.ndarray):
+    """Indices where ``fails`` holds, or a slice of all (a view) where over half do."""
+    index = np.flatnonzero(fails)
+    return index if 2 * len(index) <= len(fails) else slice(None)
+
+
 def _count(mask: np.ndarray, axis: int) -> np.ndarray:
-    """True entries of a boolean matrix along ``axis``, summed as bytes,
-    which is faster than ``np.count_nonzero(mask, axis)``."""
-    return mask.view(np.uint8).sum(axis=axis, dtype=np.uint32)
+    """True entries of a boolean matrix along ``axis``, summed as bytes in the
+    narrowest integer that holds them: faster than ``np.count_nonzero``."""
+    return mask.view(np.uint8).sum(axis, dtype=np.min_scalar_type(mask.shape[axis]))
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:
@@ -167,7 +182,7 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
         for img_idx in np.array_split(np.arange(len(image_ids)), folds):
             fold_image_ids = [image_ids[i] for i in img_idx]
             caption_ids = [tid for iid in fold_image_ids
-                           for tid in sorted(truth[iid])]
+                           for tid in sorted(truth.get(iid, ())) if tid in text_row]
             rows = [text_row[tid] for tid in caption_ids]
             parts.append(evaluate_scores(scores[np.ix_(rows, img_idx)],
                                          caption_ids, fold_image_ids, truth))

@@ -304,6 +304,24 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\[1, 4\].*got 6"):
             evaluate_scores(scores, tids, iids, truth, 6)
 
+    @pytest.mark.parametrize("folds", [1, 2])
+    def test_image_missing_from_truth_is_data_error(self, folds):
+        tids, iids, truth = _grouped(6, 3)
+        del truth["i000004"]
+        scores = np.random.default_rng(14).standard_normal((len(tids), len(iids)))
+        with pytest.raises(DataError, match="'i000004' missing from ground truth"):
+            evaluate_scores(scores, tids, iids, truth, folds)
+
+    @pytest.mark.parametrize("folds", [1, 2])
+    def test_truth_captions_outside_the_index_are_ignored(self, folds):
+        # "t" sorts before every indexed caption, "t000004a" between two
+        tids, iids, truth = _grouped(6, 3)
+        scores = np.random.default_rng(15).standard_normal((len(tids), len(iids)))
+        expected = evaluate_scores(scores, tids, iids, truth, folds)
+        truth["i000001"] = truth["i000001"] | {"t", "t000004a"}
+        truth["i000005"] = truth["i000005"] | {"t999999"}
+        assert evaluate_scores(scores, tids, iids, truth, folds) == expected
+
 
 def _grouped(n_images, captions):
     """Ids and truth where caption t describes image t // captions; the
@@ -363,6 +381,92 @@ class TestCountingBlocks:
             evaluate_scores(scores, ["t0", "t1"], ["i0", "i1"], truth)
         with pytest.raises(DataError, match="'t1' missing"):
             recall_at_k(scores, ["t0", "t1"], ["i0", "i1"], truth, 1)
+
+
+def _rank_scan(scores, relevant):
+    """Each query's 0-based rank of its best relevant candidate, from a full
+    sort of its row by (-score, index)."""
+    ranks = []
+    for row, rel in zip(scores.tolist(), relevant):
+        order = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        ranks.append(min(order.index(j) for j in rel))
+    return ranks
+
+
+class TestMaxFirstCounting:
+    """A block counts only the caption rows whose first maximum is not their
+    best relevant column and the image columns whose block maximum beats
+    their threshold: all of the block where more than half of its rows are
+    left, all of its columns where more than half of them are. Under
+    ``small_blocks`` the 128 x 32 matrices below are four blocks of 32 rows;
+    caption t describes image t // 4."""
+
+    N_IMAGES, CAPTIONS = 32, 4
+
+    def _check(self, scores):
+        """Integer ranks both ways equal the rank scan's, with and without
+        the column pass; recall_at_k and evaluate_scores equal the oracle."""
+        tids, iids, truth = _grouped(self.N_IMAGES, self.CAPTIONS)
+        row_best = evaluation._best_relevant(
+            scores, evaluation.relevant_pairs(tids, iids, truth))
+        col_best = evaluation._best_relevant(
+            scores.T, evaluation.relevant_pairs(iids, tids, truth))
+        rows, cols = evaluation._rank_counts(scores, row_best, col_best)
+        caption_relevant = [{t // self.CAPTIONS} for t in range(len(tids))]
+        assert rows.tolist() == _rank_scan(scores, caption_relevant)
+        assert cols.tolist() == _rank_scan(scores.T, [
+            set(range(j * self.CAPTIONS, (j + 1) * self.CAPTIONS))
+            for j in range(self.N_IMAGES)])
+        only_rows, no_cols = evaluation._rank_counts(scores, row_best)
+        assert no_cols is None and only_rows.tolist() == rows.tolist()
+        for k in (1, 5, 10):
+            assert recall_at_k(scores, tids, iids, truth, k) == _recall_oracle(
+                scores.tolist(), caption_relevant, k)
+        _both_directions(scores, caption_relevant)
+        return rows, cols
+
+    def test_planted_ties_and_crowded_blocks(self, small_blocks):
+        step = _block_rows(self.N_IMAGES)
+        assert step == 32
+        rng = np.random.default_rng(16)
+        t = np.arange(self.N_IMAGES * self.CAPTIONS)
+        scores = np.round(rng.uniform(-8, 8, (len(t), self.N_IMAGES))) / 16
+        scores[t, t // self.CAPTIONS] = 1.0
+        # rows 40 and 120 tie their best column with an earlier one, so their
+        # first maximum lands early; rows 0, 5, 33 and 100 tie after it
+        scores[40, 3] = scores[120, 12] = scores[100, 30] = 1.0
+        scores[[5, 33], 12] = 1.0
+        # row 0 ties 24 of the 32 columns (best rows 32 on), so more than
+        # half of block 0's columns are left while none of its rows are
+        scores[0, 8:] = 1.0
+        # 20 of block 2's rows are beaten at column 0, which they outrank too;
+        # block 3 next to it has two rows left, and row 101 alone outranks
+        # column 5's best row (20), so block 3 gathers that one column
+        scores[64:84, 0] = scores[101, 5] = 1.5
+        fails = [np.count_nonzero(scores[lo:lo + step].argmax(axis=1)
+                                  != t[lo:lo + step] // self.CAPTIONS)
+                 for lo in range(0, len(t), step)]
+        assert fails == [0, 1, 20, 2]
+        rows, cols = self._check(scores)
+        assert rows[[40, 120]].tolist() == [1, 1]
+        assert rows[[0, 5, 33, 100]].tolist() == [0, 0, 0, 0]
+        assert rows[64:84].tolist() == [1] * 20 and rows[101] == 1
+        # column 12 (best row 48, block 1) ties rows 0 and 5 in block 0 and
+        # row 33 in its own block above it; row 120 in block 3 does not count
+        assert cols[12] == 3 and cols[0] == 20 and cols[3] == 0 and cols[5] == 1
+        assert (cols[8:] >= 1).all()
+
+    @pytest.mark.parametrize("noise", [0.05, 0.3, 1.0, 5.0])
+    def test_tie_heavy_matrices_at_every_recall_level(self, small_blocks, noise):
+        # scores on a 1/16 grid: from nearly every query ranking first to
+        # near chance, with ties everywhere
+        rng = np.random.default_rng(17)
+        t = np.arange(self.N_IMAGES * self.CAPTIONS)
+        scores = noise * rng.standard_normal((len(t), self.N_IMAGES))
+        scores[t, t // self.CAPTIONS] += 1.0
+        scores = np.round(scores * 16) / 16
+        assert len(np.unique(scores)) < scores.size // 4
+        self._check(scores)
 
 
 def _tiny_split():
