@@ -142,9 +142,9 @@ def _failing(fails: np.ndarray):
 
 
 def _count(mask: np.ndarray, axis: int) -> np.ndarray:
-    """True entries of a boolean matrix along ``axis``, summed as bytes in the
-    narrowest integer that holds them: faster than ``np.count_nonzero``."""
-    return mask.view(np.uint8).sum(axis, dtype=np.min_scalar_type(mask.shape[axis]))
+    """True entries of a boolean matrix along ``axis``, summed as bytes,
+    which is faster than ``np.count_nonzero(mask, axis)``."""
+    return mask.view(np.uint8).sum(axis=axis, dtype=np.uint32)
 
 
 def _recall(ranks: np.ndarray, k: int) -> float:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cost of Recall@K ranking across recall levels, for one source tree.
 
-    tools/rank_sweep.py SRC_DIR [--repeats N]
+    tools/rank_sweep.py SRC_DIR
 
 SRC_DIR is the directory that holds the adret package (a checkout's src/).
 The script builds one seeded 10000 x 2000 text-by-image score matrix at
@@ -9,7 +9,7 @@ the COCO shape (5 captions per image, caption t describing image t // 5):
 a standard normal draw, scaled by a noise level, plus 1 on every relevant
 pair. Noise 0.05 ranks nearly every query's relevant candidate first, and
 noise 5 leaves R@1 near chance. For each noise level it prints both
-directions' R@1, the RSUM and the median milliseconds of N calls to
+directions' R@1, the RSUM and the median milliseconds of REPEATS (7) calls to
 ``evaluation.rank_pairs``, the ranking that ``adret eval`` runs. Running
 it on two trees shows whether their RSUMs are equal and what each costs
 at every recall level:
@@ -30,12 +30,12 @@ import numpy as np
 
 IMAGES, CAPTIONS = 2000, 5
 NOISE = (0.05, 0.2, 0.25, 0.3, 0.4, 0.6, 1.0, 5.0)
+REPEATS = 7
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("src", type=Path)
-    p.add_argument("--repeats", type=int, default=7)
     args = p.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     from adret import evaluation
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         scores = noise * draw
         scores[relevant] += 1.0
         times = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             result = evaluation.rank_pairs(scores, text_pairs, image_pairs)
             times.append(time.perf_counter() - start)
