@@ -9,10 +9,14 @@ structure the trainable pipeline needs.
 
 Generation is fully deterministic given the seed: a single PCG64 generator
 drives the mixing matrices first, then the groups in order. Each group draws
-z, n, the image's noise, then m and the noise for each caption in turn (into
-the next rows of one scratch buffer: a group's captions are views of one array).
-Each instance is a ``RawInstance`` named tuple; group g is ``g`` + ``f"{g:06d}"``
-(``g000042``), its image ``i000042`` and its c-th caption ``t000042.c``.
+z, n, the image's noise, then m and the noise for each caption in turn, into
+the next rows of a scratch per modality. Arithmetic and allocation run per
+block of ``GENERATE_BLOCK`` groups: one array per modality holds the block's
+``tensor.matmul`` projections (row i bit-equal to ``z @ mix``) repeated down
+each group's rows, plus the scaled noise, and its instances are row views of
+it. Each instance is a ``RawInstance`` named tuple; group g is ``g`` +
+``f"{g:06d}"`` (``g000042``), its image ``i000042`` and its c-th caption
+``t000042.c``.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ import numpy as np
 from .cache import (atomic_write_bytes, atomic_write_text, cache_read_runs,
                     encode_blob)
 from .errors import ConfigError, DataError
-from .tensor import Array
+from .tensor import Array, matmul
 
 GroundTruth = Dict[str, FrozenSet[str]]
+GENERATE_BLOCK = 16  # groups per block of arithmetic in _draw_groups
 
 
 class RawInstance(NamedTuple):
@@ -71,31 +76,43 @@ class SyntheticCorpusConfig:
             raise ConfigError("corpus.noise_scale must be >= 0")
 
 
+def _block(zs: Array, mix: Array, noise: Array, ends: list, scale: float) -> Array:
+    """Rows ``ends[i]:ends[i + 1]``: ``zs[i] @ mix`` + noise, scaled in place."""
+    feats = np.repeat(matmul(zs, mix), np.diff(ends), axis=0)
+    feats += np.multiply(noise[:ends[-1]], scale, out=noise[:ends[-1]])
+    return feats
+
+
 def _draw_groups(rng: np.random.Generator, cfg: SyntheticCorpusConfig,
                  mix_v: Array, mix_t: Array, start: int, count: int) -> Corpus:
-    images = []
-    texts = []
-    noise = np.empty((cfg.captions_per_image * cfg.text_len[1], cfg.text_dim))
-    suffixes = [f".{c}" for c in range(cfg.captions_per_image)]
-    for g in range(start, start + count):
-        number = f"{g:06d}"
-        gid = "g" + number
-        z = rng.standard_normal(cfg.latent_dim)
-        n = int(rng.integers(cfg.visual_len[0], cfg.visual_len[1] + 1))
-        feats = rng.standard_normal((n, cfg.visual_dim))
-        feats *= cfg.noise_scale
-        feats += z @ mix_v
-        images.append(RawInstance("visual", feats, "i" + number, gid))
-        ends = [0]
-        for _ in range(cfg.captions_per_image):
-            m = int(rng.integers(cfg.text_len[0], cfg.text_len[1] + 1))
-            rng.standard_normal(out=noise[ends[-1]:ends[-1] + m])
-            ends.append(ends[-1] + m)
-        feats = np.multiply(noise[:ends[-1]], cfg.noise_scale)
-        feats += z @ mix_t
-        caption = "t" + number
-        texts.extend(RawInstance("text", feats[a:b], caption + suffix, gid)
-                     for suffix, a, b in zip(suffixes, ends, ends[1:]))
+    images, texts = [], []
+    per = cfg.captions_per_image
+    suffixes = [f".{c}" for c in range(per)]
+    zs = np.empty((GENERATE_BLOCK, cfg.latent_dim))
+    v_noise = np.empty((GENERATE_BLOCK * cfg.visual_len[1], cfg.visual_dim))
+    t_noise = np.empty((GENERATE_BLOCK * per * cfg.text_len[1], cfg.text_dim))
+    for first in range(start, start + count, GENERATE_BLOCK):
+        groups = range(first, min(first + GENERATE_BLOCK, start + count))
+        v_ends, t_ends = [0], [0]
+        for i in range(len(groups)):
+            rng.standard_normal(out=zs[i])
+            n = int(rng.integers(cfg.visual_len[0], cfg.visual_len[1] + 1))
+            rng.standard_normal(out=v_noise[v_ends[-1]:v_ends[-1] + n])
+            v_ends.append(v_ends[-1] + n)
+            for _ in range(per):
+                m = int(rng.integers(cfg.text_len[0], cfg.text_len[1] + 1))
+                rng.standard_normal(out=t_noise[t_ends[-1]:t_ends[-1] + m])
+                t_ends.append(t_ends[-1] + m)
+        visual = _block(zs[:len(groups)], mix_v, v_noise, v_ends, cfg.noise_scale)
+        text = _block(zs[:len(groups)], mix_t, t_noise, t_ends[::per], cfg.noise_scale)
+        for i, (g, lo, hi) in enumerate(zip(groups, v_ends, v_ends[1:])):
+            number = f"{g:06d}"
+            gid = "g" + number
+            images.append(RawInstance("visual", visual[lo:hi], "i" + number, gid))
+            ends = t_ends[i * per:(i + 1) * per + 1]
+            caption = "t" + number
+            texts.extend(RawInstance("text", text[a:b], caption + suffix, gid)
+                         for suffix, a, b in zip(suffixes, ends, ends[1:]))
     return Corpus(tuple(images), tuple(texts))
 
 

@@ -170,22 +170,25 @@ def evaluate_scores(scores: Array, text_ids: Sequence[str],
                     image_ids: Sequence[str], truth: Mapping[str, Set[str]],
                     folds: int = 1) -> RetrievalResult:
     """Both directions' R@{1,5,10} from a text-by-image score matrix,
-    averaged over ``folds`` contiguous image folds, each with its captions.
-    The averaged result's RSUM is the sum of the six averaged metrics."""
+    averaged over ``folds`` contiguous image folds. A fold ranks each caption
+    relevant to one of its images (in each fold, if they span folds), by its
+    first such image, then id. RSUM is the sum of the six averaged metrics."""
     if not 1 <= folds <= len(image_ids):
         raise ValueError(f"folds must be in [1, {len(image_ids)}] for "
                          f"{len(image_ids)} test images, got {folds}")
     scores = _score_matrix(scores, text_ids, image_ids)
-    if folds > 1:
-        text_row = {tid: i for i, tid in enumerate(text_ids)}
+    if folds > 1:  # the truth raises as at folds=1
+        queries, candidates, _ = relevant_pairs(text_ids, image_ids, truth)
         parts = []
         for img_idx in np.array_split(np.arange(len(image_ids)), folds):
-            fold_image_ids = [image_ids[i] for i in img_idx]
-            caption_ids = [tid for iid in fold_image_ids
-                           for tid in sorted(truth.get(iid, ())) if tid in text_row]
-            rows = [text_row[tid] for tid in caption_ids]
-            parts.append(evaluate_scores(scores[np.ix_(rows, img_idx)],
-                                         caption_ids, fold_image_ids, truth))
+            first = {}  # caption row -> its first relevant image in the fold
+            for q, c in zip(queries.tolist(), candidates.tolist()):
+                if img_idx[0] <= c <= img_idx[-1]:
+                    first[q] = min(c, first.get(q, c))
+            rows = sorted(first, key=lambda q: (first[q], text_ids[q]))
+            parts.append(evaluate_scores(
+                scores[np.ix_(rows, img_idx)], [text_ids[q] for q in rows],
+                [image_ids[i] for i in img_idx], truth))
         mean = {name: float(np.mean([getattr(p, name) for p in parts])) for name
                 in ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10")}
         return RetrievalResult(rsum=float(sum(mean.values())), **mean)

@@ -137,24 +137,45 @@ def _reference_splits(cfg, *counts):
     return images, texts
 
 
-class TestGenerationOracle:
-    """The group-wise draw against the per-caption reference, byte for byte."""
+def _assert_disjoint_rows(instances):
+    """Each instance's features are C-contiguous, and no two share a byte."""
+    assert all(i.features.flags.c_contiguous for i in instances)
+    spans = sorted((i.features.__array_interface__["data"][0], i.features.nbytes)
+                   for i in instances)
+    assert all(a + size <= b for (a, size), (b, _) in zip(spans, spans[1:]))
 
+
+class TestGenerationOracle:
+    """The block-wise draw against the per-caption reference, byte for byte,
+    at one group per block, at three (the 7 validation groups end in a
+    partial block) and at the default size (every split ends in one). The
+    desk shape draws no test groups."""
+
+    @pytest.fixture(params=[1, 3, data.GENERATE_BLOCK], autouse=True,
+                    ids=lambda size: f"block{size}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(data, "GENERATE_BLOCK", request.param)
+
+    @pytest.mark.parametrize("counts", [(30, 7, 9), (30, 7, 0)], ids=repr)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kwargs", [
         {}, {"noise_scale": 0.0}, {"noise_scale": 1e308},
         {"visual_len": (1, 1), "text_len": (1, 1)},
         {"text_len": (15, 15), "captions_per_image": 1}], ids=repr)
-    def test_equals_the_per_caption_draw(self, kwargs, seed):
+    def test_equals_the_per_caption_draw(self, kwargs, seed, counts):
         cfg = SyntheticCorpusConfig(num_groups=30, seed=seed, **kwargs)
-        splits = generate_splits(cfg, 30, 7, 9)
-        images, texts = _reference_splits(cfg, 30, 7, 9)
+        splits = generate_splits(cfg, *counts)
+        images, texts = _reference_splits(cfg, *counts)
+        assert [len(c.images) for c in splits.values()] == list(counts)
 
         def key(instances):
-            return [(i.modality, i.id, i.group_id, i.features.tobytes())
-                    for i in instances]
-        assert key(sum((c.images for c in splits.values()), ())) == key(images)
-        assert key(sum((c.texts for c in splits.values()), ())) == key(texts)
+            return [(i.modality, i.id, i.group_id, i.features.shape,
+                     i.features.tobytes()) for i in instances]
+        drawn_images = sum((c.images for c in splits.values()), ())
+        drawn_texts = sum((c.texts for c in splits.values()), ())
+        assert key(drawn_images) == key(images)
+        assert key(drawn_texts) == key(texts)
+        _assert_disjoint_rows(drawn_images + drawn_texts)
 
     def test_ids_past_six_digits(self):
         # the id rule is f"{g:06d}", which grows a digit at g = 10**6; the

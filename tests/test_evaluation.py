@@ -322,6 +322,71 @@ class TestEvaluate:
         truth["i000005"] = truth["i000005"] | {"t999999"}
         assert evaluate_scores(scores, tids, iids, truth, folds) == expected
 
+    @pytest.mark.parametrize("folds", [1, 2])
+    def test_caption_no_image_lists_is_ranked(self, folds):
+        # "tx" names i3, whose own set does not list it; it ranks i3 second,
+        # behind i2, so it misses R@1 in the whole matrix and in fold 2
+        scores, tids, iids, truth = _one_sided()
+        r = evaluate_scores(scores, tids, iids, truth, folds)
+        assert r.cr_r1 == pytest.approx(
+            100 * 6 / 7 if folds == 1 else (100 + 100 * 2 / 3) / 2)
+        assert r.cr_r5 == 100.0
+
+    def test_folds_rank_one_sided_captions_in_their_images_fold(self):
+        scores, tids, iids, truth = _one_sided()
+        row = {tid: i for i, tid in enumerate(tids)}
+        folds = [(["a.0", "a.1", "b.0", "b.1"], [0, 1]),
+                 (["c.0", "d.0", "tx"], [2, 3])]
+        _assert_fold_mean(scores, tids, iids, truth, row, folds)
+
+    def test_caption_whose_images_span_folds_is_ranked_in_each(self):
+        # "s" is relevant to i1 (fold 1) and i2 (fold 2): each fold ranks
+        # it against its own images, placed by its image there, then by id
+        scores, tids, iids, truth = _one_sided()
+        del truth["tx"]
+        tids = [t for t in tids if t != "tx"] + ["s"]
+        scores = np.vstack([scores[:-1], [0.0, 0.5, 0.25, 1.0]])
+        truth.update({"s": {"i1", "i2"}, "i1": {"b.0", "b.1", "s"},
+                      "i2": {"c.0", "s"}})
+        row = {tid: i for i, tid in enumerate(tids)}
+        folds = [(["a.0", "a.1", "b.0", "b.1", "s"], [0, 1]),
+                 (["c.0", "s", "d.0"], [2, 3])]
+        _assert_fold_mean(scores, tids, iids, truth, row, folds)
+
+    @pytest.mark.parametrize("folds", [1, 2])
+    def test_caption_missing_from_truth_is_data_error(self, folds):
+        scores, tids, iids, truth = _one_sided()
+        del truth["tx"]
+        with pytest.raises(DataError, match="'tx' missing from ground truth"):
+            evaluate_scores(scores, tids, iids, truth, folds)
+
+
+def _one_sided():
+    """Seven captions of four images; "tx" names i3 in the truth, but i3's
+    set does not list it. Each caption scores 1 on its image, "tx" 2 on i2."""
+    tids = ["a.0", "a.1", "b.0", "b.1", "c.0", "d.0", "tx"]
+    iids = ["i0", "i1", "i2", "i3"]
+    truth = {tid: {"i" + str("abcd".index(tid[0]))} for tid in tids[:-1]}
+    truth["tx"] = {"i3"}
+    truth.update({iid: {t for t in tids[:-1] if truth[t] == {iid}}
+                  for iid in iids})
+    scores = np.zeros((len(tids), len(iids)))
+    for t, tid in enumerate(tids[:-1]):
+        scores[t, "abcd".index(tid[0])] = 1.0
+    scores[-1, 2:] = [2.0, 1.0]
+    return scores, tids, iids, truth
+
+
+def _assert_fold_mean(scores, tids, iids, truth, row, folds):
+    """``evaluate_scores`` at len(folds) folds is the mean of each fold's
+    own call on its listed caption rows, in order, and image columns."""
+    parts = [evaluate_scores(scores[np.ix_([row[t] for t in rows], columns)],
+                             rows, [iids[j] for j in columns], truth)
+             for rows, columns in folds]
+    r = evaluate_scores(scores, tids, iids, truth, len(folds))
+    for name in ("ir_r1", "ir_r5", "ir_r10", "cr_r1", "cr_r5", "cr_r10"):
+        assert getattr(r, name) == np.mean([getattr(p, name) for p in parts])
+
 
 def _grouped(n_images, captions):
     """Ids and truth where caption t describes image t // captions; the

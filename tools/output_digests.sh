@@ -38,6 +38,8 @@
 # the same, so every column of a ragged batch ties, and the token branch
 # takes its fallback sort (a stable argsort in the VJP) on every ragged
 # training batch. The desk corpus never ties, so never takes it.
+# block-edges/ only generates, a 200/70/130-group corpus whose splits each
+# cross several generation blocks and end in a partial one.
 # Paths are printed relative to OUT_DIR, so two source trees compare with diff:
 #
 #   tools/output_digests.sh old/src /tmp/old > old.txt
@@ -171,6 +173,21 @@ done
 for pool in adpool fixed-balance; do
     run_case "$out/tied-rows-$pool" "$pool" infonce-adaptive 32 3 "noise_scale = 0"
 done
+# Generate only, 200/70/130 groups: each split crosses several blocks of
+# data.GENERATE_BLOCK groups and ends in a partial one.
+edges="$out/block-edges"
+mkdir "$edges"
+cat > "$edges/exp.ini" <<INI
+[corpus]
+seed = 1234
+train_groups = 200
+val_groups = 70
+test_groups = 130
+
+[output]
+dir = $edges
+INI
+adret generate --config "$edges/exp.ini" > "$edges/generate.out"
 for seed in 0 1 2 3 4; do
     adret gradcheck --seed "$seed" > "$out/gradcheck-$seed.out"
 done
