@@ -83,7 +83,7 @@ def parse_weights(raw: str, name: str) -> tuple[float, float]:
 
 _POOLING = {
     "method": (_text, "adpool"),  # mean | max | kmax | adpool | manual | fixed-balance
-    "k": (_integer, REQUIRED),  # read by kmax only; <= corpus.<modality>_len_min
+    "k": (_count, REQUIRED),  # read by kmax only; <= corpus.<modality>_len_min
     "weights": (parse_weights, REQUIRED),  # read by fixed-balance only
 }
 
@@ -117,7 +117,7 @@ KEYS = {
         "loss": (_text, "infonce-adaptive"),
         "margin": (_number, 0.2),
         "temperature": (_number, 0.05),
-        "fixed_k": (_integer, None),  # infonce-fixed only
+        "fixed_k": (_count, None),  # infonce-fixed only
     },
     "eval": {"folds": (_count, 1)},
     "output": {"dir": (_text, REQUIRED)},

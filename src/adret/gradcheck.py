@@ -24,8 +24,8 @@ Which negatives a loss takes is not differentiable, so every loss check
 pins it: the mode's term runs through ``contrastive_loss`` on the selection
 its K rule (``negative_count``) makes at the evaluation point, and a new
 mode is checked with no new code. The hinge has kinks of its own, so
-hard-triplet checks redraw their random inputs until every hinge argument
-and every argmax gap clears the perturbation size by a wide margin.
+hard-triplet checks redraw their random inputs until the hinge argument of
+every marked cell clears the perturbation size by a wide margin.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .tensor import (GradCheckReport, finite_diff_check, softmax_columns,
                      sort_desc_per_column_vjp)
 from .training import batch_step
 
-_KINK_CLEARANCE = 1e-3  # required distance from hinge zeros and argmax ties
+_KINK_CLEARANCE = 1e-3  # required distance of a marked cell from its hinge zero
 
 # one encoder check per pooling method, and per mode where the method has two
 _ENCODE_SPECS = (
@@ -121,29 +121,30 @@ def _loss_op(sel, cfg: LossConfig):
     return op
 
 
-def _triplet_safe(s: np.ndarray, margin: float) -> bool:
-    """True when every hinge argument and argmax gap clears the kink zone."""
-    masked = np.where(np.eye(len(s), dtype=bool), -np.inf, s)
-    second, first = np.sort(np.concatenate([masked, masked.T]), axis=1)[:, -2:].T
-    hinge = margin - np.tile(np.diag(s), 2) + first
-    return (float((first - second).min()) > _KINK_CLEARANCE
-            and float(np.abs(hinge).min()) > _KINK_CLEARANCE)
+def _hinge_clear(s: np.ndarray, sel, margin: float) -> bool:
+    """True when every marked cell's hinge argument clears the kink zone."""
+    shift = (margin - np.diag(s))[:, None]
+    return all(np.abs(shift + side)[mask].min() > _KINK_CLEARANCE for side, mask
+               in ((s, sel.text_to_image), (s.T, sel.image_to_text)))
 
 
 def _kink_free(draw, similarity, cfg: LossConfig):
-    """The first of up to 100 ``draw()``s where cfg's loss is smooth: any
-    draw under a pinned InfoNCE selection, a triplet-safe one for the hinge."""
+    """(x, sel): the first of up to 100 ``draw()``s where cfg's loss is smooth
+    under the selection ``sel`` pinned at ``similarity(x)``. Under InfoNCE
+    that is any draw, under the hinge one whose marked cells clear its kinks."""
     for _ in range(100):
         x = draw()
-        if cfg.mode != "hard-triplet" or _triplet_safe(similarity(x), cfg.margin):
-            return x
-    raise RuntimeError("could not draw a kink-free triplet test point")
+        s = similarity(x)
+        sel = _pinned(s, cfg)
+        if cfg.mode != "hard-triplet" or _hinge_clear(s, sel, cfg.margin):
+            return x, sel
+    raise RuntimeError("could not draw a kink-free hinge test point")
 
 
-def _pipeline_check(cfg: LossConfig, texts, images, model: BiEncoder):
+def _pipeline_check(cfg: LossConfig, texts, images, model: BiEncoder, sel):
     """encode both sides -> similarity -> cfg's term through the trainer's
     own ``batch_step``, as a function of every parameter tensor, with the
-    selection pinned where the model's similarity puts it.
+    selection pinned at ``sel``, where the model's similarity puts it.
 
     Returns (name, op, inputs): the inputs are ``model.tensors()``' values
     in order; the feature matrices are fixed data. cfg's loss must be
@@ -151,7 +152,6 @@ def _pipeline_check(cfg: LossConfig, texts, images, model: BiEncoder):
     """
     tensors = model.tensors()
     keys = list(tensors)
-    sel = _pinned(_similarity(model, texts, images), cfg)
 
     def op(*inputs):
         loss, _, grads = batch_step(BiEncoder.from_tensors(
@@ -225,12 +225,12 @@ def build_checks(rng: np.random.Generator) -> list[tuple]:
     # per loss mode, its term on a random batch, then the pipeline
     for mode in LOSS_MODES:
         cfg = LossConfig(mode, margin=0.2, temperature=0.5, fixed_k=3)
-        s = _kink_free(lambda: rng.uniform(-1.0, 1.0, size=(b, b)),
-                       lambda s: s, cfg)
-        checks.append((f"loss[{mode}]", _loss_op(_pinned(s, cfg), cfg), [s]))
-        model = _kink_free(draw_model, lambda m: _similarity(m, texts, images),
-                           cfg)
-        checks.append(_pipeline_check(cfg, texts, images, model))
+        s, sel = _kink_free(lambda: rng.uniform(-1.0, 1.0, size=(b, b)),
+                            lambda s: s, cfg)
+        checks.append((f"loss[{mode}]", _loss_op(sel, cfg), [s]))
+        model, sel = _kink_free(draw_model,
+                                lambda m: _similarity(m, texts, images), cfg)
+        checks.append(_pipeline_check(cfg, texts, images, model, sel))
     return checks
 
 

@@ -8,10 +8,10 @@ in both retrieval directions, with its K hardest in-batch negatives.
 B x B masks, ``tensor.top_k_mask`` at each row's K-th largest value) and
 applies the mode's term, which ``contrastive_loss`` applies to a pinned
 selection. One kernel runs the term on each direction's similarities and
-mask as dense array ops, so every sum runs in column order: the K = 1
-hinge with margin, summed over the batch, or a masked InfoNCE logsumexp,
-averaged, with the positive in the denominator (saturating) or not. Each
-returns its gradient with respect to S alongside the value.
+mask as dense array ops, so every sum runs in column order: the hinge
+with margin over each anchor's K marked negatives, summed, or a masked
+InfoNCE logsumexp, averaged, with the positive in the denominator
+(saturating) or not. Each returns its gradient with respect to S too.
 
 The adaptive mode re-derives K every batch from two batch statistics:
 alignment (mean positive similarity) and uniformity (log-mean-exp of all
@@ -167,12 +167,13 @@ def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:
 
 
 def _hinge(margin: float):
-    """The hard triplet's term: per anchor margin - pos + its one negative,
-    where positive. An exactly-zero hinge contributes no gradient."""
+    """The hinge term: per anchor the sum over its marked negatives of
+    margin - pos + the negative, where positive. An exactly-zero hinge
+    contributes no gradient."""
     def term(side, pos, mask):
-        h = margin - pos + side[mask]
-        act = h > 0
-        return float(h[act].sum()), -1.0 * act, 1.0 * (mask & act[:, None])
+        h = (margin - pos)[:, None] + side
+        act = mask & (h > 0)
+        return float(h[act].sum()), -1.0 * act.sum(axis=1), 1.0 * act
 
     return term
 
@@ -217,17 +218,12 @@ def _loss(s: Array, sel: NegativeSelection, cfg: LossConfig) -> tuple[float, Arr
 def contrastive_loss(s: Array, sel: NegativeSelection,
                      cfg: LossConfig) -> tuple[float, Array]:
     """(loss, d_loss/d_s) of cfg's term against the pinned selection ``sel``;
-    the hard triplet takes exactly one negative per anchor."""
+    every term takes any selection, whatever K its mode's rule gives."""
     s = _square(s, "similarity matrix")
     masks = (sel.text_to_image, sel.image_to_text)
     if any(m.shape != s.shape for m in masks):
         raise DimensionError(f"selection masks are {masks[0].shape} "
                              f"and {masks[1].shape}, batch is {s.shape}")
-    if cfg.mode == "hard-triplet":
-        counts = np.unique([m.sum(axis=1) for m in masks]).tolist()
-        if counts != [1]:
-            raise ValueError("hard-triplet takes K = 1 negative per anchor, "
-                             f"the selection marks K in {counts}")
     return _loss(s, sel, cfg)
 
 

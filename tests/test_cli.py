@@ -268,7 +268,25 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert main(["train", "--config", cfg, "--loss", "infonce-fixed",
                      "--k", "0"]) == 1
-        assert "fixed_k >= 1" in capsys.readouterr().err
+        assert "train.fixed_k must be >= 1" in capsys.readouterr().err
+
+    def test_fixed_k_is_a_count_under_a_loss_that_ignores_it(self, tmp_path,
+                                                             capsys):
+        cfg, _ = _write_config(tmp_path)
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("epochs = 2\n", "epochs = 2\n"
+                                  "loss = hard-triplet\nfixed_k = -3\n"))
+        assert main(["train", "--config", cfg]) == 1
+        assert "train.fixed_k must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["adpool", "mean"])
+    def test_pooling_k_is_a_count_under_a_method_that_ignores_it(
+            self, tmp_path, capsys, method):
+        cfg, _ = _write_config(
+            tmp_path, **{"pooling.visual": [f"method = {method}", "k = -2"]})
+        assert main(["train", "--config", cfg]) == 1
+        assert "pooling.visual.k must be >= 1" in capsys.readouterr().err
 
     def test_overflowing_gradient_is_numerical_error(self, tmp_path, capsys):
         # the loss stays finite, but Adam's squared gradient overflows

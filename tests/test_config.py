@@ -116,6 +116,8 @@ def test_keys_a_method_does_not_read_are_parsed(tmp_path):
             _load(tmp_path, BASE + section + "weights = banana\n")
         with pytest.raises(ConfigError, match=r"pooling\.visual\.k must"):
             _load(tmp_path, BASE + section, {"pooling.visual.k": "three"})
+        with pytest.raises(ConfigError, match=r"pooling\.visual\.k must be >= 1"):
+            _load(tmp_path, BASE + section, {"pooling.visual.k": "-2"})
         cfg = _load(tmp_path, BASE + section + "k = 3\nweights = 1, 0\n")
         assert cfg.visual_pooling == PoolingSpec(method)
 
@@ -151,6 +153,9 @@ def test_fixed_loss_requires_k(tmp_path):
     cfg = _load(tmp_path, BASE, {"train.loss": "infonce-fixed",
                                  "train.fixed_k": "8"})
     assert cfg.train.loss.fixed_k == 8
+    with pytest.raises(ConfigError, match=r"train\.fixed_k must be >= 1"):
+        _load(tmp_path, BASE, {"train.loss": "hard-triplet",
+                               "train.fixed_k": "-3"})
 
 
 @pytest.mark.parametrize("section,key", [

@@ -47,31 +47,34 @@ def _negatives_only(tau):
 # independent scalar oracles
 # ---------------------------------------------------------------------------
 
-def _triplet_oracle(s, margin):
-    b = len(s)
+def _triplet_oracle(s, margin, k=1):
+    """The hinge summed over each anchor's k hardest negatives (the smaller
+    index on a tie), both directions; k = 1 is the hard triplet."""
+    t2i, i2t = _select_oracle(s, k)
     total = 0.0
-    for i in range(b):
-        hardest_col = max((s[i][j], -j) for j in range(b) if j != i)
-        hardest_row = max((s[j][i], -j) for j in range(b) if j != i)
-        total += max(0.0, margin - s[i][i] + hardest_col[0])
-        total += max(0.0, margin - s[i][i] + hardest_row[0])
+    for i in range(len(s)):
+        for j in t2i[i]:
+            total += max(0.0, margin - s[i][i] + s[i][j])
+        for j in i2t[i]:
+            total += max(0.0, margin - s[i][i] + s[j][i])
     return total
 
 
-def _triplet_grad_oracle(s, margin):
-    """dL/dS of the hard triplet: +1 on each active hinge's hardest negative
-    (the smaller index on a tie), -1 on its positive."""
+def _triplet_grad_oracle(s, margin, k=1):
+    """dL/dS of the k-negative hinge: +1 on each active hinge's negative,
+    -1 on its positive."""
     b = len(s)
+    t2i, i2t = _select_oracle(s, k)
     grad = [[0.0] * b for _ in range(b)]
     for i in range(b):
-        j = -max((s[i][j], -j) for j in range(b) if j != i)[1]
-        if margin - s[i][i] + s[i][j] > 0:
-            grad[i][j] += 1.0
-            grad[i][i] -= 1.0
-        j = -max((s[j][i], -j) for j in range(b) if j != i)[1]
-        if margin - s[i][i] + s[j][i] > 0:
-            grad[j][i] += 1.0
-            grad[i][i] -= 1.0
+        for j in t2i[i]:
+            if margin - s[i][i] + s[i][j] > 0:
+                grad[i][j] += 1.0
+                grad[i][i] -= 1.0
+        for j in i2t[i]:
+            if margin - s[i][i] + s[j][i] > 0:
+                grad[j][i] += 1.0
+                grad[i][i] -= 1.0
     return np.array(grad)
 
 
@@ -208,14 +211,28 @@ class TestHardTriplet:
         with pytest.raises(EvaluationError, match="similarity matrix"):
             contrastive_loss(s, select_negatives(np.eye(2), 1), _infonce(0.05))
 
-    def test_pinned_selection_must_mark_one_negative_per_anchor(self):
+    def test_pinned_selection_at_k_1_is_the_training_loss(self):
         s = np.random.default_rng(15).uniform(-1, 1, size=(4, 4))
         cfg = LossConfig("hard-triplet", margin=0.2)
         loss, grad = contrastive_loss(s, select_negatives(s, 1), cfg)
         ref_loss, ref_grad = _triplet(s, 0.2)
         assert loss == ref_loss and np.array_equal(grad, ref_grad)
-        with pytest.raises(ValueError, match="K = 1"):
-            contrastive_loss(s, select_negatives(s, 2), cfg)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("margin", [0.0, 0.2])
+    @pytest.mark.parametrize("k", [1, 2, 5, 15])
+    def test_k_negative_hinge_matches_oracles(self, k, margin, tied):
+        # rounded to tenths, rows tie among the negatives and hinges at zero
+        cfg = LossConfig("hard-triplet", margin=margin)
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            s = rng.uniform(-1, 1, size=(16, 16))
+            s = np.round(s, 1) if tied else s
+            loss, grad = contrastive_loss(s, select_negatives(s, k), cfg)
+            ref = _triplet_oracle(s.tolist(), margin, k)
+            assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert np.array_equal(grad,
+                                  _triplet_grad_oracle(s.tolist(), margin, k))
 
 
 class TestBatchStatistics:

@@ -39,7 +39,11 @@
 # takes its fallback sort (a stable argsort in the VJP) on every ragged
 # training batch. The desk corpus never ties, so never takes it.
 # block-edges/ only generates, a 200/70/130-group corpus whose splits each
-# cross several generation blocks and end in a partial one.
+# cross several generation blocks and end in a partial one. hinge-k/ holds,
+# for K = 1, 3 and 15, the value and gradient bytes of `contrastive_loss`
+# under hard-triplet (margin 0.2) on one seeded 16 x 16 matrix at its
+# K-hardest selection, or the exception's class and message where the
+# source tree refuses that K.
 # Paths are printed relative to OUT_DIR, so two source trees compare with diff:
 #
 #   tools/output_digests.sh old/src /tmp/old > old.txt
@@ -188,6 +192,18 @@ test_groups = 130
 dir = $edges
 INI
 adret generate --config "$edges/exp.ini" > "$edges/generate.out"
+mkdir "$out/hinge-k"
+python3 -c 'import sys, numpy as np
+from adret.objectives import LossConfig, contrastive_loss, select_negatives
+s = np.random.default_rng(0).uniform(-1.0, 1.0, size=(16, 16))
+for k in (1, 3, 15):
+    with open(f"{sys.argv[1]}/k{k}.out", "w") as fh:
+        try:
+            value, grad = contrastive_loss(s, select_negatives(s, k),
+                                           LossConfig("hard-triplet", margin=0.2))
+            fh.write(f"{value!r}\n{grad.tobytes().hex()}\n")
+        except Exception as error:
+            fh.write(f"{type(error).__name__}: {error}\n")' "$out/hinge-k"
 for seed in 0 1 2 3 4; do
     adret gradcheck --seed "$seed" > "$out/gradcheck-$seed.out"
 done
