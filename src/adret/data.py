@@ -213,16 +213,28 @@ def load_corpus(directory: str, split: str,
         if image_of.setdefault(img.group_id, img.id) != img.id:
             raise DataError(f"{meta_path}: group {img.group_id!r} has two images, "
                             f"{image_of[img.group_id]!r} and {img.id!r}")
-    for txt in texts:
-        if txt.group_id not in image_of:
-            raise DataError(f"{meta_path}: caption {txt.id!r} names group "
-                            f"{txt.group_id!r}, which has no image")
-    captioned = {txt.group_id for txt in texts}
-    for img in images:
-        if img.group_id not in captioned:
-            raise DataError(f"{meta_path}: image {img.id!r} has no caption in "
-                            f"group {img.group_id!r}")
-    return Corpus(images, texts)
+    corpus = Corpus(images, texts)
+    try:
+        captions_by_image(corpus)
+    except DataError as exc:
+        raise DataError(f"{meta_path}: {exc}") from None
+    return corpus
+
+
+def captions_by_image(corpus: Corpus) -> list[list[RawInstance]]:
+    """Each image's captions, in corpus order. DataError names a caption
+    whose group has no image, then an image with no caption."""
+    captions: dict[str, list] = {img.group_id: [] for img in corpus.images}
+    for txt in corpus.texts:
+        if txt.group_id not in captions:
+            raise DataError(f"caption {txt.id!r} names group {txt.group_id!r}, "
+                            "which has no image")
+        captions[txt.group_id].append(txt)
+    for img in corpus.images:
+        if not captions[img.group_id]:
+            raise DataError(f"image {img.id!r} has no caption in group "
+                            f"{img.group_id!r}")
+    return [captions[img.group_id] for img in corpus.images]
 
 
 def ground_truth(corpus: Corpus) -> GroundTruth:

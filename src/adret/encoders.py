@@ -67,7 +67,8 @@ class BiEncoder:
     text: EncoderParams
 
     def tensors(self) -> dict[str, Array]:
-        """Flatten to named 2-D tensors (vectors as one-row matrices)."""
+        """Flatten to named 2-D tensors (vectors as one-row matrices). Their
+        order is the layout of the flat parameter vector that training keeps."""
         out = {}
         for name, enc in (("visual", self.visual), ("text", self.text)):
             out[f"{name}.w_proj"] = enc.w_proj

@@ -5,7 +5,9 @@ in-batch positives are strictly one-to-one. The loop is single-threaded and
 fully deterministic: one seeded generator drives shuffling and caption
 choice, and every floating-point operation is ordered. The adaptive-loss
 statistics (alignment, uniformity, K) are computed from the batch similarity
-values and never carry gradients.
+values and never carry gradients. A run keeps its parameters, Adam moments
+and gradient as flat vectors in ``BiEncoder.tensors()`` order; the model is
+views that Adam moves in place. The caption table is built once per run.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, captions_by_image
 from .encoders import (BiEncoder, PreparedSplit, batch_forward, batch_vjp,
                        evaluate_split, init_encoder_params)
 from .errors import ConfigError, TrainingDivergedError
@@ -55,43 +57,44 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators mirroring the parameter dict."""
+    """Adam's moments, flat over ``names`` in ``tensors()`` order; ``bounds``: ends."""
 
-    m: dict[str, Array]
-    v: dict[str, Array]
+    m: Array
+    v: Array
+    names: tuple[str, ...]
+    bounds: Array
     step: int = 0
 
     @staticmethod
     def for_tensors(tensors: dict[str, Array]) -> "AdamState":
-        return AdamState(m={k: np.zeros_like(p) for k, p in tensors.items()},
-                         v={k: np.zeros_like(p) for k, p in tensors.items()})
+        ends = np.cumsum([p.size for p in tensors.values()])
+        return AdamState(np.zeros(ends[-1]), np.zeros(ends[-1]), tuple(tensors), ends)
+
+    def owner(self, values: Array) -> str:
+        """The tensor holding the first non-finite entry of ``values``."""
+        first = np.argmin(np.isfinite(values))
+        return self.names[np.searchsorted(self.bounds, first, side="right")]
 
 
-def adam_step(params: dict[str, Array], grads: dict[str, Array],
-              state: AdamState, lr: float) -> dict[str, Array]:
-    """One bias-corrected Adam update; mutates state, returns new params."""
+def adam_step(params: Array, grads: Array, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of flat ``params`` in place; mutates
+    state. All g * g are checked before any update; an error names the tensor
+    of the first non-finite entry and leaves ``params`` as they were."""
     state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    out = {}
-    for name, p in params.items():
-        g = grads[name]
-        with np.errstate(over="ignore"):
-            state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
+    with np.errstate(over="ignore"):
+        state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
         # a finite v has a finite g and g * g; an inf v would stall every update
-        if not np.all(np.isfinite(state.v[name])):
-            raise TrainingDivergedError(
-                f"non-finite gradient or squared gradient for parameter {name}")
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        with np.errstate(over="ignore"):
-            out[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if not np.all(np.isfinite(out[name])):
-            raise TrainingDivergedError(
-                f"non-finite update for parameter {name} at learning rate {lr:g}")
-    return out
+        if not np.isfinite(state.v).all():
+            raise TrainingDivergedError("non-finite gradient or squared gradient "
+                                        f"for parameter {state.owner(state.v)}")
+        state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+        out = params - lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
+    if not np.isfinite(out).all():
+        raise TrainingDivergedError(f"non-finite update for parameter "
+                                    f"{state.owner(out)} at learning rate {lr:g}")
+    params[...] = out
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -168,12 +171,12 @@ def build_model(cfg: ExperimentConfig) -> BiEncoder:
 
 def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
           val_corpus: Optional[Corpus] = None) -> tuple[BiEncoder, TrainLog]:
-    """Train the bi-encoder on (image, caption) pairs.
+    """Train a copy of ``model``, never written, on (image, caption) pairs.
 
     A validation corpus is prepared once, before the first epoch, and its
     RSUM is computed after every epoch and appended to the log. Raises
-    ConfigError when ``cfg.seed`` is unset and TrainingDivergedError (with
-    the iteration index) on a non-finite loss.
+    ConfigError when ``cfg.seed`` is unset, DataError as ``captions_by_image``
+    and TrainingDivergedError (with the iteration index) on a non-finite loss.
     """
     rng = np.random.default_rng(_seed(cfg))
     if not corpus.images:
@@ -181,36 +184,37 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
     if cfg.batch_size > len(corpus.images):
         raise ConfigError(f"train.batch_size {cfg.batch_size} exceeds corpus "
                           f"size {len(corpus.images)}")
-    captions_of: dict[str, list] = {img.group_id: [] for img in corpus.images}
-    for txt in corpus.texts:
-        captions_of[txt.group_id].append(txt)
+    captions = [[t.features for t in own] for own in captions_by_image(corpus)]
+    counts = np.array([len(own) for own in captions])
+    images = [img.features for img in corpus.images]
     val_split = None if val_corpus is None else PreparedSplit(val_corpus)
 
-    state = AdamState.for_tensors(model.tensors())
+    tensors = model.tensors()
+    state = AdamState.for_tensors(tensors)
+    params = np.concatenate(list(tensors.values()), axis=None)
+    views = np.split(params, state.bounds[:-1])
+    model = BiEncoder.from_tensors(
+        {name: v.reshape(p.shape) for (name, p), v in zip(tensors.items(), views)},
+        model.visual.spec, model.text.spec)
     log = TrainLog(mode=cfg.loss.mode)
     iteration = 0
 
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
-        order = rng.permutation(len(corpus.images)).tolist()
-        pick = rng.integers(0, [len(captions_of[corpus.images[i].group_id])
-                                for i in order]).tolist()
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
+        order = rng.permutation(len(images))
+        pairs = list(zip(order.tolist(), rng.integers(0, counts[order]).tolist()))
+        for start in range(0, len(pairs), cfg.batch_size):
+            batch = pairs[start:start + cfg.batch_size]
             if len(batch) < 2:
                 continue  # a lone trailing pair has no in-batch negative
-            images = [corpus.images[i] for i in batch]
-            texts = [captions_of[img.group_id][pick[start + j]]
-                     for j, img in enumerate(images)]
             loss, maturity, grads = batch_step(
-                model, [t.features for t in texts], [i.features for i in images],
-                lambda s: batch_loss(s, cfg.loss))
+                model, [captions[i][j] for i, j in batch],
+                [images[i] for i, _ in batch], lambda s: batch_loss(s, cfg.loss))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at iteration {iteration}")
-            model = BiEncoder.from_tensors(
-                adam_step(model.tensors(), grads, state, lr),
-                model.visual.spec, model.text.spec)
+            adam_step(params, np.concatenate(list(grads.values()), axis=None),
+                      state, lr)
             log.records.append(IterationRecord(
                 epoch=epoch, iteration=iteration, loss=float(loss),
                 gamma_align=maturity.gamma_align if maturity else None,

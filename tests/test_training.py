@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from adret import encoders, training
-from adret.data import SyntheticCorpusConfig, generate_splits
+from adret.data import Corpus, SyntheticCorpusConfig, generate_splits
 from adret.encoders import BiEncoder, init_encoder_params
-from adret.errors import ConfigError, TrainingDivergedError
+from adret.errors import ConfigError, DataError, TrainingDivergedError
 from adret.objectives import LossConfig, batch_loss
 from adret.pooling import PoolingSpec
 from adret.training import (
@@ -34,39 +34,91 @@ def _small_setup(mode="infonce-adaptive", groups=48, seed=5, **train_kw):
     return splits, model, cfg
 
 
+def _flat_layout():
+    """A flat parameter vector and its AdamState, in ``tensors()`` order:
+    visual.w_proj 3x2, then 2-entry b_proj, w_tok, w_bal; text.w_proj 4x2,
+    then the same three. Bounds 6, 8, 10, 12, 20, 22, 24, 26."""
+    rng = np.random.default_rng(0)
+    spec = PoolingSpec("adpool")
+    tensors = BiEncoder(init_encoder_params(rng, 3, 2, spec),
+                        init_encoder_params(rng, 4, 2, spec)).tensors()
+    return (np.concatenate(list(tensors.values()), axis=None),
+            AdamState.for_tensors(tensors))
+
+
+# (flat index, tensor holding it): first entry of the first tensor, the
+# entries on both sides of two bounds, last entry of the last tensor
+_POSITIONS = [(0, "visual.w_proj"), (5, "visual.w_proj"), (6, "visual.b_proj"),
+              (19, "text.w_proj"), (20, "text.b_proj"), (25, "text.w_bal")]
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # with g=1 the bias-corrected moments are both 1, so the step is
         # lr / (1 + eps)
-        params = {"w": np.array([[2.0]])}
-        grads = {"w": np.array([[1.0]])}
-        state = AdamState.for_tensors(params)
-        out = adam_step(params, grads, state, 5e-4)
-        assert abs((params["w"][0, 0] - out["w"][0, 0]) - 5e-4) <= 1e-11
+        params = np.array([2.0])
+        state = AdamState.for_tensors({"w": np.array([[2.0]])})
+        adam_step(params, np.array([1.0]), state, 5e-4)
+        assert abs((2.0 - params[0]) - 5e-4) <= 1e-11
 
     def test_zero_gradients_are_a_fixed_point(self):
-        rng = np.random.default_rng(0)
-        params = {"w": rng.standard_normal((3, 2))}
-        state = AdamState.for_tensors(params)
-        out = dict(params)
+        params, state = _flat_layout()
+        start = params.copy()
         for _ in range(5):
-            out = adam_step(out, {"w": np.zeros((3, 2))}, state, 1e-3)
-        assert np.array_equal(out["w"], params["w"])
+            adam_step(params, np.zeros_like(params), state, 1e-3)
+        assert np.array_equal(params, start)
 
-    def test_non_finite_gradient_names_parameter(self):
-        params = {"visual.w_proj": np.ones((2, 2))}
-        state = AdamState.for_tensors(params)
-        with pytest.raises(TrainingDivergedError, match="visual.w_proj"):
-            adam_step(params, {"visual.w_proj": np.full((2, 2), np.nan)},
-                      state, 1e-3)
+    def test_layout_follows_tensors_order(self):
+        _, state = _flat_layout()
+        assert state.names == ("visual.w_proj", "visual.b_proj", "visual.w_tok",
+                               "visual.w_bal", "text.w_proj", "text.b_proj",
+                               "text.w_tok", "text.w_bal")
+        assert state.bounds.tolist() == [6, 8, 10, 12, 20, 22, 24, 26]
+        assert state.m.shape == state.v.shape == (26,)
 
-    def test_overflowing_squared_gradient_names_parameter(self):
-        # g is finite but g * g is inf: v would be inf and every update 0
-        params = {"text.w_tok": np.ones((2, 1))}
-        state = AdamState.for_tensors(params)
-        with pytest.raises(TrainingDivergedError, match="text.w_tok"):
-            adam_step(params, {"text.w_tok": np.full((2, 1), 1e200)},
-                      state, 1e-3)
+    # g is NaN, or finite with g * g = inf: v would be inf and every update 0
+    @pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "overflow"])
+    @pytest.mark.parametrize("index, name", _POSITIONS)
+    def test_non_finite_squared_gradient_names_its_tensor(self, index, name, bad):
+        params, state = _flat_layout()
+        start = params.copy()
+        grads = np.zeros_like(params)
+        grads[index] = bad
+        with pytest.raises(TrainingDivergedError, match=(
+                f"non-finite gradient or squared gradient for parameter {name}$")):
+            adam_step(params, grads, state, 1e-3)
+        assert np.array_equal(params, start)
+
+    @pytest.mark.parametrize("index, name", _POSITIONS)
+    def test_non_finite_update_names_its_tensor(self, index, name):
+        # the step is lr / (1 + eps) = about 1e308 up from the largest float
+        params, state = _flat_layout()
+        params[index] = np.finfo(np.float64).max
+        start = params.copy()
+        grads = np.zeros_like(params)
+        grads[index] = -1.0
+        message = f"non-finite update for parameter {name} at learning rate"
+        with pytest.raises(TrainingDivergedError, match=f"{message} 1e\\+308$"):
+            adam_step(params, grads, state, 1e308)
+        assert np.array_equal(params, start)
+
+    def test_first_non_finite_entry_is_named(self):
+        params, state = _flat_layout()
+        grads = np.zeros_like(params)
+        grads[[21, 9]] = np.nan  # text.b_proj and, first, visual.w_tok
+        with pytest.raises(TrainingDivergedError, match="visual.w_tok$"):
+            adam_step(params, grads, state, 1e-3)
+
+    def test_every_squared_gradient_is_checked_before_any_update(self):
+        # visual.w_proj's update overflows and text.w_tok's g * g does: the
+        # squared gradient is named, though its tensor comes later
+        params, state = _flat_layout()
+        params[0] = np.finfo(np.float64).max
+        grads = np.zeros_like(params)
+        grads[0], grads[22] = -1.0, 1e200
+        with pytest.raises(TrainingDivergedError,
+                           match="squared gradient for parameter text.w_tok$"):
+            adam_step(params, grads, state, 1e308)
 
 
 class TestLearningRateSchedule:
@@ -140,6 +192,37 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(splits["train"], model, big)
 
+    def test_caller_model_is_untouched_and_every_tensor_moves(self):
+        splits, model, cfg = _small_setup(epochs=2)
+        before = {name: t.copy() for name, t in model.tensors().items()}
+        runs = [train(splits["train"], model, cfg, splits["val"])
+                for _ in range(2)]
+        for name, t in model.tensors().items():
+            assert np.array_equal(t, before[name]), name
+        (a, log_a), (b, log_b) = runs
+        assert log_a.to_csv() == log_b.to_csv()
+        for name, t in a.tensors().items():
+            assert np.array_equal(t, b.tensors()[name]), name
+            # a model that copied the parameter vector would never move
+            assert not np.array_equal(t, before[name]), name
+
+    def test_orphan_caption_is_data_error(self):
+        splits, model, cfg = _small_setup()
+        corpus = splits["train"]
+        orphan = corpus.texts[0]._replace(id="t999999.0", group_id="g999999")
+        with pytest.raises(DataError, match=(
+                "caption 't999999.0' names group 'g999999', which has no image")):
+            train(Corpus(corpus.images, corpus.texts + (orphan,)), model, cfg)
+
+    def test_uncaptioned_image_is_data_error(self):
+        splits, model, cfg = _small_setup()
+        corpus = splits["train"]
+        image = corpus.images[1]
+        texts = tuple(t for t in corpus.texts if t.group_id != image.group_id)
+        with pytest.raises(DataError, match=(
+                f"image '{image.id}' has no caption in group '{image.group_id}'")):
+            train(Corpus(corpus.images, texts), model, cfg)
+
     def test_separated_similarities_give_zero_triplet_gradient(self):
         # perfectly separated batch at zero margin: loss and gradient vanish,
         # so Adam holds every parameter fixed
@@ -175,6 +258,20 @@ class TestBenchmarkHooks:
         calls.clear()
         train(splits["train"], model, cfg)
         assert calls == ["lr_at"] * 3
+
+
+    def test_lr_at_opens_each_epoch_and_adam_step_runs_once_per_step(
+            self, monkeypatch):
+        # perfbench's tracer counts training steps at training.adam_step
+        calls = []
+        for name in ("lr_at", "_validation_rsum", "adam_step"):
+            monkeypatch.setattr(training, name,
+                                _counting(calls, name, getattr(training, name)))
+        splits, model, cfg = _small_setup(epochs=2)  # 48 pairs, 3 batches
+        _, log = train(splits["train"], model, cfg, splits["val"])
+        epoch = ["lr_at"] + ["adam_step"] * 3 + ["_validation_rsum"]
+        assert calls == epoch * 2
+        assert calls.count("adam_step") == len(log.records)
 
 
 class TestTrainLogSerialization:
