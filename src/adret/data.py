@@ -241,13 +241,13 @@ def ground_truth(corpus: Corpus) -> GroundTruth:
     """Relevance sets for both directions keyed by instance id.
 
     A text query's relevant set is its group's image; an image query's
-    relevant set is all of its group's captions.
+    relevant set is all of its group's captions, as ``captions_by_image``
+    groups them (so its DataError on an orphan caption or uncaptioned image).
     """
-    captions: dict[str, set[str]] = {}
-    for txt in corpus.texts:
-        captions.setdefault(txt.group_id, set()).add(txt.id)
+    groups = captions_by_image(corpus)
+    # a set first: frozenset copies a set at its size, a generator's table grown
+    truth: GroundTruth = {img.id: frozenset({txt.id for txt in captions})
+                          for img, captions in zip(corpus.images, groups)}
     image = {img.group_id: frozenset({img.id}) for img in corpus.images}
-    truth: GroundTruth = {img.id: frozenset(captions.get(img.group_id, ()))
-                          for img in corpus.images}
     truth.update((txt.id, image[txt.group_id]) for txt in corpus.texts)
     return truth

@@ -20,25 +20,28 @@ pooler makes the weighting learnable twice over:
 Outputs are deliberately not normalized here; the encoder applies a single
 L2 normalization at the end so the balance weights see raw magnitudes.
 
-Every kernel pools a batch of B instances as a (B, M, d) stack. Instances
-of one length (each ``encoders.encode_all`` block) are the rows reshaped:
-no padding, no mask. A ragged batch (nearly every training batch) is
-padded with -0.0, the additive identity of the rank sums. The padding
-ranks below every real row, is masked to -inf in the softmax over ranks
-(theta) and the per-column softmax (delta), and gets a zero gradient. The
-token branch ranks a ragged batch with one argsort (``_argrank``, the
+Every kernel pools a batch of B instances. Instances of one length (each
+``encoders.encode_all`` block) are the rows reshaped to (B, M, d): no
+padding, no mask. Of a ragged batch (nearly every training batch) only the
+sorting poolers build a padded stack. The mean family (each instance whose
+top k is all its rows) is rows in, rows out (``_sum_ragged``). The top-k
+poolers pad once, with NaN, the sort key; no top-k-family VJP builds a
+padded gradient. Adpool pads with -0.0, the additive identity of the rank
+sums: it ranks below every real row, is masked to -inf in the softmax over
+ranks (theta) and the per-column softmax (delta), and gets a zero gradient.
+The token branch ranks a ragged batch with one argsort (``_argrank``, the
 padding keyed -inf), and its VJP scatters through that permutation, the
-stable one if no real values of a column tie. Else, as in the top-k
-poolers and for one length, ``_rank`` sorts values only (the padding keyed
-NaN) and the token VJP ranks again with a stable argsort. Rank sums add in
-rank order (``tensor.sum_rows``) and the sums over d of an M-row instance
-(theta's logits) run elementwise along the last axis, so each row of a
-batch result is bit-equal to pooling that instance alone. A NaN or
-infinite row makes its instance's pooled vector non-finite, which
-``l2_normalize_rows`` rejects, so the VJPs take finite rows only. One
-einsum or 3-D ``@`` over the padded M x d rows would not promise this: its
-kernel may change with M, which padding raises. (A stacked product of one
-row at a time, as in ``tensor.matmul``, would keep it.)
+stable one if no real values of a column tie. Else, and for one length,
+``_rank`` sorts values only (the padding keyed NaN) and the token VJP ranks
+again with a stable argsort. Rank sums add in rank order
+(``tensor.sum_rows``) and the sums over d of an M-row instance (theta's
+logits) run elementwise along the last axis, so each row of a batch result
+is bit-equal to pooling that instance alone. A NaN or infinite row makes
+its instance's pooled vector non-finite, which ``l2_normalize_rows``
+rejects, so the VJPs take finite rows only. One einsum or 3-D ``@`` over
+the padded M x d rows would not promise this: its kernel may change with
+M, which padding raises. (A stacked product of one row at a time, as in
+``tensor.matmul``, would keep it.)
 
 ``pool_forward``/``pool_vjp`` are the pooling API; rows without lengths
 are one instance, with unbatched results.
@@ -135,10 +138,8 @@ class PoolDiagnostics:
     omega: Optional[Array] = None
 
 
-def _pad(rows: Array, lengths=None):
-    """(-0.0-padded (B, M, d) stack, lengths, (B, M, 1) mask of real rows) of
-    ``rows``, ``lengths[b]`` of them per instance; one instance without.
-    Instances of one length are not padded: ``rows`` reshaped, mask None."""
+def _lengths(rows: Array, lengths=None):
+    """(``rows`` as a matrix, ``lengths[b]`` of them per instance, checked)."""
     rows = as_matrix(rows, "feature set")
     lengths = np.asarray([len(rows)] if lengths is None else lengths)
     if lengths.size == 0 or lengths.min() < 1:
@@ -146,12 +147,32 @@ def _pad(rows: Array, lengths=None):
     if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.sum() != len(rows):
         raise DimensionError(f"lengths {lengths} are not 1-D integers summing "
                              f"to the {len(rows)} rows")
+    return rows, lengths
+
+
+def _pad(rows: Array, lengths: Array, fill: float):
+    """((B, M, d) stack of ``rows`` padded with ``fill``, (B, M, 1) mask of
+    real rows); for one length ``rows`` reshaped, no padding, mask None."""
     if (lengths == lengths[0]).all():
-        return rows.reshape(len(lengths), lengths[0], rows.shape[1]), lengths, None
+        return rows.reshape(len(lengths), lengths[0], rows.shape[1]), None
     real = np.arange(lengths.max()) < lengths[:, None]
-    f = np.full(real.shape + rows.shape[1:], -0.0)
+    f = np.full(real.shape + rows.shape[1:], fill)
     f[real] = rows
-    return f, lengths, real[:, :, None]
+    return f, real[:, :, None]
+
+
+def _sum_ragged(rows: Array, lengths: Array) -> Array:
+    """(B, d) sums of each instance's rows in row order. Longest first, rank
+    r's rows add into a prefix: bit-equal to ``sum_rows`` of the -0.0-padded
+    stack, as x + -0.0 == x, zero signs too. Past one column numpy's sum
+    starts from +0.0, so this does: a column of -0.0 sums to +0.0."""
+    order = np.argsort(-lengths, kind="stable")
+    first = (np.cumsum(lengths) - lengths)[order]
+    longer = np.count_nonzero(lengths[:, None] > np.arange(1, lengths.max()), axis=0)
+    out = rows[first] + (0.0 if rows.shape[1] > 1 else -0.0)
+    for r, n in enumerate(longer.tolist(), 1):  # n instances are longer than r
+        out[:n] += rows[first[:n] + r]
+    return out[np.argsort(order)]
 
 
 def _rank(f: Array, valid: Optional[Array]):
@@ -187,7 +208,7 @@ def _argrank(f: Array, valid: Optional[Array]):
     return ranked, None, keyed, masked
 
 
-def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
+def _topk_forward(rows: Array, lengths: Array, k):
     """Per-column mean of instance b's ``k[b]`` largest values. Where k[b] is
     the length this is the mean in row order, so kmax with k = M equals
     mean bit for bit; elsewhere the top rows add in rank order."""
@@ -196,31 +217,38 @@ def _topk_forward(f: Array, lengths: Array, valid: Optional[Array], k):
         b = int((k > lengths).argmax())
         raise ValueError(f"kmax pooling: k={k[b]} outside [1, {lengths[b]}]")
     whole = k == lengths
-    if whole.all():
-        t = sum_rows(f)[:, 0] / lengths[:, None]
-        return t, PoolDiagnostics(), ("topk", lengths, valid, k, None, None)
-    ranked, keyed = _rank(f, valid)
-    top = np.arange(f.shape[1])[None, :, None] < k[:, None, None]
-    t = sum_rows(np.where(top, ranked, -0.0))[:, 0] / k[:, None]
+    if whole.all():  # rows in, rows out: no stack for a ragged batch
+        t = (sum_rows(rows.reshape(len(lengths), lengths[0], rows.shape[1]))[:, 0]
+             if (lengths == lengths[0]).all() else _sum_ragged(rows, lengths))
+        return t / lengths[:, None], PoolDiagnostics(), ("topk", lengths, k, None)
+    keyed, valid = _pad(rows, lengths, np.nan)  # the padding sorts last
+    ranked = sort_desc_per_column(keyed)
+    b = np.arange(len(lengths))
+    kth = ranked[b, k - 1][:, None, :]
     # a NaN or -inf sorts last; keep the column non-finite, as mean does
-    t[~np.isfinite(ranked[np.arange(len(f)), lengths - 1])] = np.nan
+    broken = ~np.isfinite(ranked[b, lengths - 1])
+    below = np.arange(ranked.shape[1])[:, None] >= k[:, None, None]
+    np.copyto(ranked, -0.0, where=below)
+    t = sum_rows(ranked)[:, 0] / k[:, None]
+    t[broken] = np.nan
     if whole.any():
-        t[whole] = sum_rows(f[whole])[:, 0] / lengths[whole, None]
-    kth = ranked[np.arange(len(f)), k - 1][:, None, :]
-    return t, PoolDiagnostics(), ("topk", lengths, valid, k, keyed, kth)
+        own = np.repeat(whole, lengths.astype(np.intp, copy=False))  # their rows
+        t[whole] = _sum_ragged(rows[own], lengths[whole]) / lengths[whole, None]
+    return t, PoolDiagnostics(), ("topk", lengths, k, (keyed, kth, valid))
 
 
 def _topk_vjp(cache, d_t: Array) -> Array:
     """d_t / k[b] on the rows a stable descending sort puts in instance b's
-    top k[b]: ``top_k_mask`` of the sort key at the k-th largest value
-    ``kth``. Where k[b] is the length these are the real rows."""
-    _, lengths, valid, k, keyed, kth = cache
-    if keyed is None:
-        d_f = (d_t / lengths[:, None])[:, None, :]
-        return (np.where(valid, d_f, 0.0) if valid is not None else
-                np.broadcast_to(d_f, (len(d_f), lengths[0], d_f.shape[2])))
+    top k[b] (all its rows where k[b] is the length): ``top_k_mask`` of the
+    sort key at the k-th largest value ``kth``, read at the real rows."""
+    _, lengths, k, sort_key = cache
+    each = lengths.astype(np.intp, copy=False)  # np.repeat takes no uint64
+    if sort_key is None:
+        return np.repeat(d_t / lengths[:, None], each, axis=0)
+    keyed, kth, valid = sort_key
     top = top_k_mask(keyed, kth, k[:, None, None], axis=1)
-    return np.where(top, (d_t / k[:, None])[:, None, :], 0.0)
+    top = top.reshape(-1, top.shape[2]) if valid is None else top[valid[:, :, 0]]
+    return np.where(top, np.repeat(d_t / k[:, None], each, axis=0), 0.0)
 
 
 def _token_forward(f: Array, valid: Optional[Array], w_tok: Array):
@@ -307,11 +335,11 @@ def _adpool_forward(f: Array, valid: Optional[Array], params: PoolParams,
         omega = np.broadcast_to(omega, (len(f), 2))
         t, bal_cache = omega[:, :1] * t_tok + omega[:, 1:] * t_emb, None
     diag = PoolDiagnostics(theta=theta, delta=delta, omega=omega)
-    return t, diag, ("adpool", tok_cache, emb_cache, omega, bal_cache)
+    return t, diag, ("adpool", valid, tok_cache, emb_cache, omega, bal_cache)
 
 
 def _adpool_vjp(cache, d_t: Array):
-    _, tok_cache, emb_cache, omega, bal_cache = cache
+    _, valid, tok_cache, emb_cache, omega, bal_cache = cache
     if bal_cache is None:
         d_tok, d_emb = omega[:, :1] * d_t, omega[:, 1:] * d_t
         d_w_bal = np.zeros((d_t.shape[1], 1))
@@ -319,6 +347,7 @@ def _adpool_vjp(cache, d_t: Array):
         d_tok, d_emb, d_w_bal = _balance_vjp(bal_cache, d_t)
     d_f, d_w_tok = _token_vjp(tok_cache, d_tok)
     d_f += _embedding_vjp(emb_cache, d_emb)
+    d_f = d_f.reshape(-1, d_f.shape[2]) if valid is None else d_f[valid[:, :, 0]]
     return d_f, d_w_tok, d_w_bal
 
 
@@ -330,39 +359,35 @@ def pool_forward(rows: Array, spec: PoolingSpec,
     ``lengths``; pool_vjp takes the cache and a gradient shaped like pooled.
     """
     single = lengths is None
-    f, lengths, valid = _pad(rows, lengths)
+    rows, lengths = _lengths(rows, lengths)
     method = spec.method
     if method in ("adpool", "fixed-balance"):
         if params is None:
             raise ConfigError(f"{method} pooling requires PoolParams")
-        if len(params.w_tok) != f.shape[2]:
+        if len(params.w_tok) != rows.shape[1]:
             raise DimensionError(f"pooling weights are for d={len(params.w_tok)}, "
-                                 f"rows are {f.shape[2]}-dimensional")
+                                 f"rows are {rows.shape[1]}-dimensional")
         omega = None if method == "adpool" else np.array(spec.weights)
-        t, diag, cache = _adpool_forward(f, valid, params, omega)
+        t, diag, cache = _adpool_forward(*_pad(rows, lengths, -0.0), params, omega)
     else:
         # mean (and manual text) averages every row, max the top one; manual
         # visual clamps its top k to the length so short instances pool
         k = {"kmax": spec.k, "max": 1}.get(method, lengths)
         if method == "manual" and spec.manual_mode == "visual":
             k = np.minimum(MANUAL_VISUAL_K, lengths)
-        t, diag, cache = _topk_forward(f, lengths, valid, k)
+        t, diag, cache = _topk_forward(rows, lengths, k)
     if single:
         t, diag = t[0], PoolDiagnostics(*(None if x is None else x[0] for x in
                                           (diag.theta, diag.delta, diag.omega)))
-    return t, diag, (valid, cache)
+    return t, diag, cache
 
 
 def pool_vjp(cache, d_t: Array):
     """Gradient w.r.t. (rows, w_tok, w_bal) for ``d_t`` shaped like pooled:
     the row gradient in pool_forward's row order, d x 1 parameter gradients
-    (zeros for poolers without that parameter)."""
-    real, cache = cache
+    (zeros for poolers without that parameter). Only adpool's row gradient
+    is gathered from a padded stack."""
     d_t = np.atleast_2d(d_t)
     if cache[0] == "adpool":
-        d_f, d_w_tok, d_w_bal = _adpool_vjp(cache, d_t)
-    else:
-        d_f = _topk_vjp(cache, d_t)
-        d_w_tok, d_w_bal = np.zeros((2, d_t.shape[1], 1))
-    d_f = d_f.reshape(-1, d_f.shape[2]) if real is None else d_f[real[:, :, 0]]
-    return d_f, d_w_tok, d_w_bal
+        return _adpool_vjp(cache, d_t)
+    return (_topk_vjp(cache, d_t), *np.zeros((2, d_t.shape[1], 1)))

@@ -630,13 +630,26 @@ class TestEvaluateSplit:
                     tuple(i.id for i in corpus.images), ground_truth(corpus),
                     folds)
 
-    def test_query_without_relevant_candidate_is_data_error(self):
+    @pytest.mark.parametrize("prepare", [ground_truth, PreparedSplit],
+                             ids=["ground_truth", "PreparedSplit"])
+    def test_uncaptioned_image_is_data_error(self, prepare):
         corpus = _tiny_split()
-        orphan = Corpus(images=corpus.images,
-                        texts=tuple(t for t in corpus.texts
-                                    if t.group_id != corpus.images[0].group_id))
-        with pytest.raises(DataError, match="no relevant candidate"):
-            PreparedSplit(orphan)
+        image = corpus.images[0]
+        uncaptioned = Corpus(images=corpus.images,
+                             texts=tuple(t for t in corpus.texts
+                                         if t.group_id != image.group_id))
+        with pytest.raises(DataError, match=(
+                f"image '{image.id}' has no caption in group '{image.group_id}'")):
+            prepare(uncaptioned)
+
+    @pytest.mark.parametrize("prepare", [ground_truth, PreparedSplit],
+                             ids=["ground_truth", "PreparedSplit"])
+    def test_orphan_caption_is_data_error(self, prepare):
+        corpus = _tiny_split()
+        orphan = corpus.texts[0]._replace(id="t999999.0", group_id="gX")
+        with pytest.raises(DataError, match=(
+                "caption 't999999.0' names group 'gX', which has no image")):
+            prepare(Corpus(corpus.images, corpus.texts + (orphan,)))
 
 
 class TestSerialization:

@@ -17,7 +17,7 @@ from adret.pooling import (
     pool_forward,
     pool_vjp,
 )
-from adret.tensor import softmax_columns, sort_desc_per_column_vjp
+from adret.tensor import softmax_columns, sort_desc_per_column_vjp, sum_rows
 
 
 def _token_pool_oracle(f, w_tok):
@@ -341,7 +341,8 @@ class TestRaggedRows:
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_one_length_batch_pools_as_inside_a_ragged_batch(self, spec):
         """Instances of one length pool unpadded and unmasked; with a longer
-        instance appended they are padded. Both give the same bits."""
+        instance appended, adpool pads them and the top-k family pools them
+        ragged. Both give the same bits."""
         rng = np.random.default_rng(16)
         m = max(4, spec.k or 1)
         rows = rng.standard_normal((3 * m + m + 2, 3))
@@ -352,7 +353,8 @@ class TestRaggedRows:
         d_t[3] = 0.0  # the appended instance adds nothing to the gradients
         one = pool_forward(rows[:3 * m], spec, params, [m] * 3)
         ragged = pool_forward(rows, spec, params, [m] * 3 + [m + 2])
-        assert one[2][0] is None and ragged[2][0] is not None
+        if spec.method in ("adpool", "fixed-balance"):  # the mask of real rows
+            assert one[2][1] is None and ragged[2][1] is not None
         assert one[0].tobytes() == ragged[0][:3].tobytes()
         for x, y in zip(one[1].__dict__.values(), ragged[1].__dict__.values()):
             assert (x is None) == (y is None)
@@ -362,6 +364,43 @@ class TestRaggedRows:
         grads_ragged = pool_vjp(ragged[2], d_t)
         assert grads_one[0].tobytes() == grads_ragged[0][:3 * m].tobytes()
         for x, y in zip(grads_one[1:], grads_ragged[1:]):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("spec, fills", [
+        (MEAN, []), (PoolingSpec("manual", manual_mode="text"), []),
+        (MAX, ["nan"]), (PoolingSpec("manual", manual_mode="visual"), ["nan"]),
+        (ADPOOL, ["-0.0"])], ids=repr)
+    def test_a_ragged_batch_pads_only_to_sort(self, spec, fills):
+        """The mean family pools ragged rows unpadded, the top-k poolers
+        pad once, NaN-keyed, adpool once with -0.0."""
+        rng = np.random.default_rng(20)
+        lengths = [7, 1, 4, 2, 6]
+        rows = rng.standard_normal((sum(lengths), 3))
+        params = PoolParams(rng.standard_normal((3, 1)),
+                            rng.standard_normal((3, 1)))
+        pads, real_pad = [], pooling._pad
+
+        def pad(rows, lengths, fill):
+            pads.append(repr(fill))
+            return real_pad(rows, lengths, fill)
+
+        with mock.patch.object(pooling, "_pad", pad):
+            t, _, cache = pool_forward(rows, spec, params, lengths)
+            pool_vjp(cache, np.ones_like(t))
+        assert pads == fills
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_unsigned_lengths_pool_as_signed(self, spec):
+        rng = np.random.default_rng(19)
+        lengths = [max(m, spec.k or 1) for m in (7, 1, 4, 2, 6)]
+        rows = rng.standard_normal((sum(lengths), 3))
+        params = PoolParams(rng.standard_normal((3, 1)),
+                            rng.standard_normal((3, 1)))
+        d_t = rng.standard_normal((len(lengths), 3))
+        signed, unsigned = (pool_forward(rows, spec, params, np.array(lengths, dtype))
+                            for dtype in (np.int64, np.uint64))
+        assert signed[0].tobytes() == unsigned[0].tobytes()
+        for x, y in zip(pool_vjp(signed[2], d_t), pool_vjp(unsigned[2], d_t)):
             assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
@@ -436,6 +475,49 @@ class TestTopkGradientProperty:
         assert d_f.tobytes() == oracle.tobytes()  # bit for bit, zero signs too
 
 
+@st.composite
+def _long_ragged_rows(draw):
+    """(rows, 1 to 64 lengths of 1 to 15, (B, d) upstream gradient), the
+    values from GRID: ties in most columns, zeros of both signs."""
+    lengths = np.array(draw(st.lists(st.integers(1, 15), min_size=1, max_size=64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, grid = draw(st.integers(1, 3)), np.array(GRID)
+    return (rng.choice(grid, (int(lengths.sum()), d)), lengths,
+            rng.choice(grid, (len(lengths), d)))
+
+
+class TestRaggedMeanProperty:
+    """The mean family sums a ragged batch without padding it, as does
+    visual manual for its instances of at most MANUAL_VISUAL_K rows. Those
+    pooled rows must be the bytes of ``sum_rows`` over the -0.0-padded stack
+    and of each instance's rows added in order (from +0.0 past one column,
+    as numpy's sum starts there). Every pooled row and row gradient must be
+    the bytes of the instance pooled alone."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_long_ragged_rows(), st.sampled_from(
+        (MEAN, PoolingSpec("manual", manual_mode="text"),
+         PoolingSpec("manual", manual_mode="visual"))))
+    def test_equals_the_row_order_sum_and_pooling_alone(self, ragged, spec):
+        rows, lengths, d_t = ragged
+        t, _, cache = pool_forward(rows, spec, lengths=lengths)
+        d_f = pool_vjp(cache, d_t)[0]
+        padded = sum_rows(pooling._pad(rows, lengths, -0.0)[0])[:, 0]
+        starts = np.cumsum(lengths) - lengths
+        for b, (start, m) in enumerate(zip(starts, lengths)):
+            f = rows[start:start + m]
+            t_alone, _, cache_alone = pool_forward(f, spec)
+            assert t[b].tobytes() == t_alone.tobytes()
+            if spec.manual_mode != "visual" or m <= MANUAL_VISUAL_K:
+                in_order = np.add.accumulate(f, axis=0)[-1]
+                if f.shape[1] > 1:
+                    in_order += 0.0
+                assert t[b].tobytes() == (padded[b] / m).tobytes()
+                assert t[b].tobytes() == (in_order / m).tobytes()
+            assert (d_f[start:start + m].tobytes()
+                    == pool_vjp(cache_alone, d_t[b])[0].tobytes())
+
+
 class TestAdpoolBitEquality:
     """The adpool forward shares buffers between its stages; on stacks full
     of ties and zeros of both signs it must give the bytes of the
@@ -445,7 +527,7 @@ class TestAdpoolBitEquality:
     @given(_ragged_rows())
     def test_shifted_embedding_softmax_equals_softmax_columns(self, ragged):
         rows, lengths, _ = ragged
-        f, _, valid = pooling._pad(rows, lengths)  # no mask for one length
+        f, valid = pooling._pad(rows, lengths, -0.0)  # no mask for one length
         top = pooling._rank(f, valid)[0][:, :1]
         masked = None if valid is None else np.where(valid, f, -np.inf)
         delta = pooling._embedding_forward(f, masked, top, np.empty_like(f))[1]

@@ -214,6 +214,15 @@ class TestTrainLoop:
                 "caption 't999999.0' names group 'g999999', which has no image")):
             train(Corpus(corpus.images, corpus.texts + (orphan,)), model, cfg)
 
+    def test_orphan_validation_caption_is_data_error(self):
+        splits, model, cfg = _small_setup()
+        val = splits["val"]
+        orphan = val.texts[0]._replace(id="t999999.0", group_id="gX")
+        with pytest.raises(DataError, match=(
+                "caption 't999999.0' names group 'gX', which has no image")):
+            train(splits["train"], model, cfg,
+                  Corpus(val.images, val.texts + (orphan,)))
+
     def test_uncaptioned_image_is_data_error(self):
         splits, model, cfg = _small_setup()
         corpus = splits["train"]

@@ -33,11 +33,13 @@
 # infonce-adaptive on a corpus whose images all have 6 rows and captions 8:
 # every training batch then has one length, so the digests cover the
 # pooler's unpadded path in training (VJP included), not only in eval.
-# Next, tied-rows-POOL runs adpool and fixed-balance once more under
-# infonce-adaptive with corpus.noise_scale = 0: every row of an instance is
-# the same, so every column of a ragged batch ties, and the token branch
-# takes its fallback sort (a stable argsort in the VJP) on every ragged
-# training batch. The desk corpus never ties, so never takes it.
+# Next, tied-rows-POOL runs each pooler once more under infonce-adaptive
+# with corpus.noise_scale = 0: every row of an instance is the same, so
+# every column of a ragged batch ties. The adpool token branch then takes
+# its fallback sort (a stable argsort in the VJP) on every ragged training
+# batch, and the top-k poolers (max, kmax, visual manual) pick their rows
+# through ``top_k_mask``'s tie branch; mean and text manual sum tied rows.
+# The desk corpus never ties, so never takes these paths.
 # block-edges/ only generates, a 200/70/130-group corpus whose splits each
 # cross several generation blocks and end in a partial one. hinge-k/ holds,
 # for K = 1, 3 and 15, the value and gradient bytes of `contrastive_loss`
@@ -54,7 +56,7 @@
 # prints how far each tensor moved.
 #
 # SRC_DIR is the directory that holds the adret package (a checkout's src/).
-# OUT_DIR must not exist yet or be empty. Takes about 55 s on 2 vCPUs.
+# OUT_DIR must not exist yet or be empty. Takes about 35 s on 2 vCPUs.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -174,7 +176,7 @@ text_len_min = 8
 text_len_max = 8"
 done
 # Every row of an instance equal: each ragged batch ties in every column.
-for pool in adpool fixed-balance; do
+for pool in mean max kmax adpool manual fixed-balance; do
     run_case "$out/tied-rows-$pool" "$pool" infonce-adaptive 32 3 "noise_scale = 0"
 done
 # Generate only, 200/70/130 groups: each split crosses several blocks of
