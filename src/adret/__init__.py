@@ -17,7 +17,7 @@ from .objectives import (
     select_negatives,
     uniformity,
 )
-from .pooling import PoolDiagnostics, PoolParams, PoolingSpec
+from .pooling import PoolParams, PoolingSpec, pool_weights
 from .tensor import GradCheckReport, finite_diff_check
 from .training import AdamState, TrainConfig, TrainLog, adam_step, lr_at, train
 

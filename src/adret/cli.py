@@ -4,8 +4,9 @@ Verbs: generate (synthesize and persist the corpus splits), train, eval,
 gradcheck (finite-difference verification of every differentiable op), and
 inspect-pool (dump a pooler's output and learned weights for one matrix).
 
-Exit codes: 0 success, 1 configuration error, 2 data/format error,
-3 numerical failure. Log verbosity comes from ADRET_LOG (error|info|debug;
+Exit codes: 0 success, else the raised error's ``exit_code`` (1 config,
+2 data/format, 3 numerical; see ``errors``), and 3 when gradcheck finds a
+failing operation. Log verbosity comes from ADRET_LOG (error|info|debug;
 any other value is a configuration error).
 """
 
@@ -24,18 +25,12 @@ from .cache import atomic_write_text, cache_read, load_tensors, save_tensors
 from .config import ExperimentConfig, load_config, parse_weights, pooling_spec
 from .data import generate_splits, load_corpus, save_corpus
 from .encoders import BiEncoder, evaluate_split, PreparedSplit
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateVectorError,
-    DimensionError,
-    EvaluationError,
-    FormatError,
-    TrainingDivergedError,
-)
+from .errors import (AdretError, ConfigError, DataError, DimensionError,
+                     EvaluationError)
 from .gradcheck import run_all
 from .objectives import LOSS_MODES
-from .pooling import POOL_METHODS, PoolParams, PoolingSpec, pool_forward
+from .pooling import (POOL_METHODS, PoolParams, PoolingSpec, pool_forward,
+                      pool_weights)
 from .training import build_model, train
 
 log = logging.getLogger("adret")
@@ -154,6 +149,8 @@ def cmd_eval(cfg: ExperimentConfig, params_paths: list[str]) -> int:
 
 
 def cmd_gradcheck(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     reports = run_all(seed)
     for report in reports:
         print(report)
@@ -183,17 +180,13 @@ def cmd_inspect_pool(matrix_path: str, method: str, k, weights, modality: str,
     else:
         params = PoolParams.zeros(matrix.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        pooled, diag, _ = pool_forward(matrix, spec, params)
+        pooled, cache = pool_forward(matrix, spec, params)
     if not np.isfinite(pooled).all():
         raise EvaluationError(f"{matrix_path}: the {method} pooled vector is not finite")
-    dump = {
-        "method": method,
-        "pooled": [float(x) for x in pooled],
-        "theta": None if diag.theta is None else [float(x) for x in diag.theta],
-        "delta": None if diag.delta is None else [[float(x) for x in row]
-                                                  for row in diag.delta],
-        "omega": None if diag.omega is None else [float(x) for x in diag.omega],
-    }
+    learned = pool_weights(cache) or (None, None, None)
+    dump = {"method": method, "pooled": pooled.tolist()}
+    for name, w in zip(("theta", "delta", "omega"), learned):
+        dump[name] = None if w is None else w[0].tolist()
     print(json.dumps(dump, sort_keys=True))
     return 0
 
@@ -262,15 +255,9 @@ def main(argv=None) -> int:
             return cmd_train(cfg)
         paths = args.ensemble or [os.path.join(cfg.output_dir, "params.bin")]
         return cmd_eval(cfg, paths)
-    except (ConfigError, DimensionError, ValueError) as exc:
+    except (AdretError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FormatError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateVectorError, EvaluationError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

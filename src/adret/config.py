@@ -49,10 +49,10 @@ def _integer(raw: str, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _count(raw: str, name: str) -> int:
+def _count(raw: str, name: str, low: int = 1) -> int:
     value = _integer(raw, name)
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}")
     return value
 
 
@@ -90,7 +90,7 @@ _POOLING = {
 # section -> key -> (parser(raw, "section.key") -> value, default)
 KEYS = {
     "corpus": {
-        "seed": (_integer, REQUIRED),
+        "seed": (partial(_count, low=0), REQUIRED),
         "train_groups": (_count, 1000),
         "val_groups": (_count, 200),
         "test_groups": (_count, 200),
@@ -108,7 +108,7 @@ KEYS = {
     "pooling.visual": _POOLING,
     "pooling.text": _POOLING,
     "train": {
-        "seed": (_integer, None),  # required by `adret train` alone
+        "seed": (partial(_count, low=0), None),  # required by `adret train` alone
         "batch_size": (_integer, 64),
         "epochs": (_integer, 25),
         "lr": (_number, 5e-4),

@@ -134,8 +134,8 @@ def batch_forward(features, params: EncoderParams):
 
 def _forward(flat: Array, lengths, params: EncoderParams):
     """``batch_forward`` of features already stacked, ``lengths`` rows each."""
-    pooled, _, pool_cache = pool_forward(project(flat, params.w_proj, params.b_proj),
-                                         params.spec, params.pool, lengths)
+    pooled, pool_cache = pool_forward(project(flat, params.w_proj, params.b_proj),
+                                      params.spec, params.pool, lengths)
     embeddings = l2_normalize_rows(pooled)
     return embeddings, (flat, params, pool_cache, pooled, embeddings)
 

@@ -1,12 +1,12 @@
-"""Exception types shared across the package.
-
-The CLI maps these onto process exit codes: configuration problems exit 1,
-data/format problems exit 2, numerical failures exit 3.
-"""
+"""Exception types shared across the package. Each ``exit_code`` is the
+CLI's exit code: 1 (ConfigError, DimensionError, and a plain ValueError),
+2 (FormatError, DataError) or 3 (DegenerateVectorError, EvaluationError,
+TrainingDivergedError)."""
 
 
 class AdretError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 1
 
 
 class DimensionError(AdretError):
@@ -15,6 +15,7 @@ class DimensionError(AdretError):
 
 class DegenerateVectorError(AdretError):
     """A vector that must be normalized has (near-)zero norm."""
+    exit_code = 3
 
 
 class ConfigError(AdretError):
@@ -23,15 +24,19 @@ class ConfigError(AdretError):
 
 class FormatError(AdretError):
     """A cache file failed validation. Message carries the byte offset."""
+    exit_code = 2
 
 
 class DataError(AdretError):
     """Inconsistent data, e.g. a query with no ground-truth entry."""
+    exit_code = 2
 
 
 class EvaluationError(AdretError):
     """A numerical evaluation produced non-finite values."""
+    exit_code = 3
 
 
 class TrainingDivergedError(AdretError):
     """Training hit a non-finite loss or gradient."""
+    exit_code = 3

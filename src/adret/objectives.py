@@ -3,8 +3,8 @@
 The similarity matrix S is square with text anchors on rows, images on
 columns, and positives on the diagonal. Every loss contrasts each anchor,
 in both retrieval directions, with its K hardest in-batch negatives.
-``batch_loss``, the one loss path, checks S once, takes K from
-``negative_count``, marks the negatives as ``select_negatives`` does (two
+``batch_loss``, the one loss path, checks S, takes K from
+``negative_count``, marks the negatives with ``select_negatives`` (two
 B x B masks, ``tensor.top_k_mask`` at each row's K-th largest value) and
 applies the mode's term, which ``contrastive_loss`` applies to a pinned
 selection. One kernel runs the term on each direction's similarities and
@@ -130,8 +130,14 @@ def negative_count(s: Array, cfg: LossConfig) -> tuple[int, Optional[BatchMaturi
     return k, BatchMaturity(gamma_a, gamma_u, k)
 
 
-def _select(s: Array, k: int) -> NegativeSelection:
-    """``select_negatives`` on an ``s`` already checked."""
+def select_negatives(s: Array, k: int) -> NegativeSelection:
+    """Hardest-K in-batch negatives per anchor, both directions, of an
+    ``s`` already checked finite and square, as ``batch_loss`` passes it.
+
+    Each mask row is ``tensor.top_k_mask`` of the row, the anchor's own
+    positive masked to -inf, at the k-th largest value ``np.partition``
+    finds: its k largest similarities, ties broken by the smaller index.
+    """
     b = s.shape[0]
     if not 1 <= k <= b - 1:
         raise ValueError(f"select_negatives: k={k} outside [1, {b - 1}]")
@@ -140,16 +146,6 @@ def _select(s: Array, k: int) -> NegativeSelection:
     return NegativeSelection(*(
         top_k_mask(m, np.partition(m, b - k, axis=1)[:, -k, None], k, axis=1)
         for m in (masked, masked.T)))
-
-
-def select_negatives(s: Array, k: int) -> NegativeSelection:
-    """Hardest-K in-batch negatives per anchor, both directions.
-
-    Each mask row is ``tensor.top_k_mask`` of the row, the anchor's own
-    positive masked to -inf, at the k-th largest value ``np.partition``
-    finds: its k largest similarities, ties broken by the smaller index.
-    """
-    return _select(_square(s, "similarity matrix"), k)
 
 
 def _contrastive(s: Array, sel: NegativeSelection, term) -> tuple[float, Array]:
@@ -228,8 +224,8 @@ def contrastive_loss(s: Array, sel: NegativeSelection,
 
 
 def batch_loss(s: Array, cfg: LossConfig) -> tuple[float, Array, Optional[BatchMaturity]]:
-    """(loss, d_loss/d_s, maturity or None) of cfg's loss: ``s`` checked
-    once, K from ``negative_count``, K hardest negatives, then cfg's term."""
+    """(loss, d_loss/d_s, maturity or None) of cfg's loss: ``s`` checked,
+    K from ``negative_count``, ``select_negatives``, then cfg's term."""
     s = _square(s, "similarity matrix")
     k, maturity = negative_count(s, cfg)
-    return (*_loss(s, _select(s, k), cfg), maturity)
+    return (*_loss(s, select_negatives(s, k), cfg), maturity)

@@ -21,7 +21,7 @@ Outputs are deliberately not normalized here; the encoder applies a single
 L2 normalization at the end so the balance weights see raw magnitudes.
 
 Every kernel pools a batch of B instances. Instances of one length (each
-``encoders.encode_all`` block) are the rows reshaped to (B, M, d): no
+``encoders._blocks`` block) are the rows reshaped to (B, M, d): no
 padding, no mask. Of a ragged batch (nearly every training batch) only the
 sorting poolers build a padded stack. The mean family (each instance whose
 top k is all its rows) is rows in, rows out (``_sum_ragged``). The top-k
@@ -43,8 +43,8 @@ the padded M x d rows would not promise this: its kernel may change with
 M, which padding raises. (A stacked product of one row at a time, as in
 ``tensor.matmul``, would keep it.)
 
-``pool_forward``/``pool_vjp`` are the pooling API; rows without lengths
-are one instance, with unbatched results.
+``pool_forward``/``pool_vjp``/``pool_weights`` are the pooling API; rows
+without lengths are one instance, with an unbatched pooled vector.
 """
 
 from __future__ import annotations
@@ -125,17 +125,6 @@ class PoolingSpec:
             if not (w1 >= 0 and w2 >= 0 and abs(w1 + w2 - 1.0) <= 1e-12):
                 raise ConfigError("fixed-balance weights must be nonnegative "
                                   f"and sum to 1, got ({w1}, {w2})")
-
-
-@dataclass(frozen=True)
-class PoolDiagnostics:
-    """Learned weights exposed for inspection: theta over ranked rows,
-    delta per column, omega over the two branches. Entries are None for
-    poolers that do not produce them."""
-
-    theta: Optional[Array] = None
-    delta: Optional[Array] = None
-    omega: Optional[Array] = None
 
 
 def _lengths(rows: Array, lengths=None):
@@ -220,7 +209,7 @@ def _topk_forward(rows: Array, lengths: Array, k):
     if whole.all():  # rows in, rows out: no stack for a ragged batch
         t = (sum_rows(rows.reshape(len(lengths), lengths[0], rows.shape[1]))[:, 0]
              if (lengths == lengths[0]).all() else _sum_ragged(rows, lengths))
-        return t / lengths[:, None], PoolDiagnostics(), ("topk", lengths, k, None)
+        return t / lengths[:, None], ("topk", lengths, k, None)
     keyed, valid = _pad(rows, lengths, np.nan)  # the padding sorts last
     ranked = sort_desc_per_column(keyed)
     b = np.arange(len(lengths))
@@ -234,7 +223,7 @@ def _topk_forward(rows: Array, lengths: Array, k):
     if whole.any():
         own = np.repeat(whole, lengths.astype(np.intp, copy=False))  # their rows
         t[whole] = _sum_ragged(rows[own], lengths[whole]) / lengths[whole, None]
-    return t, PoolDiagnostics(), ("topk", lengths, k, (keyed, kth, valid))
+    return t, ("topk", lengths, k, (keyed, kth, valid))
 
 
 def _topk_vjp(cache, d_t: Array) -> Array:
@@ -252,8 +241,8 @@ def _topk_vjp(cache, d_t: Array) -> Array:
 
 
 def _token_forward(f: Array, valid: Optional[Array], w_tok: Array):
-    """(pooled, theta, cache, a spare buffer shaped like ``f``, ``f`` padded
-    with -inf or None)."""
+    """(pooled, cache, a spare buffer shaped like ``f``, ``f`` padded with
+    -inf or None); the cache holds theta, (B, M, 1)."""
     w = w_tok.ravel()
     ranked, at, keyed, masked = _argrank(f, valid)
     product = ranked * w  # reused below for the theta-weighted rows
@@ -261,7 +250,7 @@ def _token_forward(f: Array, valid: Optional[Array], w_tok: Array):
     logits = logits if valid is None else np.where(valid, logits, -np.inf)
     theta = softmax_columns(logits)  # (B, M, 1): a softmax down the ranks
     t_tok = sum_rows(np.multiply(theta, ranked, out=product))[:, 0]
-    return t_tok, theta[:, :, 0], (ranked, at, keyed, theta, w), product, masked
+    return t_tok, (ranked, at, keyed, theta, w), product, masked
 
 
 def _token_vjp(cache, d_t: Array):
@@ -291,7 +280,7 @@ def _embedding_forward(f: Array, masked: Optional[Array], top: Array,
     delta = f - top if masked is None else np.subtract(masked, top, out=masked)
     np.exp(delta, out=delta)
     np.divide(delta, sum_rows(delta), out=delta)
-    return sum_rows(np.multiply(delta, f, out=spare))[:, 0], delta, (delta, f)
+    return sum_rows(np.multiply(delta, f, out=spare))[:, 0], (delta, f)
 
 
 def _embedding_vjp(cache, d_t: Array) -> Array:
@@ -326,16 +315,15 @@ def _adpool_forward(f: Array, valid: Optional[Array], params: PoolParams,
                     omega: Optional[Array] = None):
     """Adaptive pooler; a given ``omega`` replaces the learned balance
     (fixed-balance), so w_bal is unused and gets no gradient."""
-    t_tok, theta, tok_cache, spare, masked = _token_forward(f, valid, params.w_tok)
+    t_tok, tok_cache, spare, masked = _token_forward(f, valid, params.w_tok)
     ranked = tok_cache[0]
-    t_emb, delta, emb_cache = _embedding_forward(f, masked, ranked[:, :1], spare)
+    t_emb, emb_cache = _embedding_forward(f, masked, ranked[:, :1], spare)
     if omega is None:
         t, omega, bal_cache = _balance_forward(t_tok, t_emb, params.w_bal)
     else:
         omega = np.broadcast_to(omega, (len(f), 2))
         t, bal_cache = omega[:, :1] * t_tok + omega[:, 1:] * t_emb, None
-    diag = PoolDiagnostics(theta=theta, delta=delta, omega=omega)
-    return t, diag, ("adpool", valid, tok_cache, emb_cache, omega, bal_cache)
+    return t, ("adpool", valid, tok_cache, emb_cache, omega, bal_cache)
 
 
 def _adpool_vjp(cache, d_t: Array):
@@ -354,9 +342,9 @@ def _adpool_vjp(cache, d_t: Array):
 def pool_forward(rows: Array, spec: PoolingSpec,
                  params: Optional[PoolParams] = None, lengths=None):
     """Run a pooler on ``rows``, each instance's M_b x d rows back to back
-    (one instance without ``lengths``). Returns (pooled, PoolDiagnostics,
-    cache): a row per instance, diagnostics padded with 0, unbatched without
-    ``lengths``; pool_vjp takes the cache and a gradient shaped like pooled.
+    (one instance without ``lengths``). Returns (pooled, cache): a row per
+    instance, unbatched without ``lengths``; pool_vjp takes the cache and a
+    gradient shaped like pooled, pool_weights the cache.
     """
     single = lengths is None
     rows, lengths = _lengths(rows, lengths)
@@ -368,18 +356,25 @@ def pool_forward(rows: Array, spec: PoolingSpec,
             raise DimensionError(f"pooling weights are for d={len(params.w_tok)}, "
                                  f"rows are {rows.shape[1]}-dimensional")
         omega = None if method == "adpool" else np.array(spec.weights)
-        t, diag, cache = _adpool_forward(*_pad(rows, lengths, -0.0), params, omega)
+        t, cache = _adpool_forward(*_pad(rows, lengths, -0.0), params, omega)
     else:
         # mean (and manual text) averages every row, max the top one; manual
         # visual clamps its top k to the length so short instances pool
         k = {"kmax": spec.k, "max": 1}.get(method, lengths)
         if method == "manual" and spec.manual_mode == "visual":
             k = np.minimum(MANUAL_VISUAL_K, lengths)
-        t, diag, cache = _topk_forward(rows, lengths, k)
-    if single:
-        t, diag = t[0], PoolDiagnostics(*(None if x is None else x[0] for x in
-                                          (diag.theta, diag.delta, diag.omega)))
-    return t, diag, cache
+        t, cache = _topk_forward(rows, lengths, k)
+    return (t[0] if single else t), cache
+
+
+def pool_weights(cache):
+    """(theta (B, M) over ranked rows, delta (B, M, d) per column, omega (B, 2)
+    over the two branches) of a pool_forward cache, a row per instance (one
+    without ``lengths``), padding 0; None for the fixed poolers."""
+    if cache[0] != "adpool":
+        return None
+    _, _, tok_cache, (delta, _), omega, _ = cache
+    return tok_cache[3][:, :, 0], delta, omega
 
 
 def pool_vjp(cache, d_t: Array):

@@ -117,7 +117,6 @@ class IterationRecord:
 
 @dataclass
 class TrainLog:
-    mode: str
     records: list[IterationRecord] = field(default_factory=list)
     validation: list[tuple[int, float]] = field(default_factory=list)
 
@@ -196,7 +195,7 @@ def train(corpus: Corpus, model: BiEncoder, cfg: TrainConfig,
     model = BiEncoder.from_tensors(
         {name: v.reshape(p.shape) for (name, p), v in zip(tensors.items(), views)},
         model.visual.spec, model.text.spec)
-    log = TrainLog(mode=cfg.loss.mode)
+    log = TrainLog()
     iteration = 0
 
     for epoch in range(cfg.epochs):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import struct
 from dataclasses import replace
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adret import cli, errors
 from adret.cache import cache_write, load_tensors, save_tensors
 from adret.cli import main
 from adret.config import load_config
@@ -106,6 +108,15 @@ class TestGenerate:
             digests.append({name: _read_bytes(os.path.join(corpus, name))
                             for name in sorted(os.listdir(corpus))})
         assert digests[0] == digests[1]
+
+    def test_negative_corpus_seed_names_the_key(self, tmp_path, capsys):
+        cfg, out = _write_config(tmp_path)
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("seed = 42\n", "seed = -42\n"))
+        assert main(["generate", "--config", cfg]) == 1
+        assert "corpus.seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "corpus"))
 
     def test_output_dir_under_a_file_is_data_error(self, tmp_path, capsys):
         cfg, _ = _write_config(tmp_path)
@@ -269,6 +280,17 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--loss", "infonce-fixed",
                      "--k", "0"]) == 1
         assert "train.fixed_k must be >= 1" in capsys.readouterr().err
+
+    def test_negative_train_seed_names_the_key(self, tmp_path, capsys):
+        cfg, out = _write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--seed", "-1"]) == 1
+        assert "train.seed must be >= 0" in capsys.readouterr().err
+        text = _read_bytes(cfg).decode()
+        with open(cfg, "w") as fh:
+            fh.write(text.replace("[train]\nseed = 7\n", "[train]\nseed = -7\n"))
+        assert main(["train", "--config", cfg]) == 1
+        assert "train.seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "params.bin"))
 
     def test_fixed_k_is_a_count_under_a_loss_that_ignores_it(self, tmp_path,
                                                              capsys):
@@ -522,6 +544,12 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
 
 class TestInspectPool:
     def test_constant_matrix_uniform_weights(self, tmp_path, capsys):
@@ -672,6 +700,29 @@ class TestUsageErrors:
         assert main(["gradcheck"]) == 1
         err = capsys.readouterr().err
         assert "ADRET_LOG" in err and "error|info|debug" in err
+
+
+def _documented_exit_codes():
+    """{class name: exit code}, as the ``errors`` docstring lists them."""
+    return {name: int(code)
+            for code, names in re.findall(r"(\d) \(([^)]*)\)", errors.__doc__)
+            for name in re.findall(r"\w+Error", names)}
+
+
+@pytest.mark.parametrize("error", errors.AdretError.__subclasses__() + [ValueError],
+                         ids=lambda error: error.__name__)
+def test_every_error_exits_with_its_documented_code(error, monkeypatch, capsys):
+    """A command that raises ``error`` prints it and exits with the code the
+    ``errors`` docstring gives its class; a new class must be listed there."""
+    codes = _documented_exit_codes()
+    assert error.__name__ in codes, f"errors docstring gives {error.__name__} no code"
+
+    def run_all(seed):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    assert main(["gradcheck"]) == codes[error.__name__]
+    assert capsys.readouterr().err == "error: planted failure\n"
 
 
 def test_readme_typical_experiment_runs_as_written(tmp_path, monkeypatch):

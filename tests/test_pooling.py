@@ -16,6 +16,7 @@ from adret.pooling import (
     PoolingSpec,
     pool_forward,
     pool_vjp,
+    pool_weights,
 )
 from adret.tensor import softmax_columns, sort_desc_per_column_vjp, sum_rows
 
@@ -117,31 +118,32 @@ class TestTokenLevel:
         rng = np.random.default_rng(1)
         for _ in range(20):
             f = rng.standard_normal((int(rng.integers(1, 10)), 5))
-            t, diag, _ = pool_forward(f, TOKEN, PoolParams.zeros(5))
+            t, cache = pool_forward(f, TOKEN, PoolParams.zeros(5))
             np.testing.assert_allclose(t, pool_forward(f, MEAN)[0], atol=1e-12)
-            np.testing.assert_allclose(diag.theta, 1.0 / f.shape[0], atol=1e-15)
+            theta = pool_weights(cache)[0]
+            np.testing.assert_allclose(theta, 1.0 / f.shape[0], atol=1e-15)
 
     def test_single_row_passthrough(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((1, 4))
         params = PoolParams(rng.standard_normal((4, 1)), np.zeros((4, 1)))
-        t, diag, _ = pool_forward(f, TOKEN, params)
+        t, cache = pool_forward(f, TOKEN, params)
         np.testing.assert_allclose(t, f[0], atol=1e-15)
-        np.testing.assert_array_equal(diag.theta, [1.0])
+        np.testing.assert_array_equal(pool_weights(cache)[0], [[1.0]])
 
     def test_matches_scalar_oracle(self):
         f = np.array([[0.3, -1.2], [2.0, 0.4], [-0.7, 1.1]])
         w = np.array([[1.0], [0.0]])
-        t, diag, _ = pool_forward(f, TOKEN, PoolParams(w, np.zeros((2, 1))))
+        t, cache = pool_forward(f, TOKEN, PoolParams(w, np.zeros((2, 1))))
         t_ref, theta_ref = _token_pool_oracle(f, w.ravel())
         np.testing.assert_allclose(t, t_ref, atol=1e-12)
-        np.testing.assert_allclose(diag.theta, theta_ref, atol=1e-12)
+        np.testing.assert_allclose(pool_weights(cache)[0][0], theta_ref, atol=1e-12)
 
 
 def _embedding(f):
     """(pooled, delta) of the embedding branch alone."""
-    t, diag, _ = pool_forward(f, EMBEDDING, PoolParams.zeros(np.shape(f)[1]))
-    return t, diag.delta
+    t, cache = pool_forward(f, EMBEDDING, PoolParams.zeros(np.shape(f)[1]))
+    return t, pool_weights(cache)[1][0]
 
 
 class TestEmbeddingLevel:
@@ -230,9 +232,9 @@ class TestBalance:
         t_tok = pool_forward(f, TOKEN, params)[0]
         t_emb, _ = _embedding(f)
         spec = PoolingSpec("fixed-balance", weights=(0.75, 0.25))
-        out, diag, _ = pool_forward(f, spec, params)
+        out, cache = pool_forward(f, spec, params)
         np.testing.assert_allclose(out, 0.75 * t_tok + 0.25 * t_emb, atol=1e-15)
-        np.testing.assert_array_equal(diag.omega, [0.75, 0.25])
+        np.testing.assert_array_equal(pool_weights(cache)[2], [[0.75, 0.25]])
 
     @pytest.mark.parametrize("spec", [ADPOOL, TOKEN], ids=repr)
     def test_weights_of_another_width_rejected(self, spec):
@@ -246,26 +248,33 @@ class TestAdpool:
         f = rng.standard_normal((1, 5))
         params = PoolParams(rng.standard_normal((5, 1)),
                             rng.standard_normal((5, 1)))
-        t, _, _ = pool_forward(f, ADPOOL, params)
+        t, _ = pool_forward(f, ADPOOL, params)
         np.testing.assert_allclose(t, f[0], atol=1e-15)
 
     def test_zero_parameters_blend_mean_and_soft_max(self):
         rng = np.random.default_rng(8)
         f = rng.standard_normal((6, 4))
-        t, _, _ = pool_forward(f, ADPOOL, PoolParams.zeros(4))
+        t, _ = pool_forward(f, ADPOOL, PoolParams.zeros(4))
         t_emb, _ = _embedding(f)
         np.testing.assert_allclose(t, 0.5 * pool_forward(f, MEAN)[0] + 0.5 * t_emb,
                                    atol=1e-12)
 
     def test_diagnostics_are_distributions(self):
+        """theta down the ranks, delta down each column and omega over the
+        branches each sum to 1 per instance; the padding gets exactly 0."""
         rng = np.random.default_rng(9)
-        f = rng.standard_normal((7, 5))
+        lengths = np.array([7, 2, 5])
+        f = rng.standard_normal((lengths.sum(), 5))
         params = PoolParams(rng.standard_normal((5, 1)),
                             rng.standard_normal((5, 1)))
-        _, diag, _ = pool_forward(f, ADPOOL, params)
-        assert abs(diag.theta.sum() - 1.0) <= 1e-12
-        np.testing.assert_allclose(diag.delta.sum(axis=0), 1.0, atol=1e-12)
-        assert abs(diag.omega.sum() - 1.0) <= 1e-12
+        theta, delta, omega = pool_weights(pool_forward(f, ADPOOL, params, lengths)[1])
+        assert theta.shape == (3, 7) and delta.shape == (3, 7, 5)
+        np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(delta.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(omega.sum(axis=1), 1.0, atol=1e-12)
+        padding = np.arange(7) >= lengths[:, None]
+        assert np.all(theta[padding] == 0.0) and np.all(delta[padding] == 0.0)
+        assert np.all(theta[~padding] > 0.0) and np.all(delta[~padding] > 0.0)
 
 
 class TestDispatch:
@@ -323,20 +332,22 @@ class TestRaggedRows:
         parts[2][3] = parts[2][0]  # a tie in every column
         params = PoolParams(rng.standard_normal((3, 1)),
                             rng.standard_normal((3, 1)))
-        t, diag, cache = pool_forward(np.concatenate(parts), spec, params,
-                                      lengths)
+        t, cache = pool_forward(np.concatenate(parts), spec, params, lengths)
         d_t = rng.standard_normal(t.shape)
         d_f, d_w_tok, d_w_bal = pool_vjp(cache, d_t)
         assert d_f.shape == (lengths.sum(), 3)
         assert d_w_tok.shape == d_w_bal.shape == (3, 1)
         d_parts = np.split(d_f, np.cumsum(lengths)[:-1])
         for f, t_b, d_t_b, d_f_b in zip(parts, t, d_t, d_parts):
-            t_alone, _, cache_alone = pool_forward(f, spec, params)
+            t_alone, cache_alone = pool_forward(f, spec, params)
             assert np.array_equal(t_b, t_alone)
             assert np.array_equal(d_f_b, pool_vjp(cache_alone, d_t_b)[0])
-        if diag.theta is not None:
-            assert np.all(diag.theta[lengths[:, None] <= np.arange(7)] == 0.0)
-            assert np.all(diag.delta[1, 1:] == 0.0)
+        weights = pool_weights(cache)
+        assert (weights is None) == (spec.method not in ("adpool", "fixed-balance"))
+        if weights is not None:
+            theta, delta, _ = weights
+            assert np.all(theta[lengths[:, None] <= np.arange(7)] == 0.0)
+            assert np.all(delta[1, 1:] == 0.0)
 
     @pytest.mark.parametrize("spec", SPECS, ids=repr)
     def test_one_length_batch_pools_as_inside_a_ragged_batch(self, spec):
@@ -354,14 +365,14 @@ class TestRaggedRows:
         one = pool_forward(rows[:3 * m], spec, params, [m] * 3)
         ragged = pool_forward(rows, spec, params, [m] * 3 + [m + 2])
         if spec.method in ("adpool", "fixed-balance"):  # the mask of real rows
-            assert one[2][1] is None and ragged[2][1] is not None
+            assert one[1][1] is None and ragged[1][1] is not None
         assert one[0].tobytes() == ragged[0][:3].tobytes()
-        for x, y in zip(one[1].__dict__.values(), ragged[1].__dict__.values()):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert x.tobytes() == y[:3, :x.shape[1]].tobytes()
-        grads_one = pool_vjp(one[2], d_t[:3])
-        grads_ragged = pool_vjp(ragged[2], d_t)
+        weights_one, weights_ragged = pool_weights(one[1]), pool_weights(ragged[1])
+        assert (weights_one is None) == (weights_ragged is None)
+        for x, y in zip(weights_one or (), weights_ragged or ()):
+            assert x.tobytes() == y[:3, :x.shape[1]].tobytes()
+        grads_one = pool_vjp(one[1], d_t[:3])
+        grads_ragged = pool_vjp(ragged[1], d_t)
         assert grads_one[0].tobytes() == grads_ragged[0][:3 * m].tobytes()
         for x, y in zip(grads_one[1:], grads_ragged[1:]):
             assert x.tobytes() == y.tobytes()
@@ -385,7 +396,7 @@ class TestRaggedRows:
             return real_pad(rows, lengths, fill)
 
         with mock.patch.object(pooling, "_pad", pad):
-            t, _, cache = pool_forward(rows, spec, params, lengths)
+            t, cache = pool_forward(rows, spec, params, lengths)
             pool_vjp(cache, np.ones_like(t))
         assert pads == fills
 
@@ -400,7 +411,7 @@ class TestRaggedRows:
         signed, unsigned = (pool_forward(rows, spec, params, np.array(lengths, dtype))
                             for dtype in (np.int64, np.uint64))
         assert signed[0].tobytes() == unsigned[0].tobytes()
-        for x, y in zip(pool_vjp(signed[2], d_t), pool_vjp(unsigned[2], d_t)):
+        for x, y in zip(pool_vjp(signed[1], d_t), pool_vjp(unsigned[1], d_t)):
             assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=str)
@@ -464,7 +475,7 @@ class TestTopkGradientProperty:
                    "manual": (PoolingSpec("manual", manual_mode="visual"),
                               np.minimum(MANUAL_VISUAL_K, lengths))}[method]
         k = np.broadcast_to(k, lengths.shape)
-        d_f = pool_vjp(pool_forward(rows, spec, lengths=lengths)[2], d_t)[0]
+        d_f = pool_vjp(pool_forward(rows, spec, lengths=lengths)[1], d_t)[0]
         ranks = np.arange(lengths.max())
         real = ranks < lengths[:, None]
         keyed = np.full(real.shape + rows.shape[1:], np.nan)
@@ -500,13 +511,13 @@ class TestRaggedMeanProperty:
          PoolingSpec("manual", manual_mode="visual"))))
     def test_equals_the_row_order_sum_and_pooling_alone(self, ragged, spec):
         rows, lengths, d_t = ragged
-        t, _, cache = pool_forward(rows, spec, lengths=lengths)
+        t, cache = pool_forward(rows, spec, lengths=lengths)
         d_f = pool_vjp(cache, d_t)[0]
         padded = sum_rows(pooling._pad(rows, lengths, -0.0)[0])[:, 0]
         starts = np.cumsum(lengths) - lengths
         for b, (start, m) in enumerate(zip(starts, lengths)):
             f = rows[start:start + m]
-            t_alone, _, cache_alone = pool_forward(f, spec)
+            t_alone, cache_alone = pool_forward(f, spec)
             assert t[b].tobytes() == t_alone.tobytes()
             if spec.manual_mode != "visual" or m <= MANUAL_VISUAL_K:
                 in_order = np.add.accumulate(f, axis=0)[-1]
@@ -516,6 +527,20 @@ class TestRaggedMeanProperty:
                 assert t[b].tobytes() == (in_order / m).tobytes()
             assert (d_f[start:start + m].tobytes()
                     == pool_vjp(cache_alone, d_t[b])[0].tobytes())
+
+
+def _assert_rows_pool_as_alone(t, cache, rows, lengths, spec, params):
+    """Each row of the batch's pooled vector and pool_weights is bit-equal
+    to its instance pooled alone (theta and delta up to its length)."""
+    theta, delta, omega = pool_weights(cache)
+    parts = np.split(rows, np.cumsum(lengths)[:-1])
+    for b, (f, m) in enumerate(zip(parts, lengths)):
+        t_b, cache_b = pool_forward(f, spec, params)
+        theta_b, delta_b, omega_b = pool_weights(cache_b)
+        assert t[b].tobytes() == t_b.tobytes()
+        assert theta[b, :m].tobytes() == theta_b[0].tobytes()
+        assert delta[b, :m].tobytes() == delta_b[0].tobytes()
+        assert omega[b].tobytes() == omega_b[0].tobytes()
 
 
 class TestAdpoolBitEquality:
@@ -530,7 +555,7 @@ class TestAdpoolBitEquality:
         f, valid = pooling._pad(rows, lengths, -0.0)  # no mask for one length
         top = pooling._rank(f, valid)[0][:, :1]
         masked = None if valid is None else np.where(valid, f, -np.inf)
-        delta = pooling._embedding_forward(f, masked, top, np.empty_like(f))[1]
+        _, (delta, _) = pooling._embedding_forward(f, masked, top, np.empty_like(f))
         real = (np.arange(lengths.max()) < lengths[:, None])[:, :, None]
         assert delta.tobytes() == softmax_columns(np.where(real, f, -np.inf)).tobytes()
 
@@ -542,13 +567,8 @@ class TestAdpoolBitEquality:
         d = rows.shape[1]
         params = PoolParams(np.linspace(-1.0, 1.0, d)[:, None],
                             np.linspace(0.5, -0.5, d)[:, None])
-        t, diag, _ = pool_forward(rows, spec, params, lengths)
-        parts = np.split(rows, np.cumsum(lengths)[:-1])
-        for b, (f, m) in enumerate(zip(parts, lengths)):
-            t_b, diag_b, _ = pool_forward(f, spec, params)
-            assert t[b].tobytes() == t_b.tobytes()
-            assert diag.theta[b, :m].tobytes() == diag_b.theta.tobytes()
-            assert diag.delta[b, :m].tobytes() == diag_b.delta.tobytes()
+        t, cache = pool_forward(rows, spec, params, lengths)
+        _assert_rows_pool_as_alone(t, cache, rows, lengths, spec, params)
 
 
 @st.composite
@@ -608,17 +628,12 @@ class TestTieFreeRaggedPath:
         params = PoolParams(np.linspace(-1.0, 1.0, d)[:, None],
                             np.linspace(0.5, -0.5, d)[:, None])
         with _fallback_calls() as calls:
-            t, diag, cache = pool_forward(rows, spec, params, lengths)
+            t, cache = pool_forward(rows, spec, params, lengths)
             grads = pool_vjp(cache, d_t)
         assert calls == {"sort": 0, "stable argsort": 0}
-        parts = np.split(rows, np.cumsum(lengths)[:-1])
-        for b, (f, m) in enumerate(zip(parts, lengths)):
-            t_b, diag_b, _ = pool_forward(f, spec, params)
-            assert t[b].tobytes() == t_b.tobytes()
-            assert diag.theta[b, :m].tobytes() == diag_b.theta.tobytes()
-            assert diag.delta[b, :m].tobytes() == diag_b.delta.tobytes()
+        _assert_rows_pool_as_alone(t, cache, rows, lengths, spec, params)
         with mock.patch.object(pooling, "_argrank", _stable_argrank):
-            oracle = pool_vjp(pool_forward(rows, spec, params, lengths)[2], d_t)
+            oracle = pool_vjp(pool_forward(rows, spec, params, lengths)[1], d_t)
         for x, y in zip(grads, oracle):
             assert x.tobytes() == y.tobytes()
 
@@ -637,5 +652,5 @@ class TestTieFreeRaggedPath:
         tied[7, 2] = tied[5, 2]  # instance 1, one column
         for f, fallbacks in ((rows, 0), (tied, 1)):
             with _fallback_calls() as calls:
-                pool_vjp(pool_forward(f, spec, params, lengths)[2], d_t)
+                pool_vjp(pool_forward(f, spec, params, lengths)[1], d_t)
             assert calls == {"sort": fallbacks, "stable argsort": fallbacks}
